@@ -144,8 +144,9 @@ func BenchmarkAblationP(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPruning compares the lower-bound machinery against the
-// same code path with pruning disabled (full recompute per length).
+// BenchmarkAblationPruning compares the default pairs plan (the pruned
+// pass, which the cost model may switch to the incremental pass) against
+// pruning disabled (a whole-profile pass at every length).
 func BenchmarkAblationPruning(b *testing.B) {
 	s := gen.ECG(4000, 1)
 	for _, disable := range []bool{false, true} {

@@ -667,7 +667,8 @@ func runBenchStream(outPath string, nTotal, chunk, lmin int, seed int64, workers
 }
 
 // runPlanParity is the CI smoke check for the per-length planner: over
-// each generated dataset, the pruned plan, the from-scratch full plan
+// each generated dataset, the default pairs plan (pruned, until the cost
+// model switches it to the incremental pass), the from-scratch full plan
 // (DisablePruning + DisableIncremental) and the incremental full plan
 // (DisablePruning) must report the same best motif pair — same offsets and
 // length, length-normalized distance equal within floating tolerance (the

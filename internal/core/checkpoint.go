@@ -4,8 +4,10 @@ package core
 // in-flight run at a length-pass boundary — the diagonal head row, the
 // per-anchor partial profiles (hot rows included: a hot anchor resolves
 // through a different, equally exact arithmetic path than a cold one, so
-// bit-identical resume needs them), the accumulated sink state and the
-// plan counters — into a self-describing blob, and later resume from it.
+// bit-identical resume needs them; once the cost model has latched the run
+// onto the incremental pass they are retired and left out), the
+// accumulated sink state and the plan counters — into a self-describing
+// blob, and later resume from it.
 // A resumed run produces byte-identical results to the uninterrupted one
 // at every worker count, because everything the remaining lengths read is
 // either restored exactly (float64 bits survive gob) or recomputed by a
@@ -46,7 +48,11 @@ const (
 	// neither kind can be resumed as the other.
 	ckptMagic   = "VALCKPT1"
 	streamMagic = "VALSTRM1"
-	ckptVersion = 1
+	// ckptVersion 2 added the cost-model latch (ckptPayload.Latched); a
+	// version-1 frame predates it and is refused. Stream frames are
+	// unchanged since version 1.
+	ckptVersion   = 2
+	streamVersion = 1
 	// ckptHeaderLen = magic(8) + version(4) + payloadLen(8) + sha256(32).
 	ckptHeaderLen = 8 + 4 + 8 + 32
 )
@@ -67,10 +73,13 @@ type ckptPayload struct {
 	NextIdx int
 	Plan    PlanStats
 
-	// Pruned-machinery carry (see run.seeded / run.entriesAt).
+	// Pruned-machinery carry (see run.seeded / run.entriesAt / run.latched).
+	// Once latched the machinery is retired, so Anchors (hot rows
+	// included, the bulk of a pruned frame) is omitted.
 	Seeded    bool
+	Latched   bool
 	EntriesAt int
-	Anchors   *anchors.Snapshot // nil until seeded
+	Anchors   *anchors.Snapshot // nil unless seeded
 
 	// Incremental-engine carry (see incState).
 	IncCur    int
@@ -87,12 +96,19 @@ type ckptPayload struct {
 	Cands       []Discord
 }
 
-// cfgDigest renders the result-affecting configuration fields. Workers and
+// cfgDigest renders the result-affecting configuration of a batch run.
+// The v2 prefix marks the planner with the cost-model latch: the same
+// configuration resolves lengths differently than under v1.
+func cfgDigest(c Config) string {
+	return "v2 " + cfgFields(c)
+}
+
+// cfgFields renders the result-affecting configuration fields. Workers and
 // the callback fields are excluded (output-neutral); WindowCap is a
 // streaming-only knob batch runs ignore.
-func cfgDigest(c Config) string {
+func cfgFields(c Config) string {
 	return fmt.Sprintf(
-		"v1 lmin=%d lmax=%d k=%d p=%d ex=%d rf=%g dp=%t di=%t disc=%d skip=%t stride=%d rr=%d strict=%t c32=%t",
+		"lmin=%d lmax=%d k=%d p=%d ex=%d rf=%g dp=%t di=%t disc=%d skip=%t stride=%d rr=%d strict=%t c32=%t",
 		c.LMin, c.LMax, c.TopK, c.P, c.ExclusionFactor, c.RecomputeFraction,
 		c.DisablePruning, c.DisableIncremental, c.Discords,
 		c.LengthSkip, c.LengthStride, c.RefineRadius, c.Strict, c.Carry32)
@@ -114,7 +130,7 @@ func seriesHash(t []float64) [32]byte {
 
 // encodeFrame gob-encodes v and frames it: header with magic, version,
 // payload length and payload hash, then the gob bytes.
-func encodeFrame(magic string, v interface{}) ([]byte, error) {
+func encodeFrame(magic string, version uint32, v interface{}) ([]byte, error) {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(v); err != nil {
 		return nil, fmt.Errorf("core: encode checkpoint: %w", err)
@@ -122,7 +138,7 @@ func encodeFrame(magic string, v interface{}) ([]byte, error) {
 	payload := body.Bytes()
 	out := make([]byte, ckptHeaderLen+len(payload))
 	copy(out, magic)
-	binary.BigEndian.PutUint32(out[8:], ckptVersion)
+	binary.BigEndian.PutUint32(out[8:], version)
 	binary.BigEndian.PutUint64(out[12:], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	copy(out[20:], sum[:])
@@ -132,14 +148,14 @@ func encodeFrame(magic string, v interface{}) ([]byte, error) {
 
 // decodeFrame validates the frame (magic, version, length, hash) and
 // decodes the payload into v. Every failure wraps ErrBadCheckpoint.
-func decodeFrame(magic string, b []byte, v interface{}) error {
+func decodeFrame(magic string, version uint32, b []byte, v interface{}) error {
 	if len(b) < ckptHeaderLen {
 		return fmt.Errorf("%w: truncated header (%d bytes)", ErrBadCheckpoint, len(b))
 	}
 	if string(b[:8]) != magic {
 		return fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
-	if ver := binary.BigEndian.Uint32(b[8:]); ver != ckptVersion {
+	if ver := binary.BigEndian.Uint32(b[8:]); ver != version {
 		return fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, ver)
 	}
 	plen := binary.BigEndian.Uint64(b[12:])
@@ -158,12 +174,12 @@ func decodeFrame(magic string, b []byte, v interface{}) error {
 
 // encodeCheckpoint / decodeCheckpoint frame the batch-run payload.
 func encodeCheckpoint(p *ckptPayload) ([]byte, error) {
-	return encodeFrame(ckptMagic, p)
+	return encodeFrame(ckptMagic, ckptVersion, p)
 }
 
 func decodeCheckpoint(b []byte) (*ckptPayload, error) {
 	p := &ckptPayload{}
-	if err := decodeFrame(ckptMagic, b, p); err != nil {
+	if err := decodeFrame(ckptMagic, ckptVersion, b, p); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -233,6 +249,7 @@ func (r *run) captureCheckpoint(cs ckptSinks, nextIdx int) ([]byte, error) {
 		NextIdx:    nextIdx,
 		Plan:       r.planStats,
 		Seeded:     r.seeded,
+		Latched:    r.latched,
 		EntriesAt:  r.entriesAt,
 		IncCur:     r.inc.cur,
 		IncHead:    r.inc.head,
@@ -266,6 +283,8 @@ func (r *run) seriesSum() [32]byte {
 func (r *run) restore(p *ckptPayload) int {
 	r.planStats = p.Plan
 	r.seeded = p.Seeded
+	r.latched = p.Latched
+	r.profileOnly = r.profileOnly || p.Latched
 	r.entriesAt = p.EntriesAt
 	r.inc = incState{head: p.IncHead, head32: p.IncHead32, cur: p.IncCur}
 	if p.Anchors != nil {

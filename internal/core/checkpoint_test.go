@@ -84,7 +84,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"pruned", Config{LMin: 12, LMax: 44, TopK: 4, P: 6, Workers: 1}},
+		{"pruned", Config{LMin: 12, LMax: 44, TopK: 4, P: 6, Workers: 1, pinPruned: true}},
 		{"discords", Config{LMin: 12, LMax: 36, TopK: 3, P: 6, Discords: 3, Workers: 1}},
 		{"carry32", Config{LMin: 12, LMax: 30, TopK: 3, Discords: 2, Carry32: true, Workers: 1}},
 	} {

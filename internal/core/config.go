@@ -32,7 +32,9 @@
 // FullProfile lengths: diagonal dot-product state carried from length to
 // length with one FMA per cell, one FFT per run), sink.go (the per-length
 // Sink pipeline: the planner deciding pruned/full/skip per length plus
-// the built-in pairs, VALMAP and discord sinks), result.go (outputs),
+// the built-in pairs, VALMAP and discord sinks), cost.go (the cost model
+// that switches a run from the pruned to the incremental pass once the
+// counted work says it is cheaper), result.go (outputs),
 // with the per-anchor state in internal/core/anchors.
 package core
 
@@ -75,7 +77,10 @@ type Config struct {
 	// (default 0.05; see DefaultRecomputeFraction for the cost model).
 	RecomputeFraction float64
 	// DisablePruning forces a whole-profile pass at every length — the
-	// lower-bound ablation. The output is identical; only time changes.
+	// lower-bound ablation. The pairs match the pruned plan's within the
+	// cross-plan floating tolerance (identical pair sets, distances equal
+	// to ~1e-12 relative), not bit for bit: the two passes route dot
+	// products along different arithmetic paths.
 	DisablePruning bool
 	// DisableIncremental forces every whole-profile length to recompute
 	// from scratch (FFT reseeds + STOMP row scan) instead of extending
@@ -154,7 +159,9 @@ type Config struct {
 	// float64 plan in the last bits (pair/discord identities are expected
 	// to agree; tolerance-tested, not bit-identical). The pruned pass and
 	// the seed row scan always stay float64: their rows feed the q̃² ranks
-	// that drive lower-bound certification.
+	// that drive lower-bound certification. The lengths of a pairs-only
+	// run that the cost model switches to the incremental pass use the
+	// float32 carry too.
 	Carry32 bool
 	// Workers bounds the goroutines used by the data-parallel phases: the
 	// ℓmin seed, full-recompute fallbacks, and the per-length
@@ -184,6 +191,12 @@ type Config struct {
 	// O(state) serialization over more compute at the cost of more lost
 	// work on a crash. No effect unless OnCheckpoint is set.
 	CheckpointEvery int
+
+	// pinPruned keeps every pruned length on the pruned pass, bypassing
+	// the cost model's switch to the incremental pass (cost.go). Tests set
+	// it to drive the pruned machinery across a whole range; it is
+	// unexported, so no caller outside this package can.
+	pinPruned bool
 }
 
 // Fill substitutes the effective defaults for zero/out-of-range fields.

@@ -93,11 +93,16 @@ type run struct {
 	// corr amortizes the series-side FFT across every recompute query.
 	corr *fft.Correlator
 
-	// profileOnly marks a run whose plan contains no pruned length: the
-	// advance→certify machinery never runs, so the row scans skip the
-	// partial-profile reseed bookkeeping (the top-p heap and bound terms
-	// exist only to feed that machinery).
+	// profileOnly marks a run in which no pruned length remains: the plan
+	// has none, or the cost model latched. The advance→certify machinery
+	// never runs again, so the row scans skip the partial-profile reseed
+	// bookkeeping (the top-p heap and bound terms exist only to feed it).
 	profileOnly bool
+
+	// latched reports that the cost model switched the run from the pruned
+	// pass to the incremental pass for every remaining length (see
+	// cost.go); the pruned machinery is retired and its hot rows drained.
+	latched bool
 
 	// seeded reports that the pruned machinery (anchor partial profiles)
 	// has been seeded by a full row scan; entriesAt is the length the
@@ -220,14 +225,19 @@ func (e *Engine) Run(ctx context.Context, t []float64, cfg Config) (*Result, err
 // planLengths): lengths only TopKPairs sinks want run the pruned
 // pipeline (seed the first such length with a block-parallel STOMP scan,
 // then advance→certify across anchor shards and recompute the
-// uncertified stragglers to a fixpoint); lengths a FullProfile sink
+// uncertified stragglers to a fixpoint) until the cost model (cost.go)
+// predicts the incremental pass to be cheaper, after which every
+// remaining such length runs the incremental pass — so a pairs-only run
+// may report incremental lengths, with pairs equal to the pruned plan's
+// within the cross-plan floating tolerance. Lengths a FullProfile sink
 // wants — or any wanted length under cfg.DisablePruning — run the
 // incremental cross-length profile pass (or a from-scratch STOMP pass
 // under cfg.DisableIncremental); lengths no sink wants are skipped. All
-// passes run on fixed grids, so every plan is bit-identical at any
-// worker count. Sinks are consumed in registration order on this
-// goroutine, each only for the lengths it wants; progress is emitted
-// after every length (skipped ones included) when cfg.OnLength is set.
+// passes run on fixed grids and the switch reads only deterministic
+// counts, so every plan is bit-identical at any worker count. Sinks are
+// consumed in registration order on this goroutine, each only for the
+// lengths it wants; progress is emitted after every length (skipped ones
+// included) when cfg.OnLength is set.
 func (e *Engine) RunSinks(ctx context.Context, t []float64, cfg Config, sinks ...Sink) error {
 	_, err := e.runSinks(ctx, t, cfg, sinks)
 	return err
@@ -328,7 +338,11 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 			return r.planStats, err
 		}
 		done := idx + 1
-		switch plans[idx] {
+		plan := plans[idx]
+		if plan == planPruned && r.latched {
+			plan = planFull
+		}
+		switch plan {
 		case planSkip:
 			// No sink wants this length: no state even needs advancing —
 			// the head row and the retained entries catch up lazily at
@@ -360,13 +374,14 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 			}
 			r.planStats.PrunedLengths++
 			dispatch(LengthData{L: l, Result: lr}, done)
+			r.maybeLatch(l, lr.Stats)
 		default: // planFull
 			var (
 				lr  LengthResult
 				mp  *profile.MatrixProfile
 				err error
 			)
-			if cfg.DisableIncremental || (!r.seeded && idx < lastPruned) {
+			if cfg.DisableIncremental || (!r.seeded && !r.latched && idx < lastPruned) {
 				// From-scratch row scan: either the incremental engine is
 				// ablated, or pruned lengths follow and the row scan's
 				// partial-profile reseed seeds them without an extra pass.
@@ -384,4 +399,28 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 		r.maybeCheckpoint(cs, done, total)
 	}
 	return r.planStats, nil
+}
+
+// maybeLatch asks the cost model, after pruned length l resolved with
+// stats st, whether length l+1 is cheaper on the incremental pass, and
+// latches if so. Under DisableIncremental the incremental pass is
+// ablated, so the switch has no target and the run stays pruned.
+func (r *run) maybeLatch(l int, st LengthStats) {
+	if r.cfg.DisableIncremental || r.cfg.pinPruned {
+		return
+	}
+	c := prunedCounts{hot: r.store.HotCount(), recomputed: st.Recomputed, fellBack: st.FullRecompute}
+	if preferIncremental(len(r.t), l+1, r.cfg.P, r.cfg.ExclusionFactor, c) {
+		r.latch()
+	}
+}
+
+// latch retires the pruned machinery for the rest of the run: every
+// remaining pruned length runs the incremental pass (its first one seeds
+// the diagonal head with one FFT), and the hot rows go back to the pool.
+func (r *run) latch() {
+	r.latched = true
+	r.profileOnly = true
+	r.seeded = false
+	r.store.DrainHotRows(r.eng.putRow)
 }

@@ -65,44 +65,23 @@ func TestParallelSeedExact(t *testing.T) {
 // per-length advance pass touches each anchor independently, so every
 // worker count must produce byte-for-byte identical results — not merely
 // tolerance-equal. This guards the parallel anchor path: any cross-anchor
-// data dependency or schedule-sensitive arithmetic would break it.
+// data dependency or schedule-sensitive arithmetic would break it. It runs
+// pinned to the pruned pass and with the cost model's switch, whose
+// decision must not depend on the worker count either.
 func TestWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	x := randWalk(rng, 1400)
-	var results []*Result
-	for _, w := range []int{1, 2, 4, 7} {
-		res, err := Run(x, Config{LMin: 12, LMax: 60, TopK: 4, P: 6, Workers: w})
-		if err != nil {
-			t.Fatal(err)
+	for _, pin := range []bool{true, false} {
+		var results []*Result
+		for _, w := range []int{1, 2, 4, 7} {
+			res, err := Run(x, Config{LMin: 12, LMax: 60, TopK: 4, P: 6, Workers: w, pinPruned: pin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
 		}
-		results = append(results, res)
-	}
-	base := results[0]
-	for ri, res := range results[1:] {
-		for i := range base.MPMin.Dist {
-			if base.MPMin.Dist[i] != res.MPMin.Dist[i] || base.MPMin.Index[i] != res.MPMin.Index[i] {
-				t.Fatalf("variant %d: profile slot %d: (%v,%d) vs (%v,%d)", ri, i,
-					base.MPMin.Dist[i], base.MPMin.Index[i], res.MPMin.Dist[i], res.MPMin.Index[i])
-			}
-		}
-		for li := range base.PerLength {
-			a, b := base.PerLength[li], res.PerLength[li]
-			if len(a.Pairs) != len(b.Pairs) {
-				t.Fatalf("variant %d: m=%d pair count %d vs %d", ri, a.M, len(a.Pairs), len(b.Pairs))
-			}
-			for pi := range a.Pairs {
-				if a.Pairs[pi] != b.Pairs[pi] {
-					t.Fatalf("variant %d: m=%d pair %d: %v vs %v", ri, a.M, pi, a.Pairs[pi], b.Pairs[pi])
-				}
-			}
-			if a.Stats != b.Stats {
-				t.Fatalf("variant %d: m=%d stats %+v vs %+v", ri, a.M, a.Stats, b.Stats)
-			}
-		}
-		for i := range base.VMap.MPn {
-			if base.VMap.MPn[i] != res.VMap.MPn[i] || base.VMap.IP[i] != res.VMap.IP[i] || base.VMap.LP[i] != res.VMap.LP[i] {
-				t.Fatalf("variant %d: VALMAP slot %d differs", ri, i)
-			}
+		for _, res := range results[1:] {
+			assertResultsBitIdentical(t, "workers", results[0], res)
 		}
 	}
 }

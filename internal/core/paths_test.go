@@ -19,10 +19,12 @@ func zdistAt(x []float64, a, b, m int) float64 {
 	return series.ZNormDist(x[a:a+m], x[b:b+m])
 }
 
-// exactAgainstReference runs VALMOD under cfg and checks every length's
+// exactAgainstReference runs VALMOD under cfg, pinned to the pruned pass
+// so the path under test resolves every length, and checks every length's
 // top-k distances against STOMP.
 func exactAgainstReference(t *testing.T, x []float64, cfg Config) *Result {
 	t.Helper()
+	cfg.pinPruned = true
 	res, err := Run(x, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,9 @@ func assertProfileMatchesBrute(t *testing.T, x []float64, ld LengthData) {
 // FullProfile sink wanting two mid-range lengths. The wanted lengths run
 // the incremental pass, the rest the pruned pass — and the pruned pass
 // must stay exact across the gaps the full lengths leave in its
-// advance state (the multi-step entry catch-up).
+// advance state (the multi-step entry catch-up). The run is pinned to the
+// pruned pass: on this small random walk the cost model would otherwise
+// switch to the incremental pass before the gaps.
 func TestHybridPlanMixedSinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	x := randWalk(rng, 400)
@@ -48,7 +50,7 @@ func TestHybridPlanMixedSinks(t *testing.T) {
 		full := &profileSink{lengths: map[int]bool{14: true, 22: true}}
 		eng := NewEngine()
 		stats, err := eng.runSinks(context.Background(), x,
-			Config{LMin: lmin, LMax: lmax, TopK: 2, P: 4, Workers: w}, []Sink{pairs, full})
+			Config{LMin: lmin, LMax: lmax, TopK: 2, P: 4, Workers: w, pinPruned: true}, []Sink{pairs, full})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +78,7 @@ func TestHybridPlanMixedSinks(t *testing.T) {
 // the run is a FullProfile length and pruned lengths follow, the planner
 // resolves it with the from-scratch row scan — whose partial-profile
 // reseed doubles as the pruned machinery's seed — instead of paying an
-// extra seeding pass later.
+// extra seeding pass later (pinned to the pruned pass, as above).
 func TestHybridPlanFullLengthSeedsPrunedMachinery(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	x := randWalk(rng, 350)
@@ -86,7 +88,7 @@ func TestHybridPlanFullLengthSeedsPrunedMachinery(t *testing.T) {
 	full := &profileSink{lengths: map[int]bool{lmin: true}}
 	eng := NewEngine()
 	stats, err := eng.runSinks(context.Background(), x,
-		Config{LMin: lmin, LMax: lmax, TopK: 2, Workers: 1}, []Sink{pairs, full})
+		Config{LMin: lmin, LMax: lmax, TopK: 2, Workers: 1, pinPruned: true}, []Sink{pairs, full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +150,12 @@ func TestSubsetOnlyPlanSkipsLengths(t *testing.T) {
 }
 
 // TestRunPlanStats: the classic entry points report the planner's work —
-// the default pairs query is one seed plus pruned lengths; a discords
-// query is incremental everywhere with a single FFT head seed.
+// a pairs query pinned to the pruned pass is one seed plus pruned
+// lengths; a discords query is incremental everywhere with a single FFT
+// head seed.
 func TestRunPlanStats(t *testing.T) {
 	x := sineMix(400)
-	cfg := Config{LMin: 12, LMax: 28, TopK: 2}
+	cfg := Config{LMin: 12, LMax: 28, TopK: 2, pinPruned: true}
 	pruned, err := Run(x, cfg)
 	if err != nil {
 		t.Fatal(err)

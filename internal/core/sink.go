@@ -20,7 +20,9 @@ type Requirement int
 const (
 	// TopKPairs is served by the pruned VALMOD pass: the exact top-k
 	// motif pairs of each length, certified by the lower-bound machinery
-	// without materializing every nearest-neighbor distance.
+	// without materializing every nearest-neighbor distance — or, once
+	// the cost model predicts it to be cheaper, by the incremental
+	// whole-profile pass (the same pairs within floating tolerance).
 	TopKPairs Requirement = iota
 	// FullProfile requires the exact nearest-neighbor distance of every
 	// subsequence offset at the lengths the sink wants. The pruned pass
@@ -97,7 +99,8 @@ const (
 	// planSkip: no sink wants the length; nothing runs.
 	planSkip lengthPlan = iota
 	// planPruned: only TopKPairs sinks want it; the pruned
-	// advance→certify pass resolves it.
+	// advance→certify pass resolves it, until the cost model (cost.go)
+	// latches the run onto the incremental pass.
 	planPruned
 	// planFull: a FullProfile sink wants it (or pruning is ablated); a
 	// whole-profile pass resolves it — incrementally, unless
@@ -108,7 +111,10 @@ const (
 
 // planLengths decides one plan per length from the sinks that want it.
 // cfg.DisablePruning upgrades every wanted length to the full pass (the
-// ablation contract: identical output, no lower-bound machinery).
+// ablation: no lower-bound machinery, pairs equal within the cross-plan
+// tolerance). The static plan is refined while the run executes: the
+// cost model may move the remaining planPruned lengths to the
+// incremental pass (runSinksFrom, cost.go).
 func planLengths(cfg Config, sinks []Sink) []lengthPlan {
 	plans := make([]lengthPlan, cfg.LMax-cfg.LMin+1)
 	for idx := range plans {

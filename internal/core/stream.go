@@ -505,7 +505,7 @@ type streamLenCkpt struct {
 // result-affecting knob (WindowCap). Workers stays excluded: stream output
 // is worker-count invariant.
 func streamCfgDigest(c Config) string {
-	return fmt.Sprintf("%s wcap=%d", cfgDigest(c), c.WindowCap)
+	return fmt.Sprintf("v1 %s wcap=%d", cfgFields(c), c.WindowCap)
 }
 
 // Checkpoint serializes the stream's full state between Appends into a
@@ -529,7 +529,7 @@ func (s *Streamer) Checkpoint() ([]byte, error) {
 			Means: ls.means, Invs: ls.invs,
 		})
 	}
-	return encodeFrame(streamMagic, p)
+	return encodeFrame(streamMagic, streamVersion, p)
 }
 
 // ResumeStreamer reconstructs a Streamer from a Checkpoint blob taken
@@ -543,7 +543,7 @@ func ResumeStreamer(cfg Config, ckpt []byte) (*Streamer, error) {
 		return nil, err
 	}
 	p := &streamCkptPayload{}
-	if err := decodeFrame(streamMagic, ckpt, p); err != nil {
+	if err := decodeFrame(streamMagic, streamVersion, ckpt, p); err != nil {
 		return nil, err
 	}
 	if got := streamCfgDigest(s.cfg); p.CfgDigest != got {

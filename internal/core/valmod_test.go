@@ -145,7 +145,7 @@ func TestRunExactWithPlantedMotifs(t *testing.T) {
 func TestDisablePruningSameAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randWalk(rng, 300)
-	base := Config{LMin: 10, LMax: 30, TopK: 2, P: 4}
+	base := Config{LMin: 10, LMax: 30, TopK: 2, P: 4, pinPruned: true}
 	ablated := base
 	ablated.DisablePruning = true
 	a, err := Run(x, base)
@@ -167,10 +167,11 @@ func TestDisablePruningSameAnswers(t *testing.T) {
 }
 
 func TestSmallPStillExact(t *testing.T) {
-	// P=1 certifies almost nothing; correctness must survive via recompute.
+	// P=1 certifies almost nothing; correctness must survive via recompute
+	// (pinned to the pruned pass, which the cost model would leave early).
 	rng := rand.New(rand.NewSource(4))
 	x := randWalk(rng, 250)
-	res, err := Run(x, Config{LMin: 8, LMax: 24, TopK: 2, P: 1})
+	res, err := Run(x, Config{LMin: 8, LMax: 24, TopK: 2, P: 1, pinPruned: true})
 	if err != nil {
 		t.Fatal(err)
 	}

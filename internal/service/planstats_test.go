@@ -12,7 +12,9 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 	m := NewManager(Config{MaxConcurrent: 1})
 	values := testSeries(600)
 
-	// A pairs-only query: one seeding row scan, the rest pruned.
+	// A pairs-only query: one seeding row scan, then pruned lengths until
+	// the cost model switches the rest to the incremental pass (one FFT
+	// head seed when it does).
 	j, err := m.Submit(JobRequest{Values: values, LMin: 16, LMax: 32, TopK: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -22,9 +24,14 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 		t.Fatalf("job state %s: %s", st.State, st.Error)
 	}
 	lengths := 32 - 16 + 1
-	plan := st.Result.Plan
-	if plan.RecomputeLengths != 1 || plan.PrunedLengths != lengths-1 || plan.IncrementalLengths != 0 {
-		t.Fatalf("pairs-only plan stats %+v", plan)
+	pairsPlan := st.Result.Plan
+	switched := 0
+	if pairsPlan.IncrementalLengths > 0 {
+		switched = 1
+	}
+	if pairsPlan.RecomputeLengths != 1 || pairsPlan.PrunedLengths < 1 ||
+		pairsPlan.PrunedLengths+pairsPlan.IncrementalLengths != lengths-1 || pairsPlan.HeadSeeds != switched {
+		t.Fatalf("pairs-only plan stats %+v", pairsPlan)
 	}
 
 	// A discords query: every length incremental, one FFT head seed.
@@ -36,7 +43,7 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("job state %s: %s", st.State, st.Error)
 	}
-	plan = st.Result.Plan
+	plan := st.Result.Plan
 	if plan.IncrementalLengths != lengths || plan.HeadSeeds != 1 || plan.HeadExtensions != lengths-1 {
 		t.Fatalf("discords plan stats %+v", plan)
 	}
@@ -60,10 +67,11 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 
 	// /v1/stats aggregates across the three runs.
 	totals := m.Stats().Plan
-	if totals.PrunedLengths != int64(lengths-1) ||
-		totals.IncrementalLengths != int64(lengths) ||
+	if totals.PrunedLengths != int64(pairsPlan.PrunedLengths) ||
+		totals.IncrementalLengths != int64(pairsPlan.IncrementalLengths+lengths) ||
 		totals.RecomputeLengths != int64(1+lengths) ||
-		totals.HeadSeeds != 1 || totals.HeadExtensions != int64(lengths-1) {
+		totals.HeadSeeds != int64(1+switched) ||
+		totals.HeadExtensions != int64(pairsPlan.HeadExtensions+lengths-1) {
 		t.Fatalf("aggregated plan totals %+v", totals)
 	}
 }

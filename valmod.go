@@ -50,7 +50,9 @@ type Options struct {
 	// sits near s/log n ≈ 5% of anchors; see internal/core).
 	RecomputeFraction float64
 	// DisablePruning turns the lower-bound machinery off (ablation only:
-	// identical output, one whole-profile pass per length).
+	// one whole-profile pass per length; the pairs match the pruned plan's
+	// within floating tolerance — identical pair sets, distances equal to
+	// ~1e-12 relative — not bit for bit).
 	DisablePruning bool
 	// DisableIncremental turns the incremental cross-length profile
 	// engine off: lengths that need the full profile (Discords, or
@@ -107,6 +109,8 @@ type Options struct {
 	// whole-profile passes. Results are tolerance-equivalent, not
 	// bit-identical, to the float64 plan; the pruned pass and the seed
 	// scan stay float64 (their rows drive lower-bound certification).
+	// Pairs-only runs use it on the lengths the engine's cost model moves
+	// to the incremental pass.
 	Carry32 bool
 	// WindowCap, when positive, puts a Stream in sliding-window mode: the
 	// retained series is trimmed to exactly the trailing WindowCap points
