@@ -1,9 +1,10 @@
 package valmod_test
 
-// Benchmark harness: one bench per figure panel of the paper (DESIGN.md §6
-// maps them), plus the ablation benches DESIGN.md calls out. Sizes are
-// laptop-scale so `go test -bench=.` finishes in minutes; the paper-scale
-// sweeps live in cmd/valmod-experiments.
+// Benchmark harness: one bench per figure panel of the paper (the panels
+// `valmod-experiments -fig` regenerates), plus ablation benches over the
+// pruning, the partial-profile size p and the recompute threshold. Sizes
+// are laptop-scale so `go test -bench=.` finishes in minutes; the
+// paper-scale sweeps live in cmd/valmod-experiments.
 
 import (
 	"context"
@@ -130,7 +131,7 @@ func BenchmarkFig3Bottom(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationP sweeps the partial-profile size p (DESIGN.md ablation).
+// BenchmarkAblationP sweeps the partial-profile size p.
 func BenchmarkAblationP(b *testing.B) {
 	s := gen.ECG(4000, 1)
 	for _, p := range []int{2, 5, 10, 20, 50} {
@@ -146,17 +147,19 @@ func BenchmarkAblationP(b *testing.B) {
 
 // BenchmarkAblationPruning compares the default pairs plan (the pruned
 // pass, which the cost model may switch to the incremental pass) against
-// pruning disabled (a whole-profile pass at every length).
+// pruning off: a Discords run, which takes a whole-profile pass at every
+// length.
 func BenchmarkAblationPruning(b *testing.B) {
 	s := gen.ECG(4000, 1)
 	for _, disable := range []bool{false, true} {
 		name := "pruning=on"
+		discords := 0
 		if disable {
-			name = "pruning=off"
+			name, discords = "pruning=off", 1
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := core.Config{LMin: 64, LMax: 128, TopK: 1, DisablePruning: disable}
+				cfg := core.Config{LMin: 64, LMax: 128, TopK: 1, Discords: discords}
 				if _, err := core.Run(s.Values, cfg); err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 // Command valmod-datagen writes synthetic evaluation datasets to disk in
 // any of the formats the suite loads (.txt, .bin). It replaces the paper's
-// proprietary recordings with structurally equivalent series (DESIGN.md §5).
+// proprietary recordings with structurally equivalent series (see
+// internal/gen).
 //
 // Usage:
 //

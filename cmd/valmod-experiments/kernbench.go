@@ -4,10 +4,10 @@ package main
 // valmod-experiments:
 //
 //   - -bench-kernels times every hot kernel at every available dispatch
-//     variant (generic, ilp, avx2 where detected) on fixed synthetic
+//     variant (generic, and avx2 where detected) on fixed synthetic
 //     workloads and reports ns/op plus the speedup over the generic
 //     variant. Combined with -bench-json the section is embedded in the
-//     same report (BENCH_PR9.json carries both).
+//     same report.
 //   - -bench-scaling runs one fixed pairs+discords workload at workers
 //     1, 2 and 4, asserts the result anchors are identical at every
 //     worker count (the engine's bit-identity contract), and reports the
@@ -165,10 +165,6 @@ func kernelWorkloads(seed int64) ([]struct {
 		{"DiagScan", func() {
 			resetSlots()
 			kernels.DiagScan(ts[:nd], head[:sd], means, invs, 16, sd, l, sd, corr, idx)
-		}},
-		{"RowNext32", func() {
-			c++
-			kernels.RowNext32(row32, t32, 1+(c&7), l, sl)
 		}},
 		{"ExtendRow32", func() {
 			copy(row32, head32)

@@ -1,5 +1,6 @@
 // Command valmod-experiments regenerates every figure of the paper's
-// evaluation at laptop scale (DESIGN.md §6 maps each figure to its flags).
+// evaluation at laptop scale (-fig names the panel: 1left, 1right, 2,
+// 3top, 3bottom).
 // Sizes and timeouts are scaled down from the paper's 0.5M-point/24-hour
 // testbed by default and can be scaled back up with flags; the claims being
 // reproduced are relative (which algorithm wins, where timeouts start, how
@@ -60,12 +61,11 @@ func main() {
 		bench        = flag.Bool("bench-json", false, "run the reproducible benchmark suite (pairs-only vs pairs+discords) and emit machine-readable JSON instead of figures")
 		benchN       = flag.Int("bench-n", 5000, "series length for the -bench-json suite")
 		out          = flag.String("bench-out", "", "write -bench-json output to this path (default stdout)")
-		parity       = flag.Bool("plan-parity", false, "after (or instead of) the benchmark, run the pruned, from-scratch full, and incremental plans over the -bench-n series (best pair must agree), then the exhaustive, LB-skip and strict stride/refine pairs+discords plans (best pair AND top discord must agree); exit non-zero on any drift — the CI smoke check")
 		large        = flag.Bool("bench-large", false, "add the large-series cases (ecg/pairs@n50k, ecg/pairs+discords@n100k at workers 1 and 4; the n100k cases run the LB length-skip plan) to the -bench-json suite")
 		million      = flag.Bool("bench-million", false, "add the million-point case (ecg/pairs+discords/stride@n1m: LengthStride=20, RefineRadius=1, Carry32, one worker) to the -bench-json suite; expect hours on one core")
 		benchCkpt    = flag.Bool("bench-checkpoint", false, "add the checkpoint-overhead case to the -bench-json suite: ecg/pairs+discords at -bench-checkpoint-n, run bare and then with engine checkpoints written+fsynced at the service cadence; the report carries checkpoint_bytes and checkpoint_ms_per_length")
 		benchCkptN   = flag.Int("bench-checkpoint-n", 100000, "series length for the -bench-checkpoint case")
-		benchKernels = flag.Bool("bench-kernels", false, "time every hot kernel at every available dispatch variant (generic/ilp/avx2) and report ns/op plus speedup over generic; with -bench-json the section embeds in the same report")
+		benchKernels = flag.Bool("bench-kernels", false, "time every hot kernel at every available dispatch variant (generic, plus avx2 where detected) and report ns/op plus speedup over generic; with -bench-json the section embeds in the same report")
 		benchScaling = flag.Bool("bench-scaling", false, "run the fixed pairs+discords workload at workers 1/2/4, assert bit-identical anchors, and report the speedup ratios (exit non-zero on drift)")
 		scalingN     = flag.Int("scaling-n", 20000, "series length for the -bench-scaling workload")
 		benchCompare = flag.Bool("bench-compare", false, "compare two -bench-json reports given as positional args (old.json new.json): anchor drift always fails, timing regressions beyond -compare-tolerance fail unless -compare-anchors-only")
@@ -116,7 +116,7 @@ func main() {
 		}
 		return
 	}
-	if *bench || *parity || *benchStream || *benchKernels || *benchScaling {
+	if *bench || *benchStream || *benchKernels || *benchScaling {
 		if *bench || (*benchKernels && !*benchScaling) {
 			if err := runBenchJSON(*out, *benchN, *lmin, *seed, *workers, *large, *million, *benchKernels, !*bench, *benchCkpt, *benchCkptN); err != nil {
 				fmt.Fprintln(os.Stderr, "valmod-experiments:", err)
@@ -134,13 +134,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "valmod-experiments: bench-stream:", err)
 				os.Exit(1)
 			}
-		}
-		if *parity {
-			if err := runPlanParity(*benchN, *lmin, *seed, *workers); err != nil {
-				fmt.Fprintln(os.Stderr, "valmod-experiments: plan parity:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "plan parity: pruned/full/incremental and exhaustive/lb-skip/stride-strict plans agree")
 		}
 		return
 	}
@@ -263,7 +256,7 @@ func fillBenchStats(bc *benchCase, res *valmod.Result, m0, m1 *runtime.MemStats)
 }
 
 // benchReport is the whole -bench-json document. KernelVariant records the
-// dispatch tier the process selected (generic/ilp/avx2 — see
+// dispatch tier the process selected (generic/avx2 — see
 // internal/kernels and the VALMOD_KERNELS override); Kernels is the
 // optional -bench-kernels section.
 type benchReport struct {
@@ -664,114 +657,6 @@ func runBenchStream(outPath string, nTotal, chunk, lmin int, seed int64, workers
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// runPlanParity is the CI smoke check for the per-length planner: over
-// each generated dataset, the default pairs plan (pruned, until the cost
-// model switches it to the incremental pass), the from-scratch full plan
-// (DisablePruning + DisableIncremental) and the incremental full plan
-// (DisablePruning) must report the same best motif pair — same offsets and
-// length, length-normalized distance equal within floating tolerance (the
-// three plans take different arithmetic paths, so bit-equality is only
-// guaranteed across worker counts *within* a plan).
-func runPlanParity(n, lmin int, seed int64, workers int) error {
-	const rangeLen = 20
-	for _, ds := range []string{"ecg", "astro"} {
-		s, err := gen.Dataset(ds, n, seed)
-		if err != nil {
-			return err
-		}
-		type plan struct {
-			name string
-			opts valmod.Options
-		}
-		plans := []plan{
-			{"pruned", valmod.Options{TopK: 1, Workers: workers}},
-			{"full", valmod.Options{TopK: 1, Workers: workers, DisablePruning: true, DisableIncremental: true}},
-			{"incremental", valmod.Options{TopK: 1, Workers: workers, DisablePruning: true}},
-		}
-		var refName string
-		var ref valmod.MotifPair
-		for pi, p := range plans {
-			res, err := valmod.Discover(s.Values, lmin, lmin+rangeLen-1, p.opts)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", ds, p.name, err)
-			}
-			best, ok := res.BestOverall()
-			if !ok {
-				return fmt.Errorf("%s/%s: no best pair found", ds, p.name)
-			}
-			if pi == 0 {
-				refName, ref = p.name, best
-				continue
-			}
-			if best.A != ref.A || best.B != ref.B || best.Length != ref.Length {
-				return fmt.Errorf("%s: %s best pair (%d,%d,len=%d) != %s best pair (%d,%d,len=%d)",
-					ds, p.name, best.A, best.B, best.Length, refName, ref.A, ref.B, ref.Length)
-			}
-			if d := best.NormDistance - ref.NormDistance; d > 1e-9*(1+ref.NormDistance) || d < -1e-9*(1+ref.NormDistance) {
-				return fmt.Errorf("%s: %s best norm dist %g vs %s %g",
-					ds, p.name, best.NormDistance, refName, ref.NormDistance)
-			}
-		}
-	}
-	// Coarse-to-fine parity: on pairs+discords queries the strict LB
-	// length-skip plan and the strict stride/refine plan must agree with
-	// the exhaustive plan on the best pair AND the top discord — both
-	// anchors the strict modes certify exactly (internal/core/modes.go
-	// documents the argument). Any drift fails CI.
-	for _, ds := range []string{"ecg", "astro"} {
-		s, err := gen.Dataset(ds, n, seed)
-		if err != nil {
-			return err
-		}
-		plans := []struct {
-			name string
-			opts valmod.Options
-		}{
-			{"exhaustive", valmod.Options{TopK: 1, Discords: 3, Workers: workers}},
-			{"lb-skip", valmod.Options{TopK: 1, Discords: 3, Workers: workers, LengthSkip: true}},
-			{"stride-strict", valmod.Options{TopK: 1, Discords: 3, Workers: workers, LengthStride: 4, Strict: true}},
-		}
-		var refName string
-		var refBest valmod.MotifPair
-		var refDisc valmod.Discord
-		for pi, p := range plans {
-			res, err := valmod.Discover(s.Values, lmin, lmin+rangeLen-1, p.opts)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", ds, p.name, err)
-			}
-			best, ok := res.BestOverall()
-			if !ok {
-				return fmt.Errorf("%s/%s: no best pair found", ds, p.name)
-			}
-			if len(res.Discords) == 0 {
-				return fmt.Errorf("%s/%s: no discords found", ds, p.name)
-			}
-			disc := res.Discords[0]
-			if pi == 0 {
-				refName, refBest, refDisc = p.name, best, disc
-				continue
-			}
-			if best.A != refBest.A || best.B != refBest.B || best.Length != refBest.Length {
-				return fmt.Errorf("%s: %s best pair (%d,%d,len=%d) != %s best pair (%d,%d,len=%d)",
-					ds, p.name, best.A, best.B, best.Length, refName, refBest.A, refBest.B, refBest.Length)
-			}
-			if d := best.NormDistance - refBest.NormDistance; d > 1e-9*(1+refBest.NormDistance) || d < -1e-9*(1+refBest.NormDistance) {
-				return fmt.Errorf("%s: %s best norm dist %g vs %s %g",
-					ds, p.name, best.NormDistance, refName, refBest.NormDistance)
-			}
-			if disc.Offset != refDisc.Offset || disc.Length != refDisc.Length {
-				return fmt.Errorf("%s: %s top discord (%d,len=%d) != %s top discord (%d,len=%d)",
-					ds, p.name, disc.Offset, disc.Length, refName, refDisc.Offset, refDisc.Length)
-			}
-			if d := disc.NormDistance - refDisc.NormDistance; d > 1e-9*(1+refDisc.NormDistance) || d < -1e-9*(1+refDisc.NormDistance) {
-				return fmt.Errorf("%s: %s top discord norm dist %g vs %s %g",
-					ds, p.name, disc.NormDistance, refName, refDisc.NormDistance)
-			}
-		}
-	}
-	return nil
 }
 
 func parseInts(csv string) []int {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -89,5 +90,73 @@ func TestDocsGateREADMELinks(t *testing.T) {
 	}
 	if !strings.Contains(string(arch), "docs/api.md") {
 		t.Error("ARCHITECTURE.md no longer references docs/api.md")
+	}
+}
+
+// citationRE matches a cited document: a *.md file or a BENCH_*.json
+// benchmark artifact, with any leading path.
+var citationRE = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b|BENCH_[A-Za-z0-9_]+\.json`)
+
+// TestDocsGateCitations fails on dangling citations: a Go comment,
+// README.md, ARCHITECTURE.md, docs/*.md or examples/README.md naming a
+// *.md file or a BENCH_*.json artifact that exists neither relative to
+// the repository root nor relative to the citing file. bench/ is skipped
+// (the benchmark's own history), and so are the change log, the roadmap
+// and the issue text, which name withdrawn artifacts on purpose.
+func TestDocsGateCitations(t *testing.T) {
+	texts := map[string]string{} // citing file → text to scan
+	docs := []string{"README.md", "ARCHITECTURE.md", "examples/README.md"}
+	more, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(docs, more...) {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[path] = string(b)
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata" || path == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, perr := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if perr != nil {
+			return perr
+		}
+		var sb strings.Builder
+		for _, cg := range f.Comments {
+			sb.WriteString(cg.Text())
+		}
+		texts[path] = sb.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(texts) < 50 {
+		t.Fatalf("scanned only %d files — the gate is not seeing the module", len(texts))
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	for path, text := range texts {
+		for _, name := range citationRE.FindAllString(text, -1) {
+			if !exists(name) && !exists(filepath.Join(filepath.Dir(path), name)) {
+				t.Errorf("%s cites %s, which is not in the repository", path, name)
+			}
+		}
 	}
 }

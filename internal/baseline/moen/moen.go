@@ -2,7 +2,7 @@
 // of All Lengths", ICDM 2013): the exact best motif pair for every length in
 // a range, computed without a full O(n²) join per length.
 //
-// Faithfulness note (DESIGN.md §5): the original binary is closed; this
+// Faithfulness note: the original binary is closed; this
 // implementation keeps MOEN's architecture — enumerate lengths, carry the
 // previous length's best pair forward as the initial best-so-far, prune
 // candidate pairs with reference-distance lower bounds (the MK ordering

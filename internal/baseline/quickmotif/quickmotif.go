@@ -7,7 +7,7 @@
 // (3) exploring block pairs best-first by MBR MINDIST, and (4) verifying
 // surviving candidate pairs with early-abandoning exact distances.
 //
-// Faithfulness note (DESIGN.md §5): the original's R-tree is replaced by
+// Faithfulness note: the original's R-tree is replaced by
 // offset-ordered blocks with the same bounding and the same best-first
 // refinement loop; output is exact (tested against brute force), constants
 // differ.

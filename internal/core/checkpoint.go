@@ -108,9 +108,8 @@ func cfgDigest(c Config) string {
 // streaming-only knob batch runs ignore.
 func cfgFields(c Config) string {
 	return fmt.Sprintf(
-		"lmin=%d lmax=%d k=%d p=%d ex=%d rf=%g dp=%t di=%t disc=%d skip=%t stride=%d rr=%d strict=%t c32=%t",
-		c.LMin, c.LMax, c.TopK, c.P, c.ExclusionFactor, c.RecomputeFraction,
-		c.DisablePruning, c.DisableIncremental, c.Discords,
+		"lmin=%d lmax=%d k=%d p=%d ex=%d rf=%g disc=%d skip=%t stride=%d rr=%d strict=%t c32=%t",
+		c.LMin, c.LMax, c.TopK, c.P, c.ExclusionFactor, c.RecomputeFraction, c.Discords,
 		c.LengthSkip, c.LengthStride, c.RefineRadius, c.Strict, c.Carry32)
 }
 
@@ -284,7 +283,6 @@ func (r *run) restore(p *ckptPayload) int {
 	r.planStats = p.Plan
 	r.seeded = p.Seeded
 	r.latched = p.Latched
-	r.profileOnly = r.profileOnly || p.Latched
 	r.entriesAt = p.EntriesAt
 	r.inc = incState{head: p.IncHead, head32: p.IncHead32, cur: p.IncCur}
 	if p.Anchors != nil {

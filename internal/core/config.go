@@ -76,19 +76,6 @@ type Config struct {
 	// per-length STOMP recompute replaces individual MASS recomputes
 	// (default 0.05; see DefaultRecomputeFraction for the cost model).
 	RecomputeFraction float64
-	// DisablePruning forces a whole-profile pass at every length — the
-	// lower-bound ablation. The pairs match the pruned plan's within the
-	// cross-plan floating tolerance (identical pair sets, distances equal
-	// to ~1e-12 relative), not bit for bit: the two passes route dot
-	// products along different arithmetic paths.
-	DisablePruning bool
-	// DisableIncremental forces every whole-profile length to recompute
-	// from scratch (FFT reseeds + STOMP row scan) instead of extending
-	// the carried cross-length dot-product state — the incremental-engine
-	// ablation, and the parity reference the CI smoke checks the
-	// incremental plan against. Equivalent output, one full pass per
-	// length.
-	DisableIncremental bool
 	// Discords, when positive, reports that many variable-length
 	// discords (Result.Discords): per length the k largest exact NN
 	// distances with trivial-match de-dup, then ranked across lengths by
@@ -120,8 +107,7 @@ type Config struct {
 	// the top-1 discord is exact, and deeper discord candidates keep exact
 	// distances but may differ in selection depth from the exhaustive
 	// plan. Ignored when Discords == 0 (the default plan is already
-	// all-pruned) and under the DisablePruning/DisableIncremental
-	// ablations.
+	// all-pruned).
 	LengthSkip bool
 	// LengthStride, when > 1, switches pairs+discords runs to the
 	// coarse-to-fine plan: whole-profile passes run only at every
@@ -135,7 +121,7 @@ type Config struct {
 	// discord certificate LengthSkip uses, so the top discord stays exact
 	// while per-length pairs at strided-over lengths are best-effort
 	// unless Strict is set. 0 or 1 means every length is scanned
-	// (exhaustive). Ignored when Discords == 0 and under the ablations.
+	// (exhaustive). Ignored when Discords == 0.
 	LengthStride int
 	// RefineRadius bounds the refine window: unscanned lengths within
 	// this distance of a winner length are re-resolved exhaustively.

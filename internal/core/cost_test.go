@@ -115,9 +115,9 @@ func TestCostModelSwitchesOnAstroWide(t *testing.T) {
 		}
 	}
 
-	ablated := cfg
-	ablated.DisablePruning = true
-	ref, err := Run(x, ablated)
+	whole := cfg
+	whole.Discords = 1
+	ref, err := Run(x, whole)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,12 +93,6 @@ type run struct {
 	// corr amortizes the series-side FFT across every recompute query.
 	corr *fft.Correlator
 
-	// profileOnly marks a run in which no pruned length remains: the plan
-	// has none, or the cost model latched. The advance→certify machinery
-	// never runs again, so the row scans skip the partial-profile reseed
-	// bookkeeping (the top-p heap and bound terms exist only to feed it).
-	profileOnly bool
-
 	// latched reports that the cost model switched the run from the pruned
 	// pass to the incremental pass for every remaining length (see
 	// cost.go); the pruned machinery is retired and its hot rows drained.
@@ -230,14 +224,14 @@ func (e *Engine) Run(ctx context.Context, t []float64, cfg Config) (*Result, err
 // remaining such length runs the incremental pass — so a pairs-only run
 // may report incremental lengths, with pairs equal to the pruned plan's
 // within the cross-plan floating tolerance. Lengths a FullProfile sink
-// wants — or any wanted length under cfg.DisablePruning — run the
-// incremental cross-length profile pass (or a from-scratch STOMP pass
-// under cfg.DisableIncremental); lengths no sink wants are skipped. All
-// passes run on fixed grids and the switch reads only deterministic
-// counts, so every plan is bit-identical at any worker count. Sinks are
-// consumed in registration order on this goroutine, each only for the
-// lengths it wants; progress is emitted after every length (skipped ones
-// included) when cfg.OnLength is set.
+// wants run the incremental cross-length profile pass (or a from-scratch
+// STOMP pass when pruned lengths follow and the pass doubles as their
+// seed); lengths no sink wants are skipped. All passes run on fixed grids
+// and the switch reads only deterministic counts, so every plan is
+// bit-identical at any worker count. Sinks are consumed in registration
+// order on this goroutine, each only for the lengths it wants; progress is
+// emitted after every length (skipped ones included) when cfg.OnLength is
+// set.
 func (e *Engine) RunSinks(ctx context.Context, t []float64, cfg Config, sinks ...Sink) error {
 	_, err := e.runSinks(ctx, t, cfg, sinks)
 	return err
@@ -311,7 +305,6 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 			lastPruned = idx
 		}
 	}
-	r.profileOnly = lastPruned < 0
 	total := cfg.LMax - cfg.LMin + 1
 	dispatch := func(ld LengthData, done int) {
 		for _, s := range sinks {
@@ -381,10 +374,10 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 				mp  *profile.MatrixProfile
 				err error
 			)
-			if cfg.DisableIncremental || (!r.seeded && !r.latched && idx < lastPruned) {
-				// From-scratch row scan: either the incremental engine is
-				// ablated, or pruned lengths follow and the row scan's
-				// partial-profile reseed seeds them without an extra pass.
+			if !r.seeded && !r.latched && idx < lastPruned {
+				// From-scratch row scan: pruned lengths follow, and the
+				// row scan's partial-profile reseed seeds them without an
+				// extra pass.
 				lr, mp, err = r.processLengthFull(l)
 				r.planStats.RecomputeLengths++
 			} else {
@@ -403,10 +396,9 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 
 // maybeLatch asks the cost model, after pruned length l resolved with
 // stats st, whether length l+1 is cheaper on the incremental pass, and
-// latches if so. Under DisableIncremental the incremental pass is
-// ablated, so the switch has no target and the run stays pruned.
+// latches if so.
 func (r *run) maybeLatch(l int, st LengthStats) {
-	if r.cfg.DisableIncremental || r.cfg.pinPruned {
+	if r.cfg.pinPruned {
 		return
 	}
 	c := prunedCounts{hot: r.store.HotCount(), recomputed: st.Recomputed, fellBack: st.FullRecompute}
@@ -420,7 +412,6 @@ func (r *run) maybeLatch(l int, st LengthStats) {
 // the diagonal head with one FFT), and the hot rows go back to the pool.
 func (r *run) latch() {
 	r.latched = true
-	r.profileOnly = true
 	r.seeded = false
 	r.store.DrainHotRows(r.eng.putRow)
 }

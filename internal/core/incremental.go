@@ -2,9 +2,9 @@ package core
 
 // The incremental cross-length profile engine: the FullProfile plan's
 // per-length pass. Instead of re-seeding FFTs and re-running a STOMP row
-// scan from scratch at every length (the PR3 behavior, kept behind
-// Config.DisableIncremental as processLengthFull), the run carries one
-// piece of state across lengths — the diagonal head row QT(0, k) — and
+// scan from scratch at every length (processLengthFull, which the planner
+// runs only when a whole-profile length seeds pruned lengths), the run
+// carries one piece of state across lengths — the diagonal head row QT(0, k) — and
 // extends it from length ℓ to ℓ+1 with the one-FMA-per-cell recurrence
 // QT(i,j)ₗ₊₁ = QT(i,j)ₗ + t[i+ℓ]·t[j+ℓ]. Each length is then resolved by
 // one fused diagonal pass that visits every non-trivial pair exactly once
@@ -36,7 +36,7 @@ import (
 const diagBlockCells = 128 * 1024
 
 // diagBlockMinWidth is the minimum number of diagonals per block. The
-// kernel interleaves 4 (AVX2) or 8 (ILP) diagonals per sweep; a block
+// kernel interleaves 4 diagonals per sweep on every tier; a block
 // narrower than one interleave group degrades the whole scan to the
 // scalar single-diagonal path. Under the old cells-only rule that was
 // exactly what happened at scale: once a single diagonal holds ≥

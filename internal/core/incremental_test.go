@@ -2,9 +2,9 @@ package core
 
 // Tests for the incremental cross-length profile engine: extended profiles
 // against the brute-force ground truth at every length and worker count
-// (bit-identical across worker counts), parity with the from-scratch
-// whole-profile plan, and the degenerate-length hardening near the end of
-// the series.
+// (bit-identical across worker counts), parity with a from-scratch
+// per-length reference, and the degenerate-length hardening near the end
+// of the series.
 
 import (
 	"context"
@@ -109,10 +109,11 @@ func TestIncrementalProfileMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFromScratchPlan: the incremental plan and the
-// DisableIncremental ablation must discover the same pairs and discords —
-// identical offsets, lengths and ordering; distances equal within floating
-// tolerance (the two passes take different arithmetic paths).
+// TestIncrementalMatchesFromScratchPlan: the incremental plan must
+// discover the same pairs and discords as a from-scratch reference built
+// from stomp.Compute at every length — identical offsets, lengths and
+// ordering; distances equal within floating tolerance (the carried head
+// row and a per-length FFT seed take different arithmetic paths).
 func TestIncrementalMatchesFromScratchPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	x := randWalk(rng, 600)
@@ -121,26 +122,24 @@ func TestIncrementalMatchesFromScratchPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisableIncremental = true
-	scratch, err := Run(x, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if inc.Plan.IncrementalLengths != 40-12+1 || inc.Plan.HeadSeeds != 1 {
 		t.Fatalf("incremental plan stats: %+v", inc.Plan)
 	}
-	if scratch.Plan.IncrementalLengths != 0 || scratch.Plan.RecomputeLengths != 40-12+1 {
-		t.Fatalf("from-scratch plan stats: %+v", scratch.Plan)
+	ref := newDiscordSink(cfg.Discords, profile.DefaultExclusionFactor)
+	for _, lr := range inc.PerLength {
+		mp, err := stomp.Compute(x, lr.M, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPairsEquivalent(t, lr.StatsTag(), lr.Pairs, mp.TopKPairs(cfg.TopK))
+		ref.Consume(LengthData{L: lr.M, Profile: mp})
 	}
-	for li := range inc.PerLength {
-		a, b := inc.PerLength[li], scratch.PerLength[li]
-		assertPairsEquivalent(t, a.StatsTag(), a.Pairs, b.Pairs)
-	}
-	if len(inc.Discords) != len(scratch.Discords) {
-		t.Fatalf("%d discords incremental, %d from scratch", len(inc.Discords), len(scratch.Discords))
+	want := ref.Discords()
+	if len(inc.Discords) != len(want) {
+		t.Fatalf("%d discords incremental, %d from scratch", len(inc.Discords), len(want))
 	}
 	for i := range inc.Discords {
-		a, b := inc.Discords[i], scratch.Discords[i]
+		a, b := inc.Discords[i], want[i]
 		if a.I != b.I || a.L != b.L {
 			t.Fatalf("discord %d: (i=%d,l=%d) incremental, (i=%d,l=%d) from scratch", i, a.I, a.L, b.I, b.L)
 		}

@@ -22,12 +22,11 @@ const advanceShardRows = 256
 
 // processLengthFull resolves length l with the from-scratch per-length
 // profile pass (the STOMP row scan on the seed's fixed block grid) and
-// returns both the top-k pairs and the full profile. It is the
-// DisableIncremental variant of the FullProfile plan (the default is
-// processLengthIncremental) and the pass the planner uses when a
-// whole-profile length doubles as the pruned machinery's seed: the row
-// scan reseeds every anchor's partial profile, which the diagonal pass
-// does not.
+// returns both the top-k pairs and the full profile. The planner runs it
+// instead of processLengthIncremental when a whole-profile length comes
+// before pruned lengths and so doubles as the pruned machinery's seed:
+// the row scan reseeds every anchor's partial profile, which the
+// diagonal pass does not.
 func (r *run) processLengthFull(l int) (LengthResult, *profile.MatrixProfile, error) {
 	s := len(r.t) - l + 1
 	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)

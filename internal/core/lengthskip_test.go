@@ -254,25 +254,10 @@ func TestCarry32CloseToFloat64(t *testing.T) {
 }
 
 // TestFastModeDeclines: configurations outside the fast plan's contract —
-// ablated machinery, pairs-only runs, an ℓmin admitting no pair — fall back
-// to the legacy loop (no fast-mode counters) with unchanged output.
+// pairs-only runs, an ℓmin admitting no pair — fall back to the legacy
+// loop (no fast-mode counters).
 func TestFastModeDeclines(t *testing.T) {
 	x := fastSeries(900, 8)
-	// Ablations decline.
-	for _, mut := range []func(*Config){
-		func(c *Config) { c.DisablePruning = true },
-		func(c *Config) { c.DisableIncremental = true },
-	} {
-		cfg := Config{LMin: 16, LMax: 25, TopK: 2, Discords: 2, Workers: 1, LengthSkip: true}
-		mut(&cfg)
-		ref := cfg
-		ref.LengthSkip = false
-		got, want := runCfg(t, x, cfg), runCfg(t, x, ref)
-		if got.Plan.LBSkippedLengths != 0 || got.Plan.StrideScanned != 0 {
-			t.Fatalf("ablated run took the fast plan: %+v", got.Plan)
-		}
-		assertTopAgree(t, "ablated", got, want)
-	}
 	// Pairs-only runs decline (no discord sink to prune for).
 	cfg := Config{LMin: 16, LMax: 25, TopK: 2, Workers: 1, LengthSkip: true}
 	if got := runCfg(t, x, cfg); got.Plan.LBSkippedLengths != 0 {

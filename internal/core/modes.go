@@ -101,11 +101,9 @@ type fastMode struct {
 
 // newFastMode decides whether the run takes the coarse-to-fine plan. It
 // declines — leaving the legacy loop and its bit-identical default output
-// untouched — unless the new flags are set on a pairs+discords run with
-// the pruning and incremental machinery available: the plan's whole point
-// is avoiding per-length whole-profile passes, which only exist when a
-// discord sink is registered, and its exactness argument leans on both
-// the pruned certificate and the incremental pass. External FullProfile
+// untouched — unless the new flags are set on a pairs+discords run: the
+// plan's whole point is avoiding per-length whole-profile passes, which
+// only exist when a discord sink is registered. External FullProfile
 // sinks keep the legacy loop too (they need real profiles at their
 // lengths), as does a degenerate range whose ℓmin admits no pair (the
 // built-in sinks seed from the ℓmin profile).
@@ -116,9 +114,6 @@ func newFastMode(r *run, sinks []Sink) *fastMode {
 		stride = 1
 	}
 	if !cfg.LengthSkip && stride == 1 {
-		return nil
-	}
-	if cfg.DisablePruning || cfg.DisableIncremental {
 		return nil
 	}
 	var ds *discordSink

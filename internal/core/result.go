@@ -26,10 +26,10 @@ type LengthStats struct {
 
 // PlanStats instruments the per-length planner of one run: how many
 // lengths each plan resolved and what the incremental engine's carried
-// state cost. RecomputeLengths counts from-scratch whole-profile passes —
-// the pruned machinery's seed length, fixpoint fallbacks inside pruned
-// lengths are *not* counted here (they are per-length LengthStats), and
-// every FullProfile length under DisableIncremental.
+// state cost. RecomputeLengths counts from-scratch whole-profile passes:
+// the length that seeds the pruned machinery. Fixpoint fallbacks inside
+// pruned lengths are *not* counted here (they are per-length
+// LengthStats).
 type PlanStats struct {
 	// PrunedLengths counts lengths resolved by the advance→certify pass.
 	PrunedLengths int `json:"pruned_lengths"`
@@ -37,7 +37,7 @@ type PlanStats struct {
 	// cross-length profile pass.
 	IncrementalLengths int `json:"incremental_lengths"`
 	// RecomputeLengths counts lengths resolved by a from-scratch row scan
-	// (seeding or ablation).
+	// (the pruned machinery's seed).
 	RecomputeLengths int `json:"recompute_lengths"`
 	// SkippedLengths counts lengths no registered sink wanted.
 	SkippedLengths int `json:"skipped_lengths"`

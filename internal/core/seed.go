@@ -86,13 +86,9 @@ func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 }
 
 // markSeeded records that the full row scan just reseeded every anchor's
-// partial profile at base length l (no-op on profileOnly runs, whose scans
-// skip the reseed bookkeeping entirely): the pruned machinery is live and
-// its retained entries hold dot products at l.
+// partial profile at base length l: the pruned machinery is live and its
+// retained entries hold dot products at l.
 func (r *run) markSeeded(l int) {
-	if r.profileOnly {
-		return
-	}
 	r.seeded = true
 	r.entriesAt = l
 }
@@ -145,15 +141,7 @@ func exclSplit(i, excl, s int) (e1, j2 int) {
 // length l (outside the exclusion zone) plus the partial-profile reseed
 // (top-p candidates by q̃²). The moment cache must be filled for l. Each
 // anchor touches only its own state, so rows may be scanned concurrently.
-// On a profileOnly run the reseed feeds nothing (the advance→certify pass
-// never runs), so the row takes the lean profile-only scan instead — both
-// paths share kernels.ArgmaxCorr, so the profile values are bit-for-bit
-// the same on either.
 func (r *run) scanRow(i, l, excl, s int, row []float64, mp *profile.MatrixProfile) {
-	if r.profileOnly {
-		r.scanRowProfileOnly(i, l, excl, s, row, mp)
-		return
-	}
 	p := r.cfg.P
 	means, invs := r.means, r.invStds
 	fl := float64(l)

@@ -102,19 +102,16 @@ const (
 	// advance→certify pass resolves it, until the cost model (cost.go)
 	// latches the run onto the incremental pass.
 	planPruned
-	// planFull: a FullProfile sink wants it (or pruning is ablated); a
-	// whole-profile pass resolves it — incrementally, unless
-	// Config.DisableIncremental or the pass doubles as the pruned
+	// planFull: a FullProfile sink wants it; a whole-profile pass
+	// resolves it — incrementally, unless the pass doubles as the pruned
 	// machinery's seed.
 	planFull
 )
 
 // planLengths decides one plan per length from the sinks that want it.
-// cfg.DisablePruning upgrades every wanted length to the full pass (the
-// ablation: no lower-bound machinery, pairs equal within the cross-plan
-// tolerance). The static plan is refined while the run executes: the
-// cost model may move the remaining planPruned lengths to the
-// incremental pass (runSinksFrom, cost.go).
+// The static plan is refined while the run executes: the cost model may
+// move the remaining planPruned lengths to the incremental pass
+// (runSinksFrom, cost.go).
 func planLengths(cfg Config, sinks []Sink) []lengthPlan {
 	plans := make([]lengthPlan, cfg.LMax-cfg.LMin+1)
 	for idx := range plans {
@@ -131,7 +128,7 @@ func planLengths(cfg Config, sinks []Sink) []lengthPlan {
 			}
 		}
 		switch {
-		case full || (cfg.DisablePruning && pairs):
+		case full:
 			plans[idx] = planFull
 		case pairs:
 			plans[idx] = planPruned

@@ -142,17 +142,20 @@ func TestRunExactWithPlantedMotifs(t *testing.T) {
 	}
 }
 
+// TestDisablePruningSameAnswers: a run with pruning out of the picture —
+// Discords puts every length on the whole-profile pass — reports the same
+// pairs as the all-pruned run.
 func TestDisablePruningSameAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randWalk(rng, 300)
 	base := Config{LMin: 10, LMax: 30, TopK: 2, P: 4, pinPruned: true}
-	ablated := base
-	ablated.DisablePruning = true
+	whole := base
+	whole.Discords = 1
 	a, err := Run(x, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(x, ablated)
+	b, err := Run(x, whole)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestDisablePruningSameAnswers(t *testing.T) {
 	}
 	for _, lr := range b.PerLength {
 		if !lr.Stats.FullRecompute {
-			t.Fatal("DisablePruning must full-recompute every length")
+			t.Fatal("a Discords run must full-recompute every length")
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // generators produce series with the same structural properties the
 // algorithms are sensitive to — quasi-periodic repeated patterns whose
 // instances vary in length, amplitude and phase, over realistic noise —
-// so every code path the paper exercises is exercised (DESIGN.md §5).
+// so every code path the paper exercises is exercised.
 //
 // All generators are deterministic in their seed.
 package gen

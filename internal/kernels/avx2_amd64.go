@@ -22,7 +22,7 @@ package kernels
 //     exactly one place.
 //
 // None of the assembly uses FMA: fused multiply-adds round differently
-// from the separate multiply and add every other tier performs, and
+// from the separate multiply and add the generic tier performs, and
 // bit-identity across tiers is a hard contract.
 
 // rowNextBlocks processes p = hi … lo (inclusive, descending, hi−lo+1 a
@@ -142,6 +142,10 @@ func argmaxCorrRangeAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, inv
 	return bestCorr, bestJ
 }
 
+// colScanBlock is the block width of colScanAVX2's correlation buffer:
+// big enough to amortize the assembly call, small enough to stay in L1.
+const colScanBlock = 64
+
 func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, corr []float64, idx []int32, j int32, bestCorr float64, bestIdx int32) (float64, int32) {
 	if iEnd <= 0 {
 		return bestCorr, bestIdx
@@ -155,12 +159,12 @@ func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64,
 	cr = cr[:len(cl)]
 	ix := idx[0:iEnd]
 	ix = ix[:len(cl)]
-	var buf [argmaxBlock]float64
+	var buf [colScanBlock]float64
 	i := 0
-	for ; i+argmaxBlock <= len(cl); i += argmaxBlock {
-		corrBuf(&buf[0], &cl[i], &m[i], &v[i], invFl, muJ, invJ, argmaxBlock)
-		crb := cr[i : i+argmaxBlock]
-		ixb := ix[i : i+argmaxBlock]
+	for ; i+colScanBlock <= len(cl); i += colScanBlock {
+		corrBuf(&buf[0], &cl[i], &m[i], &v[i], invFl, muJ, invJ, colScanBlock)
+		crb := cr[i : i+colScanBlock]
+		ixb := ix[i : i+colScanBlock]
 		ixb = ixb[:len(crb)]
 		for y := range buf {
 			c := buf[y]

@@ -3,28 +3,28 @@
 package kernels
 
 // Non-amd64 builds never select the AVX2 tier (hasAVX2 is false), but the
-// dispatchers still reference these names; delegate to the ILP bodies.
+// dispatchers still reference these names; delegate to the generic bodies.
 
 func rowNextAVX2(row, t []float64, i, l, s int) {
-	rowNextILP(row, t, i, l, s)
+	rowNextGeneric(row, t, i, l, s)
 }
 
 func argmaxCorrRangeAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, invA float64, bestCorr float64, bestJ int) (float64, int) {
-	return argmaxCorrRangeILP(row, means, invs, j0, j1, invFl, muA, invA, bestCorr, bestJ)
+	return argmaxCorrRange(row, means, invs, j0, j1, invFl, muA, invA, bestCorr, bestJ)
 }
 
 func extendRowAVX2(row, t []float64, i, cur, l int) {
-	extendRowILP(row, t, i, cur, l)
+	extendRowGeneric(row, t, i, cur, l)
 }
 
 func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, corr []float64, idx []int32, j int32, bestCorr float64, bestIdx int32) (float64, int32) {
-	return colScanILP(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
+	return colScanGeneric(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
 }
 
 func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	diagScanILP(t, head, means, invs, k0, k1, l, s, corr, idx)
+	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
 
 func diagScan32AVX2(t, head []float32, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	diagScan32ILP(t, head, means, invs, k0, k1, l, s, corr, idx)
+	diagScan32Generic(t, head, means, invs, k0, k1, l, s, corr, idx)
 }

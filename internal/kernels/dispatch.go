@@ -9,11 +9,9 @@ import (
 type Variant int
 
 const (
-	// Generic is the portable 4-way-unrolled tier (the PR 5 kernels).
+	// Generic is the portable tier: unrolled, bounds-check-free Go bodies
+	// that run on every architecture.
 	Generic Variant = iota
-	// ILP is the restructured portable tier: wider interleaves and
-	// vectorizable sweeps with no cross-iteration dependencies.
-	ILP
 	// AVX2 is the amd64 assembly tier (4 float64 lanes, no FMA).
 	AVX2
 )
@@ -22,8 +20,6 @@ func (v Variant) String() string {
 	switch v {
 	case Generic:
 		return "generic"
-	case ILP:
-		return "ilp"
 	case AVX2:
 		return "avx2"
 	default:
@@ -43,7 +39,7 @@ func Active() Variant { return active }
 // Available lists the tiers this process can run, in ascending order.
 // Parity tests iterate it so every reachable dispatch path is certified.
 func Available() []Variant {
-	vs := []Variant{Generic, ILP}
+	vs := []Variant{Generic}
 	if hasAVX2 {
 		vs = append(vs, AVX2)
 	}
@@ -55,7 +51,7 @@ func Available() []Variant {
 // production override is the VALMOD_KERNELS environment variable.
 func SetVariant(v Variant) error {
 	switch v {
-	case Generic, ILP:
+	case Generic:
 	case AVX2:
 		if !hasAVX2 {
 			return fmt.Errorf("kernels: avx2 variant not available on this CPU")
@@ -67,27 +63,25 @@ func SetVariant(v Variant) error {
 	return nil
 }
 
-// defaultVariant picks the startup tier: VALMOD_KERNELS=generic|ilp|avx2
-// if set (falling back with a warning when the hardware can't honor it),
+// defaultVariant picks the startup tier: VALMOD_KERNELS=generic|avx2 if
+// set (falling back with a warning when the hardware can't honor it),
 // otherwise the highest tier the CPU supports.
 func defaultVariant() Variant {
 	switch env := os.Getenv("VALMOD_KERNELS"); env {
 	case "":
 	case "generic":
 		return Generic
-	case "ilp":
-		return ILP
 	case "avx2":
 		if hasAVX2 {
 			return AVX2
 		}
-		fmt.Fprintln(os.Stderr, "valmod: VALMOD_KERNELS=avx2 but CPU lacks AVX2; using ilp")
-		return ILP
+		fmt.Fprintln(os.Stderr, "valmod: VALMOD_KERNELS=avx2 but CPU lacks AVX2; using generic")
+		return Generic
 	default:
-		fmt.Fprintf(os.Stderr, "valmod: unknown VALMOD_KERNELS=%q (want generic|ilp|avx2); using default\n", env)
+		fmt.Fprintf(os.Stderr, "valmod: unknown VALMOD_KERNELS=%q (want generic|avx2); using default\n", env)
 	}
 	if hasAVX2 {
 		return AVX2
 	}
-	return ILP
+	return Generic
 }

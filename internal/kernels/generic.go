@@ -1,8 +1,8 @@
 package kernels
 
-// The generic dispatch tier: the portable 4-way-unrolled kernels (PR 5).
-// These are the first bodies the Ref* parity suite certified and the
-// baseline every other tier must match bit-for-bit; keep them boring.
+// The generic dispatch tier: the portable kernels, the default wherever
+// AVX2 is missing. The Ref* parity suite certifies them bit-for-bit, as it
+// does the avx2 tier.
 
 // rowNextGeneric is RowNext, 4-way unrolled.
 func rowNextGeneric(row, t []float64, i, l, s int) {
@@ -75,8 +75,11 @@ func argmaxCorrRange(row, means, invs []float64, j0, j1 int, invFl, muA, invA fl
 	return bestCorr, bestJ
 }
 
-// extendRowGeneric is ExtendRow with the per-cell accumulation written as
-// one scalar chain per cell.
+// extendRowGeneric is ExtendRow with the per-cell accumulation chains of
+// four adjacent cells interleaved. One chain per cell is latency-bound;
+// four independent chains overlap. Each cell still accumulates its steps
+// in ascending order, so every chain is bit-identical to the one-cell
+// loop.
 func extendRowGeneric(row, t []float64, i, cur, l int) {
 	n := len(t)
 	if cur >= l {
@@ -91,7 +94,25 @@ func extendRowGeneric(row, t []float64, i, cur, l int) {
 	if full < 0 {
 		full = 0
 	}
-	for j := 0; j < full; j++ {
+	j := 0
+	for ; j+4 <= full; j += 4 {
+		base := t[j+cur:] // base[x+d] = t[(j+d)+cur+x], cell j+d's step x
+		v0 := row[j]
+		v1 := row[j+1]
+		v2 := row[j+2]
+		v3 := row[j+3]
+		for x, qv := range q {
+			v0 += qv * base[x]
+			v1 += qv * base[x+1]
+			v2 += qv * base[x+2]
+			v3 += qv * base[x+3]
+		}
+		row[j] = v0
+		row[j+1] = v1
+		row[j+2] = v2
+		row[j+3] = v3
+	}
+	for ; j < full; j++ {
 		w := t[j+cur : j+l]
 		v := row[j]
 		for x, qv := range q {
@@ -103,8 +124,7 @@ func extendRowGeneric(row, t []float64, i, cur, l int) {
 }
 
 // extendRowRagged finishes the cells [full, n−cur) whose step ranges clip
-// at the series end — shared by every portable tier (the region is O(l)
-// cells, never the pass cost).
+// at the series end (the region is O(l) cells, never the pass cost).
 func extendRowRagged(row, t []float64, full, cur, n int, q []float64) {
 	for j := full; j < n-cur; j++ {
 		w := t[j+cur : n] // len = n−j−cur = the steps this cell still takes

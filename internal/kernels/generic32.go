@@ -1,46 +1,10 @@
 package kernels
 
-// The generic tier of the float32 carry kernels (the PR 8 bodies).
-
-// rowNext32Generic is RowNext32 as a plain descending loop.
-func rowNext32Generic(row, t []float32, i, l, s int) {
-	if s < 2 {
-		return
-	}
-	tail := float64(t[i+l-1])
-	head := float64(t[i-1])
-	a := t[l : l+s-1]
-	b := t[0 : s-1]
-	r := row[0:s]
-	for p := s - 2; p >= 0; p-- {
-		r[p+1] = float32(float64(r[p]) + tail*float64(a[p]) - head*float64(b[p]))
-	}
-}
-
-// extendRow32Generic is ExtendRow32 with one scalar chain per cell.
-func extendRow32Generic(row, t []float32, i, cur, l int) {
-	n := len(t)
-	if cur >= l {
-		return
-	}
-	q := t[i+cur : i+l]
-	full := n - l + 1
-	if full < 0 {
-		full = 0
-	}
-	for j := 0; j < full; j++ {
-		w := t[j+cur : j+l]
-		v := float64(row[j])
-		for x, qv := range q {
-			v += float64(qv) * float64(w[x])
-		}
-		row[j] = float32(v)
-	}
-	extendRow32Ragged(row, t, full, cur, n, q)
-}
+// The generic tier of the float32 carry kernels: loads widened at use,
+// float64 arithmetic, one float64→float32 rounding per store.
 
 // extendRow32Ragged finishes the cells [full, n−cur) whose step ranges
-// clip at the series end — shared by every portable tier.
+// clip at the series end.
 func extendRow32Ragged(row, t []float32, full, cur, n int, q []float32) {
 	for j := full; j < n-cur; j++ {
 		w := t[j+cur : n]

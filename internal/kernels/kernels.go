@@ -16,19 +16,16 @@
 //
 // # Dispatch tiers
 //
-// Each kernel dispatches to one of up to three implementations, selected
-// once at process start (see dispatch.go; VALMOD_KERNELS forces a tier):
+// Each kernel dispatches to one of two implementations, selected once at
+// process start (see dispatch.go; VALMOD_KERNELS forces a tier):
 //
-//   - generic — the portable 4-way-unrolled loops (the PR 5 kernels), the
-//     shape the references certify first.
-//   - ilp — restructured portable variants: wider diagonal interleave
-//     (8 chains), interleaved per-cell accumulation chains in the fused
-//     extensions, and the argmax scans split into a branch-light
-//     correlation sweep plus a rare winner re-scan.
+//   - generic — the portable Go bodies: unrolled loops with hoisted
+//     bounds, interleaved per-cell accumulation chains in the fused
+//     extensions, and interleaved diagonal chains in the diagonal pass.
 //   - avx2 — amd64 assembly (runtime CPUID-detected), four float64 lanes
 //     per vector. The assembly never uses FMA: fused multiply-adds round
-//     differently from the separate multiply and add the portable tiers
-//     perform, and bit-identity across tiers is a hard contract.
+//     differently from the separate multiply and add the portable tier
+//     performs, and bit-identity across tiers is a hard contract.
 //
 // Every tier must produce bit-identical outputs. For pure arithmetic
 // (RowNext, ExtendRow) that holds lane-by-lane because each output cell's
@@ -65,8 +62,6 @@ func RowNext(row, t []float64, i, l, s int) {
 	switch active {
 	case AVX2:
 		rowNextAVX2(row, t, i, l, s)
-	case ILP:
-		rowNextILP(row, t, i, l, s)
 	default:
 		rowNextGeneric(row, t, i, l, s)
 	}
@@ -91,9 +86,6 @@ func ArgmaxCorr(row, means, invs []float64, e1, j2, s int, invFl, muA, invA floa
 	case AVX2:
 		bestCorr, bestJ = argmaxCorrRangeAVX2(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ)
 		return argmaxCorrRangeAVX2(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ)
-	case ILP:
-		bestCorr, bestJ = argmaxCorrRangeILP(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ)
-		return argmaxCorrRangeILP(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ)
 	default:
 		bestCorr, bestJ = argmaxCorrRange(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ)
 		return argmaxCorrRange(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ)
@@ -111,8 +103,6 @@ func ExtendRow(row, t []float64, i, cur, l int) {
 	switch active {
 	case AVX2:
 		extendRowAVX2(row, t, i, cur, l)
-	case ILP:
-		extendRowILP(row, t, i, cur, l)
 	default:
 		extendRowGeneric(row, t, i, cur, l)
 	}
@@ -160,8 +150,6 @@ func ColScan(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, cor
 	switch active {
 	case AVX2:
 		return colScanAVX2(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
-	case ILP:
-		return colScanILP(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
 	default:
 		return colScanGeneric(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
 	}
@@ -184,8 +172,6 @@ func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, 
 	switch active {
 	case AVX2:
 		diagScanAVX2(t, head, means, invs, k0, k1, l, s, corr, idx)
-	case ILP:
-		diagScanILP(t, head, means, invs, k0, k1, l, s, corr, idx)
 	default:
 		diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 	}

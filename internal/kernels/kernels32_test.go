@@ -27,35 +27,6 @@ func bits32Equal(a, b []float32) bool {
 	return true
 }
 
-func TestKernelParityRowNext32(t *testing.T) { forEachVariant(t, testKernelParityRowNext32) }
-
-func testKernelParityRowNext32(t *testing.T) {
-	for _, n := range []int{64, 257, 1000} {
-		ts := toF32(testSeries(n, 11))
-		for _, l := range []int{4, 7, 32} {
-			s := n - l + 1
-			row0 := make([]float32, s)
-			for j := range row0 {
-				sum := 0.0
-				for p := 0; p < l; p++ {
-					sum += float64(ts[p]) * float64(ts[j+p])
-				}
-				row0[j] = float32(sum)
-			}
-			got := append([]float32(nil), row0...)
-			want := append([]float32(nil), row0...)
-			for i := 1; i < 6 && i < s; i++ {
-				RowNext32(got, ts, i, l, s)
-				RefRowNext32(want, ts, i, l, s)
-				got[0], want[0] = row0[0], row0[0] // column 0 is recomputed by the caller
-				if !bits32Equal(got, want) {
-					t.Fatalf("n=%d l=%d row %d: RowNext32 diverges from reference", n, l, i)
-				}
-			}
-		}
-	}
-}
-
 func TestKernelParityExtendRow32(t *testing.T) { forEachVariant(t, testKernelParityExtendRow32) }
 
 func testKernelParityExtendRow32(t *testing.T) {

@@ -6,16 +6,6 @@ package kernels
 // routines are bit-identical to these; the float64-vs-float32 drift
 // itself is bounded by tolerance tests, not parity.
 
-// RefRowNext32 is RowNext32 as the plain descending loop: widen, one
-// float64 expression, round at the store.
-func RefRowNext32(row, t []float32, i, l, s int) {
-	tail := float64(t[i+l-1])
-	head := float64(t[i-1])
-	for j := s - 1; j >= 1; j-- {
-		row[j] = float32(float64(row[j-1]) + tail*float64(t[j+l-1]) - head*float64(t[j-1]))
-	}
-}
-
 // RefExtendRow32 is ExtendRow32 as the per-cell loop: each cell sums its
 // pending step products in float64 (ascending step order) and rounds once
 // per call — the per-call rounding discipline the fused kernel must match.

@@ -10,8 +10,8 @@ import (
 
 // forEachVariant runs f once per available dispatch tier as a subtest, so
 // every parity assertion certifies every reachable dispatch path (on
-// amd64 with AVX2 that is generic, ilp, and avx2). The active tier is
-// restored afterwards.
+// amd64 with AVX2 that is generic and avx2). The active tier is restored
+// afterwards.
 func forEachVariant(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	orig := Active()
@@ -29,7 +29,7 @@ func forEachVariant(t *testing.T, f func(t *testing.T)) {
 }
 
 // forEachVariantB is forEachVariant for benchmarks: one sub-benchmark per
-// dispatch tier, so `go test -bench` reports generic/ilp/avx2 side by side.
+// dispatch tier, so `go test -bench` reports generic and avx2 side by side.
 func forEachVariantB(b *testing.B, f func(b *testing.B)) {
 	b.Helper()
 	orig := Active()
@@ -132,7 +132,7 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		anchor := int(seed&0x7fffffff) % s
 
-		switch kernel % 8 {
+		switch kernel % 7 {
 		case 0: // RowNext
 			row0 := make([]float64, s)
 			for j := range row0 {
@@ -265,34 +265,7 @@ func FuzzKernelParity(f *testing.F) {
 					}
 				}
 			})
-		case 5: // RowNext32
-			t32 := toF32(ts)
-			row0 := make([]float32, s)
-			for j := range row0 {
-				sum := 0.0
-				for p := 0; p < l; p++ {
-					sum += float64(t32[p]) * float64(t32[j+p])
-				}
-				row0[j] = float32(sum)
-			}
-			i := 1 + anchor%s
-			if i >= s {
-				i = s - 1
-			}
-			if i < 1 {
-				return
-			}
-			want := append([]float32(nil), row0...)
-			RefRowNext32(want, t32, i, l, s)
-			allVariants(t, func(v Variant) {
-				got := append([]float32(nil), row0...)
-				RowNext32(got, t32, i, l, s)
-				got[0] = want[0]
-				if !bits32Equal(got, want) {
-					t.Fatalf("%v: RowNext32(n=%d l=%d i=%d) diverges from reference", v, n, l, i)
-				}
-			})
-		case 6: // ExtendRow32
+		case 5: // ExtendRow32
 			t32 := toF32(ts)
 			cur := l
 			newL := l + 1 + int(segA)%12

@@ -20,10 +20,10 @@ func ZNormalize(w []float64) []float64 {
 // ZNormDist returns the z-normalized Euclidean distance between two equal
 // length windows, computed directly (O(m)). It panics when lengths differ.
 //
-// Degenerate convention (documented in DESIGN.md §7): when both windows are
-// constant the distance is 0; when exactly one is constant it is √(2m), the
-// distance between any unit-energy z-normalized vector and the zero vector
-// scaled to the 2m(1−ρ) form with ρ = 0.
+// Degenerate convention: when both windows are constant the distance is 0;
+// when exactly one is constant it is √(2m), the distance between any
+// unit-energy z-normalized vector and the zero vector scaled to the
+// 2m(1−ρ) form with ρ = 0.
 func ZNormDist(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("series: ZNormDist length mismatch")
@@ -40,11 +40,15 @@ func ZNormDist(a, b []float64) float64 {
 	if sdA == 0 || sdB == 0 {
 		return math.Sqrt(2 * float64(m))
 	}
-	var qt float64
+	// ρ comes from the mean-centred products Σ(aᵢ−μa)(bᵢ−μb): forming it
+	// from the raw dot product minus m·μa·μb cancels catastrophically when
+	// the means dominate the spread. The centred sum is the dot product of
+	// two zero-mean windows, so DistFromDot takes it with zero means.
+	var cov float64
 	for i := range a {
-		qt += a[i] * b[i]
+		cov += (a[i] - muA) * (b[i] - muB)
 	}
-	return DistFromDot(qt, float64(m), muA, sdA, muB, sdB)
+	return DistFromDot(cov, float64(m), 0, sdA, 0, sdB)
 }
 
 // DistFromDot converts a raw dot product QT = Σ aᵢbᵢ between two length-m

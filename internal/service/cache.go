@@ -40,16 +40,15 @@ func hashSeries(values []float64) [sha256.Size]byte {
 // resultKey derives the cache key for one submission. Options are
 // normalized to their effective defaults first, so an explicit TopK of 10
 // and the zero value share an entry. Every field that can change the
-// result bytes participates: TopK and ExclusionFactor change the pairs; P,
-// RecomputeFraction, DisablePruning and DisableIncremental change the
-// per-length resolution and plan stats the result reports (and the two
-// whole-profile passes take different arithmetic paths); Discords changes
-// the query kind (it adds the discord payload and switches the engine to
-// the full-profile plan, which also changes the stats); LengthSkip,
-// LengthStride, RefineRadius, Strict and Carry32 select the coarse-to-fine
-// plan, which changes the plan stats always and the result payload in the
-// non-strict modes. Workers is excluded — the fixed-grid contract makes
-// output bit-identical at every worker count.
+// result bytes participates: TopK and ExclusionFactor change the pairs; P
+// and RecomputeFraction change the per-length resolution and plan stats
+// the result reports; Discords changes the query kind (it adds the
+// discord payload and switches the engine to the full-profile plan, which
+// also changes the stats); LengthSkip, LengthStride, RefineRadius, Strict
+// and Carry32 select the coarse-to-fine plan, which changes the plan stats
+// always and the result payload in the non-strict modes. Workers is
+// excluded — the fixed-grid contract makes output bit-identical at every
+// worker count.
 func resultKey(seriesHash [sha256.Size]byte, lmin, lmax int, o valmod.Options) cacheKey {
 	o = normalizeOptions(o)
 	h := sha256.New()
@@ -65,21 +64,15 @@ func resultKey(seriesHash [sha256.Size]byte, lmin, lmax int, o valmod.Options) c
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	flags := []byte{0, 0, 0, 0, 0}
-	if o.DisablePruning {
+	flags := []byte{0, 0, 0}
+	if o.LengthSkip {
 		flags[0] = 1
 	}
-	if o.DisableIncremental {
+	if o.Strict {
 		flags[1] = 1
 	}
-	if o.LengthSkip {
-		flags[2] = 1
-	}
-	if o.Strict {
-		flags[3] = 1
-	}
 	if o.Carry32 {
-		flags[4] = 1
+		flags[2] = 1
 	}
 	h.Write(flags)
 	var out cacheKey

@@ -29,7 +29,6 @@ func TestResultKeySensitivity(t *testing.T) {
 		"P":      resultKey(h, 8, 16, valmod.Options{P: 20}),
 		"Excl":   resultKey(h, 8, 16, valmod.Options{ExclusionFactor: 2}),
 		"RF":     resultKey(h, 8, 16, valmod.Options{RecomputeFraction: 0.5}),
-		"Prune":  resultKey(h, 8, 16, valmod.Options{DisablePruning: true}),
 		"Skip":   resultKey(h, 8, 16, valmod.Options{LengthSkip: true}),
 		"Stride": resultKey(h, 8, 16, valmod.Options{LengthStride: 4}),
 		"Radius": resultKey(h, 8, 16, valmod.Options{RefineRadius: 2}),

@@ -115,10 +115,6 @@ type JobRequest struct {
 	RecomputeFraction float64 `json:"recompute_fraction,omitempty"`
 	Discords          int     `json:"discords,omitempty"`
 	Workers           int     `json:"workers,omitempty"`
-	// DisableIncremental forces from-scratch whole-profile passes (the
-	// incremental-engine ablation); results are cached separately since
-	// the reported plan stats differ.
-	DisableIncremental bool `json:"disable_incremental,omitempty"`
 	// LengthSkip, LengthStride, RefineRadius, Strict and Carry32 select
 	// the coarse-to-fine plan on pairs+discords queries (see
 	// valmod.Options); each is part of the cache key since every one can
@@ -144,18 +140,17 @@ type JobRequest struct {
 // options maps the request's engine knobs onto valmod.Options.
 func (r JobRequest) options() valmod.Options {
 	return valmod.Options{
-		TopK:               r.TopK,
-		P:                  r.P,
-		ExclusionFactor:    r.ExclusionFactor,
-		RecomputeFraction:  r.RecomputeFraction,
-		Discords:           r.Discords,
-		Workers:            r.Workers,
-		DisableIncremental: r.DisableIncremental,
-		LengthSkip:         r.LengthSkip,
-		LengthStride:       r.LengthStride,
-		RefineRadius:       r.RefineRadius,
-		Strict:             r.Strict,
-		Carry32:            r.Carry32,
+		TopK:              r.TopK,
+		P:                 r.P,
+		ExclusionFactor:   r.ExclusionFactor,
+		RecomputeFraction: r.RecomputeFraction,
+		Discords:          r.Discords,
+		Workers:           r.Workers,
+		LengthSkip:        r.LengthSkip,
+		LengthStride:      r.LengthStride,
+		RefineRadius:      r.RefineRadius,
+		Strict:            r.Strict,
+		Carry32:           r.Carry32,
 	}
 }
 

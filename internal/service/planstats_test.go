@@ -48,28 +48,11 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 		t.Fatalf("discords plan stats %+v", plan)
 	}
 
-	// The ablation knob forces from-scratch passes and caches separately.
-	j, err = m.Submit(JobRequest{Values: values, LMin: 16, LMax: 32, TopK: 2, Discords: 2, Workers: 1, DisableIncremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = waitTerminal(t, j)
-	if st.State != StateDone {
-		t.Fatalf("job state %s: %s", st.State, st.Error)
-	}
-	if st.CacheHit {
-		t.Fatal("DisableIncremental submission answered from the incremental plan's cache entry")
-	}
-	plan = st.Result.Plan
-	if plan.IncrementalLengths != 0 || plan.RecomputeLengths != lengths {
-		t.Fatalf("ablated plan stats %+v", plan)
-	}
-
-	// /v1/stats aggregates across the three runs.
+	// /v1/stats aggregates across the two runs.
 	totals := m.Stats().Plan
 	if totals.PrunedLengths != int64(pairsPlan.PrunedLengths) ||
 		totals.IncrementalLengths != int64(pairsPlan.IncrementalLengths+lengths) ||
-		totals.RecomputeLengths != int64(1+lengths) ||
+		totals.RecomputeLengths != 1 ||
 		totals.HeadSeeds != int64(1+switched) ||
 		totals.HeadExtensions != int64(pairsPlan.HeadExtensions+lengths-1) {
 		t.Fatalf("aggregated plan totals %+v", totals)

@@ -49,17 +49,6 @@ type Options struct {
 	// the full pass also reseeds every partial profile, so the breakeven
 	// sits near s/log n ≈ 5% of anchors; see internal/core).
 	RecomputeFraction float64
-	// DisablePruning turns the lower-bound machinery off (ablation only:
-	// one whole-profile pass per length; the pairs match the pruned plan's
-	// within floating tolerance — identical pair sets, distances equal to
-	// ~1e-12 relative — not bit for bit).
-	DisablePruning bool
-	// DisableIncremental turns the incremental cross-length profile
-	// engine off: lengths that need the full profile (Discords, or
-	// DisablePruning) are recomputed from scratch per length instead of
-	// extending the carried dot-product state (ablation and parity
-	// reference only: equivalent output, strictly more work).
-	DisableIncremental bool
 	// Discords, when positive, additionally reports that many
 	// variable-length discords (Result.Discords): the subsequences whose
 	// nearest non-trivial neighbor is farthest. The extraction is
@@ -81,8 +70,8 @@ type Options struct {
 	// carry the top discord are skipped; the few survivors are recomputed
 	// exactly). Per-length pairs and the top-1 discord stay exact; discord
 	// candidates beyond the top-1 keep exact distances but may differ in
-	// selection depth from the exhaustive plan. Ignored when Discords is 0
-	// or under the Disable* ablations.
+	// selection depth from the exhaustive plan. Ignored when Discords is
+	// 0.
 	LengthSkip bool
 	// LengthStride, when > 1, switches runs with Discords set to the
 	// coarse-to-fine plan: whole-profile passes run only at every
@@ -93,7 +82,7 @@ type Options struct {
 	// best-effort per-length top-k) unless Strict upgrades them to the
 	// LengthSkip treatment. The top-1 discord stays exact either way.
 	// 0 or 1 means every length is scanned (the exhaustive default).
-	// Ignored when Discords is 0 or under the Disable* ablations.
+	// Ignored when Discords is 0.
 	LengthStride int
 	// RefineRadius bounds the refine window around each winner length
 	// (0 selects the full stride gap, LengthStride − 1).
@@ -459,23 +448,21 @@ func (e *Engine) DiscoverResume(ctx context.Context, values []float64, lmin, lma
 // digest check would reject it).
 func coreConfig(opts Options, lmin, lmax int) core.Config {
 	cfg := core.Config{
-		LMin:               lmin,
-		LMax:               lmax,
-		TopK:               opts.TopK,
-		P:                  opts.P,
-		ExclusionFactor:    opts.ExclusionFactor,
-		RecomputeFraction:  opts.RecomputeFraction,
-		DisablePruning:     opts.DisablePruning,
-		DisableIncremental: opts.DisableIncremental,
-		Discords:           opts.Discords,
-		LengthSkip:         opts.LengthSkip,
-		LengthStride:       opts.LengthStride,
-		RefineRadius:       opts.RefineRadius,
-		Strict:             opts.Strict,
-		Carry32:            opts.Carry32,
-		Workers:            opts.Workers,
-		OnCheckpoint:       opts.Checkpoint,
-		CheckpointEvery:    opts.CheckpointEvery,
+		LMin:              lmin,
+		LMax:              lmax,
+		TopK:              opts.TopK,
+		P:                 opts.P,
+		ExclusionFactor:   opts.ExclusionFactor,
+		RecomputeFraction: opts.RecomputeFraction,
+		Discords:          opts.Discords,
+		LengthSkip:        opts.LengthSkip,
+		LengthStride:      opts.LengthStride,
+		RefineRadius:      opts.RefineRadius,
+		Strict:            opts.Strict,
+		Carry32:           opts.Carry32,
+		Workers:           opts.Workers,
+		OnCheckpoint:      opts.Checkpoint,
+		CheckpointEvery:   opts.CheckpointEvery,
 	}
 	if cb := opts.Progress; cb != nil {
 		cfg.OnLength = func(p core.Progress) {

@@ -228,13 +228,16 @@ func TestDistanceProfilePublicAPI(t *testing.T) {
 	}
 }
 
+// TestDisablePruningPublicOption: through the public API, a run that
+// skips the pruned pass (Discords puts every length on the whole-profile
+// pass) reports the same pairs as the default run.
 func TestDisablePruningPublicOption(t *testing.T) {
 	s := gen.RandomWalk(400, 6)
 	a, err := valmod.Discover(s.Values, 10, 20, valmod.Options{TopK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := valmod.Discover(s.Values, 10, 20, valmod.Options{TopK: 2, DisablePruning: true})
+	b, err := valmod.Discover(s.Values, 10, 20, valmod.Options{TopK: 2, Discords: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
