@@ -92,10 +92,6 @@ func kernelWorkloads(seed int64) ([]struct {
 		return nil, err
 	}
 	ts := s.Values
-	t32 := make([]float32, n)
-	for i, v := range ts {
-		t32[i] = float32(v)
-	}
 	sl := n - l + 1
 	means := make([]float64, sl)
 	invs := make([]float64, sl)
@@ -122,12 +118,7 @@ func kernelWorkloads(seed int64) ([]struct {
 	for j := range head {
 		head[j] = dot(ts[0:l], ts[j:j+l])
 	}
-	head32 := make([]float32, sl)
-	for j := range head32 {
-		head32[j] = float32(head[j])
-	}
 	row := append([]float64(nil), head...)
-	row32 := append([]float32(nil), head32...)
 	sd := nd - l + 1
 	corr := make([]float64, sd)
 	idx := make([]int32, sd)
@@ -165,14 +156,6 @@ func kernelWorkloads(seed int64) ([]struct {
 		{"DiagScan", func() {
 			resetSlots()
 			kernels.DiagScan(ts[:nd], head[:sd], means, invs, 16, sd, l, sd, corr, idx)
-		}},
-		{"ExtendRow32", func() {
-			copy(row32, head32)
-			kernels.ExtendRow32(row32, t32, 0, l, l+8)
-		}},
-		{"DiagScan32", func() {
-			resetSlots()
-			kernels.DiagScan32(t32[:nd], head32[:sd], means, invs, 16, sd, l, sd, corr, idx)
 		}},
 	}, nil
 }

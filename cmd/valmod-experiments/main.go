@@ -61,8 +61,7 @@ func main() {
 		bench        = flag.Bool("bench-json", false, "run the reproducible benchmark suite (pairs-only vs pairs+discords) and emit machine-readable JSON instead of figures")
 		benchN       = flag.Int("bench-n", 5000, "series length for the -bench-json suite")
 		out          = flag.String("bench-out", "", "write -bench-json output to this path (default stdout)")
-		large        = flag.Bool("bench-large", false, "add the large-series cases (ecg/pairs@n50k, ecg/pairs+discords@n100k at workers 1 and 4; the n100k cases run the LB length-skip plan) to the -bench-json suite")
-		million      = flag.Bool("bench-million", false, "add the million-point case (ecg/pairs+discords/stride@n1m: LengthStride=20, RefineRadius=1, Carry32, one worker) to the -bench-json suite; expect hours on one core")
+		large        = flag.Bool("bench-large", false, "add the large-series cases (ecg/pairs@n50k, ecg/pairs+discords@n100k at workers 1 and 4) to the -bench-json suite")
 		benchCkpt    = flag.Bool("bench-checkpoint", false, "add the checkpoint-overhead case to the -bench-json suite: ecg/pairs+discords at -bench-checkpoint-n, run bare and then with engine checkpoints written+fsynced at the service cadence; the report carries checkpoint_bytes and checkpoint_ms_per_length")
 		benchCkptN   = flag.Int("bench-checkpoint-n", 100000, "series length for the -bench-checkpoint case")
 		benchKernels = flag.Bool("bench-kernels", false, "time every hot kernel at every available dispatch variant (generic, plus avx2 where detected) and report ns/op plus speedup over generic; with -bench-json the section embeds in the same report")
@@ -118,7 +117,7 @@ func main() {
 	}
 	if *bench || *benchStream || *benchKernels || *benchScaling {
 		if *bench || (*benchKernels && !*benchScaling) {
-			if err := runBenchJSON(*out, *benchN, *lmin, *seed, *workers, *large, *million, *benchKernels, !*bench, *benchCkpt, *benchCkptN); err != nil {
+			if err := runBenchJSON(*out, *benchN, *lmin, *seed, *workers, *large, *benchKernels, !*bench, *benchCkpt, *benchCkptN); err != nil {
 				fmt.Fprintln(os.Stderr, "valmod-experiments:", err)
 				os.Exit(1)
 			}
@@ -157,10 +156,6 @@ type benchCase struct {
 	TopK              int     `json:"topk"`
 	Discords          int     `json:"discords"`
 	Workers           int     `json:"workers"`
-	LengthSkip        bool    `json:"length_skip,omitempty"`
-	LengthStride      int     `json:"length_stride,omitempty"`
-	RefineRadius      int     `json:"refine_radius,omitempty"`
-	Carry32           bool    `json:"carry32,omitempty"`
 	Seconds           float64 `json:"seconds"`
 	Lengths           int     `json:"lengths"`
 	CertifiedAnchors  int     `json:"certified_anchors"`
@@ -174,9 +169,6 @@ type benchCase struct {
 	RecomputeLengths   int `json:"recompute_lengths"`
 	HeadSeeds          int `json:"head_seeds,omitempty"`
 	HeadExtensions     int `json:"head_extensions,omitempty"`
-	LBSkippedLengths   int `json:"lb_skipped_lengths,omitempty"`
-	StrideScanned      int `json:"stride_scanned,omitempty"`
-	RefinedLengths     int `json:"refined_lengths,omitempty"`
 	// Allocation accounting across the timed run (runtime.MemStats deltas
 	// divided by the length count): with the zero-alloc steady state the
 	// per-length numbers are dominated by per-run setup, so they fall as
@@ -225,9 +217,6 @@ func fillBenchStats(bc *benchCase, res *valmod.Result, m0, m1 *runtime.MemStats)
 	bc.RecomputeLengths = res.Plan.RecomputeLengths
 	bc.HeadSeeds = res.Plan.HeadSeeds
 	bc.HeadExtensions = res.Plan.HeadExtensions
-	bc.LBSkippedLengths = res.Plan.LBSkippedLengths
-	bc.StrideScanned = res.Plan.StrideScanned
-	bc.RefinedLengths = res.Plan.RefinedLengths
 	bc.HeapInuseBytes = m1.HeapInuse
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err == nil && ru.Maxrss > 0 {
@@ -275,7 +264,7 @@ type benchReport struct {
 // full-profile plan) over the same series and length range. Timings are
 // machine-dependent; the result anchors are not (fixed seed, fixed
 // grids), so baseline diffs separate "faster/slower" from "different".
-func runBenchJSON(outPath string, n, lmin int, seed int64, workers int, large, million, withKernels, kernelsOnly, withCkpt bool, ckptN int) error {
+func runBenchJSON(outPath string, n, lmin int, seed int64, workers int, large, withKernels, kernelsOnly, withCkpt bool, ckptN int) error {
 	const rangeLen = 20
 	rep := benchReport{
 		GoVersion:     runtime.Version(),
@@ -285,15 +274,12 @@ func runBenchJSON(outPath string, n, lmin int, seed int64, workers int, large, m
 		KernelVariant: kernels.Active().String(),
 		Seed:          seed,
 	}
-	runCase := func(ds string, n, discords, caseWorkers int, tag string, mod func(*valmod.Options)) error {
+	runCase := func(ds string, n, discords, caseWorkers int, tag string) error {
 		s, err := gen.Dataset(ds, n, seed)
 		if err != nil {
 			return err
 		}
 		opts := valmod.Options{TopK: 10, Discords: discords, Workers: caseWorkers}
-		if mod != nil {
-			mod(&opts)
-		}
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
@@ -317,11 +303,7 @@ func runBenchJSON(outPath string, n, lmin int, seed int64, workers int, large, m
 			Dataset: ds, N: n,
 			LMin: lmin, LMax: lmin + rangeLen - 1,
 			TopK: opts.TopK, Discords: discords, Workers: caseWorkers,
-			LengthSkip:   opts.LengthSkip,
-			LengthStride: opts.LengthStride,
-			RefineRadius: opts.RefineRadius,
-			Carry32:      opts.Carry32,
-			Seconds:      elapsed.Seconds(),
+			Seconds: elapsed.Seconds(),
 		}
 		fillBenchStats(&bc, res, &m0, &m1)
 		rep.Cases = append(rep.Cases, bc)
@@ -341,7 +323,7 @@ func runBenchJSON(outPath string, n, lmin int, seed int64, workers int, large, m
 		}
 		for _, ds := range []string{"ecg", "astro"} {
 			for _, spec := range specs {
-				if err := runCase(ds, n, spec.discords, spec.workers, "", nil); err != nil {
+				if err := runCase(ds, n, spec.discords, spec.workers, ""); err != nil {
 					return err
 				}
 			}
@@ -350,43 +332,22 @@ func runBenchJSON(outPath string, n, lmin int, seed int64, workers int, large, m
 	if large {
 		// Large-series cases proving the kernels at 10–20× the classic n,
 		// each at workers=1 and workers=4 so the baselines also witness the
-		// fixed-grid bit-identity at scale (the anchors must match). The
-		// n100k pairs+discords cases run the strict LB length-skip plan —
-		// the same anchors as the exhaustive BENCH_PR5 baseline (strict mode
-		// certifies them), resolved without one full-profile pass per
-		// length.
-		skip := func(o *valmod.Options) { o.LengthSkip = true }
+		// fixed-grid bit-identity at scale (the anchors must match).
 		for _, lc := range []struct {
 			n, discords, workers int
 			tag                  string
-			mod                  func(*valmod.Options)
 		}{
-			{50000, 0, 1, "@n50k", nil},
-			{50000, 0, 4, "@n50k", nil},
-			{100000, 5, 1, "@n100k", skip},
-			{100000, 5, 4, "@n100k", skip},
+			{50000, 0, 1, "@n50k"},
+			{50000, 0, 4, "@n50k"},
+			{100000, 5, 1, "@n100k"},
+			{100000, 5, 4, "@n100k"},
 		} {
 			// runCase appends a @w suffix whenever the case's worker count
 			// differs from the -workers flag, keeping the w1/w4 pair of each
 			// size distinguishable under the default flag value of 1.
-			if err := runCase("ecg", lc.n, lc.discords, lc.workers, lc.tag, lc.mod); err != nil {
+			if err := runCase("ecg", lc.n, lc.discords, lc.workers, lc.tag); err != nil {
 				return err
 			}
-		}
-	}
-	if million {
-		// The headline scale case: one coarse-to-fine pass over a million
-		// points. Stride 20 over the 20-length range scans ℓmin only (a
-		// single O(s²) diagonal pass, in float32 carry with float64
-		// accumulation), resolves the other 19 lengths from the carried
-		// dot products plus survivor recomputes, and refines ±1 around the
-		// winners.
-		if err := runCase("ecg", 1_000_000, 5, 1, "/stride@n1m", func(o *valmod.Options) {
-			o.LengthStride = 20
-			o.RefineRadius = 1
-			o.Carry32 = true
-		}); err != nil {
-			return err
 		}
 	}
 	if withCkpt && !kernelsOnly {
@@ -418,9 +379,7 @@ func runBenchJSON(outPath string, n, lmin int, seed int64, workers int, large, m
 // runCheckpointCase measures what durable checkpointing costs: the ecg
 // pairs+discords workload runs bare, then again emitting engine
 // checkpoints at the service cadence (every 8 lengths), each blob written
-// and fsynced the way the service's WAL stores it. The exhaustive
-// (non-length-skip) plan is used because fast-mode plans never checkpoint.
-// The two runs must agree on the best pair — checkpointing is
+// and fsynced the way the service's WAL stores it. The two runs must agree on the best pair — checkpointing is
 // observation-only — and the timing delta becomes checkpoint_ms_per_length.
 func runCheckpointCase(rep *benchReport, n, lmin, rangeLen int, seed int64) error {
 	s, err := gen.Dataset("ecg", n, seed)

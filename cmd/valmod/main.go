@@ -35,18 +35,12 @@ func main() {
 		workers = flag.Int("workers", 0, "goroutines for the data-parallel phases (0 = all cores, 1 = serial; output is identical at any setting)")
 		recomp  = flag.Float64("recompute-fraction", 0, "fraction of anchors above which a length is recomputed wholesale (0 selects the default 0.05)")
 		disc    = flag.Int("discords", 0, "also report this many exact variable-length discords (0 disables; forces the full per-length profile pass)")
-		skip    = flag.Bool("length-skip", false, "on pairs+discords runs, prove most lengths irrelevant with the lower-bound certificate instead of scanning them (exact best pair and top discord; see Options.LengthSkip)")
-		stride  = flag.Int("length-stride", 0, "scan every stride-th length and refine around the winners (0 = exhaustive; see Options.LengthStride)")
-		radius  = flag.Int("refine-radius", 0, "lengths refined on each side of a stride winner (0 = the full stride gap)")
-		strict  = flag.Bool("strict", false, "keep per-length pairs exact under -length-stride (runs the pruned pass at unscanned lengths)")
-		carry32 = flag.Bool("carry32", false, "store the cross-length diagonal carry in float32 (float64 accumulation; trailing-digit drift)")
 		progr   = flag.Bool("progress", false, "report each completed length on stderr")
 		out     = flag.String("valmap", "", "write VALMAP JSON to this path")
 		quiet   = flag.Bool("quiet", false, "suppress plots, print only the summary")
 	)
 	flag.Parse()
-	opts := valmod.Options{TopK: *topK, P: *p, Workers: *workers, RecomputeFraction: *recomp, Discords: *disc,
-		LengthSkip: *skip, LengthStride: *stride, RefineRadius: *radius, Strict: *strict, Carry32: *carry32}
+	opts := valmod.Options{TopK: *topK, P: *p, Workers: *workers, RecomputeFraction: *recomp, Discords: *disc}
 	if err := run(*in, *dataset, *n, *seed, *lmin, *lmax, opts, *progr, *out, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "valmod:", err)
 		os.Exit(1)
@@ -143,10 +137,6 @@ func run(in, dataset string, n int, seed int64, lmin, lmax int, opts valmod.Opti
 	}
 	fmt.Printf("\n%d lengths in %s  (certified anchors %d, recomputed %d, full recomputes %d)\n",
 		len(res.PerLength), elapsed.Round(time.Millisecond), certified, recomputed, full)
-	if pl := res.Plan; pl.LBSkippedLengths > 0 || pl.StrideScanned > 0 {
-		fmt.Printf("coarse-to-fine plan: %d lengths lb-skipped, %d stride-scanned, %d refined\n",
-			pl.LBSkippedLengths, pl.StrideScanned, pl.RefinedLengths)
-	}
 
 	if out != "" {
 		f, err := os.Create(out)

@@ -70,11 +70,15 @@ func (s *Store) Len() int { return len(s.states) }
 func (s *Store) At(i int) *State { return &s.states[i] }
 
 // BeginReseed prepares anchor i for a fresh top-p selection at base length
-// l and returns its state: entries emptied (capacity p), bound fields
-// reset. The caller fills Entries and NextQ2 (the fused scan in core does
-// this inline for speed).
+// l and returns its state: entries emptied (capacity p, or the anchor count
+// when p exceeds it — a row never has more candidates than there are
+// anchors), bound fields reset. The caller fills Entries and NextQ2 (the
+// fused scan in core does this inline for speed).
 func (s *Store) BeginReseed(i, p, l int) *State {
 	a := &s.states[i]
+	if p > len(s.states) {
+		p = len(s.states)
+	}
 	if cap(a.Entries) < p {
 		a.Entries = make([]lb.Entry, 0, p)
 	}

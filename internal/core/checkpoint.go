@@ -82,9 +82,8 @@ type ckptPayload struct {
 	Anchors   *anchors.Snapshot // nil unless seeded
 
 	// Incremental-engine carry (see incState).
-	IncCur    int
-	IncHead   []float64
-	IncHead32 []float32
+	IncCur  int
+	IncHead []float64
 
 	// Built-in sink state: per-length results + ℓmin profile (pairsSink),
 	// the VALMAP (valmapSink), and discord candidates (discordSink, only
@@ -108,9 +107,8 @@ func cfgDigest(c Config) string {
 // streaming-only knob batch runs ignore.
 func cfgFields(c Config) string {
 	return fmt.Sprintf(
-		"lmin=%d lmax=%d k=%d p=%d ex=%d rf=%g disc=%d skip=%t stride=%d rr=%d strict=%t c32=%t",
-		c.LMin, c.LMax, c.TopK, c.P, c.ExclusionFactor, c.RecomputeFraction, c.Discords,
-		c.LengthSkip, c.LengthStride, c.RefineRadius, c.Strict, c.Carry32)
+		"lmin=%d lmax=%d k=%d p=%d ex=%d rf=%g disc=%d",
+		c.LMin, c.LMax, c.TopK, c.P, c.ExclusionFactor, c.RecomputeFraction, c.Discords)
 }
 
 // seriesHash is the SHA-256 of the series' float64 bits (little-endian),
@@ -252,7 +250,6 @@ func (r *run) captureCheckpoint(cs ckptSinks, nextIdx int) ([]byte, error) {
 		EntriesAt:  r.entriesAt,
 		IncCur:     r.inc.cur,
 		IncHead:    r.inc.head,
-		IncHead32:  r.inc.head32,
 		PerLength:  cs.pairs.perLength,
 		MPMin:      cs.pairs.mpMin,
 		VM:         cs.vms.vm,
@@ -284,7 +281,7 @@ func (r *run) restore(p *ckptPayload) int {
 	r.seeded = p.Seeded
 	r.latched = p.Latched
 	r.entriesAt = p.EntriesAt
-	r.inc = incState{head: p.IncHead, head32: p.IncHead32, cur: p.IncCur}
+	r.inc = incState{head: p.IncHead, cur: p.IncCur}
 	if p.Anchors != nil {
 		r.store.Restore(p.Anchors, r.eng.getRow)
 	}

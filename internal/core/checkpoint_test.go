@@ -86,7 +86,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}{
 		{"pruned", Config{LMin: 12, LMax: 44, TopK: 4, P: 6, Workers: 1, pinPruned: true}},
 		{"discords", Config{LMin: 12, LMax: 36, TopK: 3, P: 6, Discords: 3, Workers: 1}},
-		{"carry32", Config{LMin: 12, LMax: 30, TopK: 3, Discords: 2, Carry32: true, Workers: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
@@ -150,9 +149,6 @@ func TestCheckpointRejectsTampering(t *testing.T) {
 	otherCfg := cfg
 	otherCfg.TopK = 5
 	expectBad("different config", ck, x, otherCfg)
-
-	fastCfg := Config{LMin: 10, LMax: 20, Discords: 2, LengthSkip: true, Workers: 1}
-	expectBad("fast-mode resume", ck, x, fastCfg)
 }
 
 // TestCheckpointEveryCadence: CheckpointEvery k emits only at every k-th
@@ -185,23 +181,6 @@ func TestCheckpointCallbackErrorNonFatal(t *testing.T) {
 	}
 	if len(res.PerLength) != 15 {
 		t.Fatalf("run incomplete: %d lengths", len(res.PerLength))
-	}
-}
-
-// TestCheckpointFastModeSilent: the coarse-to-fine plans never emit
-// checkpoints (their refine phase makes length boundaries inconsistent
-// cuts); callers fall back to scratch re-runs.
-func TestCheckpointFastModeSilent(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	x := randWalk(rng, 500)
-	calls := 0
-	cfg := Config{LMin: 10, LMax: 30, Discords: 2, LengthSkip: true, Workers: 1,
-		OnCheckpoint: func([]byte) error { calls++; return nil }}
-	if _, err := Run(x, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatalf("fast mode emitted %d checkpoints", calls)
 	}
 }
 

@@ -95,60 +95,6 @@ type Config struct {
 	// points, independent of how the stream was chunked. Must be at least
 	// LMax (every length needs one window). Batch runs ignore it.
 	WindowCap int
-	// LengthSkip enables LB length skipping on pairs+discords runs
-	// (Discords > 0): only ℓmin pays a whole-profile pass; every later
-	// length runs the cheap pruned pairs pass, and its discord candidates
-	// come from the lower-bound certificate instead of an O(s²) profile —
-	// each anchor's best retained-entry distance is a true pair distance,
-	// hence an upper bound on its NN distance, so anchors whose bound
-	// normalizes below the running k-th best discord (with 1−1e−9 slack)
-	// provably cannot carry the top discord and are skipped; the few
-	// survivors get one exact MASS row each. Per-length pairs stay exact,
-	// the top-1 discord is exact, and deeper discord candidates keep exact
-	// distances but may differ in selection depth from the exhaustive
-	// plan. Ignored when Discords == 0 (the default plan is already
-	// all-pruned).
-	LengthSkip bool
-	// LengthStride, when > 1, switches pairs+discords runs to the
-	// coarse-to-fine plan: whole-profile passes run only at every
-	// LengthStride-th length starting from ℓmin (the scan grid), and after
-	// the scan a refine phase re-resolves the unscanned lengths within
-	// RefineRadius of the winners (the global best pair's length and the
-	// top discord's length) with full passes. Between scanned lengths the
-	// engine carries each anchor's scan-time NN dot product forward (one
-	// FMA per anchor per length), which yields exact distances of real
-	// pairs — approximate per-length top-k — plus the same lower-bound
-	// discord certificate LengthSkip uses, so the top discord stays exact
-	// while per-length pairs at strided-over lengths are best-effort
-	// unless Strict is set. 0 or 1 means every length is scanned
-	// (exhaustive). Ignored when Discords == 0.
-	LengthStride int
-	// RefineRadius bounds the refine window: unscanned lengths within
-	// this distance of a winner length are re-resolved exhaustively.
-	// 0 selects the full gap (LengthStride − 1), which makes Strict
-	// stride/refine cover every length adjacent to a winner; large-n runs
-	// can shrink it to bound the number of O(s²) refine passes.
-	RefineRadius int
-	// Strict upgrades strided-over lengths from the carried-NN
-	// approximation to the LengthSkip treatment: the run seeds the pruned
-	// machinery at ℓmin with a full row scan, every strided-over length
-	// runs the exact pruned pairs pass, and discord candidates keep the
-	// lower-bound certificate — so stride/refine reports exact per-length
-	// pairs at every length and the exact top discord. No effect unless
-	// LengthStride > 1 (LengthSkip already implies the strict treatment).
-	Strict bool
-	// Carry32 stores the incremental engine's cross-length diagonal carry
-	// — the head row and the series copy feeding the in-length recurrence
-	// — in float32 with float64 accumulation (kernels.DiagScan32 /
-	// ExtendRow32), halving the bandwidth of the arrays the diagonal pass
-	// streams at large n. Whole-profile correlations then differ from the
-	// float64 plan in the last bits (pair/discord identities are expected
-	// to agree; tolerance-tested, not bit-identical). The pruned pass and
-	// the seed row scan always stay float64: their rows feed the q̃² ranks
-	// that drive lower-bound certification. The lengths of a pairs-only
-	// run that the cost model switches to the incremental pass use the
-	// float32 carry too.
-	Carry32 bool
 	// Workers bounds the goroutines used by the data-parallel phases: the
 	// ℓmin seed, full-recompute fallbacks, and the per-length
 	// advance→certify pass over anchor shards. 0 selects GOMAXPROCS;
@@ -167,10 +113,8 @@ type Config struct {
 	// it out before returning). Resume through Engine.ResumeRun is
 	// byte-identical to the uninterrupted run at every worker count. An
 	// error return disables further checkpoints for the run without
-	// failing it. Ignored by the fast coarse-to-fine plans
-	// (LengthSkip/LengthStride) and rejected when custom RunSinks
-	// consumers are registered — only Engine.Run's built-in sink pipeline
-	// is serializable.
+	// failing it. Rejected when custom RunSinks consumers are registered —
+	// only Engine.Run's built-in sink pipeline is serializable.
 	OnCheckpoint func(ckpt []byte) error
 	// CheckpointEvery emits a checkpoint every k-th completed length
 	// (default 1 — every length boundary). Larger values amortize the

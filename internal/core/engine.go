@@ -77,7 +77,6 @@ type run struct {
 	eng     *Engine
 	ctx     context.Context
 	t       []float64
-	t32     []float32 // lazy float32 series copy (Config.Carry32), see series32
 	st      *series.Stats
 	cfg     Config
 	sMin    int
@@ -287,16 +286,6 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 		e.putRow(r.rowQT)
 		r.store.DrainHotRows(e.putRow)
 	}()
-
-	if fm := newFastMode(r, sinks); fm != nil {
-		// The coarse-to-fine plans never emit checkpoints (their refine
-		// phase revisits earlier lengths, so a length boundary is not a
-		// consistent cut); a scratch re-run is the exact resume fallback.
-		if resume != nil {
-			return PlanStats{}, fmt.Errorf("%w: fast-mode plans (LengthSkip/LengthStride) do not support resume", ErrBadCheckpoint)
-		}
-		return fm.run()
-	}
 
 	plans := planLengths(cfg, sinks)
 	lastPruned := -1

@@ -54,15 +54,10 @@ const diagBlockShards = 2048
 // incState is the cross-length state of the incremental engine: the
 // diagonal head row QT(0, k) at length cur. Seeded with one FFT at the
 // first FullProfile length of the run, then FMA-extended; cur == 0 means
-// unseeded. Under Config.Carry32 the head lives in head32 instead
-// (float32 storage, float64 accumulation); a state uses one
-// representation for its whole life. The refine phase of the
-// coarse-to-fine plan (modes.go) runs fresh local states, so the pass is
-// not tied to the run's primary carried state r.inc.
+// unseeded.
 type incState struct {
-	head   []float64
-	head32 []float32
-	cur    int
+	head []float64
+	cur  int
 }
 
 // diagBlock is a contiguous range of diagonals [k0, k1).
@@ -95,11 +90,12 @@ func diagBlocks(s, excl int) []diagBlock {
 	return out
 }
 
-// headAt returns st's diagonal head row advanced to length l: one FFT on
-// first use (the correlator amortizes the series-side transform), then
+// headAt returns the run's diagonal head row advanced to length l: one FFT
+// on first use (the correlator amortizes the series-side transform), then
 // stomp.ExtendDiagonalHead's one-FMA-per-cell recurrence per length step.
-// A given state only ever moves forward (l never regresses within one).
-func (r *run) headAt(st *incState, l int) ([]float64, error) {
+// The state only ever moves forward (l never regresses within a run).
+func (r *run) headAt(l int) ([]float64, error) {
+	st := &r.inc
 	if st.cur == 0 {
 		n := len(r.t)
 		st.head = r.corr.Dots(r.t[0:l], make([]float64, n-l+1))
@@ -115,44 +111,6 @@ func (r *run) headAt(st *incState, l int) ([]float64, error) {
 	st.head = head
 	st.cur = l
 	return head, nil
-}
-
-// head32At is headAt for the float32-stored carry (Config.Carry32): the
-// FFT seed is computed in float64 and rounded once into the float32 head;
-// extensions accumulate in float64 from widened loads and round once per
-// cell per call (stomp.ExtendDiagonalHead32 / kernels.ExtendRow32).
-func (r *run) head32At(st *incState, l int) ([]float32, error) {
-	if st.cur == 0 {
-		n := len(r.t)
-		head := r.corr.Dots(r.t[0:l], make([]float64, n-l+1))
-		st.head32 = make([]float32, len(head))
-		for i, v := range head {
-			st.head32[i] = float32(v)
-		}
-		st.cur = l
-		r.planStats.HeadSeeds++
-		return st.head32, nil
-	}
-	head, err := stomp.ExtendDiagonalHead32(st.head32, r.series32(), st.cur, l)
-	if err != nil {
-		return nil, err
-	}
-	r.planStats.HeadExtensions += l - st.cur
-	st.head32 = head
-	st.cur = l
-	return head, nil
-}
-
-// series32 returns the float32 copy of the series the Carry32 diagonal
-// pass streams, built once per run on first use.
-func (r *run) series32() []float32 {
-	if r.t32 == nil {
-		r.t32 = make([]float32, len(r.t))
-		for i, v := range r.t {
-			r.t32[i] = float32(v)
-		}
-	}
-	return r.t32
 }
 
 // ensureDiagScratch sizes the per-worker (corr, index) accumulators of the
@@ -172,20 +130,13 @@ func (r *run) ensureDiagScratch(workers int) {
 }
 
 // processLengthIncremental resolves length l with the incremental
-// cross-length pass over the run's primary carried state.
-func (r *run) processLengthIncremental(l int) (LengthResult, *profile.MatrixProfile, error) {
-	return r.processLengthIncrementalAt(&r.inc, l)
-}
-
-// processLengthIncrementalAt resolves length l with the incremental
-// cross-length pass over st: extend the carried head row to l, then one
+// cross-length pass: extend the run's carried head row to l, then one
 // fused diagonal scan — in-length recurrence, division-free correlation,
 // both endpoints of each pair updated — over the fixed diagonal-block
 // grid. Output contract matches processLengthFull: the exact top-k pairs
 // and the exact matrix profile (nil when the length admits no non-trivial
-// pair). Under Config.Carry32 the head and the series stream as float32
-// with float64 accumulation (kernels.DiagScan32).
-func (r *run) processLengthIncrementalAt(st *incState, l int) (LengthResult, *profile.MatrixProfile, error) {
+// pair).
+func (r *run) processLengthIncremental(l int) (LengthResult, *profile.MatrixProfile, error) {
 	s := len(r.t) - l + 1
 	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)
 	lr := LengthResult{M: l}
@@ -195,27 +146,9 @@ func (r *run) processLengthIncrementalAt(st *incState, l int) (LengthResult, *pr
 		return lr, nil, nil
 	}
 	r.momentsAt(l)
-	var (
-		head   []float64
-		head32 []float32
-		t32    []float32
-		err    error
-	)
-	if r.cfg.Carry32 {
-		t32 = r.series32()
-		head32, err = r.head32At(st, l)
-	} else {
-		head, err = r.headAt(st, l)
-	}
+	head, err := r.headAt(l)
 	if err != nil {
 		return lr, nil, err
-	}
-	scan := func(k0, k1 int, corr []float64, idx []int32) {
-		if r.cfg.Carry32 {
-			kernels.DiagScan32(t32, head32, r.means, r.invStds, k0, k1, l, s, corr, idx)
-		} else {
-			kernels.DiagScan(r.t, head, r.means, r.invStds, k0, k1, l, s, corr, idx)
-		}
 	}
 
 	blocks := diagBlocks(s, excl)
@@ -241,7 +174,7 @@ func (r *run) processLengthIncrementalAt(st *incState, l int) (LengthResult, *pr
 			if err := r.ctx.Err(); err != nil {
 				return lr, nil, err
 			}
-			scan(b.k0, b.k1, corr, idx)
+			kernels.DiagScan(r.t, head, r.means, r.invStds, b.k0, b.k1, l, s, corr, idx)
 		}
 	} else {
 		var next atomic.Int64
@@ -259,7 +192,7 @@ func (r *run) processLengthIncrementalAt(st *incState, l int) (LengthResult, *pr
 					if b >= len(blocks) {
 						return
 					}
-					scan(blocks[b].k0, blocks[b].k1, corr, idx)
+					kernels.DiagScan(r.t, head, r.means, r.invStds, blocks[b].k0, blocks[b].k1, l, s, corr, idx)
 				}
 			}(w)
 		}

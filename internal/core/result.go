@@ -47,18 +47,6 @@ type PlanStats struct {
 	// HeadExtensions counts one-FMA-per-cell head-row advances (one per
 	// length step the carried state crossed).
 	HeadExtensions int `json:"head_extensions"`
-	// LBSkippedLengths counts lengths resolved without any whole-profile
-	// pass under LengthSkip/LengthStride: pairs from the pruned pass (or
-	// the carried-NN approximation), discords from the lower-bound
-	// certificate. Lengths a refine pass later upgraded to a full
-	// resolution are not counted.
-	LBSkippedLengths int `json:"lb_skipped_lengths"`
-	// StrideScanned counts the scan-grid lengths of a stride/refine run
-	// (the lengths that paid a whole-profile pass in the scan phase).
-	StrideScanned int `json:"stride_scanned"`
-	// RefinedLengths counts lengths re-resolved exhaustively by the
-	// refine phase around the scan winners.
-	RefinedLengths int `json:"refined_lengths"`
 }
 
 // LengthResult carries the exact output of one subsequence length.

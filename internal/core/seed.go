@@ -251,28 +251,3 @@ func (r *run) scanRowDegenerate(i, l, excl, s int, row []float64, mp *profile.Ma
 		mp.Update(i, d, j)
 	}
 }
-
-// scanRowProfileOnly is scanRow minus the partial-profile bookkeeping:
-// just the exact nearest neighbor of anchor i from its dot-product row,
-// through the same kernels.ArgmaxCorr — shared arithmetic, bit-identical
-// profiles.
-func (r *run) scanRowProfileOnly(i, l, excl, s int, row []float64, mp *profile.MatrixProfile) {
-	means, invs := r.means, r.invStds
-	fl := float64(l)
-	muA := means[i]
-	invA := invs[i]
-	if invA == 0 {
-		r.scanRowDegenerate(i, l, excl, s, row, mp)
-		return
-	}
-	e1, j2 := exclSplit(i, excl, s)
-	bestCorr, bestJ := kernels.ArgmaxCorr(row, means, invs, e1, j2, s, 1/fl, muA, invA, math.Inf(-1), -1)
-	if bestJ >= 0 {
-		if bestCorr > 1 {
-			bestCorr = 1
-		} else if bestCorr < -1 {
-			bestCorr = -1
-		}
-		mp.Update(i, math.Sqrt(2*fl*(1-bestCorr)), bestJ)
-	}
-}

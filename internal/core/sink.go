@@ -248,14 +248,6 @@ func (s *discordSink) Consume(ld LengthData) {
 	}
 }
 
-// addCandidates feeds stage-one candidates that were extracted without a
-// materialized profile — the fast coarse-to-fine plan (modes.go) resolves
-// most lengths through the lower-bound certificate and hands the exact
-// survivors here directly, bypassing the Profile-based Consume.
-func (s *discordSink) addCandidates(cands []Discord) {
-	s.cands = append(s.cands, cands...)
-}
-
 // Discords returns the final cross-length ranking: candidates sorted by
 // length-normalized distance descending (ties: shorter length, then
 // smaller offset — a total order, so the selection is deterministic),

@@ -58,12 +58,6 @@ func corrBuf(dst, cb, mb, vb *float64, invFl, muJ, invJ float64, n int)
 //go:noescape
 func diagSteps4(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64, invFl float64, i0, n int) int
 
-// diagSteps32x is diagSteps4 with w, u, ta, tb stored in float32 and
-// widened at load; the chains and compares run in float64.
-//
-//go:noescape
-func diagSteps32x(qt *float64, w, u, ta, tb *float32, mi, vi, mj, vj, ci, cj *float64, invFl float64, i0, n int) int
-
 func rowNextAVX2(row, t []float64, i, l, s int) {
 	if s < 2 {
 		return
@@ -303,118 +297,4 @@ func diagQuadAVX2(t, head, means, invs []float64, k, l, s int, invFl float64, co
 	diagOneTail(t, means, invs, qt[1], k+1, l, s, invFl, corr, idx, m)
 	diagOneTail(t, means, invs, qt[2], k+2, l, s, invFl, corr, idx, m)
 	diagOneTail(t, means, invs, qt[3], k+3, l, s, invFl, corr, idx, m)
-}
-
-func diagScan32AVX2(t, head []float32, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	invFl := 1 / float64(l)
-	k := k0
-	for ; k+4 <= k1; k += 4 {
-		diagQuad32AVX2(t, head, means, invs, k, l, s, invFl, corr, idx)
-	}
-	for ; k < k1; k++ {
-		diagOneTail32(t, means, invs, headCorr32(head, means, invs, k, invFl, corr, idx), k, l, s, invFl, corr, idx, 0)
-	}
-}
-
-// diagQuad32AVX2 mirrors diagQuad32 with the common range driven through
-// the widening-load stop protocol.
-func diagQuad32AVX2(t, head []float32, means, invs []float64, k, l, s int, invFl float64, corr []float64, idx []int32) {
-	var qt [4]float64
-	qt[0], qt[1], qt[2], qt[3] = float64(head[k]), float64(head[k+1]), float64(head[k+2]), float64(head[k+3])
-	c0 := (qt[0]*invFl - means[0]*means[k]) * invs[0] * invs[k]
-	c1 := (qt[1]*invFl - means[0]*means[k+1]) * invs[0] * invs[k+1]
-	c2 := (qt[2]*invFl - means[0]*means[k+2]) * invs[0] * invs[k+2]
-	c3 := (qt[3]*invFl - means[0]*means[k+3]) * invs[0] * invs[k+3]
-	bc, bj := c0, int32(k)
-	if c1 > bc {
-		bc, bj = c1, int32(k+1)
-	}
-	if c2 > bc {
-		bc, bj = c2, int32(k+2)
-	}
-	if c3 > bc {
-		bc, bj = c3, int32(k+3)
-	}
-	update(corr, idx, 0, bc, bj)
-	update(corr, idx, k, c0, 0)
-	update(corr, idx, k+1, c1, 0)
-	update(corr, idx, k+2, c2, 0)
-	update(corr, idx, k+3, c3, 0)
-
-	m := s - k - 4
-	if m >= 1 {
-		w := t[k+l-1:]
-		u := t[k-1:]
-		ta := t[l-1:]
-		mj := means[k:]
-		vj := invs[k:]
-		cj := corr[k:]
-		n := m + 1
-		i := 1
-		for i < n {
-			hit := diagSteps32x(&qt[0], &w[0], &u[0], &ta[0], &t[0],
-				&means[0], &invs[0], &mj[0], &vj[0], &corr[0], &cj[0],
-				invFl, i, n)
-			if hit >= n {
-				break
-			}
-			i = hit
-			m0, v0 := means[i], invs[i]
-			c0 := (qt[0]*invFl - m0*mj[i]) * v0 * vj[i]
-			c1 := (qt[1]*invFl - m0*mj[i+1]) * v0 * vj[i+1]
-			c2 := (qt[2]*invFl - m0*mj[i+2]) * v0 * vj[i+2]
-			c3 := (qt[3]*invFl - m0*mj[i+3]) * v0 * vj[i+3]
-			j := int32(i + k)
-			if c0 >= corr[i] {
-				if c0 > corr[i] || j < idx[i] {
-					corr[i], idx[i] = c0, j
-				}
-			}
-			if c1 >= corr[i] {
-				if c1 > corr[i] || j+1 < idx[i] {
-					corr[i], idx[i] = c1, j+1
-				}
-			}
-			if c2 >= corr[i] {
-				if c2 > corr[i] || j+2 < idx[i] {
-					corr[i], idx[i] = c2, j+2
-				}
-			}
-			if c3 >= corr[i] {
-				if c3 > corr[i] || j+3 < idx[i] {
-					corr[i], idx[i] = c3, j+3
-				}
-			}
-			a := int32(i)
-			if c0 >= corr[k+i] {
-				if c0 > corr[k+i] || a < idx[k+i] {
-					corr[k+i], idx[k+i] = c0, a
-				}
-			}
-			if c1 >= corr[k+i+1] {
-				if c1 > corr[k+i+1] || a < idx[k+i+1] {
-					corr[k+i+1], idx[k+i+1] = c1, a
-				}
-			}
-			if c2 >= corr[k+i+2] {
-				if c2 > corr[k+i+2] || a < idx[k+i+2] {
-					corr[k+i+2], idx[k+i+2] = c2, a
-				}
-			}
-			if c3 >= corr[k+i+3] {
-				if c3 > corr[k+i+3] || a < idx[k+i+3] {
-					corr[k+i+3], idx[k+i+3] = c3, a
-				}
-			}
-			i++
-		}
-	}
-
-	if m < 0 {
-		m = 0
-	}
-	diagOneTail32(t, means, invs, qt[0], k, l, s, invFl, corr, idx, m)
-	diagOneTail32(t, means, invs, qt[1], k+1, l, s, invFl, corr, idx, m)
-	diagOneTail32(t, means, invs, qt[2], k+2, l, s, invFl, corr, idx, m)
-	diagOneTail32(t, means, invs, qt[3], k+3, l, s, invFl, corr, idx, m)
 }

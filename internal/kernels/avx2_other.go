@@ -24,7 +24,3 @@ func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64,
 func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
 	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
-
-func diagScan32AVX2(t, head []float32, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	diagScan32Generic(t, head, means, invs, k0, k1, l, s, corr, idx)
-}

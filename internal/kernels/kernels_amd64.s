@@ -230,67 +230,3 @@ dsdone:
 	MOVQ AX, ret+112(FP)
 	VZEROUPPER
 	RET
-
-// func diagSteps32x(qt *float64, w, u, ta, tb *float32,
-//                   mi, vi, mj, vj, ci, cj *float64,
-//                   invFl float64, i0, n int) int
-// diagSteps4 with the series-derived streams stored in float32 and
-// widened at load; chains and compares run in float64.
-TEXT ·diagSteps32x(SB), NOSPLIT, $0-120
-	MOVQ w+8(FP), R8
-	MOVQ u+16(FP), R9
-	MOVQ ta+24(FP), R10
-	MOVQ tb+32(FP), R11
-	MOVQ mi+40(FP), R12
-	MOVQ vi+48(FP), R13
-	MOVQ mj+56(FP), R14
-	MOVQ vj+64(FP), DI
-	MOVQ ci+72(FP), SI
-	MOVQ cj+80(FP), BX
-	VBROADCASTSD invFl+88(FP), Y1
-	MOVQ i0+96(FP), AX
-	MOVQ n+104(FP), DX
-	MOVQ qt+0(FP), CX
-	VMOVUPD (CX), Y0
-	CMPQ AX, DX
-	JGE  d32done
-
-d32loop:
-	VBROADCASTSS (R10)(AX*4), X2 // ta[i] ×4 (float32)
-	VCVTPS2PD X2, Y2             // widen → ha lanes
-	LEAQ -1(AX), CX
-	VBROADCASTSS (R11)(CX*4), X3 // tb[i-1] ×4
-	VCVTPS2PD X3, Y3
-	VCVTPS2PD (R8)(AX*4), Y4     // w[i : i+4] widened
-	VCVTPS2PD (R9)(AX*4), Y5     // u[i : i+4] widened
-	VMULPD  Y4, Y2, Y4
-	VMULPD  Y5, Y3, Y5
-	VSUBPD  Y5, Y4, Y4
-	VADDPD  Y4, Y0, Y0
-	VMULPD  Y1, Y0, Y6
-	VBROADCASTSD (R12)(AX*8), Y7
-	VMOVUPD (R14)(AX*8), Y8
-	VMULPD  Y8, Y7, Y7
-	VSUBPD  Y7, Y6, Y6
-	VBROADCASTSD (R13)(AX*8), Y9
-	VMULPD  Y9, Y6, Y6
-	VMOVUPD (DI)(AX*8), Y10
-	VMULPD  Y10, Y6, Y6
-	VBROADCASTSD (SI)(AX*8), Y11
-	VCMPPD  $0x0d, Y11, Y6, Y12
-	VMOVUPD (BX)(AX*8), Y13
-	VCMPPD  $0x0d, Y13, Y6, Y14
-	VORPD   Y14, Y12, Y12
-	VMOVMSKPD Y12, CX
-	TESTL CX, CX
-	JNE  d32done
-	INCQ AX
-	CMPQ AX, DX
-	JLT  d32loop
-
-d32done:
-	MOVQ qt+0(FP), CX
-	VMOVUPD Y0, (CX)
-	MOVQ AX, ret+112(FP)
-	VZEROUPPER
-	RET

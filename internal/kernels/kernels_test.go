@@ -299,26 +299,6 @@ func BenchmarkDiagScan(b *testing.B) {
 	})
 }
 
-func BenchmarkDiagScan32(b *testing.B) {
-	forEachVariantB(b, func(b *testing.B) {
-		ts, head, means, invs, s := benchSetup(4096, 64)
-		t32, h32 := toF32(ts), toF32(head)
-		excl := 16
-		corr := make([]float64, s)
-		idx := make([]int32, s)
-		b.ReportAllocs()
-		b.SetBytes(int64(8 * (s - excl) * (s - excl) / 2))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < s; j++ {
-				corr[j] = math.Inf(-1)
-				idx[j] = -1
-			}
-			DiagScan32(t32, h32, means, invs, excl, s, 64, s, corr, idx)
-		}
-	})
-}
-
 func BenchmarkColScan(b *testing.B) {
 	forEachVariantB(b, func(b *testing.B) {
 		ts, _, means, invs, s := benchSetup(8192, 64)

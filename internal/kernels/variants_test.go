@@ -103,10 +103,9 @@ func fuzzSeries(n int, seed int64, segA, segB uint8) []float64 {
 
 // FuzzKernelParity drives every dispatch tier of every kernel against its
 // Ref* baseline on fuzz-chosen series sizes, lengths, anchors and
-// degenerate-segment placements, asserting bit-identity (float64 paths)
-// and exact float32 store parity (carry paths). Random sizes exercise the
-// unroll and vector-width remainders; random anchors exercise
-// edge-clipped exclusion zones.
+// degenerate-segment placements, asserting bit-identity. Random sizes
+// exercise the unroll and vector-width remainders; random anchors
+// exercise edge-clipped exclusion zones.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(1), uint16(64), uint8(4), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint16(257), uint8(31), uint8(3), uint8(7), uint8(1))
@@ -132,7 +131,7 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		anchor := int(seed&0x7fffffff) % s
 
-		switch kernel % 7 {
+		switch kernel % 5 {
 		case 0: // RowNext
 			row0 := make([]float64, s)
 			for j := range row0 {
@@ -262,71 +261,6 @@ func FuzzKernelParity(f *testing.F) {
 				for i := range gi {
 					if gi[i] != wi[i] {
 						t.Fatalf("%v: ColScan(n=%d l=%d j=%d) idx[%d]=%d != %d", v, n, l, j, i, gi[i], wi[i])
-					}
-				}
-			})
-		case 5: // ExtendRow32
-			t32 := toF32(ts)
-			cur := l
-			newL := l + 1 + int(segA)%12
-			if newL > n {
-				newL = n
-			}
-			i := anchor % (n - newL + 1)
-			row0 := make([]float32, n-cur+1)
-			for j := range row0 {
-				sum := 0.0
-				for p := 0; p < cur; p++ {
-					sum += float64(t32[i+p]) * float64(t32[j+p])
-				}
-				row0[j] = float32(sum)
-			}
-			want := append([]float32(nil), row0...)
-			RefExtendRow32(want, t32, i, cur, newL)
-			allVariants(t, func(v Variant) {
-				got := append([]float32(nil), row0...)
-				ExtendRow32(got, t32, i, cur, newL)
-				if !bits32Equal(got, want) {
-					t.Fatalf("%v: ExtendRow32(n=%d i=%d cur=%d l=%d) diverges from reference", v, n, i, cur, newL)
-				}
-			})
-		default: // DiagScan32
-			if excl >= s {
-				return
-			}
-			t32 := toF32(ts)
-			head := make([]float32, s)
-			for k := range head {
-				sum := 0.0
-				for p := 0; p < l; p++ {
-					sum += float64(t32[p]) * float64(t32[k+p])
-				}
-				head[k] = float32(sum)
-			}
-			k0 := excl + anchor%(s-excl)
-			k1 := k0 + 1 + int(segB)%16
-			if k1 > s {
-				k1 = s
-			}
-			wc := make([]float64, s)
-			wi := make([]int32, s)
-			for i := 0; i < s; i++ {
-				wc[i], wi[i] = math.Inf(-1), -1
-			}
-			RefDiagScan32(t32, head, means, invs, k0, k1, l, s, wc, wi)
-			allVariants(t, func(v Variant) {
-				gc := make([]float64, s)
-				gi := make([]int32, s)
-				for i := 0; i < s; i++ {
-					gc[i], gi[i] = math.Inf(-1), -1
-				}
-				DiagScan32(t32, head, means, invs, k0, k1, l, s, gc, gi)
-				if !bitsEqual(gc, wc) {
-					t.Fatalf("%v: DiagScan32(n=%d l=%d k=[%d,%d)) corr diverges", v, n, l, k0, k1)
-				}
-				for i := range gi {
-					if gi[i] != wi[i] {
-						t.Fatalf("%v: DiagScan32(n=%d l=%d k=[%d,%d)) idx[%d]=%d != %d", v, n, l, k0, k1, i, gi[i], wi[i])
 					}
 				}
 			})

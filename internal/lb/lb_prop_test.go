@@ -11,8 +11,8 @@ import (
 	"github.com/seriesmining/valmod/internal/series"
 )
 
-// propSeries returns the two datasets the coarse-to-fine plan leans on the
-// bound for: the ECG generator (structured, high correlations) and a
+// propSeries returns the two datasets the pruned pass leans on the bound
+// for: the ECG generator (structured, high correlations) and a
 // generated random walk with a planted constant segment (σ = 0 windows).
 func propSeries(n int, seed int64) map[string][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -26,7 +26,7 @@ func propSeries(n int, seed int64) map[string][]float64 {
 	}
 }
 
-// TestRankPreservationLargeK: the property the length-skipping plan's
+// TestRankPreservationLargeK: the property the pruned pass's
 // retained-entry machinery relies on across long planner gaps — ordering
 // candidates by q̃² descending equals ordering by LB ascending — must hold
 // at extensions far beyond the base length (k up to ~10ℓ), on ECG and on

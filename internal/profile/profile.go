@@ -146,8 +146,20 @@ func (mp *MatrixProfile) TopKPairsInto(k int, sc *TopKScratch) []MotifPair {
 	// a growing candidate pool until either k pairs are extracted or the
 	// pool provably covers every candidate — the output is identical to the
 	// full sort.
+	//
+	// Every slot holds at most one candidate and every pair consumes one,
+	// so k and the pool are bounded by the slot count before any
+	// arithmetic: a huge k neither sizes the pool nor overflows 4k, and
+	// the output equals the k = len(mp.Dist) call.
+	n := len(mp.Dist)
+	if k > n {
+		k = n
+	}
 	limit := 4*k + 16
 	for {
+		if limit > n {
+			limit = n
+		}
 		pairs, exhausted := mp.topKPairsLimited(k, limit, sc)
 		if len(pairs) >= k || exhausted {
 			return pairs
@@ -288,7 +300,7 @@ func (mp *MatrixProfile) TopKDiscords(k int) []Discord {
 		return cands[a].i < cands[b].i
 	})
 	var out []Discord
-	used := make([]int, 0, k)
+	used := make([]int, 0, min(k, len(cands))) // at most one discord per candidate
 	for _, c := range cands {
 		if len(out) >= k {
 			break

@@ -3,6 +3,8 @@ package profile
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -238,5 +240,41 @@ func TestTopKPairsAdversarialDedup(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Fatalf("adversarial profile yielded %d pairs, want 3", len(got))
+	}
+}
+
+// TestTopKHugeKBounded: a k far beyond the slot count returns exactly what
+// k = len(mp.Dist) returns, and the working memory stays bounded by the
+// profile size instead of by k (a pool sized by k = 2⁴⁰ needs 16 TiB).
+func TestTopKHugeKBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n, m := 500, 16
+	mp := New(m, ExclusionZone(m, 4), n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < 0.1 {
+			continue
+		}
+		mp.Dist[i] = rng.Float64() * 10
+		mp.Index[i] = (i + n/2) % n
+	}
+	const huge = 1 << 40
+	if got, want := mp.TopKPairs(huge), mp.TopKPairs(n); !slices.Equal(got, want) {
+		t.Fatalf("TopKPairs(2^40) = %d pairs, want the %d of k=n", len(got), len(want))
+	}
+	if got, want := mp.TopKDiscords(huge), mp.TopKDiscords(n); !slices.Equal(got, want) {
+		t.Fatalf("TopKDiscords(2^40) = %d discords, want the %d of k=n", len(got), len(want))
+	}
+	const limit = 1 << 20 // bytes; the n-slot working set is ~30 KiB
+	for name, f := range map[string]func(){
+		"TopKPairs":    func() { mp.TopKPairs(huge) },
+		"TopKDiscords": func() { mp.TopKDiscords(huge) },
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		if b := m1.TotalAlloc - m0.TotalAlloc; b > limit {
+			t.Errorf("%s(2^40) allocated %d bytes, want at most %d", name, b, limit)
+		}
 	}
 }

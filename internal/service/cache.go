@@ -44,11 +44,8 @@ func hashSeries(values []float64) [sha256.Size]byte {
 // and RecomputeFraction change the per-length resolution and plan stats
 // the result reports; Discords changes the query kind (it adds the
 // discord payload and switches the engine to the full-profile plan, which
-// also changes the stats); LengthSkip, LengthStride, RefineRadius, Strict
-// and Carry32 select the coarse-to-fine plan, which changes the plan stats
-// always and the result payload in the non-strict modes. Workers is
-// excluded — the fixed-grid contract makes output bit-identical at every
-// worker count.
+// also changes the stats). Workers is excluded — the fixed-grid contract
+// makes output bit-identical at every worker count.
 func resultKey(seriesHash [sha256.Size]byte, lmin, lmax int, o valmod.Options) cacheKey {
 	o = normalizeOptions(o)
 	h := sha256.New()
@@ -59,22 +56,10 @@ func resultKey(seriesHash [sha256.Size]byte, lmin, lmax int, o valmod.Options) c
 		uint64(o.TopK), uint64(o.P), uint64(o.ExclusionFactor),
 		math.Float64bits(o.RecomputeFraction),
 		uint64(o.Discords),
-		uint64(o.LengthStride), uint64(o.RefineRadius),
 	} {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	flags := []byte{0, 0, 0}
-	if o.LengthSkip {
-		flags[0] = 1
-	}
-	if o.Strict {
-		flags[1] = 1
-	}
-	if o.Carry32 {
-		flags[2] = 1
-	}
-	h.Write(flags)
 	var out cacheKey
 	h.Sum(out[:0])
 	return out

@@ -29,11 +29,6 @@ func TestResultKeySensitivity(t *testing.T) {
 		"P":      resultKey(h, 8, 16, valmod.Options{P: 20}),
 		"Excl":   resultKey(h, 8, 16, valmod.Options{ExclusionFactor: 2}),
 		"RF":     resultKey(h, 8, 16, valmod.Options{RecomputeFraction: 0.5}),
-		"Skip":   resultKey(h, 8, 16, valmod.Options{LengthSkip: true}),
-		"Stride": resultKey(h, 8, 16, valmod.Options{LengthStride: 4}),
-		"Radius": resultKey(h, 8, 16, valmod.Options{RefineRadius: 2}),
-		"Strict": resultKey(h, 8, 16, valmod.Options{Strict: true}),
-		"C32":    resultKey(h, 8, 16, valmod.Options{Carry32: true}),
 	}
 	for name, k := range diff {
 		if k == base {

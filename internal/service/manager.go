@@ -97,6 +97,9 @@ var ErrQueueFull = errors.New("service: job queue full, retry later")
 // changes the query kind from pairs-only to pairs+discords: the result
 // additionally carries the exact variable-length discords, and the
 // submission is cached and coalesced separately from pairs-only queries.
+// Fields of retired plan knobs (disable_incremental, length_skip,
+// length_stride, refine_radius, strict, carry32) still decode — the
+// decoder ignores unknown fields — and the default plan runs.
 type JobRequest struct {
 	// Kind selects the job shape: "" or "discover" is a batch discovery;
 	// KindStream ("stream") opens a live stream job fed through POST
@@ -115,15 +118,6 @@ type JobRequest struct {
 	RecomputeFraction float64 `json:"recompute_fraction,omitempty"`
 	Discords          int     `json:"discords,omitempty"`
 	Workers           int     `json:"workers,omitempty"`
-	// LengthSkip, LengthStride, RefineRadius, Strict and Carry32 select
-	// the coarse-to-fine plan on pairs+discords queries (see
-	// valmod.Options); each is part of the cache key since every one can
-	// change the reported result.
-	LengthSkip   bool `json:"length_skip,omitempty"`
-	LengthStride int  `json:"length_stride,omitempty"`
-	RefineRadius int  `json:"refine_radius,omitempty"`
-	Strict       bool `json:"strict,omitempty"`
-	Carry32      bool `json:"carry32,omitempty"`
 	// TimeoutSec caps this job's executing wall-clock time in seconds;
 	// the server's MaxJobSeconds bounds it from above (the effective
 	// budget is the smaller of the two). A job that exceeds it fails with
@@ -146,11 +140,6 @@ func (r JobRequest) options() valmod.Options {
 		RecomputeFraction: r.RecomputeFraction,
 		Discords:          r.Discords,
 		Workers:           r.Workers,
-		LengthSkip:        r.LengthSkip,
-		LengthStride:      r.LengthStride,
-		RefineRadius:      r.RefineRadius,
-		Strict:            r.Strict,
-		Carry32:           r.Carry32,
 	}
 }
 
@@ -190,9 +179,6 @@ type PlanTotals struct {
 	SkippedLengths     int64 `json:"skipped_lengths"`
 	HeadSeeds          int64 `json:"head_seeds"`
 	HeadExtensions     int64 `json:"head_extensions"`
-	LBSkippedLengths   int64 `json:"lb_skipped_lengths"`
-	StrideScanned      int64 `json:"stride_scanned"`
-	RefinedLengths     int64 `json:"refined_lengths"`
 }
 
 // Manager owns the serving state: the shared base engine, the concurrency
@@ -219,9 +205,6 @@ type Manager struct {
 	planSkipped     atomic.Int64
 	planHeadSeeds   atomic.Int64
 	planHeadExtends atomic.Int64
-	planLBSkipped   atomic.Int64
-	planStrideScan  atomic.Int64
-	planRefined     atomic.Int64
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -261,9 +244,6 @@ func (m *Manager) Stats() Stats {
 			SkippedLengths:     m.planSkipped.Load(),
 			HeadSeeds:          m.planHeadSeeds.Load(),
 			HeadExtensions:     m.planHeadExtends.Load(),
-			LBSkippedLengths:   m.planLBSkipped.Load(),
-			StrideScanned:      m.planStrideScan.Load(),
-			RefinedLengths:     m.planRefined.Load(),
 		},
 	}
 }
@@ -623,9 +603,6 @@ func (m *Manager) run(ctx context.Context, job *Job, key cacheKey, values []floa
 	m.planSkipped.Add(int64(res.Plan.SkippedLengths))
 	m.planHeadSeeds.Add(int64(res.Plan.HeadSeeds))
 	m.planHeadExtends.Add(int64(res.Plan.HeadExtensions))
-	m.planLBSkipped.Add(int64(res.Plan.LBSkippedLengths))
-	m.planStrideScan.Add(int64(res.Plan.StrideScanned))
-	m.planRefined.Add(int64(res.Plan.RefinedLengths))
 	out := ResultOf(res)
 	m.cache.Put(key, out)
 	job.finish(out, nil)

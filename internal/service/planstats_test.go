@@ -58,59 +58,3 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 		t.Fatalf("aggregated plan totals %+v", totals)
 	}
 }
-
-// TestCoarseToFinePlanStatsAndProgress covers the request plumbing of the
-// length-pruning flags: the job result reports the new plan counters, the
-// progress stream still reaches Done == Total even though most lengths
-// were never given a whole-profile pass, and /v1/stats aggregates the new
-// totals.
-func TestCoarseToFinePlanStatsAndProgress(t *testing.T) {
-	m := NewManager(Config{MaxConcurrent: 1})
-	values := testSeries(900)
-	lengths := 35 - 16 + 1
-
-	// Strict LB length skipping.
-	j, err := m.Submit(JobRequest{Values: values, LMin: 16, LMax: 35, TopK: 2, Discords: 2, Workers: 1, LengthSkip: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, j)
-	if st.State != StateDone {
-		t.Fatalf("job state %s: %s", st.State, st.Error)
-	}
-	if st.Done != st.Total || st.Total != lengths {
-		t.Fatalf("progress stalled at %d/%d, want %d/%d", st.Done, st.Total, lengths, lengths)
-	}
-	plan := st.Result.Plan
-	if plan.RecomputeLengths != 1 || plan.LBSkippedLengths+plan.PrunedLengths != lengths-1 {
-		t.Fatalf("length-skip plan stats %+v", plan)
-	}
-	skipTotal := plan.LBSkippedLengths
-
-	// Stride/refine (distinct cache entry: the key covers the new fields).
-	j, err = m.Submit(JobRequest{Values: values, LMin: 16, LMax: 35, TopK: 2, Discords: 2, Workers: 1, LengthStride: 5, Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = waitTerminal(t, j)
-	if st.State != StateDone {
-		t.Fatalf("job state %s: %s", st.State, st.Error)
-	}
-	if st.CacheHit {
-		t.Fatal("stride submission answered from the length-skip cache entry")
-	}
-	if st.Done != st.Total || st.Total != lengths {
-		t.Fatalf("stride progress stalled at %d/%d", st.Done, st.Total)
-	}
-	plan = st.Result.Plan
-	if plan.StrideScanned != 4 { // lengths 16, 21, 26, 31
-		t.Fatalf("stride plan stats %+v", plan)
-	}
-
-	totals := m.Stats().Plan
-	if totals.LBSkippedLengths != int64(skipTotal+plan.LBSkippedLengths) ||
-		totals.StrideScanned != int64(plan.StrideScanned) ||
-		totals.RefinedLengths != int64(plan.RefinedLengths) {
-		t.Fatalf("aggregated coarse-to-fine totals %+v", totals)
-	}
-}

@@ -83,25 +83,6 @@ func ExtendDiagonalHead(head, t []float64, cur, next int) ([]float64, error) {
 	return head[:n-next+1], nil
 }
 
-// ExtendDiagonalHead32 is the extend path for a float32-stored head row
-// (Config.Carry32): the same cross-length recurrence, accumulated in
-// float64 from widened float32 loads with one rounding per cell per call
-// (kernels.ExtendRow32). The range rules match ExtendDiagonalHead.
-func ExtendDiagonalHead32(head, t []float32, cur, next int) ([]float32, error) {
-	if err := validate(len(t), cur); err != nil {
-		return nil, err
-	}
-	if err := validate(len(t), next); err != nil {
-		return nil, err
-	}
-	if next < cur || len(head) < len(t)-cur+1 {
-		return nil, fmt.Errorf("%w: extend from m=%d (head %d cells) to m=%d", ErrBadLength, cur, len(head), next)
-	}
-	n := len(t)
-	kernels.ExtendRow32(head[:n-cur+1], t, 0, cur, next)
-	return head[:n-next+1], nil
-}
-
 // ComputeFromHead builds the exact matrix profile at length m from a
 // diagonal head row (len ≥ n−m+1 cells, already at length m): each
 // diagonal streams from its head cell with the in-length recurrence, and

@@ -63,44 +63,6 @@ type Options struct {
 	// the run costs one full matrix-profile pass per length instead of
 	// the pruned pass (the per-length stats report full recomputes).
 	Discords int
-	// LengthSkip enables lower-bound length skipping on runs with Discords
-	// set: only ℓmin pays a whole-profile pass, later lengths resolve
-	// pairs with the exact pruned pass and discords through the
-	// lower-bound certificate (anchors whose bound proves they cannot
-	// carry the top discord are skipped; the few survivors are recomputed
-	// exactly). Per-length pairs and the top-1 discord stay exact; discord
-	// candidates beyond the top-1 keep exact distances but may differ in
-	// selection depth from the exhaustive plan. Ignored when Discords is
-	// 0.
-	LengthSkip bool
-	// LengthStride, when > 1, switches runs with Discords set to the
-	// coarse-to-fine plan: whole-profile passes run only at every
-	// LengthStride-th length from ℓmin, a refine phase then re-resolves
-	// the lengths within RefineRadius of the winners (best pair, top
-	// discord) exhaustively. Strided-over lengths carry each anchor's
-	// scan-time nearest neighbor forward (exact distances of real pairs;
-	// best-effort per-length top-k) unless Strict upgrades them to the
-	// LengthSkip treatment. The top-1 discord stays exact either way.
-	// 0 or 1 means every length is scanned (the exhaustive default).
-	// Ignored when Discords is 0.
-	LengthStride int
-	// RefineRadius bounds the refine window around each winner length
-	// (0 selects the full stride gap, LengthStride − 1).
-	RefineRadius int
-	// Strict upgrades strided-over lengths from the carried-neighbor
-	// approximation to the exact pruned pass + lower-bound certificate,
-	// making stride/refine report exact per-length pairs at every length.
-	// No effect unless LengthStride > 1.
-	Strict bool
-	// Carry32 stores the incremental engine's cross-length diagonal carry
-	// (head row + the series copy the diagonal pass streams) in float32
-	// with float64 accumulation, halving the bandwidth of the large-n
-	// whole-profile passes. Results are tolerance-equivalent, not
-	// bit-identical, to the float64 plan; the pruned pass and the seed
-	// scan stay float64 (their rows drive lower-bound certification).
-	// Pairs-only runs use it on the lengths the engine's cost model moves
-	// to the incremental pass.
-	Carry32 bool
 	// WindowCap, when positive, puts a Stream in sliding-window mode: the
 	// retained series is trimmed to exactly the trailing WindowCap points
 	// after every Append, so results are always a pure function of the
@@ -127,10 +89,7 @@ type Options struct {
 	// DiscoverResume over the same series and options continues from the
 	// blob and returns results byte-identical to the uninterrupted run's,
 	// at any Workers setting. An error return disables further checkpoints
-	// for the run without failing it. Runs on the fast coarse-to-fine
-	// plans (LengthSkip / LengthStride > 1) never emit checkpoints: their
-	// resume fallback is a fresh run, which determinism makes equally
-	// exact.
+	// for the run without failing it.
 	Checkpoint func(ckpt []byte) error
 	// CheckpointEvery emits a checkpoint every k-th completed length
 	// (default 1 — every length boundary). Larger values amortize the
@@ -216,13 +175,6 @@ type PlanStats struct {
 	SkippedLengths     int `json:"skipped_lengths"`
 	HeadSeeds          int `json:"head_seeds"`
 	HeadExtensions     int `json:"head_extensions"`
-	// LBSkippedLengths counts lengths the coarse-to-fine plan resolved
-	// through the lower-bound certificate without a whole-profile pass;
-	// StrideScanned counts its scan-grid lengths and RefinedLengths the
-	// lengths its refine phase upgraded (all zero on the default plan).
-	LBSkippedLengths int `json:"lb_skipped_lengths"`
-	StrideScanned    int `json:"stride_scanned"`
-	RefinedLengths   int `json:"refined_lengths"`
 }
 
 // VALMAP is the variable-length matrix profile (demo Figure 1 d–f): for
@@ -333,12 +285,6 @@ func (o Options) validate() error {
 	}
 	if o.WindowCap < 0 {
 		return fmt.Errorf("%w: Options.WindowCap=%d: must be >= 0 (0 disables the sliding window)", ErrBadInput, o.WindowCap)
-	}
-	if o.LengthStride < 0 {
-		return fmt.Errorf("%w: Options.LengthStride=%d: must be >= 0 (0 disables striding)", ErrBadInput, o.LengthStride)
-	}
-	if o.RefineRadius < 0 {
-		return fmt.Errorf("%w: Options.RefineRadius=%d: must be >= 0 (0 selects the full stride gap)", ErrBadInput, o.RefineRadius)
 	}
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: Options.CheckpointEvery=%d: must be >= 0 (0 selects every length)", ErrBadInput, o.CheckpointEvery)
@@ -455,11 +401,6 @@ func coreConfig(opts Options, lmin, lmax int) core.Config {
 		ExclusionFactor:   opts.ExclusionFactor,
 		RecomputeFraction: opts.RecomputeFraction,
 		Discords:          opts.Discords,
-		LengthSkip:        opts.LengthSkip,
-		LengthStride:      opts.LengthStride,
-		RefineRadius:      opts.RefineRadius,
-		Strict:            opts.Strict,
-		Carry32:           opts.Carry32,
 		Workers:           opts.Workers,
 		OnCheckpoint:      opts.Checkpoint,
 		CheckpointEvery:   opts.CheckpointEvery,
