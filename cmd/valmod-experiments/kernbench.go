@@ -8,10 +8,11 @@ package main
 //     workloads and reports ns/op plus the speedup over the generic
 //     variant. Combined with -bench-json the section is embedded in the
 //     same report.
-//   - -bench-scaling runs one fixed pairs+discords workload at workers
-//     1, 2 and 4, asserts the result anchors are identical at every
-//     worker count (the engine's bit-identity contract), and reports the
-//     speedup ratios. Exits non-zero on any anchor drift.
+//   - -bench-scaling runs two fixed workloads — pairs+discords and pairs
+//     only — at workers 1, 2 and 4, asserts the result anchors are
+//     identical at every worker count (the engine's bit-identity
+//     contract), and reports the speedup ratios. Exits non-zero on any
+//     anchor drift.
 //   - -bench-compare old.json new.json diffs two -bench-json reports:
 //     any anchor drift on a shared case fails immediately; a timing
 //     regression beyond -compare-tolerance (default 10%) fails unless
@@ -188,8 +189,10 @@ func collectKernelBenches(seed int64) ([]kernelBench, error) {
 	return out, nil
 }
 
-// scalingCase is one worker count of the -bench-scaling report.
+// scalingCase is one (workload, worker count) of the -bench-scaling
+// report.
 type scalingCase struct {
+	Workload           string  `json:"workload"`
 	Workers            int     `json:"workers"`
 	Seconds            float64 `json:"seconds"`
 	SpeedupVsW1        float64 `json:"speedup_vs_w1,omitempty"`
@@ -202,10 +205,12 @@ type scalingCase struct {
 	TopDiscordNormDist float64 `json:"top_discord_norm_dist"`
 }
 
-// runBenchScaling times the fixed pairs+discords workload at workers 1, 2
-// and 4. Anchors must be identical at every worker count — any drift is a
-// determinism bug and the run exits non-zero. The speedup ratios are the
-// multicore witness CI records.
+// runBenchScaling times two fixed workloads at workers 1, 2 and 4:
+// pairs+discords (the incremental whole-profile pass) and pairs only (the
+// pruned pass, whose ℓmin seed sweep is its parallel phase). Within each
+// workload the anchors must be identical at every worker count — any
+// drift is a determinism bug and the run exits non-zero. The speedup
+// ratios are the multicore witness CI records.
 func runBenchScaling(outPath string, n, lmin int, seed int64) error {
 	const rangeLen = 20
 	rep := struct {
@@ -229,33 +234,39 @@ func runBenchScaling(outPath string, n, lmin int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	for _, w := range []int{1, 2, 4} {
-		start := time.Now()
-		res, err := valmod.Discover(s.Values, lmin, lmin+rangeLen-1, valmod.Options{TopK: 10, Discords: 5, Workers: w})
-		if err != nil {
-			return err
-		}
-		sc := scalingCase{Workers: w, Seconds: time.Since(start).Seconds()}
-		if best, ok := res.BestOverall(); ok {
-			sc.BestNormDist = best.NormDistance
-			sc.BestA, sc.BestB, sc.BestLength = best.A, best.B, best.Length
-		}
-		if len(res.Discords) > 0 {
-			sc.TopDiscordNormDist = res.Discords[0].NormDistance
-			sc.TopDiscordOffset = res.Discords[0].Offset
-			sc.TopDiscordLength = res.Discords[0].Length
-		}
-		if len(rep.Cases) > 0 {
-			base := rep.Cases[0]
-			sc.SpeedupVsW1 = base.Seconds / sc.Seconds
-			if sc.BestA != base.BestA || sc.BestB != base.BestB || sc.BestLength != base.BestLength ||
-				sc.BestNormDist != base.BestNormDist ||
-				sc.TopDiscordOffset != base.TopDiscordOffset || sc.TopDiscordLength != base.TopDiscordLength ||
-				sc.TopDiscordNormDist != base.TopDiscordNormDist {
-				return fmt.Errorf("workers=%d anchors drift from workers=1: %+v vs %+v", w, sc, base)
+	for _, wl := range []struct {
+		name     string
+		discords int
+	}{{"pairs+discords", 5}, {"pairs", 0}} {
+		first := len(rep.Cases)
+		for _, w := range []int{1, 2, 4} {
+			start := time.Now()
+			res, err := valmod.Discover(s.Values, lmin, lmin+rangeLen-1, valmod.Options{TopK: 10, Discords: wl.discords, Workers: w})
+			if err != nil {
+				return err
 			}
+			sc := scalingCase{Workload: wl.name, Workers: w, Seconds: time.Since(start).Seconds()}
+			if best, ok := res.BestOverall(); ok {
+				sc.BestNormDist = best.NormDistance
+				sc.BestA, sc.BestB, sc.BestLength = best.A, best.B, best.Length
+			}
+			if len(res.Discords) > 0 {
+				sc.TopDiscordNormDist = res.Discords[0].NormDistance
+				sc.TopDiscordOffset = res.Discords[0].Offset
+				sc.TopDiscordLength = res.Discords[0].Length
+			}
+			if len(rep.Cases) > first {
+				base := rep.Cases[first]
+				sc.SpeedupVsW1 = base.Seconds / sc.Seconds
+				if sc.BestA != base.BestA || sc.BestB != base.BestB || sc.BestLength != base.BestLength ||
+					sc.BestNormDist != base.BestNormDist ||
+					sc.TopDiscordOffset != base.TopDiscordOffset || sc.TopDiscordLength != base.TopDiscordLength ||
+					sc.TopDiscordNormDist != base.TopDiscordNormDist {
+					return fmt.Errorf("%s: workers=%d anchors drift from workers=1: %+v vs %+v", wl.name, w, sc, base)
+				}
+			}
+			rep.Cases = append(rep.Cases, sc)
 		}
-		rep.Cases = append(rep.Cases, sc)
 	}
 	w := os.Stdout
 	if outPath != "" {

@@ -65,7 +65,7 @@ func main() {
 		benchCkpt    = flag.Bool("bench-checkpoint", false, "add the checkpoint-overhead case to the -bench-json suite: ecg/pairs+discords at -bench-checkpoint-n, run bare and then with engine checkpoints written+fsynced at the service cadence; the report carries checkpoint_bytes and checkpoint_ms_per_length")
 		benchCkptN   = flag.Int("bench-checkpoint-n", 100000, "series length for the -bench-checkpoint case")
 		benchKernels = flag.Bool("bench-kernels", false, "time every hot kernel at every available dispatch variant (generic, plus avx2 where detected) and report ns/op plus speedup over generic; with -bench-json the section embeds in the same report")
-		benchScaling = flag.Bool("bench-scaling", false, "run the fixed pairs+discords workload at workers 1/2/4, assert bit-identical anchors, and report the speedup ratios (exit non-zero on drift)")
+		benchScaling = flag.Bool("bench-scaling", false, "run the fixed pairs+discords and pairs-only workloads at workers 1/2/4, assert bit-identical anchors, and report the speedup ratios (exit non-zero on drift)")
 		scalingN     = flag.Int("scaling-n", 20000, "series length for the -bench-scaling workload")
 		benchCompare = flag.Bool("bench-compare", false, "compare two -bench-json reports given as positional args (old.json new.json): anchor drift always fails, timing regressions beyond -compare-tolerance fail unless -compare-anchors-only")
 		compareTol   = flag.Float64("compare-tolerance", 0.10, "fractional timing regression -bench-compare tolerates")

@@ -8,12 +8,17 @@
 // one regardless of the shard-to-worker assignment.
 package anchors
 
-import "github.com/seriesmining/valmod/internal/lb"
+import (
+	"github.com/seriesmining/valmod/internal/kernels"
+	"github.com/seriesmining/valmod/internal/lb"
+)
 
 // State is the partial distance profile of one anchor.
 type State struct {
 	// Entries are the retained candidates, at most P, kept as a min-heap
-	// on q̃² (see lb.Heapify).
+	// on q̃² (see lb.Heapify). A seed lays the heap out from the entries'
+	// canonical order (Store.Seed), so the layout is as deterministic as
+	// the set.
 	Entries []lb.Entry
 	// Base is the length at which Entries and their q̃ were (re)seeded.
 	Base int32
@@ -73,7 +78,7 @@ func (s *Store) At(i int) *State { return &s.states[i] }
 // l and returns its state: entries emptied (capacity p, or the anchor count
 // when p exceeds it — a row never has more candidates than there are
 // anchors), bound fields reset. The caller fills Entries and NextQ2 (the
-// fused scan in core does this inline for speed).
+// recompute path's row scan in core does this inline for speed).
 func (s *Store) BeginReseed(i, p, l int) *State {
 	a := &s.states[i]
 	if p > len(s.states) {
@@ -87,6 +92,36 @@ func (s *Store) BeginReseed(i, p, l int) *State {
 	a.Degenerate = false
 	a.NextQ2 = -1
 	return a
+}
+
+// Seed installs anchor i's partial profile at base length l from the
+// candidate lists of a seed sweep (kernels.SeedScan), one per sweep
+// worker, each keeping up to p+1 entries of disjoint candidates. The
+// canonical merge folds every list into the first under the strict order
+// (q̃² descending, offset ascending), keeps the first p entries, sets
+// NextQ2 to the (p+1)-th key (−1 when there is none) and heapifies the
+// kept entries from that sorted order. All three are functions of the
+// candidate set alone, so they are identical at every worker count. A
+// degenerate anchor keeps no entries.
+func (s *Store) Seed(i, p, l int, lists []*kernels.TopLists, degenerate bool) {
+	a := s.BeginReseed(i, p, l)
+	if degenerate {
+		a.Degenerate = true
+		return
+	}
+	top := lists[0]
+	for _, o := range lists[1:] {
+		top.Merge(o, i)
+	}
+	base, n := i*top.Cap, int(top.Len[i])
+	for x := base; x < base+n && x < base+p; x++ {
+		a.Entries = append(a.Entries, lb.Entry{J: top.J[x], QT: top.QT[x], QTilde: top.Q[x]})
+	}
+	if n > p {
+		q := top.Q[base+p]
+		a.NextQ2 = q * q
+	}
+	lb.Heapify(a.Entries)
 }
 
 // HotRow returns anchor i's cached dot-product row and the length it is

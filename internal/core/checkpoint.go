@@ -96,10 +96,12 @@ type ckptPayload struct {
 }
 
 // cfgDigest renders the result-affecting configuration of a batch run.
-// The v2 prefix marks the planner with the cost-model latch: the same
-// configuration resolves lengths differently than under v1.
+// The prefix versions what the configuration computes: v2 added the
+// cost-model latch, v3 the diagonal seed, whose partial profiles and ℓmin
+// profile differ in the last bits from the row scan's — a v2 frame's
+// anchors would not resume byte-identically to an uninterrupted run.
 func cfgDigest(c Config) string {
-	return "v2 " + cfgFields(c)
+	return "v3 " + cfgFields(c)
 }
 
 // cfgFields renders the result-affecting configuration fields. Workers and

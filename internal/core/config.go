@@ -5,11 +5,12 @@
 //
 // The algorithm follows the demo paper §2 exactly:
 //
-//  1. Compute the matrix profile at ℓmin with STOMP-style row recurrences.
-//     While each distance-profile row is in memory, retain the p entries
-//     with the smallest lower-bounding distance (internal/lb; rank
-//     preservation makes this the p largest q̃²) — the "partial distance
-//     profiles".
+//  1. Compute the matrix profile at ℓmin and, for every anchor, retain the
+//     p entries with the smallest lower-bounding distance (internal/lb;
+//     rank preservation makes this the p largest q̃²) — the "partial
+//     distance profiles". One sweep over the diagonals does both: each
+//     pair is visited once, its dot product updates both endpoints'
+//     profile values and is offered to both endpoints' candidate lists.
 //  2. For each longer length, advance each retained entry's dot product in
 //     O(1), recompute its exact distance, and compare the anchor's best
 //     exact distance (minDist) against the bound covering every
@@ -21,12 +22,13 @@
 //     extracted top-k pairs; anchors that could still hide better matches
 //     (maxLB below the current k-th best distance) get their distance
 //     profile recomputed with MASS and their partial profile reseeded.
-//     When too many anchors need recomputing, fall back to one full
-//     STOMP pass at that length and reseed everything.
+//     When too many anchors need recomputing, fall back to one seed
+//     sweep at that length and reseed everything.
 //
 // The implementation is structured as a pipeline around a reusable Engine:
 // config.go (parameters), engine.go (Engine, pooled scratch, the per-run
-// orchestration), seed.go (the seeding / full-recompute block scan),
+// orchestration), seed.go (the seed sweep, also the full-recompute
+// fallback, and the per-anchor row scan of recomputes),
 // length.go (the per-length advance→certify→recompute loop),
 // incremental.go (the incremental cross-length profile engine serving
 // FullProfile lengths: diagonal dot-product state carried from length to
@@ -50,7 +52,7 @@ const (
 	DefaultTopK = 10
 	DefaultP    = 10
 	// DefaultRecomputeFraction: one MASS recompute costs Θ(n log n), a full
-	// STOMP pass Θ(s²) — but the full pass also reseeds every partial
+	// seed sweep Θ(s²) — but the sweep also reseeds every partial
 	// profile with tight bounds at the current length, so the breakeven
 	// sits near s/log n ≈ 5% of anchors, not 25%.
 	DefaultRecomputeFraction = 0.05
@@ -72,8 +74,8 @@ type Config struct {
 	P int
 	// ExclusionFactor sets the trivial-match zone ⌈ℓ/factor⌉ (default 4).
 	ExclusionFactor int
-	// RecomputeFraction is the fraction of anchors above which a full
-	// per-length STOMP recompute replaces individual MASS recomputes
+	// RecomputeFraction is the fraction of anchors above which one seed
+	// sweep at the length replaces individual MASS recomputes
 	// (default 0.05; see DefaultRecomputeFraction for the cost model).
 	RecomputeFraction float64
 	// Discords, when positive, reports that many variable-length

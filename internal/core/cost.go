@@ -40,9 +40,12 @@ const (
 	// compared, with the anchor's bound and the per-length O(s) passes
 	// (moments, candidate profile, top-k extraction) folded in.
 	costAdvance = 50.3
-	// costRowCell: one cell of the from-scratch STOMP row scan a fallback
-	// length pays (recurrence, correlation argmax, partial-profile reseed).
-	costRowCell = 2.6
+	// costSeedCell: one cell of the seed sweep a fallback length pays
+	// (kernels.SeedScan: the diagonal pass plus the two list filters).
+	costSeedCell = 0.79
+	// costSeedAnchor: the seed sweep's per-anchor work — chiefly the list
+	// inserts the filters let through, then the merge into the store.
+	costSeedAnchor = 3340
 	// costDiagCell: one cell of the incremental diagonal pass.
 	costDiagCell = 0.553
 	// costDiagAnchor: the incremental pass's per-anchor work (moments,
@@ -55,21 +58,24 @@ const (
 
 // prunedCounts are the counts one pruned length leaves for the model: the
 // hot rows cached after it, the anchors it recomputed, and whether it fell
-// back to a whole row scan.
+// back to a whole seed sweep.
 type prunedCounts struct {
 	hot, recomputed int
 	fellBack        bool
 }
 
 // prunedCost predicts the pruned pass's cost (ns) at a length with s
-// anchors of an n-point series, retaining p entries per anchor, from the
-// previous pruned length's counts: the hot rows advanced and scanned in
-// full, the recomputes repeated, every retained entry advanced — or, when
-// the previous length fell back, one more whole row scan.
-func prunedCost(n, s, p int, c prunedCounts) float64 {
+// anchors and exclusion zone excl of an n-point series, retaining p
+// entries per anchor, from the previous pruned length's counts: the hot
+// rows advanced and scanned in full, the recomputes repeated, every
+// retained entry advanced — or, when the previous length fell back, one
+// more seed sweep. The sweep visits the incremental pass's cells and does
+// more per cell and per anchor, so a fallback always predicts a switch.
+func prunedCost(n, s, excl, p int, c prunedCounts) float64 {
 	fs := float64(s)
 	if c.fellBack {
-		return fs * fs * costRowCell
+		d := float64(s - excl)
+		return d*(d+1)/2*costSeedCell + fs*costSeedAnchor
 	}
 	fn := float64(n)
 	return float64(c.hot)*fs*costHotCell +
@@ -94,5 +100,5 @@ func preferIncremental(n, l, p, exclFactor int, c prunedCounts) bool {
 	if s <= excl {
 		return false // no pair at l: both passes return at once
 	}
-	return prunedCost(n, s, p, c) > incrementalCost(s, excl)
+	return prunedCost(n, s, excl, p, c) > incrementalCost(s, excl)
 }

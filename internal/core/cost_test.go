@@ -30,8 +30,10 @@ func TestPreferIncrementalTable(t *testing.T) {
 		{"pairs-wide, hot cache at budget", 5000, 114, prunedCounts{hot: 1699}, true},
 		{"pairs-wide, recompute burst", 5000, 74, prunedCounts{hot: 202, recomputed: 57}, true},
 		{"ecg n=5k, certifying cleanly", 5000, 70, prunedCounts{}, false},
-		{"fallback predicts a row scan", 5000, 90, prunedCounts{fellBack: true}, true},
-		{"fallback on a tiny series", 240, 40, prunedCounts{fellBack: true}, false},
+		// A fallback predicts one more seed sweep: the incremental pass's
+		// cells plus the list filters and inserts, dearer at any size.
+		{"fallback predicts a seed sweep", 5000, 90, prunedCounts{fellBack: true}, true},
+		{"fallback on a tiny series", 240, 40, prunedCounts{fellBack: true}, true},
 		{"no pair at the length", 100, 90, prunedCounts{hot: 1000, recomputed: 1000}, false},
 	} {
 		if got := preferIncremental(tc.n, tc.l, DefaultP, 4, tc.c); got != tc.want {
@@ -210,6 +212,39 @@ func TestCheckpointRefusesVersion1(t *testing.T) {
 	}
 	if _, err := e.ResumeRun(context.Background(), x, cfg, v1); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("version-1 frame: want ErrBadCheckpoint, got %v", err)
+	}
+	res, err := e.Run(context.Background(), x, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsBitIdentical(t, "scratch re-run", base, res)
+}
+
+// TestCheckpointRefusesV2Digest: a format-2 frame written before the
+// diagonal seed carries anchors seeded by the row scan, whose bits differ
+// from this engine's seed, so its v2 config digest is refused and the
+// caller's scratch re-run is the exact fallback.
+func TestCheckpointRefusesV2Digest(t *testing.T) {
+	x, cfg := astroWide(t)
+	cfg.Workers = 1
+	e := NewEngine()
+	base, ckpts := captureAll(t, e, x, cfg)
+	p, err := decodeCheckpoint(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Anchors == nil {
+		t.Fatal("frame 0 carries no anchors; the case needs a seeded frame")
+	}
+	filled := cfg
+	filled.Fill()
+	p.CfgDigest = "v2 " + cfgFields(filled)
+	v2, err := encodeFrame(ckptMagic, ckptVersion, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ResumeRun(context.Background(), x, cfg, v2); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("v2-digest frame: want ErrBadCheckpoint, got %v", err)
 	}
 	res, err := e.Run(context.Background(), x, cfg)
 	if err != nil {

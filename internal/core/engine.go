@@ -50,9 +50,9 @@ func Run(t []float64, cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation, checked between lengths,
-// between seed/full-recompute blocks, and between recompute rounds (the
-// granularity wall-clock budgets and a serving layer's job cancellation
-// need). On cancellation it returns ctx.Err().
+// between the diagonal blocks of seed and full-profile passes, and between
+// recompute rounds (the granularity wall-clock budgets and a serving
+// layer's job cancellation need). On cancellation it returns ctx.Err().
 func RunContext(ctx context.Context, t []float64, cfg Config) (*Result, error) {
 	return defaultEngine.Run(ctx, t, cfg)
 }
@@ -98,7 +98,7 @@ type run struct {
 	latched bool
 
 	// seeded reports that the pruned machinery (anchor partial profiles)
-	// has been seeded by a full row scan; entriesAt is the length the
+	// has been seeded by a seed sweep; entriesAt is the length the
 	// retained entries' dot products are currently advanced to, so the
 	// advance pass can catch up across lengths the planner resolved
 	// incrementally or skipped.
@@ -216,16 +216,16 @@ func (e *Engine) Run(ctx context.Context, t []float64, cfg Config) (*Result, err
 // length into the registered sinks. Each length's work is planned from
 // the sinks that want it (Requirement × LengthSelector, see
 // planLengths): lengths only TopKPairs sinks want run the pruned
-// pipeline (seed the first such length with a block-parallel STOMP scan,
-// then advance→certify across anchor shards and recompute the
+// pipeline (seed the first such length with one parallel sweep over the
+// diagonals, then advance→certify across anchor shards and recompute the
 // uncertified stragglers to a fixpoint) until the cost model (cost.go)
 // predicts the incremental pass to be cheaper, after which every
 // remaining such length runs the incremental pass — so a pairs-only run
 // may report incremental lengths, with pairs equal to the pruned plan's
 // within the cross-plan floating tolerance. Lengths a FullProfile sink
-// wants run the incremental cross-length profile pass (or a from-scratch
-// STOMP pass when pruned lengths follow and the pass doubles as their
-// seed); lengths no sink wants are skipped. All passes run on fixed grids
+// wants run the incremental cross-length profile pass (or the seed sweep
+// when pruned lengths follow and the pass doubles as their seed); lengths
+// no sink wants are skipped. All passes run on fixed grids
 // and the switch reads only deterministic counts, so every plan is
 // bit-identical at any worker count. Sinks are consumed in registration
 // order on this goroutine, each only for the lengths it wants; progress is
@@ -336,7 +336,7 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 		case planPruned:
 			if !r.seeded {
 				// First pruned length: seed the partial profiles with the
-				// full row scan. The scan yields the exact profile for
+				// seed sweep. The sweep yields the exact profile for
 				// free, so it is delivered (on the default all-pruned
 				// plan this is the classic ℓmin seed).
 				mp, err := r.seedAll(l)
@@ -364,9 +364,9 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 				err error
 			)
 			if !r.seeded && !r.latched && idx < lastPruned {
-				// From-scratch row scan: pruned lengths follow, and the
-				// row scan's partial-profile reseed seeds them without an
-				// extra pass.
+				// Seed sweep: pruned lengths follow, and the sweep's
+				// partial-profile reseed seeds them without an extra
+				// pass.
 				lr, mp, err = r.processLengthFull(l)
 				r.planStats.RecomputeLengths++
 			} else {

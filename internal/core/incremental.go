@@ -1,15 +1,16 @@
 package core
 
 // The incremental cross-length profile engine: the FullProfile plan's
-// per-length pass. Instead of re-seeding FFTs and re-running a STOMP row
-// scan from scratch at every length (processLengthFull, which the planner
-// runs only when a whole-profile length seeds pruned lengths), the run
-// carries one piece of state across lengths — the diagonal head row QT(0, k) — and
-// extends it from length ℓ to ℓ+1 with the one-FMA-per-cell recurrence
-// QT(i,j)ₗ₊₁ = QT(i,j)ₗ + t[i+ℓ]·t[j+ℓ]. Each length is then resolved by
-// one fused diagonal pass that visits every non-trivial pair exactly once
-// (symmetry updates both endpoints), on a fixed diagonal-block grid, so
-// the pass costs half the cells of the row scan and zero FFTs.
+// per-length pass. Instead of seeding a fresh head row with an FFT at
+// every length (as the seed sweep does — processLengthFull, which the
+// planner runs only when a whole-profile length seeds pruned lengths), the
+// run carries one piece of state across lengths — the diagonal head row
+// QT(0, k) — and extends it from length ℓ to ℓ+1 with the
+// one-FMA-per-cell recurrence QT(i,j)ₗ₊₁ = QT(i,j)ₗ + t[i+ℓ]·t[j+ℓ]. Each
+// length is then resolved by one fused diagonal pass that visits every
+// non-trivial pair exactly once (symmetry updates both endpoints), on a
+// fixed diagonal-block grid — the grid diagPass runs the seed sweep on
+// too — with zero FFTs.
 //
 // Determinism: a diagonal's cells depend only on its head cell, never on
 // which block or worker scans it, so the computed correlations are
@@ -30,9 +31,9 @@ import (
 )
 
 // diagBlockCells is the minimum target cell count of one diagonal block —
-// the fixed grid the incremental pass is partitioned on. Like
-// seedBlockRows it depends only on the geometry (s, excl), never on the
-// worker count.
+// the fixed grid the incremental pass and the seed sweep are partitioned
+// on. It depends only on the geometry (s, excl), never on the worker
+// count.
 const diagBlockCells = 128 * 1024
 
 // diagBlockMinWidth is the minimum number of diagonals per block. The
@@ -152,13 +153,37 @@ func (r *run) processLengthIncremental(l int) (LengthResult, *profile.MatrixProf
 	}
 
 	blocks := diagBlocks(s, excl)
+	mp, err := r.diagPass(l, excl, s, blocks, r.passWorkers(len(blocks)), func(_ int, b diagBlock, corr []float64, idx []int32) {
+		kernels.DiagScan(r.t, head, r.means, r.invStds, b.k0, b.k1, l, s, corr, idx)
+	})
+	if err != nil {
+		return lr, nil, err
+	}
+	lr.Pairs = mp.TopKPairsInto(r.cfg.TopK, &r.topk)
+	lr.Stats.FullRecompute = true
+	lr.Stats.Incremental = true
+	return lr, mp, nil
+}
+
+// passWorkers is the goroutine count of a pass over nBlocks blocks:
+// Workers, clamped to [1, nBlocks].
+func (r *run) passWorkers(nBlocks int) int {
 	workers := r.workers
-	if workers > len(blocks) {
-		workers = len(blocks)
+	if workers > nBlocks {
+		workers = nBlocks
 	}
 	if workers < 1 {
 		workers = 1
 	}
+	return workers
+}
+
+// diagPass runs one pass over the diagonal-block grid of length l: workers
+// goroutines pull blocks from a shared counter and scan each into worker
+// w's own (corr, index) accumulator; the accumulators are merged under the
+// total order and the exact profile is assembled, the constant-window
+// convention included. The moment cache must be at l.
+func (r *run) diagPass(l, excl, s int, blocks []diagBlock, workers int, scan func(w int, b diagBlock, corr []float64, idx []int32)) (*profile.MatrixProfile, error) {
 	r.ensureDiagScratch(workers)
 	for w := 0; w < workers; w++ {
 		corr, idx := r.diagCorr[w][:s], r.diagIdx[w][:s]
@@ -172,9 +197,9 @@ func (r *run) processLengthIncremental(l int) (LengthResult, *profile.MatrixProf
 		corr, idx := r.diagCorr[0][:s], r.diagIdx[0][:s]
 		for _, b := range blocks {
 			if err := r.ctx.Err(); err != nil {
-				return lr, nil, err
+				return nil, err
 			}
-			kernels.DiagScan(r.t, head, r.means, r.invStds, b.k0, b.k1, l, s, corr, idx)
+			scan(0, b, corr, idx)
 		}
 	} else {
 		var next atomic.Int64
@@ -192,13 +217,13 @@ func (r *run) processLengthIncremental(l int) (LengthResult, *profile.MatrixProf
 					if b >= len(blocks) {
 						return
 					}
-					kernels.DiagScan(r.t, head, r.means, r.invStds, blocks[b].k0, blocks[b].k1, l, s, corr, idx)
+					scan(w, blocks[b], corr, idx)
 				}
 			}(w)
 		}
 		wg.Wait()
 		if err := r.ctx.Err(); err != nil {
-			return lr, nil, err
+			return nil, err
 		}
 		r.mergeDiagLocals(workers, s)
 	}
@@ -222,10 +247,7 @@ func (r *run) processLengthIncremental(l int) (LengthResult, *profile.MatrixProf
 	if r.degCount > 0 {
 		r.fixupDegenerate(mp, excl, s)
 	}
-	lr.Pairs = mp.TopKPairsInto(r.cfg.TopK, &r.topk)
-	lr.Stats.FullRecompute = true
-	lr.Stats.Incremental = true
-	return lr, mp, nil
+	return mp, nil
 }
 
 // mergeDiagShard is the per-slot fold used by both merge shapes below.

@@ -20,13 +20,12 @@ const hotRowBudgetBytes = 64 << 20
 // than the work).
 const advanceShardRows = 256
 
-// processLengthFull resolves length l with the from-scratch per-length
-// profile pass (the STOMP row scan on the seed's fixed block grid) and
+// processLengthFull resolves length l with the seed sweep (seedAll) and
 // returns both the top-k pairs and the full profile. The planner runs it
 // instead of processLengthIncremental when a whole-profile length comes
 // before pruned lengths and so doubles as the pruned machinery's seed:
-// the row scan reseeds every anchor's partial profile, which the
-// diagonal pass does not.
+// the sweep reseeds every anchor's partial profile, which the
+// incremental pass does not.
 func (r *run) processLengthFull(l int) (LengthResult, *profile.MatrixProfile, error) {
 	s := len(r.t) - l + 1
 	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)
@@ -36,7 +35,7 @@ func (r *run) processLengthFull(l int) (LengthResult, *profile.MatrixProfile, er
 		// No non-trivial pair (hence no finite NN distance) can exist.
 		return lr, nil, nil
 	}
-	mp, err := r.fullRecompute(l)
+	mp, err := r.seedAll(l)
 	if err != nil {
 		return lr, nil, err
 	}
@@ -120,7 +119,7 @@ func (r *run) processLength(l int) (LengthResult, *profile.MatrixProfile, error)
 			return lr, nil, nil
 		}
 		if float64(recomputed+len(need)) >= r.cfg.RecomputeFraction*float64(s) {
-			mp, err := r.fullRecompute(l)
+			mp, err := r.seedAll(l)
 			if err != nil {
 				return lr, nil, err
 			}
@@ -380,10 +379,4 @@ func (r *run) advanceAndScanHot(i, l, excl, s int, row []float64, cur int) {
 		r.indexes[i] = bestJ
 	}
 	r.cert[i] = true
-}
-
-// fullRecompute runs the STOMP row scan at length l, reseeding every
-// anchor, and returns the exact matrix profile.
-func (r *run) fullRecompute(l int) (*profile.MatrixProfile, error) {
-	return r.seedAll(l)
 }

@@ -88,9 +88,11 @@ func TestWorkersBitIdentical(t *testing.T) {
 
 // TestWorkersBitIdenticalDegenerate extends the bit-identity guarantee to
 // the adversarial inputs the kernel parity suite uses: planted constant
-// segments (σ=0 windows, hitting the degenerate row scans and the
-// incremental plan's fixupDegenerate post-pass) and exclusion zones
-// clipped at the series edges — across both the pruned and the
+// segments (σ=0 windows, hitting the degenerate anchors of the seed and
+// recompute paths and the fixupDegenerate post-pass) and exclusion zones
+// clipped at the series edges — across the default pairs plan, the
+// pruned plan pinned over the whole range (the cost model switches this
+// small series to the incremental pass after its first fallback) and the
 // incremental (discords) plan, at every worker count.
 func TestWorkersBitIdenticalDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
@@ -101,10 +103,14 @@ func TestWorkersBitIdenticalDegenerate(t *testing.T) {
 	for i := len(x) - 60; i < len(x); i++ {
 		x[i] = -1.5 // constant segment flush against the series end
 	}
-	for _, discords := range []int{0, 3} {
+	for _, plan := range []struct {
+		discords int
+		pinned   bool
+	}{{0, false}, {0, true}, {3, false}} {
+		discords := plan.discords
 		var results []*Result
 		for _, w := range []int{1, 2, 4, 5} {
-			res, err := Run(x, Config{LMin: 12, LMax: 40, TopK: 3, P: 5, Discords: discords, Workers: w})
+			res, err := Run(x, Config{LMin: 12, LMax: 40, TopK: 3, P: 5, Discords: discords, Workers: w, pinPruned: plan.pinned})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,8 +76,8 @@ func TestHybridPlanMixedSinks(t *testing.T) {
 
 // TestHybridPlanFullLengthSeedsPrunedMachinery: when the first length of
 // the run is a FullProfile length and pruned lengths follow, the planner
-// resolves it with the from-scratch row scan — whose partial-profile
-// reseed doubles as the pruned machinery's seed — instead of paying an
+// resolves it with the seed sweep — whose partial-profile reseed
+// doubles as the pruned machinery's seed — instead of paying an
 // extra seeding pass later (pinned to the pruned pass, as above).
 func TestHybridPlanFullLengthSeedsPrunedMachinery(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
@@ -94,7 +94,7 @@ func TestHybridPlanFullLengthSeedsPrunedMachinery(t *testing.T) {
 	}
 	if stats.RecomputeLengths != 1 || stats.IncrementalLengths != 0 ||
 		stats.PrunedLengths != lmax-lmin || stats.HeadSeeds != 0 {
-		t.Fatalf("plan stats %+v: want one seeding row scan serving the full sink, no incremental state", stats)
+		t.Fatalf("plan stats %+v: want one seed sweep serving the full sink, no incremental state", stats)
 	}
 	if len(full.got) != 1 || full.got[0].L != lmin {
 		t.Fatalf("full sink saw %d lengths", len(full.got))

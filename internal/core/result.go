@@ -26,18 +26,18 @@ type LengthStats struct {
 
 // PlanStats instruments the per-length planner of one run: how many
 // lengths each plan resolved and what the incremental engine's carried
-// state cost. RecomputeLengths counts from-scratch whole-profile passes:
-// the length that seeds the pruned machinery. Fixpoint fallbacks inside
-// pruned lengths are *not* counted here (they are per-length
-// LengthStats).
+// state cost. RecomputeLengths counts the length that seeds the pruned
+// machinery. Fixpoint fallbacks inside pruned lengths are *not* counted
+// here (they are per-length LengthStats).
 type PlanStats struct {
 	// PrunedLengths counts lengths resolved by the advance→certify pass.
 	PrunedLengths int `json:"pruned_lengths"`
 	// IncrementalLengths counts lengths resolved by the incremental
 	// cross-length profile pass.
 	IncrementalLengths int `json:"incremental_lengths"`
-	// RecomputeLengths counts lengths resolved by a from-scratch row scan
-	// (the pruned machinery's seed).
+	// RecomputeLengths counts lengths resolved by the seed sweep — one
+	// diagonal pass from a fresh FFT head row that also reseeds every
+	// partial profile (the pruned machinery's seed).
 	RecomputeLengths int `json:"recompute_lengths"`
 	// SkippedLengths counts lengths no registered sink wanted.
 	SkippedLengths int `json:"skipped_lengths"`
@@ -143,8 +143,8 @@ type Summary struct {
 	CertifiedAnchors int
 	// RecomputedAnchors sums anchors individually recomputed with MASS.
 	RecomputedAnchors int
-	// FullRecomputes counts lengths resolved by a whole STOMP pass
-	// (including the mandatory one at ℓmin).
+	// FullRecomputes counts lengths resolved by a whole-profile pass
+	// (including the mandatory seed at ℓmin).
 	FullRecomputes int
 }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/seriesmining/valmod/internal/core/anchors"
 	"github.com/seriesmining/valmod/internal/fft"
@@ -14,102 +12,60 @@ import (
 	"github.com/seriesmining/valmod/internal/stomp"
 )
 
-// seedBlockRows is the fixed height of the block grid the seed scan is
-// partitioned on. The grid depends only on the anchor count — never on the
-// worker count: each block seeds its first dot-product row with one FFT and
-// streams the rest via the STOMP recurrence, so a block computes the same
-// values whether blocks run serially or concurrently. Workers changes
-// wall-clock time, never output.
-const seedBlockRows = 512
-
 // seedAll computes the exact matrix profile at length l and reseeds every
-// anchor's partial profile with base l. Rows are independent; blocks of the
-// fixed grid are handed to up to Workers goroutines, each with a cloned
-// correlator and a pooled row buffer.
+// anchor's partial profile with base l, in one sweep over the diagonal
+// pass's block grid: kernels.SeedScan streams every diagonal from one FFT
+// head row, updates both profile slots of each cell and offers each
+// endpoint to the other's candidate list. Every worker fills its own
+// top-(p+1) lists; Store.Seed merges them under the strict order, so the
+// retained entries and NextQ2 are identical at every worker count. The
+// lists (Workers·s·(p+1) entries) live only for the sweep.
 func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 	n := len(r.t)
-	s := n - l + 1
-	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)
-	mp := profile.New(l, excl, s)
 	if err := stomp.ValidateLength(n, l); err != nil {
 		return nil, err
 	}
+	s := n - l + 1
+	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)
 	r.momentsAt(l)
-	nBlocks := (s + seedBlockRows - 1) / seedBlockRows
-	workers := r.workers
-	if workers > nBlocks {
-		workers = nBlocks
+	head := r.corr.Dots(r.t[0:l], r.rowQT[:s])
+	sums := make([]float64, s)
+	for i := range sums {
+		sums[i] = r.st.Sum(i, l)
 	}
-	if workers <= 1 {
-		for b := 0; b < nBlocks; b++ {
-			if err := r.ctx.Err(); err != nil {
-				return nil, err
-			}
-			lo, hi := blockBounds(b, s)
-			r.processRunWith(lo, hi-lo, l, excl, s, mp, r.corr, r.rowQT[:s])
-		}
-		r.markSeeded(l)
-		return mp, nil
+	blocks := diagBlocks(s, excl)
+	workers := r.passWorkers(len(blocks))
+	keep := r.cfg.P
+	if keep > s {
+		keep = s // an anchor never has s candidates
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			corr := r.corr.Clone()
-			defer corr.Release()
-			row := r.eng.getRow(s)
-			defer r.eng.putRow(row)
-			for {
-				// Bail between blocks on cancellation; the partial profile
-				// is discarded with the run, so early exit cannot leak into
-				// any returned result.
-				if r.ctx.Err() != nil {
-					return
-				}
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks {
-					return
-				}
-				lo, hi := blockBounds(b, s)
-				r.processRunWith(lo, hi-lo, l, excl, s, mp, corr, row)
-			}
-		}()
+	lists := make([]*kernels.TopLists, workers)
+	for w := range lists {
+		lists[w] = kernels.NewTopLists(s, keep+1)
 	}
-	wg.Wait()
-	if err := r.ctx.Err(); err != nil {
+	mp, err := r.diagPass(l, excl, s, blocks, workers, func(w int, b diagBlock, corr []float64, idx []int32) {
+		kernels.SeedScan(r.t, head, r.means, r.invStds, sums, b.k0, b.k1, l, s, corr, idx, lists[w])
+	})
+	if err != nil {
 		return nil, err
 	}
-	r.markSeeded(l)
+	for i := 0; i < s; i++ {
+		r.store.Seed(i, r.cfg.P, l, lists, r.invStds[i] == 0)
+	}
+	// The pruned machinery is live and its retained entries hold dot
+	// products at l.
+	r.seeded = true
+	r.entriesAt = l
 	return mp, nil
 }
 
-// markSeeded records that the full row scan just reseeded every anchor's
-// partial profile at base length l: the pruned machinery is live and its
-// retained entries hold dot products at l.
-func (r *run) markSeeded(l int) {
-	r.seeded = true
-	r.entriesAt = l
-}
-
-// blockBounds returns the anchor range [lo, hi) of seed block b.
-func blockBounds(b, s int) (lo, hi int) {
-	lo = b * seedBlockRows
-	hi = lo + seedBlockRows
-	if hi > s {
-		hi = s
-	}
-	return lo, hi
-}
-
-// processRunWith resolves the contiguous anchors [i0, i0+count) exactly at
-// length l: one FFT seeds the dot-product row of i0, each following row
-// costs O(s) via the STOMP recurrence (kernels.RowNext), and per row the
-// kernel scans find the exact profile minimum (division-free correlation
-// compare) and reseed the anchor's partial profile. It writes exact values
-// into mp. The correlator and row buffer are caller-owned, enabling
-// concurrent block scans; the moment cache must already be at l.
+// processRunWith resolves the contiguous recompute run [i0, i0+count)
+// exactly at length l: one FFT seeds the dot-product row of i0, each
+// following row costs O(s) via the STOMP recurrence (kernels.RowNext), and
+// per row the kernel scans find the exact profile minimum (division-free
+// correlation compare) and reseed the anchor's partial profile. It writes
+// exact values into mp. The correlator and row buffer are caller-owned,
+// enabling concurrent runs; the moment cache must already be at l.
 func (r *run) processRunWith(i0, count, l, excl, s int, mp *profile.MatrixProfile, corr *fft.Correlator, rowBuf []float64) {
 	t := r.t
 	row := corr.Dots(t[i0:i0+l], rowBuf)
@@ -238,8 +194,7 @@ func (r *run) reseedRange(a *anchors.State, row []float64, j0, j1, p int, sumA f
 }
 
 // scanRowDegenerate resolves a σ=0 anchor's row with the convention-aware
-// scalar distance (the correlation kernels cannot express it): the shared
-// fallback of every row-scan path.
+// scalar distance (the correlation kernels cannot express it).
 func (r *run) scanRowDegenerate(i, l, excl, s int, row []float64, mp *profile.MatrixProfile) {
 	fl := float64(l)
 	muA := r.means[i]

@@ -298,3 +298,80 @@ func diagQuadAVX2(t, head, means, invs []float64, k, l, s int, invFl float64, co
 	diagOneTail(t, means, invs, qt[2], k+2, l, s, invFl, corr, idx, m)
 	diagOneTail(t, means, invs, qt[3], k+3, l, s, invFl, corr, idx, m)
 }
+
+// seedSteps4 is diagSteps4 extended with SeedScan's list filter: the four
+// chains qt[0..3] of diagonals k..k+3 advance over cells i ∈ [i0, n), and
+// besides the correlation c of cell (i, j = i+k+x) each lane computes the
+// two rank keys qij = (qt − means[j]·sums[i])·invs[j] and
+// qji = (qt − means[i]·sums[j])·invs[i]. It returns at the first i where
+// any lane has c ≥ corr[i], c ≥ corr[j], qij² ≥ thr[i] or qji² ≥ thr[j]
+// (chains advanced to that cell and stored back; the four conditions'
+// lane masks in bits 0–3, 4–7, 8–11 and 12–15 of mask), or at n with
+// mask 0. Slots and thresholds only ever grow, so every flagged set is a
+// superset of the cells that change state.
+//
+//go:noescape
+func seedSteps4(qt, t, means, invs, sums, corr, thr *float64, k, l int, invFl float64, i0, n int) (stop, mask int)
+
+func seedScanAVX2(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	invFl := 1 / float64(l)
+	k := k0
+	for ; k+4 <= k1; k += 4 {
+		seedQuadAVX2(t, head, means, invs, sums, k, l, s, invFl, corr, idx, top)
+	}
+	for ; k < k1; k++ {
+		seedCell(means, invs, sums, head[k], 0, k, invFl, corr, idx, top)
+		seedTail(t, means, invs, sums, head[k], k, l, s, invFl, corr, idx, top, 0)
+	}
+}
+
+// seedQuadAVX2 mirrors diagQuadAVX2: scalar head cells, the common range
+// through the seedSteps4 stop protocol, scalar tails resuming from the
+// carried chains.
+func seedQuadAVX2(t, head, means, invs, sums []float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists) {
+	var qt [4]float64
+	for x := range qt {
+		qt[x] = head[k+x]
+		seedCell(means, invs, sums, qt[x], 0, k+x, invFl, corr, idx, top)
+	}
+	m := s - k - 4
+	if m >= 1 {
+		n := m + 1 // common cells are i ∈ [1, m]
+		for i := 1; i < n; i++ {
+			stop, mask := seedSteps4(&qt[0], &t[0], &means[0], &invs[0], &sums[0], &corr[0], &top.Thr[0], k, l, invFl, i, n)
+			if stop >= n {
+				break
+			}
+			i = stop
+			seedLanes(means, invs, sums, &qt, i, k, invFl, corr, idx, top, mask)
+		}
+	}
+	if m < 0 {
+		m = 0
+	}
+	for x := range qt {
+		seedTail(t, means, invs, sums, qt[x], k+x, l, s, invFl, corr, idx, top, m)
+	}
+}
+
+// seedLanes applies the lanes seedSteps4 flagged at row i: each is
+// recomputed in scalar from its carried chain — the same expressions,
+// bit-identical to the vector lanes — and applied through the winner and
+// list rules.
+func seedLanes(means, invs, sums []float64, qt *[4]float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists, mask int) {
+	mi, vi, si := means[i], invs[i], sums[i]
+	for x, q := range qt {
+		j := i + k + x
+		if mask&(0x11<<x) != 0 {
+			c := (q*invFl - mi*means[j]) * vi * invs[j]
+			update(corr, idx, i, c, int32(j))
+			update(corr, idx, j, c, int32(i))
+		}
+		if mask&(0x100<<x) != 0 {
+			top.Offer(i, int32(j), q, (q-means[j]*si)*invs[j])
+		}
+		if mask&(0x1000<<x) != 0 {
+			top.Offer(j, int32(i), q, (q-mi*sums[j])*vi)
+		}
+	}
+}

@@ -24,3 +24,7 @@ func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64,
 func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
 	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
+
+func seedScanAVX2(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+}

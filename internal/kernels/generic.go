@@ -411,3 +411,87 @@ func diagOneTail(t, means, invs []float64, qt float64, k, l, s int, invFl float6
 		}
 	}
 }
+
+// seedScanGeneric is SeedScan one diagonal at a time, with hoisted
+// bounds; each cell's two list filters are inline and only the offers
+// that pass them call TopLists.Offer.
+func seedScanGeneric(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	invFl := 1 / float64(l)
+	for k := k0; k < k1; k++ {
+		seedCell(means, invs, sums, head[k], 0, k, invFl, corr, idx, top)
+		seedTail(t, means, invs, sums, head[k], k, l, s, invFl, corr, idx, top, 0)
+	}
+}
+
+// seedCell applies cell (i, i+k) with dot product qt: both profile
+// slots under the winner rule, both offers through the list filter.
+func seedCell(means, invs, sums []float64, qt float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists) {
+	j := i + k
+	c := (qt*invFl - means[i]*means[j]) * invs[i] * invs[j]
+	update(corr, idx, i, c, int32(j))
+	update(corr, idx, j, c, int32(i))
+	if q := (qt - means[j]*sums[i]) * invs[j]; q*q >= top.Thr[i] {
+		top.Offer(i, int32(j), qt, q)
+	}
+	if q := (qt - means[i]*sums[j]) * invs[i]; q*q >= top.Thr[j] {
+		top.Offer(j, int32(i), qt, q)
+	}
+}
+
+// seedTail finishes diagonal k from cell i0+1 onward, given qt = the
+// chain value at cell i0 (whose cell has already been applied).
+func seedTail(t, means, invs, sums []float64, qt float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists, i0 int) {
+	w := t[k+l-1 : s+l-1] // w[i] = t[j+l-1], len s−k
+	u := t[k-1 : s-1]
+	u = u[:len(w)]
+	ta := t[l-1 : l-1+s-k]
+	ta = ta[:len(w)]
+	tb := t[0 : s-k]
+	tb = tb[:len(w)]
+	mi := means[0 : s-k]
+	mi = mi[:len(w)]
+	vi := invs[0 : s-k]
+	vi = vi[:len(w)]
+	si := sums[0 : s-k]
+	si = si[:len(w)]
+	hi := top.Thr[0 : s-k]
+	hi = hi[:len(w)]
+	mj := means[k:s]
+	mj = mj[:len(w)]
+	vj := invs[k:s]
+	vj = vj[:len(w)]
+	sj := sums[k:s]
+	sj = sj[:len(w)]
+	hj := top.Thr[k:s]
+	hj = hj[:len(w)]
+	ci := corr[0 : s-k]
+	ci = ci[:len(w)]
+	ii := idx[0 : s-k]
+	ii = ii[:len(w)]
+	cj := corr[k:s]
+	cj = cj[:len(w)]
+	ij := idx[k:s]
+	ij = ij[:len(w)]
+	for i := i0 + 1; i < len(w); i++ {
+		qt += ta[i]*w[i] - tb[i-1]*u[i]
+		c := (qt*invFl - mi[i]*mj[i]) * vi[i] * vj[i]
+		j := int32(i + k)
+		if c >= ci[i] {
+			if c > ci[i] || j < ii[i] {
+				ci[i], ii[i] = c, j
+			}
+		}
+		a := int32(i)
+		if c >= cj[i] {
+			if c > cj[i] || a < ij[i] {
+				cj[i], ij[i] = c, a
+			}
+		}
+		if q := (qt - mj[i]*si[i]) * vj[i]; q*q >= hi[i] {
+			top.Offer(i, j, qt, q)
+		}
+		if q := (qt - mi[i]*sj[i]) * vi[i]; q*q >= hj[i] {
+			top.Offer(i+k, a, qt, q)
+		}
+	}
+}

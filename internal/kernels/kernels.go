@@ -1,7 +1,8 @@
 // Package kernels holds the engine's arithmetic hot loops — the STOMP row
 // recurrence, the branch-free argmax-correlation scans, the fused
-// multi-length dot-product extensions, the streaming column scan, and the
-// diagonal pass of the incremental cross-length engine — consolidated from
+// multi-length dot-product extensions, the streaming column scan, the
+// diagonal pass of the incremental cross-length engine, and the seed sweep
+// that fuses that pass with the partial-profile selection — consolidated from
 // the per-file copies that used to live in internal/core, internal/stomp
 // and the hot-row path.
 //
@@ -30,13 +31,15 @@
 // Every tier must produce bit-identical outputs. For pure arithmetic
 // (RowNext, ExtendRow) that holds lane-by-lane because each output cell's
 // operations run in the same order in every tier. For the winner scans
-// (ArgmaxCorr, ColScan, DiagScan) it holds because winner selection is a
-// maximum under the strict total order (correlation descending, neighbor
-// offset ascending on exact ties), which is associative and commutative —
-// any tier may reorder candidate visits, but every reordering reduces to
-// the same argmax. AdvanceDot is the one kernel with a single serial
-// floating-point accumulation chain and no slack to reorder, so every
-// tier shares the one scalar loop.
+// (ArgmaxCorr, ColScan, DiagScan, SeedScan) it holds because winner
+// selection is a maximum under the strict total order (correlation
+// descending, neighbor offset ascending on exact ties), which is
+// associative and commutative — any tier may reorder candidate visits, but
+// every reordering reduces to the same argmax. SeedScan's candidate lists
+// are the best entries under another strict order (q̃² descending, offset
+// ascending), likewise independent of visiting order. AdvanceDot is the
+// one kernel with a single serial floating-point accumulation chain and
+// no slack to reorder, so every tier shares the one scalar loop.
 //
 // # Optimization rules the kernels follow
 //
@@ -174,6 +177,108 @@ func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, 
 		diagScanAVX2(t, head, means, invs, k0, k1, l, s, corr, idx)
 	default:
 		diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
+	}
+}
+
+// SeedScan is DiagScan fused with the seed of VALMOD's partial distance
+// profiles: besides both profile slots, every cell (i, j = i+k) offers
+// candidate j to anchor i with the lower bound's rank key
+//
+//	q̃ = (qt − means[j]·sums[i]) · invs[j]
+//
+// and candidate i to anchor j with (qt − means[i]·sums[j]) · invs[i],
+// where sums[a] is anchor a's window sum at length l (lb.QTilde with its
+// division taken as the inverse σ, so a degenerate candidate keys 0). top
+// keeps each anchor's best offers (see TopLists.Offer). Only offers that
+// reach an anchor's current threshold Thr, or cells that reach a profile
+// slot, leave the dispatch tier's filter; the winner and list rules are
+// total orders, so the result is independent of visiting order and of the
+// tier.
+func SeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	switch active {
+	case AVX2:
+		seedScanAVX2(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+	default:
+		seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+	}
+}
+
+// TopLists is SeedScan's candidate selection: per anchor, the best Cap
+// candidates offered so far under the strict total order (q̃² descending,
+// candidate offset ascending). Anchor a's entries sit at
+// [a·Cap, a·Cap+Len[a]) of J, QT and Q, best first. The list contents
+// are a pure function of the set of offers, never of their order.
+type TopLists struct {
+	Cap int
+	Len []int32
+	// Thr[a] is the q̃² of anchor a's last entry once its list is full and
+	// −1 before: an offer keyed below it cannot enter.
+	Thr []float64
+	J   []int32
+	QT  []float64 // the pair's dot product
+	Q   []float64 // the rank key q̃
+}
+
+// NewTopLists returns empty lists of capacity c ≥ 1 for s anchors.
+func NewTopLists(s, c int) *TopLists {
+	tl := &TopLists{
+		Cap: c,
+		Len: make([]int32, s),
+		Thr: make([]float64, s),
+		J:   make([]int32, s*c),
+		QT:  make([]float64, s*c),
+		Q:   make([]float64, s*c),
+	}
+	for a := range tl.Thr {
+		tl.Thr[a] = -1
+	}
+	return tl
+}
+
+// Offer inserts candidate j (dot product qt, key q) into anchor a's list
+// when it ranks among the best Cap offered so far; the last entry of a
+// full list falls off. It is the single definition of the list rule.
+func (tl *TopLists) Offer(a int, j int32, qt, q float64) {
+	q2 := q * q
+	n, c := int(tl.Len[a]), tl.Cap
+	if n == c && q2 < tl.Thr[a] {
+		return
+	}
+	base := a * c
+	js := tl.J[base : base+c]
+	qts := tl.QT[base : base+c]
+	qts = qts[:len(js)]
+	qs := tl.Q[base : base+c]
+	qs = qs[:len(js)]
+	x := n
+	if n == c {
+		if q2 == tl.Thr[a] && j > js[c-1] {
+			return
+		}
+		x = c - 1
+	} else {
+		tl.Len[a] = int32(n + 1)
+	}
+	for ; x > 0; x-- {
+		e2 := qs[x-1] * qs[x-1]
+		if e2 > q2 || (e2 == q2 && js[x-1] < j) {
+			break
+		}
+		js[x], qts[x], qs[x] = js[x-1], qts[x-1], qs[x-1]
+	}
+	js[x], qts[x], qs[x] = j, qt, q
+	if int(tl.Len[a]) == c {
+		tl.Thr[a] = qs[c-1] * qs[c-1]
+	}
+}
+
+// Merge offers every entry of o's list for anchor a to tl's: afterwards
+// tl holds the best Cap of both lists' candidates (disjoint sets, as the
+// per-worker lists of one sweep are).
+func (tl *TopLists) Merge(o *TopLists, a int) {
+	base := a * o.Cap
+	for x := base; x < base+int(o.Len[a]); x++ {
+		tl.Offer(a, o.J[x], o.QT[x], o.Q[x])
 	}
 }
 

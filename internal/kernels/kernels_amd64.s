@@ -230,3 +230,99 @@ dsdone:
 	MOVQ AX, ret+112(FP)
 	VZEROUPPER
 	RET
+
+// func seedSteps4(qt, t, means, invs, sums, corr, thr *float64, k, l int,
+//                 invFl float64, i0, n int) (stop, mask int)
+// diagSteps4 extended with the partial-profile filter. Over cells i in
+// [i0, n), lane x on diagonal k+x (j = i+k+x):
+//   qt[x] += t[i+l-1]*t[j+l-1] - t[i-1]*t[j-1]
+//   c      = ((qt*invFl) - means[i]*means[j]) * invs[i] * invs[j]
+//   qij    = (qt - means[j]*sums[i]) * invs[j]
+//   qji    = (qt - means[i]*sums[j]) * invs[i]
+// Returns at the first i where any lane has c >= corr[i], c >= corr[j],
+// qij*qij >= thr[i] or qji*qji >= thr[j] (chains advanced to that cell and
+// stored back; the four conditions' lane masks in bits 0-3, 4-7, 8-11 and
+// 12-15 of mask), or at n with mask 0. Winner and list state are never
+// written here.
+TEXT ·seedSteps4(SB), NOSPLIT, $0-112
+	MOVQ t+8(FP), R8
+	MOVQ l+64(FP), CX
+	LEAQ -8(R8)(CX*8), R9 // &t[l-1]
+	MOVQ means+16(FP), R10
+	MOVQ invs+24(FP), R11
+	MOVQ sums+32(FP), R12
+	MOVQ corr+40(FP), R13
+	MOVQ thr+48(FP), R14
+	VBROADCASTSD invFl+72(FP), Y1
+	MOVQ i0+80(FP), AX
+	MOVQ n+88(FP), DX
+	MOVQ k+56(FP), CX
+	ADDQ AX, CX // j = i + k (lane 0)
+	MOVQ qt+0(FP), SI
+	VMOVUPD (SI), Y0 // chain lanes
+	XORQ BX, BX
+	CMPQ AX, DX
+	JGE  seeddone
+
+seedloop:
+	VBROADCASTSD (R9)(AX*8), Y2   // ha = t[i+l-1]
+	VBROADCASTSD -8(R8)(AX*8), Y3 // hb = t[i-1]
+	VMULPD  (R9)(CX*8), Y2, Y2    // ha*t[j+l-1]
+	VMULPD  -8(R8)(CX*8), Y3, Y3  // hb*t[j-1]
+	VSUBPD  Y3, Y2, Y2
+	VADDPD  Y2, Y0, Y0            // qt += ha*w - hb*u
+	VBROADCASTSD (R10)(AX*8), Y5  // mi
+	VMOVUPD (R10)(CX*8), Y6       // mj lanes
+	VBROADCASTSD (R11)(AX*8), Y8  // vi
+	VMOVUPD (R11)(CX*8), Y9       // vj lanes
+	VMULPD  Y1, Y0, Y4            // qt*invFl
+	VMULPD  Y6, Y5, Y7            // mi*mj
+	VSUBPD  Y7, Y4, Y4
+	VMULPD  Y8, Y4, Y4            // * vi
+	VMULPD  Y9, Y4, Y4            // * vj -> c lanes
+	VBROADCASTSD (R12)(AX*8), Y10 // si
+	VMULPD  Y10, Y6, Y10          // mj*si
+	VSUBPD  Y10, Y0, Y10
+	VMULPD  Y9, Y10, Y10          // qij
+	VMULPD  Y10, Y10, Y10         // qij^2
+	VMULPD  (R12)(CX*8), Y5, Y11  // mi*sj
+	VSUBPD  Y11, Y0, Y11
+	VMULPD  Y8, Y11, Y11          // qji
+	VMULPD  Y11, Y11, Y11         // qji^2
+	VBROADCASTSD (R13)(AX*8), Y12
+	VCMPPD  $0x0d, Y12, Y4, Y12          // c >= corr[i] (GE_OS)
+	VCMPPD  $0x0d, (R13)(CX*8), Y4, Y13  // c >= corr[j]
+	VBROADCASTSD (R14)(AX*8), Y14
+	VCMPPD  $0x0d, Y14, Y10, Y14         // qij^2 >= thr[i]
+	VCMPPD  $0x0d, (R14)(CX*8), Y11, Y15 // qji^2 >= thr[j]
+	VORPD   Y13, Y12, Y2
+	VORPD   Y15, Y14, Y3
+	VORPD   Y3, Y2, Y2
+	VMOVMSKPD Y2, SI
+	TESTL SI, SI
+	JNE  seedhit
+	INCQ AX
+	INCQ CX
+	CMPQ AX, DX
+	JLT  seedloop
+	JMP  seeddone
+
+seedhit:
+	VMOVMSKPD Y12, BX
+	VMOVMSKPD Y13, SI
+	SHLQ $4, SI
+	ORQ  SI, BX
+	VMOVMSKPD Y14, SI
+	SHLQ $8, SI
+	ORQ  SI, BX
+	VMOVMSKPD Y15, SI
+	SHLQ $12, SI
+	ORQ  SI, BX
+
+seeddone:
+	MOVQ qt+0(FP), SI
+	VMOVUPD Y0, (SI)
+	MOVQ AX, stop+96(FP)
+	MOVQ BX, mask+104(FP)
+	VZEROUPPER
+	RET

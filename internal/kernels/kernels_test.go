@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -218,6 +219,129 @@ func testKernelParityDiagScan(t *testing.T) {
 	}
 }
 
+func TestKernelParitySeedScan(t *testing.T) { forEachVariant(t, testKernelParitySeedScan) }
+
+func testKernelParitySeedScan(t *testing.T) {
+	for _, n := range []int{120, 493, 1000} {
+		ts := testSeries(n, 7)
+		for _, l := range []int{8, 21} {
+			s := n - l + 1
+			means, invs := moments(ts, l)
+			sums := windowSums(ts, l)
+			head := make([]float64, s)
+			for k := range head {
+				head[k] = series.Dot(ts[0:l], ts[k:k+l])
+			}
+			excl := (l + 3) / 4
+			// Block sequences exercising the quad path, its tails, the
+			// 1..3-diagonal remainders, and offers into lists an earlier
+			// block already filled.
+			seqs := [][][2]int{{{excl, s}}, {{excl, excl + 5}}, {{s - 3, s}}, {{excl + 7, excl + 23}, {excl, excl + 7}, {s - 1, s}}}
+			for _, c := range []int{1, 4, 11} {
+				for _, seq := range seqs {
+					gc, gi := freshSlots(s)
+					wc, wi := freshSlots(s)
+					got, want := NewTopLists(s, c), NewTopLists(s, c)
+					for _, b := range seq {
+						SeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, gc, gi, got)
+						RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, want)
+					}
+					if err := slotsEqual(gc, gi, wc, wi); err != "" {
+						t.Fatalf("n=%d l=%d cap=%d blocks=%v: SeedScan %s", n, l, c, seq, err)
+					}
+					if err := topListsEqual(got, want); err != "" {
+						t.Fatalf("n=%d l=%d cap=%d blocks=%v: SeedScan %s", n, l, c, seq, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopListsMerge: folding one list into another keeps the best Cap of
+// the union, whichever way round the fold runs.
+func TestTopListsMerge(t *testing.T) {
+	const c = 5
+	rng := rand.New(rand.NewSource(3))
+	a, b, all := NewTopLists(1, c), NewTopLists(1, c), NewTopLists(1, c)
+	for j := int32(0); j < 40; j++ {
+		q := float64(rng.Intn(9) - 4) // repeated keys exercise the offset tie-break
+		all.Offer(0, j, float64(j), q)
+		if j%3 == 0 {
+			a.Offer(0, j, float64(j), q)
+		} else {
+			b.Offer(0, j, float64(j), q)
+		}
+	}
+	b2 := &TopLists{Cap: c, Len: append([]int32(nil), b.Len...), Thr: append([]float64(nil), b.Thr...),
+		J: append([]int32(nil), b.J...), QT: append([]float64(nil), b.QT...), Q: append([]float64(nil), b.Q...)}
+	a2 := &TopLists{Cap: c, Len: append([]int32(nil), a.Len...), Thr: append([]float64(nil), a.Thr...),
+		J: append([]int32(nil), a.J...), QT: append([]float64(nil), a.QT...), Q: append([]float64(nil), a.Q...)}
+	a.Merge(b2, 0)
+	b.Merge(a2, 0)
+	for _, got := range []*TopLists{a, b} {
+		if err := topListsEqual(got, all); err != "" {
+			t.Fatalf("merged lists: %s", err)
+		}
+	}
+}
+
+// windowSums returns Σ t[i:i+l] per window, the anchor sums SeedScan keys
+// its offers with.
+func windowSums(ts []float64, l int) []float64 {
+	sums := make([]float64, len(ts)-l+1)
+	for i := range sums {
+		for _, v := range ts[i : i+l] {
+			sums[i] += v
+		}
+	}
+	return sums
+}
+
+func freshSlots(s int) ([]float64, []int32) {
+	c := make([]float64, s)
+	ix := make([]int32, s)
+	for i := range c {
+		c[i], ix[i] = math.Inf(-1), -1
+	}
+	return c, ix
+}
+
+// slotsEqual reports the first difference between two profile
+// accumulators ("" when bit-identical).
+func slotsEqual(gc []float64, gi []int32, wc []float64, wi []int32) string {
+	if !bitsEqual(gc, wc) {
+		return "corr diverges"
+	}
+	for i := range gi {
+		if gi[i] != wi[i] {
+			return fmt.Sprintf("idx[%d]=%d != %d", i, gi[i], wi[i])
+		}
+	}
+	return ""
+}
+
+// topListsEqual reports the first difference between two candidate lists
+// ("" when every held entry and threshold is bit-identical).
+func topListsEqual(got, want *TopLists) string {
+	if got.Cap != want.Cap || len(got.Len) != len(want.Len) {
+		return "list shapes differ"
+	}
+	for a := range want.Len {
+		if got.Len[a] != want.Len[a] || math.Float64bits(got.Thr[a]) != math.Float64bits(want.Thr[a]) {
+			return fmt.Sprintf("anchor %d: len/thr (%d, %v) != (%d, %v)", a, got.Len[a], got.Thr[a], want.Len[a], want.Thr[a])
+		}
+		for x := a * want.Cap; x < a*want.Cap+int(want.Len[a]); x++ {
+			if got.J[x] != want.J[x] || math.Float64bits(got.QT[x]) != math.Float64bits(want.QT[x]) ||
+				math.Float64bits(got.Q[x]) != math.Float64bits(want.Q[x]) {
+				return fmt.Sprintf("anchor %d entry %d: (%d, %v, %v) != (%d, %v, %v)", a, x-a*want.Cap,
+					got.J[x], got.QT[x], got.Q[x], want.J[x], want.QT[x], want.Q[x])
+			}
+		}
+	}
+	return ""
+}
+
 func TestKernelParityColScan(t *testing.T) { forEachVariant(t, testKernelParityColScan) }
 
 func testKernelParityColScan(t *testing.T) {
@@ -296,6 +420,47 @@ func BenchmarkDiagScan(b *testing.B) {
 			}
 			DiagScan(ts, head, means, invs, excl, s, 64, s, corr, idx)
 		}
+	})
+}
+
+// BenchmarkSeedScan is BenchmarkDiagScan's sweep with the partial-profile
+// seed fused in (p = 10 entries per anchor, so lists of 11), reported per
+// visited cell. It runs on a plain random walk: in benchSetup's series the
+// planted constant segments make σ = 0 windows, where every candidate
+// ties at correlation 0 and stops the vector body at nearly every cell
+// they touch, so that series would time the stop path instead.
+func BenchmarkSeedScan(b *testing.B) {
+	forEachVariantB(b, func(b *testing.B) {
+		const n, l = 8192, 64
+		rng := rand.New(rand.NewSource(9))
+		ts := make([]float64, n)
+		v := 0.0
+		for i := range ts {
+			v += rng.NormFloat64()
+			ts[i] = v
+		}
+		s := n - l + 1
+		means, invs := moments(ts, l)
+		sums := windowSums(ts, l)
+		head := make([]float64, s)
+		for k := range head {
+			head[k] = series.Dot(ts[0:l], ts[k:k+l])
+		}
+		excl := 16
+		corr := make([]float64, s)
+		idx := make([]int32, s)
+		top := NewTopLists(s, 11)
+		cells := (s - excl) * (s - excl + 1) / 2
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < s; j++ {
+				corr[j], idx[j] = math.Inf(-1), -1
+				top.Len[j], top.Thr[j] = 0, -1
+			}
+			SeedScan(ts, head, means, invs, sums, excl, s, l, s, corr, idx, top)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 	})
 }
 

@@ -95,3 +95,58 @@ func RefDiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float6
 		}
 	}
 }
+
+// RefSeedScan is SeedScan one diagonal at a time with every offer made:
+// each cell updates both profile slots and offers each endpoint to the
+// other's list through refOffer, the plain ranked insertion.
+func RefSeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	invFl := 1 / float64(l)
+	for k := k0; k < k1; k++ {
+		qt := head[k]
+		for i := 0; i+k < s; i++ {
+			j := i + k
+			if i > 0 {
+				qt += t[i+l-1]*t[j+l-1] - t[i-1]*t[j-1]
+			}
+			c := (qt*invFl - means[i]*means[j]) * invs[i] * invs[j]
+			if c > corr[i] || (c == corr[i] && int32(j) < idx[i]) {
+				corr[i], idx[i] = c, int32(j)
+			}
+			if c > corr[j] || (c == corr[j] && int32(i) < idx[j]) {
+				corr[j], idx[j] = c, int32(i)
+			}
+			refOffer(top, i, j, qt, (qt-means[j]*sums[i])*invs[j])
+			refOffer(top, j, i, qt, (qt-means[i]*sums[j])*invs[i])
+		}
+	}
+}
+
+// refOffer inserts candidate j into anchor a's list at its rank under
+// (q̃² descending, offset ascending), truncating the list to Cap entries
+// and refreshing Thr once it is full.
+func refOffer(top *TopLists, a, j int, qt, q float64) {
+	base, n := a*top.Cap, int(top.Len[a])
+	pos := 0
+	for pos < n {
+		e := top.Q[base+pos]
+		if q*q > e*e || (q*q == e*e && int32(j) < top.J[base+pos]) {
+			break
+		}
+		pos++
+	}
+	if pos == top.Cap {
+		return
+	}
+	if n < top.Cap {
+		n++
+	}
+	for x := n - 1; x > pos; x-- {
+		top.J[base+x], top.QT[base+x], top.Q[base+x] = top.J[base+x-1], top.QT[base+x-1], top.Q[base+x-1]
+	}
+	top.J[base+pos], top.QT[base+pos], top.Q[base+pos] = int32(j), qt, q
+	top.Len[a] = int32(n)
+	if n == top.Cap {
+		last := top.Q[base+n-1]
+		top.Thr[a] = last * last
+	}
+}

@@ -131,7 +131,7 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		anchor := int(seed&0x7fffffff) % s
 
-		switch kernel % 5 {
+		switch kernel % 6 {
 		case 0: // RowNext
 			row0 := make([]float64, s)
 			for j := range row0 {
@@ -262,6 +262,37 @@ func FuzzKernelParity(f *testing.F) {
 					if gi[i] != wi[i] {
 						t.Fatalf("%v: ColScan(n=%d l=%d j=%d) idx[%d]=%d != %d", v, n, l, j, i, gi[i], wi[i])
 					}
+				}
+			})
+		case 5: // SeedScan over two fuzz-chosen blocks into shared lists
+			if excl >= s {
+				return
+			}
+			head := make([]float64, s)
+			for k := range head {
+				head[k] = series.Dot(ts[0:l], ts[k:k+l])
+			}
+			sums := windowSums(ts, l)
+			c := 1 + int(segA)%12
+			k0 := excl + anchor%(s-excl)
+			k1 := k0 + 1 + int(segB)%16
+			if k1 > s {
+				k1 = s
+			}
+			wc, wi := freshSlots(s)
+			want := NewTopLists(s, c)
+			RefSeedScan(ts, head, means, invs, sums, excl, k0, l, s, wc, wi, want)
+			RefSeedScan(ts, head, means, invs, sums, k0, k1, l, s, wc, wi, want)
+			allVariants(t, func(v Variant) {
+				gc, gi := freshSlots(s)
+				got := NewTopLists(s, c)
+				SeedScan(ts, head, means, invs, sums, excl, k0, l, s, gc, gi, got)
+				SeedScan(ts, head, means, invs, sums, k0, k1, l, s, gc, gi, got)
+				if err := slotsEqual(gc, gi, wc, wi); err != "" {
+					t.Fatalf("%v: SeedScan(n=%d l=%d k=[%d,%d)) %s", v, n, l, k0, k1, err)
+				}
+				if err := topListsEqual(got, want); err != "" {
+					t.Fatalf("%v: SeedScan(n=%d l=%d k=[%d,%d) cap=%d) %s", v, n, l, k0, k1, c, err)
 				}
 			})
 		}

@@ -12,7 +12,7 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 	m := NewManager(Config{MaxConcurrent: 1})
 	values := testSeries(600)
 
-	// A pairs-only query: one seeding row scan, then pruned lengths until
+	// A pairs-only query: one seed sweep, then pruned lengths until
 	// the cost model switches the rest to the incremental pass (one FFT
 	// head seed when it does).
 	j, err := m.Submit(JobRequest{Values: values, LMin: 16, LMax: 32, TopK: 2, Workers: 1})

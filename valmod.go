@@ -165,7 +165,7 @@ type LengthResult struct {
 
 // PlanStats instruments the engine's per-length planner over one run: how
 // many lengths ran the pruned pass, the incremental whole-profile pass,
-// or a from-scratch recompute (plus how often the incremental engine's
+// or the seed sweep that seeds the pruned pass (plus how often the incremental engine's
 // carried head row was FFT-seeded and FMA-extended). It doubles as the
 // wire DTO of the serving layer, hence the JSON tags.
 type PlanStats struct {
