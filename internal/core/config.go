@@ -93,9 +93,13 @@ type Config struct {
 	// trimmed to exactly the trailing WindowCap points, evicted offsets
 	// are dropped and surviving profile entries whose nearest neighbor
 	// was evicted are repaired exactly over the remaining window — so
-	// results are always a pure function of the last min(n, WindowCap)
-	// points, independent of how the stream was chunked. Must be at least
-	// LMax (every length needs one window). Batch runs ignore it.
+	// results always give the same pairs as a batch run over the last
+	// min(n, WindowCap) points, within floating tolerance. They are
+	// bit-identical across worker counts and across checkpoint/resume,
+	// but not across chunkings: a sparse repair keeps the survivors'
+	// carried dot products, whose recurrences began on points since
+	// evicted. Must be at least LMax (every length needs one window).
+	// Batch runs ignore it.
 	WindowCap int
 	// Workers bounds the goroutines used by the data-parallel phases: the
 	// ℓmin seed, full-recompute fallbacks, and the per-length

@@ -32,8 +32,15 @@ package core
 //     sparse, or a full replay of the column recurrence over the window
 //     when they are dense (see evict for the cutover); moments are rebuilt
 //     from the retained points, bit-identical to a batch run over that
-//     window. Results are therefore always a pure function of the last
-//     min(n, W) points.
+//     window. Results therefore always give the same pairs as a batch run
+//     over the last min(n, W) points, within floating tolerance
+//     (TestStreamEvictionEqualsTrailingBatch). They are not a bit-level
+//     function of those points alone: a sparse repair keeps the
+//     survivors' column values, whose recurrence chains began on points
+//     since evicted, so chunkings that evict at different moments can
+//     differ in the last bits. A capped stream is bit-identical across
+//     worker counts and across Checkpoint/ResumeStreamer; only an
+//     uncapped one is bit-identical under any chunking.
 //
 // Snapshot materializes the accumulators into per-length matrix profiles
 // and routes them through the same sinks as the batch engine (pairsSink,
@@ -216,7 +223,7 @@ func (s *Streamer) advance(ls *streamLen, t []float64) error {
 	return nil
 }
 
-// evict drops the oldest e points, keeping results a pure function of the
+// evict drops the oldest e points, keeping results exact over the
 // retained window. Dot products are shift-invariant, so the carried
 // column and the winner accumulators shift down; moments are rebuilt from
 // the retained points (bit-identical to a batch run over them). A
@@ -254,10 +261,11 @@ func (s *Streamer) evict(e int) error {
 		// costs an FFT row (O(s·log s)), so when they are dense it is
 		// cheaper to replay the column recurrence over the whole retained
 		// window (O(s²) total) — the same code path as streaming the window
-		// into a fresh engine, so the outcome stays a pure function of the
-		// retained points. The cutover is deterministic per eviction (it
-		// depends only on the accumulator state, never on workers), so
-		// worker-count bit-identity is preserved.
+		// into a fresh engine, so a replayed length is bit-identical to a
+		// fresh stream fed the retained points. The cutover is
+		// deterministic per eviction (it depends only on the accumulator
+		// state, never on workers), so worker-count bit-identity is
+		// preserved.
 		repairs := 0
 		for i := 0; i < sNew; i++ {
 			if old := ls.idx[i+e]; old >= 0 && int(old) < e {
@@ -535,8 +543,9 @@ func (s *Streamer) Checkpoint() ([]byte, error) {
 // ResumeStreamer reconstructs a Streamer from a Checkpoint blob taken
 // under the same configuration (Workers may differ). Mismatched, corrupted
 // or truncated blobs fail with ErrBadCheckpoint; the caller's fallback is
-// replaying the appends into a fresh stream, which the chunking-invariance
-// contract makes equally exact.
+// replaying the appends, chunk for chunk, into a fresh stream, which
+// reproduces it bit for bit (with a WindowCap, a different chunking
+// would only reproduce it within floating tolerance).
 func ResumeStreamer(cfg Config, ckpt []byte) (*Streamer, error) {
 	s, err := NewStreamer(cfg)
 	if err != nil {

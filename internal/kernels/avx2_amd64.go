@@ -5,21 +5,24 @@ package kernels
 // The AVX2 dispatch tier, amd64 side: thin Go orchestration around the
 // assembly routines in kernels_amd64.s. Division of labor:
 //
-//   - Pure arithmetic (RowNext, ExtendRow, the correlation sweeps) runs
+//   - Pure arithmetic (RowNext, ExtendRow, the argmax sweep) runs
 //     entirely in four-lane assembly; remainders shorter than a vector
 //     run the identical scalar expressions here.
 //   - Winner selection stays in Go. The argmax sweep returns only the
 //     maximum correlation; if it beats the running best, a scalar re-scan
 //     recomputes the identical per-lane expression and keeps the first
 //     cell comparing equal — the cell the sequential scan would keep.
-//   - The diagonal stepper uses a stop protocol: assembly advances the
-//     four interleaved chains cell by cell and returns at the first cell
-//     where any lane's correlation reaches either endpoint's current
-//     winner (a conservative superset of the cells that actually update,
-//     since slot values only ever grow); Go applies the exact sequential
-//     compare-update there and re-enters at the next cell. The assembly
-//     never writes winner state, so the total order is enforced in
-//     exactly one place.
+//   - The column, diagonal and seed steppers use a stop protocol:
+//     assembly computes four lanes per step — a group of four cells of
+//     the column, or one cell on each of four interleaved diagonal chains
+//     — and returns at the first step where any lane's correlation
+//     reaches a slot's current winner (a conservative superset of the
+//     cells that actually update, since slot values only ever grow) or,
+//     in the column scan, beats the running best (exactly that update).
+//     Go recomputes that step's lanes in scalar, applies the exact
+//     sequential compare-updates and re-enters at the next step. The
+//     assembly never writes winner state, so the total order is enforced
+//     in exactly one place.
 //
 // None of the assembly uses FMA: fused multiply-adds round differently
 // from the separate multiply and add the generic tier performs, and
@@ -43,11 +46,13 @@ func axpyBlocks(dst, x *float64, a float64, n int)
 //go:noescape
 func corrMax(r, m, v *float64, invFl, muA, invA float64, n int) float64
 
-// corrBuf stores (cb[y]·invFl − mb[y]·muJ)·vb[y]·invJ into dst[y] for
-// y ∈ [0, n), n a multiple of 4.
+// colSteps4 walks groups of four cells i = i0, i0+4, … < n (n − i0 a
+// multiple of 4), computing c = (col[i]·invFl − m[i]·muJ)·v[i]·invJ, and
+// returns the first group start where any lane has c ≥ corr[i] or
+// c > best, or n if no group triggers.
 //
 //go:noescape
-func corrBuf(dst, cb, mb, vb *float64, invFl, muJ, invJ float64, n int)
+func colSteps4(col, m, v, corr *float64, invFl, muJ, invJ, best float64, i0, n int) int
 
 // diagSteps4 advances the four interleaved diagonal chains qt[0..3] over
 // cells i ∈ [i0, n): qt += ta[i]·w[i+x] − tb[i−1]·u[i+x] per lane x, then
@@ -136,10 +141,12 @@ func argmaxCorrRangeAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, inv
 	return bestCorr, bestJ
 }
 
-// colScanBlock is the block width of colScanAVX2's correlation buffer:
-// big enough to amortize the assembly call, small enough to stay in L1.
-const colScanBlock = 64
-
+// colScanAVX2 drives the vector range through the colSteps4 stop
+// protocol. A stopped group and the scalar tail (fewer than four cells)
+// run the same scalar expression — bit-identical to the vector lanes —
+// and the sequential compare-updates of colScanGeneric, in ascending i.
+// A group that did not stop changes nothing: no lane reached its slot,
+// and none beat the running best it entered with.
 func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, corr []float64, idx []int32, j int32, bestCorr float64, bestIdx int32) (float64, int32) {
 	if iEnd <= 0 {
 		return bestCorr, bestIdx
@@ -153,30 +160,23 @@ func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64,
 	cr = cr[:len(cl)]
 	ix := idx[0:iEnd]
 	ix = ix[:len(cl)]
-	var buf [colScanBlock]float64
-	i := 0
-	for ; i+colScanBlock <= len(cl); i += colScanBlock {
-		corrBuf(&buf[0], &cl[i], &m[i], &v[i], invFl, muJ, invJ, colScanBlock)
-		crb := cr[i : i+colScanBlock]
-		ixb := ix[i : i+colScanBlock]
-		ixb = ixb[:len(crb)]
-		for y := range buf {
-			c := buf[y]
-			if c > crb[y] || (c == crb[y] && j < ixb[y]) {
-				crb[y], ixb[y] = c, j
+	nv := len(cl) &^ 3
+	for i := 0; i < len(cl); {
+		if i < nv {
+			i = colSteps4(&cl[0], &m[0], &v[0], &cr[0], invFl, muJ, invJ, bestCorr, i, nv)
+		}
+		end := i + 4
+		if end > len(cl) {
+			end = len(cl)
+		}
+		for ; i < end; i++ {
+			c := (cl[i]*invFl - m[i]*muJ) * v[i] * invJ
+			if c > cr[i] || (c == cr[i] && j < ix[i]) {
+				cr[i], ix[i] = c, j
 			}
 			if c > bestCorr {
-				bestCorr, bestIdx = c, int32(i+y)
+				bestCorr, bestIdx = c, int32(i)
 			}
-		}
-	}
-	for ; i < len(cl); i++ {
-		c := (cl[i]*invFl - m[i]*muJ) * v[i] * invJ
-		if c > cr[i] || (c == cr[i] && j < ix[i]) {
-			cr[i], ix[i] = c, j
-		}
-		if c > bestCorr {
-			bestCorr, bestIdx = c, int32(i)
 		}
 	}
 	return bestCorr, bestIdx

@@ -26,7 +26,10 @@
 //   - avx2 — amd64 assembly (runtime CPUID-detected), four float64 lanes
 //     per vector. The assembly never uses FMA: fused multiply-adds round
 //     differently from the separate multiply and add the portable tier
-//     performs, and bit-identity across tiers is a hard contract.
+//     performs, and bit-identity across tiers is a hard contract. Its
+//     scans (ColScan, DiagScan, SeedScan) share one stop protocol: the
+//     assembly computes correlations and returns only where a lane could
+//     change winner state, and Go applies the compare-updates there.
 //
 // Every tier must produce bit-identical outputs. For pure arithmetic
 // (RowNext, ExtendRow) that holds lane-by-lane because each output cell's

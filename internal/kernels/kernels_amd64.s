@@ -7,8 +7,8 @@
 //   - No FMA, ever: every multiply-add is a separate VMULPD/VADDPD (or
 //     VSUBPD) pair so the rounding matches the portable tiers bit for bit.
 //   - No winner-state writes: the scan routines compute correlations and
-//     (for the diagonal stepper) improvement masks only; the Go callers
-//     own the total-order compare-updates.
+//     (for the steppers) improvement masks only; the Go callers own the
+//     total-order compare-updates.
 //   - Every evaluation order mirrors the scalar expression it replaces,
 //     lane by lane.
 
@@ -133,36 +133,46 @@ maxdone:
 	MOVSD X4, ret+56(FP)
 	RET
 
-// func corrBuf(dst, cb, mb, vb *float64, invFl, muJ, invJ float64, n int)
-// dst[y] = ((cb*invFl) - mb*muJ) * vb * invJ for y in [0, n), n a
-// multiple of 4 (note: *vb before *invJ — ColScan's evaluation order).
-TEXT ·corrBuf(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), R8
-	MOVQ cb+8(FP), R9
-	MOVQ mb+16(FP), R10
-	MOVQ vb+24(FP), R11
+// func colSteps4(col, m, v, corr *float64, invFl, muJ, invJ, best float64,
+//                i0, n int) int
+// Walks groups of four cells i = i0, i0+4, ... < n (n - i0 a multiple of
+// 4), computing ColScan's correlation in its evaluation order:
+//   c = ((col[i]*invFl) - m[i]*muJ) * v[i] * invJ
+// and returns the first group start where any lane has c >= corr[i]
+// (reaches its slot) or c > best (beats the running best), or n when no
+// group triggers. Winner state is never written here.
+TEXT ·colSteps4(SB), NOSPLIT, $0-88
+	MOVQ col+0(FP), R8
+	MOVQ m+8(FP), R9
+	MOVQ v+16(FP), R10
+	MOVQ corr+24(FP), R11
 	VBROADCASTSD invFl+32(FP), Y1
 	VBROADCASTSD muJ+40(FP), Y2
 	VBROADCASTSD invJ+48(FP), Y3
-	MOVQ n+56(FP), DX
-	XORQ AX, AX
-
-bufloop:
+	VBROADCASTSD best+56(FP), Y4
+	MOVQ i0+64(FP), AX
+	MOVQ n+72(FP), DX
 	CMPQ AX, DX
-	JGE  bufdone
-	VMOVUPD (R9)(AX*8), Y4
-	VMULPD  Y1, Y4, Y4 // cb*invFl
-	VMOVUPD (R10)(AX*8), Y5
-	VMULPD  Y2, Y5, Y5 // mb*muJ
-	VSUBPD  Y5, Y4, Y4
-	VMOVUPD (R11)(AX*8), Y6
-	VMULPD  Y6, Y4, Y4 // * vb
-	VMULPD  Y3, Y4, Y4 // * invJ
-	VMOVUPD Y4, (R8)(AX*8)
-	ADDQ $4, AX
-	JMP  bufloop
+	JGE  csdone
 
-bufdone:
+csloop:
+	VMULPD  (R8)(AX*8), Y1, Y5         // col*invFl
+	VMULPD  (R9)(AX*8), Y2, Y6         // m*muJ
+	VSUBPD  Y6, Y5, Y5
+	VMULPD  (R10)(AX*8), Y5, Y5        // * v
+	VMULPD  Y3, Y5, Y5                 // * invJ -> c lanes
+	VCMPPD  $0x0d, (R11)(AX*8), Y5, Y6 // c >= corr[i] (GE_OS)
+	VCMPPD  $0x0e, Y4, Y5, Y7          // c > best (GT_OS)
+	VORPD   Y7, Y6, Y6
+	VMOVMSKPD Y6, CX
+	TESTL CX, CX
+	JNE  csdone
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLT  csloop
+
+csdone:
+	MOVQ AX, ret+80(FP)
 	VZEROUPPER
 	RET
 

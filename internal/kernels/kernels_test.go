@@ -298,6 +298,19 @@ func windowSums(ts []float64, l int) []float64 {
 	return sums
 }
 
+// randomWalk returns a seeded Gaussian random walk with no planted
+// structure — the input on which the stop-protocol bodies rarely stop.
+func randomWalk(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	ts := make([]float64, n)
+	v := 0.0
+	for i := range ts {
+		v += rng.NormFloat64()
+		ts[i] = v
+	}
+	return ts
+}
+
 func freshSlots(s int) ([]float64, []int32) {
 	c := make([]float64, s)
 	ix := make([]int32, s)
@@ -432,13 +445,7 @@ func BenchmarkDiagScan(b *testing.B) {
 func BenchmarkSeedScan(b *testing.B) {
 	forEachVariantB(b, func(b *testing.B) {
 		const n, l = 8192, 64
-		rng := rand.New(rand.NewSource(9))
-		ts := make([]float64, n)
-		v := 0.0
-		for i := range ts {
-			v += rng.NormFloat64()
-			ts[i] = v
-		}
+		ts := randomWalk(n, 9)
 		s := n - l + 1
 		means, invs := moments(ts, l)
 		sums := windowSums(ts, l)
@@ -464,6 +471,10 @@ func BenchmarkSeedScan(b *testing.B) {
 	})
 }
 
+// BenchmarkColScan times one column scan into slots reset to −Inf, so
+// every cell improves its slot: on the avx2 tier every group stops and
+// runs the scalar compare-updates. It is the stop path's cost, not the
+// stream's; BenchmarkColScanReplay times the call pattern a stream makes.
 func BenchmarkColScan(b *testing.B) {
 	forEachVariantB(b, func(b *testing.B) {
 		ts, _, means, invs, s := benchSetup(8192, 64)
@@ -485,6 +496,59 @@ func BenchmarkColScan(b *testing.B) {
 			sinkCorr, _ = ColScan(col, means, invs, iEnd, 1.0/64, means[j], invs[j], corr, idx, int32(j), math.Inf(-1), -1)
 		}
 	})
+}
+
+// BenchmarkColScanReplay times the call pattern of a stream's eviction
+// replay (Streamer.rebuild): every column of a 4 096-point series at
+// ℓ = 64 advanced with RowNext and its head dot, then scanned with ColScan
+// into slots that carry every earlier column's candidates, so few cells
+// change a slot. ns/cell is the whole replay per scanned cell. "walk" is
+// a plain random walk; "flat" holds its middle half constant, where the
+// σ = 0 windows tie at correlation 0 and stop most groups.
+func BenchmarkColScanReplay(b *testing.B) {
+	const n, l = 4096, 64
+	walk := randomWalk(n, 9)
+	flat := append([]float64(nil), walk...)
+	for i := n / 4; i < 3*n/4; i++ {
+		flat[i] = flat[n/4]
+	}
+	for _, in := range []struct {
+		name string
+		ts   []float64
+	}{{"walk", walk}, {"flat", flat}} {
+		b.Run(in.name, func(b *testing.B) {
+			forEachVariantB(b, func(b *testing.B) {
+				ts := in.ts
+				s := n - l + 1
+				excl := (l + 3) / 4
+				means, invs := moments(ts, l)
+				col := make([]float64, s)
+				corr, idx := freshSlots(s)
+				cells := 0
+				for j := excl; j < s; j++ {
+					cells += j - excl + 1
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for it := 0; it < b.N; it++ {
+					for x := range corr {
+						corr[x], idx[x] = math.Inf(-1), -1
+					}
+					for j := 0; j < s; j++ {
+						RowNext(col, ts, j, l, j+1)
+						col[0] = series.Dot(ts[0:l], ts[j:j+l])
+						if iEnd := j - excl + 1; iEnd > 0 {
+							bc, bi := ColScan(col, means, invs, iEnd, 1.0/l, means[j], invs[j], corr, idx, int32(j), math.Inf(-1), -1)
+							if bi >= 0 {
+								corr[j], idx[j] = bc, bi
+							}
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			})
+		})
+	}
 }
 
 func BenchmarkRefDiagScan(b *testing.B) {

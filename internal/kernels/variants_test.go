@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/seriesmining/valmod/internal/series"
@@ -115,6 +116,9 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(6), uint16(1000), uint8(40), uint8(200), uint8(0), uint8(5))
 	f.Add(int64(7), uint16(96), uint8(5), uint8(11), uint8(33), uint8(6))
 	f.Add(int64(8), uint16(770), uint8(50), uint8(77), uint8(128), uint8(7))
+	f.Add(int64(500), uint16(611), uint8(20), uint8(6), uint8(2), uint8(10))
+	f.Add(int64(900), uint16(1100), uint8(61), uint8(3), uint8(6), uint8(16))
+	f.Add(int64(3666), uint16(1410), uint8(26), uint8(94), uint8(56), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, lRaw, segA, segB, kernel uint8) {
 		n := 32 + int(nRaw)%1200
 		l := 3 + int(lRaw)%62
@@ -226,42 +230,82 @@ func FuzzKernelParity(f *testing.F) {
 					}
 				}
 			})
-		case 4: // ColScan at a fuzz-chosen appended column
+		case 4: // ColScan into warm slots, with a seeded best and planted ties
 			j := 1 + anchor%s
 			if j >= s {
 				j = s - 1
 			}
-			if j < 1 {
-				return
+			colAt := func(c int) []float64 {
+				col := make([]float64, s)
+				for i := range col {
+					col[i] = series.Dot(ts[i:i+l], ts[c:c+l])
+				}
+				return col
 			}
-			col := make([]float64, s)
-			for i := range col {
-				col[i] = series.Dot(ts[i:i+l], ts[j:j+l])
+			// Warm-up columns spread over the series, before and after j,
+			// fill the slots with real winners — so the avx2 body runs
+			// through groups where no lane reaches its slot — and record
+			// neighbors on both sides of j.
+			warm := make([]int, 1+int(segA>>1)%4)
+			warmCols := make([][]float64, len(warm))
+			stride := (s-1)/(len(warm)+1) + int(segB)
+			for x := range warm {
+				warm[x] = 1 + (j+(x+1)*stride)%(s-1)
+				warmCols[x] = colAt(warm[x])
 			}
+			col := colAt(j)
 			iEnd := j - excl + 1
-			mkSlots := func() ([]float64, []int32) {
-				c := make([]float64, s)
-				ix := make([]int32, s)
-				for i := 0; i < s; i++ {
-					c[i], ix[i] = math.Inf(-1), -1
-				}
-				return c, ix
-			}
-			wc, wi := mkSlots()
-			wantC, wantI := RefColScan(col, means, invs, iEnd, invFl, means[j], invs[j], wc, wi, int32(j), math.Inf(-1), -1)
-			allVariants(t, func(v Variant) {
-				gc, gi := mkSlots()
-				gotC, gotI := ColScan(col, means, invs, iEnd, invFl, means[j], invs[j], gc, gi, int32(j), math.Inf(-1), -1)
-				if math.Float64bits(gotC) != math.Float64bits(wantC) || gotI != wantI {
-					t.Fatalf("%v: ColScan(n=%d l=%d j=%d) best (%v,%d) != reference (%v,%d)", v, n, l, j, gotC, gotI, wantC, wantI)
-				}
-				if !bitsEqual(gc, wc) {
-					t.Fatalf("%v: ColScan(n=%d l=%d j=%d) corr slots diverge", v, n, l, j)
-				}
-				for i := range gi {
-					if gi[i] != wi[i] {
-						t.Fatalf("%v: ColScan(n=%d l=%d j=%d) idx[%d]=%d != %d", v, n, l, j, i, gi[i], wi[i])
+			muJ, invJ := means[j], invs[j]
+			cellCorr := func(i int) float64 { return (col[i]*invFl - means[i]*muJ) * invs[i] * invJ }
+			// The running best starts fresh, at an exact tie with a
+			// fuzz-chosen cell (the seed must survive the tie), or at the
+			// column's maximum (nothing may replace it).
+			bestC, bestI := math.Inf(-1), int32(-1)
+			if iEnd > 0 {
+				switch kernel / 6 % 3 {
+				case 1:
+					bestC, bestI = cellCorr(anchor%iEnd), int32(s)
+				case 2:
+					for i := 0; i < iEnd; i++ {
+						bestC = math.Max(bestC, cellCorr(i))
 					}
+					bestI = int32(s)
+				}
+			}
+			run := func(ref bool) (c []float64, ix []int32, bests []float64, bestIdx []int32) {
+				scan := ColScan
+				if ref {
+					scan = RefColScan
+				}
+				c, ix = freshSlots(s)
+				for x, w := range warm {
+					bc, bi := scan(warmCols[x], means, invs, w-excl+1, invFl, means[w], invs[w], c, ix, int32(w), math.Inf(-1), -1)
+					bests, bestIdx = append(bests, bc), append(bestIdx, bi)
+				}
+				// Exact ties with column j on every p-th slot, alternately
+				// recorded with a neighbor above j (the tie must take j) and
+				// below it (the tie must keep the slot).
+				if segB&2 != 0 {
+					p := 1 + int(segA)%5
+					for i := 0; i < iEnd; i += p {
+						nb := int32(j + 1)
+						if (i/p)%2 == 1 {
+							nb = int32(j - 1)
+						}
+						c[i], ix[i] = cellCorr(i), nb
+					}
+				}
+				bc, bi := scan(col, means, invs, iEnd, invFl, muJ, invJ, c, ix, int32(j), bestC, bestI)
+				return c, ix, append(bests, bc), append(bestIdx, bi)
+			}
+			wc, wi, wb, wbi := run(true)
+			allVariants(t, func(v Variant) {
+				gc, gi, gb, gbi := run(false)
+				if !bitsEqual(gb, wb) || !slices.Equal(gbi, wbi) {
+					t.Fatalf("%v: ColScan(n=%d l=%d j=%d warm=%v) bests (%v,%v) != reference (%v,%v)", v, n, l, j, warm, gb, gbi, wb, wbi)
+				}
+				if err := slotsEqual(gc, gi, wc, wi); err != "" {
+					t.Fatalf("%v: ColScan(n=%d l=%d j=%d warm=%v) %s", v, n, l, j, warm, err)
 				}
 			})
 		case 5: // SeedScan over two fuzz-chosen blocks into shared lists

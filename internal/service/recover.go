@@ -131,9 +131,9 @@ func (m *Manager) recoverDiscover(rj RecoveredJob) {
 }
 
 // recoverStream rebuilds an interrupted stream job by replaying its
-// accepted appends into a fresh engine — exact under the stream's
-// chunking-invariance contract — then re-arms durability so new appends
-// keep logging.
+// accepted appends, chunk for chunk, into a fresh engine — bit-exact,
+// since the stream's output is a deterministic function of its chunk
+// sequence — then re-arms durability so new appends keep logging.
 func (m *Manager) recoverStream(rj RecoveredJob) {
 	req := rj.Req
 	opts := req.options()

@@ -31,8 +31,8 @@ type JobStore interface {
 	// re-queued on recovery.
 	SaveSubmit(id string, req JobRequest) error
 	// SaveAppend records one accepted chunk of a stream job, in order.
-	// Recovery rebuilds the stream by replaying the chunks; the engine's
-	// chunking-invariance contract makes the replay exact.
+	// Recovery rebuilds the stream by replaying the chunks with their
+	// original boundaries, which makes the replay bit-exact.
 	SaveAppend(id string, values []float64) error
 	// SaveCheckpoint durably replaces the job's resume point with ckpt.
 	// The blob is only valid during the call (the engine reuses its

@@ -26,7 +26,9 @@ import (
 //     min(n, W) points after every Append: old offsets are evicted
 //     deterministically and every surviving profile entry whose nearest
 //     neighbor was evicted is repaired exactly, so Snapshot always equals
-//     a batch Discover over the retained window.
+//     a batch Discover over the retained window within floating
+//     tolerance. Capped results are bit-identical across Workers settings
+//     and checkpoint/resume, not across chunkings.
 //
 // Snapshot offsets are relative to the retained window; add Start for
 // offsets into the full appended stream. A Stream is not safe for
@@ -121,8 +123,8 @@ func (s *Stream) Checkpoint() ([]byte, error) {
 // ResumeStream reconstructs a Stream from a Checkpoint blob taken under
 // the same lmin/lmax and options. Corrupted blobs, or blobs from a
 // different configuration, fail with an error wrapping ErrBadCheckpoint;
-// the fallback is replaying the original appends into a fresh stream,
-// which the chunking-invariance contract makes equally exact.
+// the fallback is replaying the original appends, chunk for chunk, into a
+// fresh stream, which reproduces it bit for bit.
 func ResumeStream(lmin, lmax int, opts Options, ckpt []byte) (*Stream, error) {
 	s, err := NewStream(lmin, lmax, opts)
 	if err != nil {

@@ -65,10 +65,13 @@ type Options struct {
 	Discords int
 	// WindowCap, when positive, puts a Stream in sliding-window mode: the
 	// retained series is trimmed to exactly the trailing WindowCap points
-	// after every Append, so results are always a pure function of the
-	// last min(n, WindowCap) points, independent of how the stream was
-	// chunked. Must be at least lmax when set (every length needs one
-	// window). Batch Discover ignores it.
+	// after every Append, so results always give the same pairs as a batch
+	// Discover over the last min(n, WindowCap) points, within floating
+	// tolerance. They are bit-identical across Workers settings and across
+	// checkpoint/resume, but not across chunkings: a sparse eviction repair
+	// keeps the survivors' carried dot products, whose recurrences began
+	// on points since evicted. Must be at least lmax when set (every
+	// length needs one window). Batch Discover ignores it.
 	WindowCap int
 	// Workers bounds the goroutines used by the data-parallel phases: the
 	// ℓmin seed, full recomputes, and the per-length advance→certify pass
