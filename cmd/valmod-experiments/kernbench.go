@@ -4,10 +4,10 @@ package main
 // valmod-experiments:
 //
 //   - -bench-kernels times every hot kernel at every available dispatch
-//     variant (generic, and avx2 where detected) on fixed synthetic
-//     workloads and reports ns/op plus the speedup over the generic
-//     variant. Combined with -bench-json the section is embedded in the
-//     same report.
+//     variant (generic, and avx2 and avx512 where detected) on fixed
+//     synthetic workloads and reports ns/op plus the speedup over the
+//     generic variant. Combined with -bench-json the section is embedded
+//     in the same report.
 //   - -bench-scaling runs two fixed workloads — pairs+discords and pairs
 //     only — at workers 1, 2 and 4, asserts the result anchors are
 //     identical at every worker count (the engine's bit-identity

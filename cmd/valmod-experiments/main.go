@@ -64,7 +64,7 @@ func main() {
 		large        = flag.Bool("bench-large", false, "add the large-series cases (ecg/pairs@n50k, ecg/pairs+discords@n100k at workers 1 and 4) to the -bench-json suite")
 		benchCkpt    = flag.Bool("bench-checkpoint", false, "add the checkpoint-overhead case to the -bench-json suite: ecg/pairs+discords at -bench-checkpoint-n, run bare and then with engine checkpoints written+fsynced at the service cadence; the report carries checkpoint_bytes and checkpoint_ms_per_length")
 		benchCkptN   = flag.Int("bench-checkpoint-n", 100000, "series length for the -bench-checkpoint case")
-		benchKernels = flag.Bool("bench-kernels", false, "time every hot kernel at every available dispatch variant (generic, plus avx2 where detected) and report ns/op plus speedup over generic; with -bench-json the section embeds in the same report")
+		benchKernels = flag.Bool("bench-kernels", false, "time every hot kernel at every available dispatch variant (generic, plus avx2 and avx512 where detected) and report ns/op plus speedup over generic; with -bench-json the section embeds in the same report")
 		benchScaling = flag.Bool("bench-scaling", false, "run the fixed pairs+discords and pairs-only workloads at workers 1/2/4, assert bit-identical anchors, and report the speedup ratios (exit non-zero on drift)")
 		scalingN     = flag.Int("scaling-n", 20000, "series length for the -bench-scaling workload")
 		benchCompare = flag.Bool("bench-compare", false, "compare two -bench-json reports given as positional args (old.json new.json): anchor drift always fails, timing regressions beyond -compare-tolerance fail unless -compare-anchors-only")
@@ -245,7 +245,7 @@ func fillBenchStats(bc *benchCase, res *valmod.Result, m0, m1 *runtime.MemStats)
 }
 
 // benchReport is the whole -bench-json document. KernelVariant records the
-// dispatch tier the process selected (generic/avx2 — see
+// dispatch tier the process selected (generic/avx2/avx512 — see
 // internal/kernels and the VALMOD_KERNELS override); Kernels is the
 // optional -bench-kernels section.
 type benchReport struct {

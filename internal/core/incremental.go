@@ -36,12 +36,12 @@ import (
 // count.
 const diagBlockCells = 128 * 1024
 
-// diagBlockMinWidth is the minimum number of diagonals per block. The
-// kernel interleaves 4 diagonals per sweep on every tier; a block
-// narrower than one interleave group degrades the whole scan to the
-// scalar single-diagonal path. Under the old cells-only rule that was
-// exactly what happened at scale: once a single diagonal holds ≥
-// diagBlockCells cells (n ≳ 130k near the exclusion zone), every block
+// diagBlockMinWidth is the block grid's unit: every block but the last is
+// a positive multiple of it wide, so it splits exactly into the widest
+// diagonal group a kernel tier interleaves (16 on avx512, 4 elsewhere)
+// and no diagonal of it falls to the scalar single-diagonal path. Under
+// the old cells-only rule whole passes did: once a single diagonal holds
+// ≥ diagBlockCells cells (n ≳ 130k near the exclusion zone), every block
 // came out one diagonal wide.
 const diagBlockMinWidth = 16
 
@@ -64,10 +64,11 @@ type incState struct {
 // diagBlock is a contiguous range of diagonals [k0, k1).
 type diagBlock struct{ k0, k1 int }
 
-// diagBlocks partitions diagonals [excl, s) into blocks of at least
-// diagBlockMinWidth diagonals and roughly target cells each (diagonal k
-// has s−k cells), where target scales with the total workload. The
-// boundaries are a pure function of s and excl; the block grid never
+// diagBlocks partitions diagonals [excl, s) into blocks of roughly target
+// cells each (diagonal k has s−k cells), where target scales with the
+// total workload, cutting only where the block is a multiple of
+// diagBlockMinWidth diagonals wide; the last block takes the remainder.
+// The boundaries are a pure function of s and excl; the block grid never
 // affects results (winner selection is a total-order maximum), only how
 // evenly the pass schedules.
 func diagBlocks(s, excl int) []diagBlock {
@@ -80,7 +81,7 @@ func diagBlocks(s, excl int) []diagBlock {
 	k0, acc := excl, 0
 	for k := excl; k < s; k++ {
 		acc += s - k
-		if acc >= target && k+1-k0 >= diagBlockMinWidth {
+		if acc >= target && (k+1-k0)%diagBlockMinWidth == 0 {
 			out = append(out, diagBlock{k0, k + 1})
 			k0, acc = k+1, 0
 		}
@@ -250,8 +251,9 @@ func (r *run) diagPass(l, excl, s int, blocks []diagBlock, workers int, scan fun
 	return mp, nil
 }
 
-// mergeDiagShard is the per-slot fold used by both merge shapes below.
-const mergeShardAlign = 16 // slots; ×8 bytes = two cache lines, no false sharing on base
+// mergeShardAlign aligns the sharded merge's slot ranges: 16 slots × 8
+// bytes is two cache lines, so no two goroutines write one line of base.
+const mergeShardAlign = 16
 
 // mergeParallelMinSlots gates the parallel merge: below it the fold is a
 // few microseconds of linear memory and two goroutine handoffs would cost

@@ -149,9 +149,10 @@ func TestWorkersBitIdenticalDegenerate(t *testing.T) {
 }
 
 // TestDiagBlocksGeometry: the block grid must cover [excl, s) exactly once
-// in order, honor the minimum interleave width (so the vectorized
-// multi-diagonal kernels engage even when a single diagonal exceeds the
-// cell target), and keep the block count bounded as the workload grows.
+// in order, cut every block but the last at a multiple of
+// diagBlockMinWidth diagonals (so the widest vectorized diagonal group
+// tiles it exactly, even when a single diagonal exceeds the cell target),
+// and keep the block count bounded as the workload grows.
 func TestDiagBlocksGeometry(t *testing.T) {
 	for _, tc := range []struct{ s, excl int }{
 		{100, 5}, {1000, 16}, {5000, 32}, {200_000, 64}, {1_000_001, 25},
@@ -162,8 +163,8 @@ func TestDiagBlocksGeometry(t *testing.T) {
 			if b.k0 != k || b.k1 <= b.k0 || b.k1 > tc.s {
 				t.Fatalf("s=%d excl=%d: block %d = [%d,%d) breaks coverage at k=%d", tc.s, tc.excl, bi, b.k0, b.k1, k)
 			}
-			if bi < len(blocks)-1 && b.k1-b.k0 < diagBlockMinWidth {
-				t.Fatalf("s=%d excl=%d: block %d only %d diagonals wide", tc.s, tc.excl, bi, b.k1-b.k0)
+			if bi < len(blocks)-1 && (b.k1-b.k0)%diagBlockMinWidth != 0 {
+				t.Fatalf("s=%d excl=%d: block %d is %d diagonals wide, not a multiple of %d", tc.s, tc.excl, bi, b.k1-b.k0, diagBlockMinWidth)
 			}
 			k = b.k1
 		}

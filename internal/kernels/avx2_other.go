@@ -2,8 +2,9 @@
 
 package kernels
 
-// Non-amd64 builds never select the AVX2 tier (hasAVX2 is false), but the
-// dispatchers still reference these names; delegate to the generic bodies.
+// Non-amd64 builds never select the AVX2 or AVX512 tier (hasAVX2 and
+// hasAVX512 are false), but the dispatchers still reference these names;
+// delegate to the generic bodies.
 
 func rowNextAVX2(row, t []float64, i, l, s int) {
 	rowNextGeneric(row, t, i, l, s)
@@ -27,4 +28,8 @@ func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float
 
 func seedScanAVX2(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+}
+
+func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
+	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }

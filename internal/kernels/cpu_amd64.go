@@ -14,6 +14,11 @@ func xgetbv0() (eax, edx uint32)
 // OS must save XMM+YMM state (OSXSAVE set, XCR0 bits 1–2).
 var hasAVX2 = detectAVX2()
 
+// hasAVX512 reports whether the avx512 tier can run: AVX2 as above (the
+// tier's other kernels are the avx2 bodies), AVX-512F (leaf 7 EBX bit 16),
+// and OS support for the opmask and full ZMM state (XCR0 bits 5–7).
+var hasAVX512 = hasAVX2 && detectAVX512()
+
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -32,4 +37,15 @@ func detectAVX2() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
+}
+
+// detectAVX512 assumes detectAVX2 succeeded, so leaf 7 and XGETBV exist.
+func detectAVX512() bool {
+	xcr0, _ := xgetbv0()
+	if xcr0&0xe6 != 0xe6 { // XMM, YMM (bits 1–2), opmask, ZMM_Hi256, Hi16_ZMM (bits 5–7)
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16
+	return ebx7&avx512f != 0
 }

@@ -3,4 +3,7 @@
 package kernels
 
 // Non-amd64 builds have no assembly tier.
-const hasAVX2 = false
+const (
+	hasAVX2   = false
+	hasAVX512 = false
+)

@@ -14,6 +14,9 @@ const (
 	Generic Variant = iota
 	// AVX2 is the amd64 assembly tier (4 float64 lanes, no FMA).
 	AVX2
+	// AVX512 is AVX2 with an AVX-512F DiagScan (16 diagonals per step,
+	// no FMA); every other kernel runs its avx2 body.
+	AVX512
 )
 
 func (v Variant) String() string {
@@ -22,6 +25,8 @@ func (v Variant) String() string {
 		return "generic"
 	case AVX2:
 		return "avx2"
+	case AVX512:
+		return "avx512"
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
@@ -43,6 +48,9 @@ func Available() []Variant {
 	if hasAVX2 {
 		vs = append(vs, AVX2)
 	}
+	if hasAVX512 {
+		vs = append(vs, AVX512)
+	}
 	return vs
 }
 
@@ -56,6 +64,10 @@ func SetVariant(v Variant) error {
 		if !hasAVX2 {
 			return fmt.Errorf("kernels: avx2 variant not available on this CPU")
 		}
+	case AVX512:
+		if !hasAVX512 {
+			return fmt.Errorf("kernels: avx512 variant not available on this CPU")
+		}
 	default:
 		return fmt.Errorf("kernels: unknown variant %d", int(v))
 	}
@@ -63,9 +75,9 @@ func SetVariant(v Variant) error {
 	return nil
 }
 
-// defaultVariant picks the startup tier: VALMOD_KERNELS=generic|avx2 if
-// set (falling back with a warning when the hardware can't honor it),
-// otherwise the highest tier the CPU supports.
+// defaultVariant picks the startup tier: VALMOD_KERNELS=generic|avx2|avx512
+// if set (falling back with a warning to the highest tier the hardware
+// supports when it can't honor the choice), otherwise that highest tier.
 func defaultVariant() Variant {
 	switch env := os.Getenv("VALMOD_KERNELS"); env {
 	case "":
@@ -77,11 +89,21 @@ func defaultVariant() Variant {
 		}
 		fmt.Fprintln(os.Stderr, "valmod: VALMOD_KERNELS=avx2 but CPU lacks AVX2; using generic")
 		return Generic
+	case "avx512":
+		if hasAVX512 {
+			return AVX512
+		}
+		v := highestVariant()
+		fmt.Fprintf(os.Stderr, "valmod: VALMOD_KERNELS=avx512 but CPU lacks AVX-512F; using %v\n", v)
+		return v
 	default:
-		fmt.Fprintf(os.Stderr, "valmod: unknown VALMOD_KERNELS=%q (want generic|avx2); using default\n", env)
+		fmt.Fprintf(os.Stderr, "valmod: unknown VALMOD_KERNELS=%q (want generic|avx2|avx512); using default\n", env)
 	}
-	if hasAVX2 {
-		return AVX2
-	}
-	return Generic
+	return highestVariant()
+}
+
+// highestVariant is the last tier Available lists.
+func highestVariant() Variant {
+	vs := Available()
+	return vs[len(vs)-1]
 }

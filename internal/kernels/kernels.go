@@ -17,8 +17,8 @@
 //
 // # Dispatch tiers
 //
-// Each kernel dispatches to one of two implementations, selected once at
-// process start (see dispatch.go; VALMOD_KERNELS forces a tier):
+// Each kernel dispatches to one of three tiers, selected once at process
+// start (see dispatch.go; VALMOD_KERNELS forces a tier):
 //
 //   - generic — the portable Go bodies: unrolled loops with hoisted
 //     bounds, interleaved per-cell accumulation chains in the fused
@@ -30,6 +30,11 @@
 //     scans (ColScan, DiagScan, SeedScan) share one stop protocol: the
 //     assembly computes correlations and returns only where a lane could
 //     change winner state, and Go applies the compare-updates there.
+//   - avx512 — avx2 plus an AVX-512F DiagScan (runtime CPUID- and
+//     XCR0-detected) that advances sixteen diagonals per step in two
+//     eight-lane ZMM chains, again without FMA. Its stop returns a lane
+//     mask, and Go applies only the flagged lanes. Every other kernel
+//     runs its avx2 body.
 //
 // Every tier must produce bit-identical outputs. For pure arithmetic
 // (RowNext, ExtendRow) that holds lane-by-lane because each output cell's
@@ -66,7 +71,7 @@ package kernels
 // owns the j=0 boundary (an O(l) dot product or a symmetry lookup).
 func RowNext(row, t []float64, i, l, s int) {
 	switch active {
-	case AVX2:
+	case AVX2, AVX512:
 		rowNextAVX2(row, t, i, l, s)
 	default:
 		rowNextGeneric(row, t, i, l, s)
@@ -89,7 +94,7 @@ func RowNext(row, t []float64, i, l, s int) {
 // clamped at 0 and j2 = max(hi, 0) clamped at s.
 func ArgmaxCorr(row, means, invs []float64, e1, j2, s int, invFl, muA, invA float64, bestCorr float64, bestJ int) (float64, int) {
 	switch active {
-	case AVX2:
+	case AVX2, AVX512:
 		bestCorr, bestJ = argmaxCorrRangeAVX2(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ)
 		return argmaxCorrRangeAVX2(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ)
 	default:
@@ -107,7 +112,7 @@ func ArgmaxCorr(row, means, invs []float64, e1, j2, s int, invFl, muA, invA floa
 // have at least n−cur valid cells when cur < l.
 func ExtendRow(row, t []float64, i, cur, l int) {
 	switch active {
-	case AVX2:
+	case AVX2, AVX512:
 		extendRowAVX2(row, t, i, cur, l)
 	default:
 		extendRowGeneric(row, t, i, cur, l)
@@ -154,7 +159,7 @@ func AdvanceDot(qt float64, t []float64, i, j, p0, p1 int) float64 {
 // zero) contributes correlation 0, the √(2l)-distance convention.
 func ColScan(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, corr []float64, idx []int32, j int32, bestCorr float64, bestIdx int32) (float64, int32) {
 	switch active {
-	case AVX2:
+	case AVX2, AVX512:
 		return colScanAVX2(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
 	default:
 		return colScanGeneric(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
@@ -176,6 +181,8 @@ func ColScan(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, cor
 // tier picks. The moment slices must be at length l; s = len(t) − l + 1.
 func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
 	switch active {
+	case AVX512:
+		diagScanAVX512(t, head, means, invs, k0, k1, l, s, corr, idx)
 	case AVX2:
 		diagScanAVX2(t, head, means, invs, k0, k1, l, s, corr, idx)
 	default:
@@ -199,7 +206,7 @@ func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, 
 // tier.
 func SeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	switch active {
-	case AVX2:
+	case AVX2, AVX512:
 		seedScanAVX2(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
 	default:
 		seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)

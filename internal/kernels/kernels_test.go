@@ -189,8 +189,13 @@ func testKernelParityDiagScan(t *testing.T) {
 			}
 			excl := (l + 3) / 4
 			// Block splits exercising the quad path, its tails, and
-			// remainders of 1..3 diagonals.
-			splits := [][2]int{{excl, s}, {excl, excl + 1}, {excl, excl + 5}, {s - 3, s}, {s - 1, s}}
+			// remainders of 1..3 diagonals; the 16-diagonal group alone
+			// (16), with a single (17), with a quad and a single (21), and
+			// twice with three singles (35); and groups whose common range
+			// is short (s−20) or empty (s−16), where the tails run from the
+			// head cells.
+			splits := [][2]int{{excl, s}, {excl, excl + 1}, {excl, excl + 5}, {s - 3, s}, {s - 1, s},
+				{excl, excl + 16}, {excl, excl + 17}, {excl, excl + 21}, {excl, excl + 35}, {s - 20, s}, {s - 16, s}}
 			for _, sp := range splits {
 				k0, k1 := sp[0], sp[1]
 				if k0 < excl || k1 > s || k0 >= k1 {
@@ -417,23 +422,42 @@ func benchSetup(n, l int) (ts, head, means, invs []float64, s int) {
 	return
 }
 
+// BenchmarkDiagScan times one full diagonal pass (ℓ = 64, every diagonal
+// past a 16-wide exclusion zone) into slots reset to −Inf, reported per
+// visited cell. "walk" is a plain random walk: after the first diagonals
+// have filled the slots few cells reach one, so it times the vector body.
+// "flat" is testSeries, whose planted constant segments make σ = 0
+// windows: every candidate of one ties at correlation 0 and stops the
+// vector body, so it times the stop path.
 func BenchmarkDiagScan(b *testing.B) {
-	forEachVariantB(b, func(b *testing.B) {
-		ts, head, means, invs, s := benchSetup(4096, 64)
-		excl := 16
-		corr := make([]float64, s)
-		idx := make([]int32, s)
-		b.ReportAllocs()
-		b.SetBytes(int64(8 * (s - excl) * (s - excl) / 2))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < s; j++ {
-				corr[j] = math.Inf(-1)
-				idx[j] = -1
-			}
-			DiagScan(ts, head, means, invs, excl, s, 64, s, corr, idx)
-		}
-	})
+	const n, l, excl = 8192, 64, 16
+	for _, in := range []struct {
+		name string
+		ts   []float64
+	}{{"walk", randomWalk(n, 9)}, {"flat", testSeries(n, 9)}} {
+		b.Run(in.name, func(b *testing.B) {
+			forEachVariantB(b, func(b *testing.B) {
+				ts := in.ts
+				s := n - l + 1
+				means, invs := moments(ts, l)
+				head := make([]float64, s)
+				for k := range head {
+					head[k] = series.Dot(ts[0:l], ts[k:k+l])
+				}
+				corr, idx := freshSlots(s)
+				cells := (s - excl) * (s - excl + 1) / 2
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < s; j++ {
+						corr[j], idx[j] = math.Inf(-1), -1
+					}
+					DiagScan(ts, head, means, invs, excl, s, l, s, corr, idx)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			})
+		})
+	}
 }
 
 // BenchmarkSeedScan is BenchmarkDiagScan's sweep with the partial-profile

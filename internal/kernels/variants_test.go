@@ -11,8 +11,8 @@ import (
 
 // forEachVariant runs f once per available dispatch tier as a subtest, so
 // every parity assertion certifies every reachable dispatch path (on
-// amd64 with AVX2 that is generic and avx2). The active tier is restored
-// afterwards.
+// amd64 with AVX2 that is generic and avx2, plus avx512 with AVX-512F).
+// The active tier is restored afterwards.
 func forEachVariant(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	orig := Active()
@@ -30,7 +30,7 @@ func forEachVariant(t *testing.T, f func(t *testing.T)) {
 }
 
 // forEachVariantB is forEachVariant for benchmarks: one sub-benchmark per
-// dispatch tier, so `go test -bench` reports generic and avx2 side by side.
+// dispatch tier, so `go test -bench` reports the tiers side by side.
 func forEachVariantB(b *testing.B, f func(b *testing.B)) {
 	b.Helper()
 	orig := Active()
@@ -119,6 +119,17 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(500), uint16(611), uint8(20), uint8(6), uint8(2), uint8(10))
 	f.Add(int64(900), uint16(1100), uint8(61), uint8(3), uint8(6), uint8(16))
 	f.Add(int64(3666), uint16(1410), uint8(26), uint8(94), uint8(56), uint8(4))
+	// DiagScan blocks of 17–48 diagonals (16-diagonal groups, alone and
+	// with quad and single remainders) into slots warmed after, over and
+	// before them; the last two put σ = 0 ties where a group's first lane
+	// (slot i) or last lane (slot j) decides, so only c ≥ slot flags them.
+	f.Add(int64(11), uint16(640), uint8(20), uint8(129), uint8(16), uint8(9))
+	f.Add(int64(12), uint16(900), uint8(33), uint8(7), uint8(35), uint8(21))
+	f.Add(int64(13), uint16(1150), uint8(30), uint8(200), uint8(47), uint8(255))
+	f.Add(int64(14), uint16(300), uint8(10), uint8(65), uint8(20), uint8(15))
+	f.Add(int64(700), uint16(800), uint8(25), uint8(1), uint8(33), uint8(27))
+	f.Add(int64(200), uint16(968), uint8(17), uint8(101), uint8(40), uint8(123))
+	f.Add(int64(55), uint16(968), uint8(17), uint8(101), uint8(47), uint8(123))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, lRaw, segA, segB, kernel uint8) {
 		n := 32 + int(nRaw)%1200
 		l := 3 + int(lRaw)%62
@@ -195,7 +206,7 @@ func FuzzKernelParity(f *testing.F) {
 					t.Fatalf("%v: ExtendRow(n=%d i=%d cur=%d l=%d) diverges from reference", v, n, i, cur, newL)
 				}
 			})
-		case 3: // DiagScan over a fuzz-chosen diagonal block
+		case 3: // DiagScan over a fuzz-chosen diagonal block into warm slots
 			if excl >= s {
 				return
 			}
@@ -204,30 +215,33 @@ func FuzzKernelParity(f *testing.F) {
 				head[k] = series.Dot(ts[0:l], ts[k:k+l])
 			}
 			k0 := excl + anchor%(s-excl)
-			k1 := k0 + 1 + int(segB)%16
+			k1 := k0 + 1 + int(segB)%48
 			if k1 > s {
 				k1 = s
 			}
-			wc := make([]float64, s)
-			wi := make([]int32, s)
-			for i := 0; i < s; i++ {
-				wc[i], wi[i] = math.Inf(-1), -1
+			// Both sides' slots are first warmed by a second fuzz-chosen
+			// block — one diagonal up to the whole range, before, over or
+			// after [k0, k1) — through the reference, so the vector bodies
+			// run through rows where no lane reaches a slot and stop with
+			// partial lane masks, and σ = 0 ties meet recorded neighbors
+			// on both sides.
+			w0 := excl + int(segA)*(s-excl)/256
+			w1 := w0 + 1 + int(kernel/6)*(s-excl)/42
+			if w1 > s {
+				w1 = s
 			}
+			warm := func() ([]float64, []int32) {
+				c, ix := freshSlots(s)
+				RefDiagScan(ts, head, means, invs, w0, w1, l, s, c, ix)
+				return c, ix
+			}
+			wc, wi := warm()
 			RefDiagScan(ts, head, means, invs, k0, k1, l, s, wc, wi)
 			allVariants(t, func(v Variant) {
-				gc := make([]float64, s)
-				gi := make([]int32, s)
-				for i := 0; i < s; i++ {
-					gc[i], gi[i] = math.Inf(-1), -1
-				}
+				gc, gi := warm()
 				DiagScan(ts, head, means, invs, k0, k1, l, s, gc, gi)
-				if !bitsEqual(gc, wc) {
-					t.Fatalf("%v: DiagScan(n=%d l=%d k=[%d,%d)) corr diverges", v, n, l, k0, k1)
-				}
-				for i := range gi {
-					if gi[i] != wi[i] {
-						t.Fatalf("%v: DiagScan(n=%d l=%d k=[%d,%d)) idx[%d]=%d != %d", v, n, l, k0, k1, i, gi[i], wi[i])
-					}
+				if err := slotsEqual(gc, gi, wc, wi); err != "" {
+					t.Fatalf("%v: DiagScan(n=%d l=%d k=[%d,%d) warm=[%d,%d)) %s", v, n, l, k0, k1, w0, w1, err)
 				}
 			})
 		case 4: // ColScan into warm slots, with a seeded best and planted ties

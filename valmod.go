@@ -74,10 +74,12 @@ type Options struct {
 	// length needs one window). Batch Discover ignores it.
 	WindowCap int
 	// Workers bounds the goroutines used by the data-parallel phases: the
-	// ℓmin seed, full recomputes, and the per-length advance→certify pass
-	// over anchor shards (0 = all cores, 1 = serial). The work is
-	// partitioned on fixed grids independent of the worker count, so
-	// results are identical at any setting.
+	// ℓmin seed, full recomputes, the per-length advance→certify pass
+	// over anchor shards, and the incremental diagonal pass over
+	// diagonal blocks that resolves every length of a discords run and
+	// a pairs run's lengths after the cost-model switch (0 = all cores,
+	// 1 = serial). The work is partitioned on fixed grids independent of
+	// the worker count, so results are identical at any setting.
 	Workers int
 	// Progress, when non-nil, is called after each subsequence length
 	// completes (ℓmin first, then in increasing length order), on the
