@@ -1,10 +1,13 @@
 package valmod_test
 
-// Benchmark harness: one bench per figure panel of the paper (the panels
+// Go benchmarks: one bench per figure panel of the paper (the panels
 // `valmod-experiments -fig` regenerates), plus ablation benches over the
 // pruning, the partial-profile size p and the recompute threshold. Sizes
 // are laptop-scale so `go test -bench=.` finishes in minutes; the
-// paper-scale sweeps live in cmd/valmod-experiments.
+// paper-scale sweeps live in cmd/valmod-experiments. They are the
+// profiling entry points (`go test -run '^$' -bench BenchmarkBenchCasePairs
+// -cpuprofile cpu.prof .`); the repository's benchmark, with repeated
+// runs, per-layer metrics and committed results, is bench/.
 
 import (
 	"context"
@@ -213,10 +216,10 @@ func BenchmarkProcessLengthSerial(b *testing.B) { benchProcessLength(b, 1) }
 // advance→certify pass sharded across 4 workers.
 func BenchmarkProcessLengthParallel(b *testing.B) { benchProcessLength(b, 4) }
 
-// BenchmarkBenchCasePairs mirrors the valmod-experiments bench-json
-// ecg/pairs case (n=5000, [64,83], pruned plan, workers=1) so the
-// committed BENCH_PR*.json numbers can be re-derived and profiled with
-// the standard go test tooling.
+// BenchmarkBenchCasePairs runs the ecg/pairs case of the committed
+// BENCH_PR*.json baselines (n=5000, [64,83], pruned plan). Workers is 0,
+// so -cpu sets the worker count: -cpu 1 is the baselines' workers=1, and
+// CI's multicore job runs -cpu 1,2,4 for its scaling table.
 func BenchmarkBenchCasePairs(b *testing.B) {
 	s, err := gen.Dataset("ecg", 5000, 1)
 	if err != nil {
@@ -225,14 +228,15 @@ func BenchmarkBenchCasePairs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := valmod.Discover(s.Values, 64, 83, valmod.Options{TopK: 10, Workers: 1}); err != nil {
+		if _, err := valmod.Discover(s.Values, 64, 83, valmod.Options{TopK: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkBenchCaseDiscords mirrors the bench-json ecg/pairs+discords
-// case (incremental full-profile plan).
+// BenchmarkBenchCaseDiscords runs the baselines' ecg/pairs+discords case
+// (incremental full-profile plan), with the worker count set by -cpu as
+// above.
 func BenchmarkBenchCaseDiscords(b *testing.B) {
 	s, err := gen.Dataset("ecg", 5000, 1)
 	if err != nil {
@@ -241,7 +245,7 @@ func BenchmarkBenchCaseDiscords(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := valmod.Discover(s.Values, 64, 83, valmod.Options{TopK: 10, Discords: 5, Workers: 1}); err != nil {
+		if _, err := valmod.Discover(s.Values, 64, 83, valmod.Options{TopK: 10, Discords: 5}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package valmod_test
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -10,46 +11,30 @@ import (
 )
 
 // TestDiscoverDeterministicAcrossWorkers is the determinism regression
-// guard for the parallel anchor path: on a fixed-seed generated series,
-// Discover must return identical output for Workers=1 and Workers=4 —
-// same pairs, same distances (bitwise), same VALMAP.
+// guard for the parallel phases: on a fixed-seed generated series,
+// Discover must return the same Result, bit for bit in every exported
+// field (resultBits), at Workers 1, 2 and 4, on the default pairs plan and
+// on a discords run (the incremental whole-profile pass). CI's multicore
+// job also runs it at GOMAXPROCS 1, 2 and 4.
 func TestDiscoverDeterministicAcrossWorkers(t *testing.T) {
 	s := gen.ECG(3000, 7)
-	serial, err := valmod.Discover(s.Values, 32, 96, valmod.Options{TopK: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := valmod.Discover(s.Values, 32, 96, valmod.Options{TopK: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.PerLength) != len(parallel.PerLength) {
-		t.Fatalf("length count %d vs %d", len(serial.PerLength), len(parallel.PerLength))
-	}
-	for li := range serial.PerLength {
-		a, b := serial.PerLength[li], parallel.PerLength[li]
-		if len(a.Pairs) != len(b.Pairs) {
-			t.Fatalf("l=%d: %d pairs vs %d", a.Length, len(a.Pairs), len(b.Pairs))
-		}
-		for pi := range a.Pairs {
-			if a.Pairs[pi] != b.Pairs[pi] {
-				t.Fatalf("l=%d pair %d: %v vs %v", a.Length, pi, a.Pairs[pi], b.Pairs[pi])
+	for _, p := range []struct {
+		name string
+		opts valmod.Options
+	}{
+		{"pairs", valmod.Options{TopK: 5}},
+		{"discords", valmod.Options{TopK: 5, Discords: 5}},
+	} {
+		var want []byte
+		for _, workers := range []int{1, 2, 4} {
+			opts := p.opts
+			opts.Workers = workers
+			got := discoverBits(t, s.Values, 32, 96, opts)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%s: the result at Workers=%d differs from Workers=1", p.name, workers)
 			}
-		}
-		if a.Certified != b.Certified || a.Recomputed != b.Recomputed || a.FullRecompute != b.FullRecompute {
-			t.Fatalf("l=%d stats differ: %+v vs %+v", a.Length, a, b)
-		}
-	}
-	for i := range serial.Profile {
-		if serial.Profile[i] != parallel.Profile[i] || serial.ProfileIndex[i] != parallel.ProfileIndex[i] {
-			t.Fatalf("profile slot %d differs", i)
-		}
-	}
-	for i := range serial.VALMAP.MPn {
-		if serial.VALMAP.MPn[i] != parallel.VALMAP.MPn[i] ||
-			serial.VALMAP.IP[i] != parallel.VALMAP.IP[i] ||
-			serial.VALMAP.LP[i] != parallel.VALMAP.LP[i] {
-			t.Fatalf("VALMAP slot %d differs", i)
 		}
 	}
 }

@@ -102,11 +102,13 @@ type Config struct {
 	// Batch runs ignore it.
 	WindowCap int
 	// Workers bounds the goroutines used by the data-parallel phases: the
-	// ℓmin seed, full-recompute fallbacks, and the per-length
-	// advance→certify pass over anchor shards. 0 selects GOMAXPROCS;
-	// 1 runs serially. Both phases are partitioned on fixed grids that do
-	// not depend on the worker count, so the output is bit-identical at
-	// every setting.
+	// ℓmin seed sweep, full-recompute fallbacks, the per-length
+	// advance→certify pass over anchor shards, the recompute batches, and
+	// the incremental diagonal pass over diagonal blocks; a Streamer
+	// spreads its lengths across them. 0 selects GOMAXPROCS; 1 runs
+	// serially. Every phase is partitioned on fixed grids that do not
+	// depend on the worker count, so the output is bit-identical at every
+	// setting.
 	Workers int
 	// OnLength, when non-nil, receives a Progress notification after each
 	// completed length (ℓmin included), in increasing-length order, on the

@@ -1,8 +1,7 @@
 // Package harness provides the experiment scaffolding that regenerates the
 // paper's evaluation (Figure 3): wall-clock measurement with the paper's
-// timeout semantics ("Time out after 24h"), parameter sweeps, and aligned
-// table rendering so cmd/valmod-experiments prints the same rows/series the
-// paper plots.
+// timeout semantics ("Time out after 24h") and aligned table rendering so
+// cmd/valmod-experiments prints the same rows/series the paper plots.
 package harness
 
 import (
@@ -141,37 +140,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// Sweep enumerates the parameter values of one experiment axis, mirroring
-// the paper's x-axes (length ranges for Figure 3 top, series prefixes for
-// Figure 3 bottom).
-type Sweep struct {
-	// Name labels the axis ("range", "n").
-	Name string
-	// Values are the axis points in presentation order.
-	Values []int
-}
-
-// ScaleAll multiplies every value (used to blow the default laptop-scale
-// sweeps back up toward paper scale with a flag).
-func (s Sweep) ScaleAll(factor int) Sweep {
-	if factor <= 1 {
-		return s
-	}
-	out := Sweep{Name: s.Name, Values: make([]int, len(s.Values))}
-	for i, v := range s.Values {
-		out.Values[i] = v * factor
-	}
-	return out
-}
-
-// Fig3TopRanges is the laptop-scale analogue of the paper's length-range
-// axis {100, 150, 200, 400, 600} (at ℓmin=1024, n=0.5M).
-func Fig3TopRanges() Sweep { return Sweep{Name: "range", Values: []int{10, 20, 50, 100, 200}} }
-
-// Fig3BottomSizes is the laptop-scale analogue of the paper's series-length
-// axis {0.1M, 0.2M, 0.5M, 0.8M, 1M}.
-func Fig3BottomSizes() Sweep {
-	return Sweep{Name: "n", Values: []int{10000, 20000, 50000, 80000, 100000}}
 }

@@ -102,27 +102,3 @@ func TestTableRender(t *testing.T) {
 		t.Errorf("columns misaligned: %d vs %d\n%s", hIdx, dIdx, out)
 	}
 }
-
-func TestSweepScaleAll(t *testing.T) {
-	s := Sweep{Name: "n", Values: []int{1, 2, 3}}
-	scaled := s.ScaleAll(10)
-	if scaled.Values[2] != 30 {
-		t.Errorf("scaled = %v", scaled.Values)
-	}
-	if s.Values[2] != 3 {
-		t.Error("original mutated")
-	}
-	same := s.ScaleAll(1)
-	if &same.Values[0] != &s.Values[0] {
-		t.Error("factor 1 should return the original")
-	}
-}
-
-func TestDefaultSweeps(t *testing.T) {
-	if got := Fig3TopRanges().Values; len(got) != 5 {
-		t.Errorf("Fig3TopRanges = %v", got)
-	}
-	if got := Fig3BottomSizes().Values; got[len(got)-1] != 100000 {
-		t.Errorf("Fig3BottomSizes = %v", got)
-	}
-}

@@ -1,8 +1,11 @@
 // Package stomp implements STOMP (Zhu et al., "Matrix Profile II", ICDM
 // 2016): the exact O(n²) self-join matrix profile with O(1)-amortized
-// sliding dot products. It is both the paper's fixed-length baseline
-// (adapted to length ranges in internal/baseline/stomprange) and the engine
-// VALMOD runs once at ℓmin.
+// sliding dot products. It is the paper's fixed-length baseline (adapted
+// to length ranges in internal/baseline/stomprange) and the substrate of
+// valmod.MatrixProfile. VALMOD's engine (internal/core) takes from it the
+// diagonal head row's extend path below and the streaming column append
+// (AppendColumn); its ℓmin seed is a sweep of its own over the diagonal
+// blocks (kernels.SeedScan).
 //
 // Three variants are provided: a cache-friendly diagonal traversal
 // (Compute), a goroutine-parallel version partitioning diagonals
@@ -204,65 +207,6 @@ func ComputeParallel(t []float64, m, exclFactor, workers int) (*profile.MatrixPr
 		for i := 0; i < s; i++ {
 			mp.Update(i, local.Dist[i], local.Index[i])
 		}
-	}
-	return mp, nil
-}
-
-// Rows streams the full distance-profile row of every anchor i, in order,
-// with O(1)-amortized dot-product updates per cell. visit receives the raw
-// sliding dot products and distances of row i; both buffers are reused
-// across calls, so the visitor must not retain them. Trivial-match masking
-// is the visitor's responsibility (the profile row includes |i−j| < excl
-// cells). VALMOD's ℓmin phase uses this to select its p lower-bound entries
-// per anchor while the matrix profile is built.
-func Rows(t []float64, m int, visit func(i int, qt, dist []float64)) error {
-	n := len(t)
-	if err := validate(n, m); err != nil {
-		return err
-	}
-	s := n - m + 1
-	means, stds := series.SlidingMeanStd(t, m)
-	row0 := fft.SlidingDotProducts(t[0:m], t)
-	qt := append([]float64(nil), row0...)
-	dist := make([]float64, s)
-	fm := float64(m)
-	for i := 0; i < s; i++ {
-		if i > 0 {
-			// In-place row recurrence, descending j so qt[j-1] is still row i-1.
-			for j := s - 1; j >= 1; j-- {
-				qt[j] = qt[j-1] + t[i+m-1]*t[j+m-1] - t[i-1]*t[j-1]
-			}
-			qt[0] = row0[i] // symmetry: QT(i,0) == QT(0,i)
-		}
-		for j := 0; j < s; j++ {
-			dist[j] = series.DistFromDot(qt[j], fm, means[i], stds[i], means[j], stds[j])
-		}
-		visit(i, qt, dist)
-	}
-	return nil
-}
-
-// ComputeFromRows builds the matrix profile through the Rows iterator; it is
-// the row-variant cross-check for Compute and the code path reused by
-// VALMOD's full-recompute fallback.
-func ComputeFromRows(t []float64, m, exclFactor int) (*profile.MatrixProfile, error) {
-	n := len(t)
-	if err := validate(n, m); err != nil {
-		return nil, err
-	}
-	s := n - m + 1
-	excl := profile.ExclusionZone(m, exclFactor)
-	mp := profile.New(m, excl, s)
-	err := Rows(t, m, func(i int, _, dist []float64) {
-		for j := 0; j < s; j++ {
-			if j >= i-excl+1 && j <= i+excl-1 {
-				continue
-			}
-			mp.Update(i, dist[j], j)
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	return mp, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"github.com/seriesmining/valmod/internal/profile"
-	"github.com/seriesmining/valmod/internal/series"
 )
 
 func randWalk(rng *rand.Rand, n int) []float64 {
@@ -49,22 +48,6 @@ func TestComputeMatchesBrute(t *testing.T) {
 			t.Fatal(err)
 		}
 		profilesMatch(t, got, want, "compute-vs-brute")
-	}
-}
-
-func TestComputeFromRowsMatchesCompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, c := range []struct{ n, m int }{{80, 8}, {150, 25}} {
-		x := randWalk(rng, c.n)
-		a, err := Compute(x, c.m, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ComputeFromRows(x, c.m, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profilesMatch(t, a, b, "rows-vs-diagonal")
 	}
 }
 
@@ -114,30 +97,6 @@ func TestComputeProperty(t *testing.T) {
 	}
 }
 
-func TestRowsDistancesMatchDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := randWalk(rng, 120)
-	m := 12
-	err := Rows(x, m, func(i int, qt, dist []float64) {
-		if i%17 != 0 {
-			return
-		}
-		for j := 0; j < len(dist); j += 11 {
-			want := series.ZNormDist(x[i:i+m], x[j:j+m])
-			if math.Abs(dist[j]-want) > 1e-6*(1+want) {
-				t.Errorf("row %d col %d: %g want %g", i, j, dist[j], want)
-			}
-			wantQT := series.Dot(x[i:i+m], x[j:j+m])
-			if math.Abs(qt[j]-wantQT) > 1e-6*(1+math.Abs(wantQT)) {
-				t.Errorf("row %d col %d: qt %g want %g", i, j, qt[j], wantQT)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSelfJoinSymmetryInvariant(t *testing.T) {
 	// The motif pair (i, MP.Index[i]) at the global minimum must be mutual
 	// within distance equality: dist[i] == dist[index[i]] at the minimum.
@@ -164,9 +123,6 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := ComputeParallel(x, 0, 0, 2); err == nil {
 		t.Error("m=0 should fail")
-	}
-	if err := Rows(x, 99, func(int, []float64, []float64) {}); err == nil {
-		t.Error("Rows with m>n should fail")
 	}
 }
 
