@@ -32,7 +32,7 @@
 // Internally every per-length result flows through a sink pipeline
 // (internal/core); discords are its first consumer requiring the exact
 // full profile per length, which the incremental cross-length engine
-// serves by carrying dot-product state between lengths (one FFT per
+// serves by carrying dot-product state between lengths (one head row per
 // run, one fused multiply-add per cell per length).
 //
 // Fixed-length helpers (MatrixProfile, DistanceProfile) expose the

@@ -99,9 +99,12 @@ type ckptPayload struct {
 // The prefix versions what the configuration computes: v2 added the
 // cost-model latch, v3 the diagonal seed, whose partial profiles and ℓmin
 // profile differ in the last bits from the row scan's — a v2 frame's
-// anchors would not resume byte-identically to an uninterrupted run.
+// anchors would not resume byte-identically to an uninterrupted run. v4
+// computes from-scratch rows directly below the FFT cutover (rows.go), so
+// a v3 frame's retained entries and hot rows, computed through the FFT,
+// differ in the last bits from this engine's.
 func cfgDigest(c Config) string {
-	return "v3 " + cfgFields(c)
+	return "v4 " + cfgFields(c)
 }
 
 // cfgFields renders the result-affecting configuration fields. Workers and

@@ -21,7 +21,9 @@
 //  3. minLBAbs — the smallest maxLB among non-valid anchors — certifies the
 //     extracted top-k pairs; anchors that could still hide better matches
 //     (maxLB below the current k-th best distance) get their distance
-//     profile recomputed with MASS and their partial profile reseeded.
+//     profile recomputed from a from-scratch dot-product row (the paper's
+//     MASS; rows.go computes it directly below an FFT cutover) and their
+//     partial profile reseeded.
 //     When too many anchors need recomputing, fall back to one seed
 //     sweep at that length and reseed everything.
 //
@@ -29,10 +31,12 @@
 // config.go (parameters), engine.go (Engine, pooled scratch, the per-run
 // orchestration), seed.go (the seed sweep, also the full-recompute
 // fallback, and the per-anchor row scan of recomputes),
-// length.go (the per-length advance→certify→recompute loop),
-// incremental.go (the incremental cross-length profile engine serving
-// FullProfile lengths: diagonal dot-product state carried from length to
-// length with one FMA per cell, one FFT per run), sink.go (the per-length
+// length.go (the per-length advance→certify→recompute loop), rows.go
+// (every dot-product row computed from scratch: direct below the FFT
+// cutover, through the correlator above it), incremental.go (the
+// incremental cross-length profile engine serving FullProfile lengths:
+// diagonal dot-product state carried from length to length with one FMA
+// per cell, one head row per run), sink.go (the per-length
 // Sink pipeline: the planner deciding pruned/full/skip per length plus
 // the built-in pairs, VALMAP and discord sinks), cost.go (the cost model
 // that switches a run from the pruned to the incremental pass once the
@@ -51,10 +55,13 @@ import (
 const (
 	DefaultTopK = 10
 	DefaultP    = 10
-	// DefaultRecomputeFraction: one MASS recompute costs Θ(n log n), a full
-	// seed sweep Θ(s²) — but the sweep also reseeds every partial
-	// profile with tight bounds at the current length, so the breakeven
-	// sits near s/log n ≈ 5% of anchors, not 25%.
+	// DefaultRecomputeFraction: one anchor recompute costs a
+	// dot-product row and its scan — s·ℓ multiply-adds below the FFT
+	// cutover of rows.go, Θ(n log n) above it — and a full seed sweep
+	// Θ(s²) cells, which also reseed every partial profile with tight
+	// bounds at the current length. The 0.05 was set against the FFT row
+	// (breakeven near s/log n); against the direct row the breakeven
+	// falls as 1/ℓ, and the default is kept until it is re-derived.
 	DefaultRecomputeFraction = 0.05
 )
 
@@ -75,7 +82,7 @@ type Config struct {
 	// ExclusionFactor sets the trivial-match zone ⌈ℓ/factor⌉ (default 4).
 	ExclusionFactor int
 	// RecomputeFraction is the fraction of anchors above which one seed
-	// sweep at the length replaces individual MASS recomputes
+	// sweep at the length replaces individual anchor recomputes
 	// (default 0.05; see DefaultRecomputeFraction for the cost model).
 	RecomputeFraction float64
 	// Discords, when positive, reports that many variable-length

@@ -4,7 +4,7 @@ package core
 // switch. The pruned advance→certify pass is cheap while the lower bound
 // certifies most anchors, but its cost grows with the hot-row cache (every
 // hot row is advanced and scanned in full at every length) and with the
-// MASS recomputes of anchors the bound fails; the incremental diagonal
+// recomputes of anchors the bound fails; the incremental diagonal
 // pass costs the same half-triangle of cells at every length. After each
 // pruned length the engine predicts both costs of the next length from
 // counts the pruned pass just produced and latches to the incremental pass
@@ -35,6 +35,10 @@ const (
 	costHotCell = 1.26
 	// costMass: one anchor recompute per unit of n·log₂n (the packed FFT
 	// row of recomputeBatch plus its row scan and fixpoint bookkeeping).
+	// It prices the FFT row: below the direct-row cutover of rows.go a
+	// recompute costs less, so the model overprices it there and latches
+	// early rather than late. Re-pricing it would move switch lengths,
+	// and with them the plan of existing runs.
 	costMass = 3.09
 	// costAdvance: one retained partial-profile entry advanced and
 	// compared, with the anchor's bound and the per-length O(s) passes

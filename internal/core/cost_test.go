@@ -224,7 +224,19 @@ func TestCheckpointRefusesVersion1(t *testing.T) {
 // diagonal seed carries anchors seeded by the row scan, whose bits differ
 // from this engine's seed, so its v2 config digest is refused and the
 // caller's scratch re-run is the exact fallback.
-func TestCheckpointRefusesV2Digest(t *testing.T) {
+func TestCheckpointRefusesV2Digest(t *testing.T) { assertDigestRefused(t, "v2") }
+
+// TestCheckpointRefusesV3Digest: a v3 frame's retained entries and hot
+// rows were computed through the FFT correlator, whose bits differ from
+// this engine's direct rows below the cutover, so its digest is refused
+// and the caller's scratch re-run is the exact fallback.
+func TestCheckpointRefusesV3Digest(t *testing.T) { assertDigestRefused(t, "v3") }
+
+// assertDigestRefused rewrites a seeded frame's config digest to an older
+// version and checks the frame is refused with ErrBadCheckpoint, while a
+// scratch re-run stays bit-identical to the run that wrote it.
+func assertDigestRefused(t *testing.T, version string) {
+	t.Helper()
 	x, cfg := astroWide(t)
 	cfg.Workers = 1
 	e := NewEngine()
@@ -238,13 +250,13 @@ func TestCheckpointRefusesV2Digest(t *testing.T) {
 	}
 	filled := cfg
 	filled.Fill()
-	p.CfgDigest = "v2 " + cfgFields(filled)
-	v2, err := encodeFrame(ckptMagic, ckptVersion, p)
+	p.CfgDigest = version + " " + cfgFields(filled)
+	old, err := encodeFrame(ckptMagic, ckptVersion, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ResumeRun(context.Background(), x, cfg, v2); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("v2-digest frame: want ErrBadCheckpoint, got %v", err)
+	if _, err := e.ResumeRun(context.Background(), x, cfg, old); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("%s-digest frame: want ErrBadCheckpoint, got %v", version, err)
 	}
 	res, err := e.Run(context.Background(), x, cfg)
 	if err != nil {

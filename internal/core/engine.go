@@ -9,14 +9,13 @@ import (
 
 	"github.com/seriesmining/valmod/internal/core/anchors"
 	"github.com/seriesmining/valmod/internal/faultinject"
-	"github.com/seriesmining/valmod/internal/fft"
 	"github.com/seriesmining/valmod/internal/profile"
 	"github.com/seriesmining/valmod/internal/series"
 )
 
 // Engine is a reusable VALMOD pipeline. It owns the pooled scratch rows
-// (the MASS/STOMP dot-product row buffers of the recompute paths and the
-// seed workers; the FFT correlator scratch is pooled inside internal/fft)
+// (the dot-product row buffers of the recompute paths and the seed
+// workers; the FFT correlator scratch is pooled inside internal/fft)
 // so repeated runs stop re-allocating. An Engine is safe for concurrent
 // Run calls; per-run state lives in the run struct.
 type Engine struct {
@@ -89,8 +88,9 @@ type run struct {
 	maxLBs  []float64
 	cert    []bool
 
-	// corr amortizes the series-side FFT across every recompute query.
-	corr *fft.Correlator
+	// rows computes the run's from-scratch dot-product rows on the run's
+	// own goroutine (rowSource); parallel phases take cloned handles.
+	rows rowWorker
 
 	// latched reports that the cost model switched the run from the pruned
 	// pass to the incremental pass for every remaining length (see
@@ -257,35 +257,8 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 			return PlanStats{}, fmt.Errorf("%w: checkpointing requires the built-in sink pipeline", ErrBadConfig)
 		}
 	}
-	sMin := len(t) - cfg.LMin + 1
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	r := &run{
-		eng:     e,
-		ctx:     ctx,
-		t:       t,
-		st:      series.NewStats(t),
-		cfg:     cfg,
-		sMin:    sMin,
-		workers: workers,
-		store:   anchors.NewStore(sMin, hotRowBudgetBytes),
-		dists:   make([]float64, sMin),
-		indexes: make([]int, sMin),
-		maxLBs:  make([]float64, sMin),
-		cert:    make([]bool, sMin),
-		corr:    fft.NewCorrelator(t, cfg.LMax),
-	}
-	defer r.corr.Release()
-	// The run-scan row buffer is pooled (sMin covers every length), and
-	// every row the hot cache retained goes back to the pool at run end —
-	// the engine's get/put balance is the row-leak invariant.
-	r.rowQT = e.getRow(sMin)
-	defer func() {
-		e.putRow(r.rowQT)
-		r.store.DrainHotRows(e.putRow)
-	}()
+	r := e.newRun(ctx, t, cfg)
+	defer r.release()
 
 	plans := planLengths(cfg, sinks)
 	lastPruned := -1
@@ -383,6 +356,42 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 	return r.planStats, nil
 }
 
+// newRun prepares the state of one execution over t (cfg filled and
+// validated); release returns its pooled buffers.
+func (e *Engine) newRun(ctx context.Context, t []float64, cfg Config) *run {
+	sMin := len(t) - cfg.LMin + 1
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &run{
+		eng:     e,
+		ctx:     ctx,
+		t:       t,
+		st:      series.NewStats(t),
+		cfg:     cfg,
+		sMin:    sMin,
+		workers: workers,
+		store:   anchors.NewStore(sMin, hotRowBudgetBytes),
+		dists:   make([]float64, sMin),
+		indexes: make([]int, sMin),
+		maxLBs:  make([]float64, sMin),
+		cert:    make([]bool, sMin),
+		rows:    rowWorker{src: newRowSource(t, cfg.LMax)},
+		// The run-scan row buffer is pooled (sMin covers every length).
+		rowQT: e.getRow(sMin),
+	}
+}
+
+// release returns the run's pooled buffers: the run-scan row, every row
+// the hot cache retained — the engine's get/put balance is the row-leak
+// invariant — and the correlator, if one was built.
+func (r *run) release() {
+	r.eng.putRow(r.rowQT)
+	r.store.DrainHotRows(r.eng.putRow)
+	r.rows.src.release()
+}
+
 // maybeLatch asks the cost model, after pruned length l resolved with
 // stats st, whether length l+1 is cheaper on the incremental pass, and
 // latches if so.
@@ -398,7 +407,8 @@ func (r *run) maybeLatch(l int, st LengthStats) {
 
 // latch retires the pruned machinery for the rest of the run: every
 // remaining pruned length runs the incremental pass (its first one seeds
-// the diagonal head with one FFT), and the hot rows go back to the pool.
+// the diagonal head with one head row), and the hot rows go back to the
+// pool.
 func (r *run) latch() {
 	r.latched = true
 	r.seeded = false

@@ -1,16 +1,16 @@
 package core
 
 // The incremental cross-length profile engine: the FullProfile plan's
-// per-length pass. Instead of seeding a fresh head row with an FFT at
-// every length (as the seed sweep does — processLengthFull, which the
-// planner runs only when a whole-profile length seeds pruned lengths), the
-// run carries one piece of state across lengths — the diagonal head row
+// per-length pass. Instead of computing a fresh head row at every length
+// (as the seed sweep does — processLengthFull, which the planner runs
+// only when a whole-profile length seeds pruned lengths), the run
+// carries one piece of state across lengths — the diagonal head row
 // QT(0, k) — and extends it from length ℓ to ℓ+1 with the
 // one-FMA-per-cell recurrence QT(i,j)ₗ₊₁ = QT(i,j)ₗ + t[i+ℓ]·t[j+ℓ]. Each
 // length is then resolved by one fused diagonal pass that visits every
 // non-trivial pair exactly once (symmetry updates both endpoints), on a
 // fixed diagonal-block grid — the grid diagPass runs the seed sweep on
-// too — with zero FFTs.
+// too — with no from-scratch row.
 //
 // Determinism: a diagonal's cells depend only on its head cell, never on
 // which block or worker scans it, so the computed correlations are
@@ -53,9 +53,9 @@ const diagBlockMinWidth = 16
 const diagBlockShards = 2048
 
 // incState is the cross-length state of the incremental engine: the
-// diagonal head row QT(0, k) at length cur. Seeded with one FFT at the
-// first FullProfile length of the run, then FMA-extended; cur == 0 means
-// unseeded.
+// diagonal head row QT(0, k) at length cur. Seeded with one from-scratch
+// row (rows.go) at the first FullProfile length of the run, then
+// FMA-extended; cur == 0 means unseeded.
 type incState struct {
 	head []float64
 	cur  int
@@ -74,7 +74,8 @@ type diagBlock struct{ k0, k1 int }
 func diagBlocks(s, excl int) []diagBlock {
 	d := s - excl // diagonal count; total cells form the triangle d(d+1)/2
 	target := diagBlockCells
-	if t := d * (d + 1) / 2 / diagBlockShards; t > target {
+	// The triangle passes a 32-bit int at d ≈ 65 000; the shard size fits.
+	if t := int(int64(d) * int64(d+1) / 2 / diagBlockShards); t > target {
 		target = t
 	}
 	var out []diagBlock
@@ -92,15 +93,15 @@ func diagBlocks(s, excl int) []diagBlock {
 	return out
 }
 
-// headAt returns the run's diagonal head row advanced to length l: one FFT
-// on first use (the correlator amortizes the series-side transform), then
+// headAt returns the run's diagonal head row advanced to length l: one
+// from-scratch row on first use (rows.go), then
 // stomp.ExtendDiagonalHead's one-FMA-per-cell recurrence per length step.
 // The state only ever moves forward (l never regresses within a run).
 func (r *run) headAt(l int) ([]float64, error) {
 	st := &r.inc
 	if st.cur == 0 {
 		n := len(r.t)
-		st.head = r.corr.Dots(r.t[0:l], make([]float64, n-l+1))
+		st.head = r.rows.row(make([]float64, n-l+1), 0, l)
 		st.cur = l
 		r.planStats.HeadSeeds++
 		return st.head, nil

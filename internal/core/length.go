@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/seriesmining/valmod/internal/fft"
 	"github.com/seriesmining/valmod/internal/kernels"
 	"github.com/seriesmining/valmod/internal/lb"
 	"github.com/seriesmining/valmod/internal/profile"
@@ -135,12 +134,13 @@ func (r *run) processLength(l int) (LengthResult, *profile.MatrixProfile, error)
 
 // recomputeBatch resolves the anchors in need (ascending) exactly at
 // length l. Neighboring anchors fail certification together (their windows
-// overlap), so contiguous runs are recomputed with one FFT + O(s) row
-// recurrences and reseeded; isolated hard anchors are resolved two per FFT
-// round trip via the packed correlator and their rows join the hot-row
-// cache (one FFT now, O(s) per length afterwards). The jobs — one per run,
-// one per anchor pair — are fixed by the need list alone and touch
-// disjoint anchors, so they are distributed across Workers goroutines with
+// overlap), so contiguous runs are recomputed with one from-scratch head
+// row + O(s) row recurrences and reseeded; isolated hard anchors get a
+// from-scratch row each (rows.go: direct, or two per FFT round trip via
+// the packed correlator) and their rows join the hot-row cache (one row
+// now, O(s) per length afterwards). The jobs — one per run, one per
+// anchor pair — are fixed by the need list alone and touch disjoint
+// anchors, so they are distributed across Workers goroutines with
 // bit-identical results; only the hot-cache retention stays serial, in
 // need order, so the cache contents are deterministic too.
 // recSpan is one contiguous recompute run [lo, lo+count).
@@ -173,22 +173,21 @@ func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProf
 		r.hotRows = make([][]float64, len(hotPend))
 	}
 	hotRows := r.hotRows[:len(hotPend)]
-	runJob := func(k int, corr *fft.Correlator, rowBuf []float64) {
+	runJob := func(k int, rows *rowWorker, rowBuf []float64) {
 		if k < len(runs) {
-			r.processRunWith(runs[k].lo, runs[k].count, l, excl, s, lmp, corr, rowBuf)
+			r.processRunWith(runs[k].lo, runs[k].count, l, excl, s, lmp, rows, rowBuf)
 			return
 		}
 		x := (k - len(runs)) * 2
 		if x+1 < len(hotPend) {
 			i1, i2 := hotPend[x], hotPend[x+1]
-			row1, row2 := corr.DotsPair(r.t[i1:i1+l], r.t[i2:i2+l],
-				r.eng.getRow(s), r.eng.getRow(s))
+			row1, row2 := rows.rowPair(r.eng.getRow(s), r.eng.getRow(s), i1, i2, l)
 			r.scanRow(i1, l, excl, s, row1, lmp)
 			r.scanRow(i2, l, excl, s, row2, lmp)
 			hotRows[x], hotRows[x+1] = row1, row2
 		} else {
 			i := hotPend[x]
-			row := corr.Dots(r.t[i:i+l], r.eng.getRow(s))
+			row := rows.row(r.eng.getRow(s), i, l)
 			r.scanRow(i, l, excl, s, row, lmp)
 			hotRows[x] = row
 		}
@@ -200,7 +199,7 @@ func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProf
 	}
 	if workers <= 1 {
 		for k := 0; k < nJobs; k++ {
-			runJob(k, r.corr, r.rowQT[:s])
+			runJob(k, &r.rows, r.rowQT[:s])
 		}
 	} else {
 		var next atomic.Int64
@@ -209,8 +208,8 @@ func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProf
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				corr := r.corr.Clone()
-				defer corr.Release()
+				rows := rowWorker{src: r.rows.src, clone: true}
+				defer rows.release()
 				rowBuf := r.eng.getRow(s)
 				defer r.eng.putRow(rowBuf)
 				for {
@@ -218,7 +217,7 @@ func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProf
 					if k >= nJobs {
 						return
 					}
-					runJob(k, corr, rowBuf)
+					runJob(k, &rows, rowBuf)
 				}
 			}()
 		}
@@ -345,7 +344,7 @@ func (r *run) advanceShard(lo, hi, l, excl, s int) {
 // advanceAndScanHot advances anchor i's cached dot-product row from length
 // cur to length l (every pending length step carried through each cell in
 // one fused kernels.ExtendRow pass) and scans it for the exact profile
-// value — certification without FFT work.
+// value — certification without a from-scratch row.
 func (r *run) advanceAndScanHot(i, l, excl, s int, row []float64, cur int) {
 	fl := float64(l)
 	kernels.ExtendRow(row, r.t, i, cur, l)

@@ -13,14 +13,15 @@ type LengthStats struct {
 	// Certified counts anchors whose profile value was certified by the
 	// lower bound alone.
 	Certified int
-	// Recomputed counts anchors individually recomputed with MASS.
+	// Recomputed counts anchors individually recomputed from a
+	// from-scratch dot-product row.
 	Recomputed int
 	// FullRecompute reports the length was resolved by a whole-profile
 	// pass rather than the pruned advance→certify machinery.
 	FullRecompute bool
 	// Incremental refines FullRecompute: the whole-profile pass extended
 	// the carried cross-length dot-product state (one FMA per cell)
-	// instead of recomputing from scratch with FFT reseeds.
+	// instead of recomputing from a from-scratch head row.
 	Incremental bool
 }
 
@@ -36,13 +37,13 @@ type PlanStats struct {
 	// cross-length profile pass.
 	IncrementalLengths int `json:"incremental_lengths"`
 	// RecomputeLengths counts lengths resolved by the seed sweep — one
-	// diagonal pass from a fresh FFT head row that also reseeds every
+	// diagonal pass from a from-scratch head row that also reseeds every
 	// partial profile (the pruned machinery's seed).
 	RecomputeLengths int `json:"recompute_lengths"`
 	// SkippedLengths counts lengths no registered sink wanted.
 	SkippedLengths int `json:"skipped_lengths"`
-	// HeadSeeds counts FFT seedings of the incremental engine's diagonal
-	// head row (at most one per run).
+	// HeadSeeds counts from-scratch seedings of the incremental engine's
+	// diagonal head row (at most one per run).
 	HeadSeeds int `json:"head_seeds"`
 	// HeadExtensions counts one-FMA-per-cell head-row advances (one per
 	// length step the carried state crossed).
@@ -141,7 +142,8 @@ type Summary struct {
 	Lengths int
 	// CertifiedAnchors sums anchors certified by the lower bound alone.
 	CertifiedAnchors int
-	// RecomputedAnchors sums anchors individually recomputed with MASS.
+	// RecomputedAnchors sums anchors individually recomputed from a
+	// from-scratch dot-product row.
 	RecomputedAnchors int
 	// FullRecomputes counts lengths resolved by a whole-profile pass
 	// (including the mandatory seed at ℓmin).

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/seriesmining/valmod/internal/core/anchors"
-	"github.com/seriesmining/valmod/internal/fft"
 	"github.com/seriesmining/valmod/internal/kernels"
 	"github.com/seriesmining/valmod/internal/lb"
 	"github.com/seriesmining/valmod/internal/profile"
@@ -14,9 +13,9 @@ import (
 
 // seedAll computes the exact matrix profile at length l and reseeds every
 // anchor's partial profile with base l, in one sweep over the diagonal
-// pass's block grid: kernels.SeedScan streams every diagonal from one FFT
-// head row, updates both profile slots of each cell and offers each
-// endpoint to the other's candidate list. Every worker fills its own
+// pass's block grid: kernels.SeedScan streams every diagonal from one
+// from-scratch head row (rows.go), updates both profile slots of each
+// cell and offers each endpoint to the other's candidate list. Every worker fills its own
 // top-(p+1) lists; Store.Seed merges them under the strict order, so the
 // retained entries and NextQ2 are identical at every worker count. The
 // lists (Workers·s·(p+1) entries) live only for the sweep.
@@ -28,7 +27,7 @@ func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 	s := n - l + 1
 	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)
 	r.momentsAt(l)
-	head := r.corr.Dots(r.t[0:l], r.rowQT[:s])
+	head := r.rows.row(r.rowQT, 0, l)
 	sums := make([]float64, s)
 	for i := range sums {
 		sums[i] = r.st.Sum(i, l)
@@ -60,15 +59,16 @@ func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 }
 
 // processRunWith resolves the contiguous recompute run [i0, i0+count)
-// exactly at length l: one FFT seeds the dot-product row of i0, each
-// following row costs O(s) via the STOMP recurrence (kernels.RowNext), and
-// per row the kernel scans find the exact profile minimum (division-free
-// correlation compare) and reseed the anchor's partial profile. It writes
-// exact values into mp. The correlator and row buffer are caller-owned,
-// enabling concurrent runs; the moment cache must already be at l.
-func (r *run) processRunWith(i0, count, l, excl, s int, mp *profile.MatrixProfile, corr *fft.Correlator, rowBuf []float64) {
+// exactly at length l: one from-scratch row (rows.go) seeds the
+// dot-product row of i0, each following row costs O(s) via the STOMP
+// recurrence (kernels.RowNext), and per row the kernel scans find the
+// exact profile minimum (division-free correlation compare) and reseed
+// the anchor's partial profile. It writes exact values into mp. The row
+// handle and row buffer are caller-owned, enabling concurrent runs; the
+// moment cache must already be at l.
+func (r *run) processRunWith(i0, count, l, excl, s int, mp *profile.MatrixProfile, rows *rowWorker, rowBuf []float64) {
 	t := r.t
-	row := corr.Dots(t[i0:i0+l], rowBuf)
+	row := rows.row(rowBuf, i0, l)
 	for i := i0; i < i0+count; i++ {
 		if i > i0 {
 			kernels.RowNext(row, t, i, l, s)

@@ -12,39 +12,16 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-
-	"github.com/seriesmining/valmod/internal/core/anchors"
-	"github.com/seriesmining/valmod/internal/fft"
-	"github.com/seriesmining/valmod/internal/series"
 )
 
-// newTestRun builds a run the way runSinks does, seeded at cfg.LMin, so
-// per-length internals can be driven directly.
+// newTestRun builds a run the way runSinks does, on one worker and seeded
+// at cfg.LMin, so per-length internals can be driven directly.
 func newTestRun(t testing.TB, eng *Engine, x []float64, cfg Config) *run {
 	t.Helper()
 	cfg.Fill()
-	sMin := len(x) - cfg.LMin + 1
-	r := &run{
-		eng:     eng,
-		ctx:     context.Background(),
-		t:       x,
-		st:      series.NewStats(x),
-		cfg:     cfg,
-		sMin:    sMin,
-		workers: 1,
-		store:   anchors.NewStore(sMin, hotRowBudgetBytes),
-		dists:   make([]float64, sMin),
-		indexes: make([]int, sMin),
-		maxLBs:  make([]float64, sMin),
-		cert:    make([]bool, sMin),
-		corr:    fft.NewCorrelator(x, cfg.LMax),
-	}
-	r.rowQT = eng.getRow(sMin)
-	t.Cleanup(func() {
-		eng.putRow(r.rowQT)
-		r.store.DrainHotRows(eng.putRow)
-		r.corr.Release()
-	})
+	r := eng.newRun(context.Background(), x, cfg)
+	r.workers = 1
+	t.Cleanup(r.release)
 	if _, err := r.seedAll(cfg.LMin); err != nil {
 		t.Fatal(err)
 	}

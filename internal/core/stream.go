@@ -27,7 +27,8 @@ package core
 //     descending, neighbor offset ascending on exact ties) on both sides.
 //   - Sliding-window mode (Config.WindowCap = W) evicts to exactly the
 //     trailing W points after every Append. Survivor entries whose best
-//     neighbor was evicted are repaired *exactly*: one FFT row +
+//     neighbor was evicted are repaired *exactly*: one from-scratch
+//     dot-product row (rows.go: direct below the cutover, FFT above) +
 //     kernels.ArgmaxCorr over the remaining window when such entries are
 //     sparse, or a full replay of the column recurrence over the window
 //     when they are dense (see evict for the cutover); moments are rebuilt
@@ -57,7 +58,6 @@ import (
 	"sync/atomic"
 
 	"github.com/seriesmining/valmod/internal/faultinject"
-	"github.com/seriesmining/valmod/internal/fft"
 	"github.com/seriesmining/valmod/internal/kernels"
 	"github.com/seriesmining/valmod/internal/profile"
 	"github.com/seriesmining/valmod/internal/series"
@@ -228,18 +228,20 @@ func (s *Streamer) advance(ls *streamLen, t []float64) error {
 // column and the winner accumulators shift down; moments are rebuilt from
 // the retained points (bit-identical to a batch run over them). A
 // surviving entry whose recorded neighbor was evicted is repaired exactly:
-// one FFT dot-product row over the window, then ArgmaxCorr with the same
-// total order. Entries whose neighbor survived keep their winner — the
-// maximum over a set cannot change when only non-maximal elements leave.
+// one from-scratch dot-product row over the window, then ArgmaxCorr with
+// the same total order. Entries whose neighbor survived keep their winner
+// — the maximum over a set cannot change when only non-maximal elements
+// leave.
 func (s *Streamer) evict(e int) error {
 	copy(s.t, s.t[e:])
 	s.t = s.t[:len(s.t)-e]
 	s.st = series.NewStats(s.t)
 
-	// One series spectrum serves every repair; each worker clones it so
+	// One row source serves every repair (its series spectrum, if a length
+	// needs one, is built once); each worker holds its own handle, so
 	// repairs run concurrently across lengths.
-	corr := fft.NewCorrelator(s.t, s.cfg.LMax)
-	defer corr.Release()
+	src := newRowSource(s.t, s.cfg.LMax)
+	defer src.release()
 	workers := s.workers
 	if workers > len(s.lens) {
 		workers = len(s.lens)
@@ -247,18 +249,17 @@ func (s *Streamer) evict(e int) error {
 	if workers < 1 {
 		workers = 1
 	}
-	clones := make([]*fft.Correlator, workers)
+	handles := make([]rowWorker, workers)
 	rows := make([][]float64, workers)
-	clones[0] = corr
-	for w := 1; w < workers; w++ {
-		clones[w] = corr.Clone()
-		defer clones[w].Release()
+	for w := range handles {
+		handles[w] = rowWorker{src: src, clone: w > 0}
+		defer handles[w].release()
 	}
 
 	return s.forEachLength(func(w int, ls *streamLen) error {
 		sNew := len(s.t) - ls.l + 1
 		// Count survivors whose recorded neighbor was evicted. Each one
-		// costs an FFT row (O(s·log s)), so when they are dense it is
+		// costs a from-scratch row, so when they are dense it is
 		// cheaper to replay the column recurrence over the whole retained
 		// window (O(s²) total) — the same code path as streaming the window
 		// into a fresh engine, so a replayed length is bit-identical to a
@@ -301,7 +302,7 @@ func (s *Streamer) evict(e int) error {
 				if rows[w] == nil {
 					rows[w] = make([]float64, len(s.t))
 				}
-				row := clones[w].Dots(s.t[i:i+ls.l], rows[w])
+				row := handles[w].row(rows[w], i, ls.l)
 				e1 := i - ls.excl + 1
 				if e1 < 0 {
 					e1 = 0
@@ -328,8 +329,8 @@ func (s *Streamer) evict(e int) error {
 // rebuild discards one length's carried state and replays the column
 // recurrence over the retained series from scratch — bit-identical to
 // feeding the trailing window into a fresh stream. evict switches to it
-// when eviction invalidated so many neighbors that per-slot FFT repairs
-// would cost more than the replay.
+// when eviction invalidated so many neighbors that per-slot repairs would
+// cost more than the replay.
 func (s *Streamer) rebuild(ls *streamLen) error {
 	ls.col = ls.col[:0]
 	ls.corr = ls.corr[:0]
@@ -511,9 +512,11 @@ type streamLenCkpt struct {
 
 // streamCfgDigest extends the batch config digest with the streaming-only
 // result-affecting knob (WindowCap). Workers stays excluded: stream output
-// is worker-count invariant.
+// is worker-count invariant. v2 repairs evicted neighbors with direct rows
+// below the FFT cutover (rows.go), whose bits differ from a v1 stream's
+// FFT repairs.
 func streamCfgDigest(c Config) string {
-	return fmt.Sprintf("v1 %s wcap=%d", cfgFields(c), c.WindowCap)
+	return fmt.Sprintf("v2 %s wcap=%d", cfgFields(c), c.WindowCap)
 }
 
 // Checkpoint serializes the stream's full state between Appends into a

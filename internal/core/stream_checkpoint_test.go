@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -75,6 +76,37 @@ func mustStreamer(t *testing.T, cfg Config) *Streamer {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestStreamCheckpointRefusesV1Digest: a v1 stream frame carries winners
+// repaired through FFT rows after evictions, whose bits differ from this
+// stream's direct repairs below the cutover, so its digest is refused.
+func TestStreamCheckpointRefusesV1Digest(t *testing.T) {
+	x := randWalk(rand.New(rand.NewSource(93)), 500)
+	cfg := Config{LMin: 8, LMax: 24, TopK: 3, WindowCap: 200, Workers: 1}
+	s := mustStreamer(t, cfg)
+	if err := s.Append(x); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &streamCkptPayload{}
+	if err := decodeFrame(streamMagic, streamVersion, ck, p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeStreamer(cfg, ck); err != nil {
+		t.Fatalf("current frame: %v", err)
+	}
+	p.CfgDigest = fmt.Sprintf("v1 %s wcap=%d", cfgFields(s.Cfg()), cfg.WindowCap)
+	v1, err := encodeFrame(streamMagic, streamVersion, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeStreamer(cfg, v1); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("v1-digest frame: want ErrBadCheckpoint, got %v", err)
+	}
 }
 
 // TestStreamCheckpointRejectsMismatch: frame and identity validation on

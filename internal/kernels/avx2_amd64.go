@@ -63,6 +63,13 @@ func colSteps4(col, m, v, corr *float64, invFl, muJ, invJ, best float64, i0, n i
 //go:noescape
 func diagSteps4(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64, invFl float64, i0, n int) int
 
+// dotRowBlocks16 writes DotRow's cells in blocks of sixteen: for
+// b ∈ [0, nb), row[16b+c] = Σ_{p<l} q[p]·x[16b+c+p], c ∈ [0, 16), each
+// lane summed from zero in ascending p.
+//
+//go:noescape
+func dotRowBlocks16(row, q, x *float64, l, nb int)
+
 func rowNextAVX2(row, t []float64, i, l, s int) {
 	if s < 2 {
 		return
@@ -79,6 +86,21 @@ func rowNextAVX2(row, t []float64, i, l, s int) {
 	for p := lo - 1; p >= 0; p-- {
 		r[p+1] = r[p] + tail*a[p] - head*b[p]
 	}
+}
+
+// dotRowAVX2 writes cells [j0, s) of DotRow: blocks of sixteen through
+// dotRowBlocks16, the rest (fewer than sixteen cells) through the generic
+// body.
+func dotRowAVX2(row, t []float64, i, l, j0, s int) {
+	nb := (s - j0) / 16
+	if nb > 0 && l > 0 {
+		q := t[i : i+l]
+		x := t[j0 : j0+16*nb+l-1] // the blocks read up to x[16nb−1+l−1]
+		r := row[j0 : j0+16*nb]
+		dotRowBlocks16(&r[0], &q[0], &x[0], l, nb)
+		j0 += 16 * nb
+	}
+	dotRowGeneric(row, t, i, l, j0, s)
 }
 
 // extendRowAVX2 runs the l−cur pending steps as one-step vector passes.

@@ -33,3 +33,11 @@ func seedScanAVX2(t, head, means, invs, sums []float64, k0, k1, l, s int, corr [
 func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
 	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
+
+func dotRowAVX2(row, t []float64, i, l, j0, s int) {
+	dotRowGeneric(row, t, i, l, j0, s)
+}
+
+func dotRowAVX512(row, t []float64, i, l, s int) {
+	dotRowGeneric(row, t, i, l, 0, s)
+}

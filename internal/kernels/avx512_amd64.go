@@ -4,11 +4,12 @@ package kernels
 
 import "math/bits"
 
-// The AVX-512 dispatch tier, amd64 side. Only DiagScan has a body of its
-// own: diagSteps16 advances sixteen diagonals per step under the stop
-// protocol of avx2_amd64.go, returning the stop row with a lane mask, and
-// Go applies only the flagged lanes. Every other kernel dispatches to its
-// avx2 body.
+// The AVX-512 dispatch tier, amd64 side. Two kernels have bodies of their
+// own: DiagScan, whose diagSteps16 advances sixteen diagonals per step
+// under the stop protocol of avx2_amd64.go, returning the stop row with a
+// lane mask so Go applies only the flagged lanes; and DotRow, whose
+// dotRowBlocks32 sums thirty-two cells per block. Every other kernel
+// dispatches to its avx2 body.
 
 // diagSteps16 is diagSteps4 over sixteen chains qt[0..15] (diagonals
 // k..k+15 of a group, advanced together in two ZMM vectors of eight): over
@@ -77,4 +78,26 @@ func diagGroup16(t, head, means, invs []float64, k, l, s int, invFl float64, cor
 	for x, q := range qt {
 		diagOneTail(t, means, invs, q, k+x, l, s, invFl, corr, idx, m)
 	}
+}
+
+// dotRowBlocks32 is dotRowBlocks16 at thirty-two cells per block: for
+// b ∈ [0, nb), row[32b+c] = Σ_{p<l} q[p]·x[32b+c+p], c ∈ [0, 32), each
+// lane summed from zero in ascending p.
+//
+//go:noescape
+func dotRowBlocks32(row, q, x *float64, l, nb int)
+
+// dotRowAVX512 writes DotRow's cells in blocks of thirty-two through
+// dotRowBlocks32; the rest (fewer than thirty-two cells) run the avx2
+// body.
+func dotRowAVX512(row, t []float64, i, l, s int) {
+	j0 := 0
+	if nb := s / 32; nb > 0 && l > 0 {
+		q := t[i : i+l]
+		x := t[0 : 32*nb+l-1] // the blocks read up to x[32nb−1+l−1]
+		r := row[0 : 32*nb]
+		dotRowBlocks32(&r[0], &q[0], &x[0], l, nb)
+		j0 = 32 * nb
+	}
+	dotRowAVX2(row, t, i, l, j0, s)
 }

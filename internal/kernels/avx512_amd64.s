@@ -88,3 +88,55 @@ d16done:
 	MOVQ CX, mask+120(FP)
 	VZEROUPPER
 	RET
+
+// func dotRowBlocks32(row, q, x *float64, l, nb int)
+// dotRowBlocks16 at thirty-two cells per block, four ZMM accumulators:
+// for b in [0, nb) and c in [0, 32), row[32b+c] = sum over p in [0, l)
+// of q[p]*x[32b+c+p], each lane summed from zero in ascending p.
+TEXT ·dotRowBlocks32(SB), NOSPLIT, $0-40
+	MOVQ row+0(FP), DI
+	MOVQ q+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ l+24(FP), CX
+	MOVQ nb+32(FP), DX
+	TESTQ DX, DX
+	JLE   dr32done
+
+dr32block:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ R8, R9 // &x[32b+p]
+	XORQ AX, AX // p
+	CMPQ AX, CX
+	JGE  dr32store
+
+dr32term:
+	VBROADCASTSD (SI)(AX*8), Z4 // q[p]
+	VMULPD  (R9), Z4, Z5
+	VMULPD  64(R9), Z4, Z6
+	VMULPD  128(R9), Z4, Z7
+	VMULPD  192(R9), Z4, Z8
+	VADDPD  Z5, Z0, Z0
+	VADDPD  Z6, Z1, Z1
+	VADDPD  Z7, Z2, Z2
+	VADDPD  Z8, Z3, Z3
+	ADDQ $8, R9
+	INCQ AX
+	CMPQ AX, CX
+	JLT  dr32term
+
+dr32store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, R8
+	DECQ DX
+	JNZ  dr32block
+
+dr32done:
+	VZEROUPPER
+	RET

@@ -123,6 +123,41 @@ func extendRowGeneric(row, t []float64, i, cur, l int) {
 	extendRowRagged(row, t, full, cur, n, q)
 }
 
+// dotRowGeneric writes cells [j0, s) of DotRow with the sums of eight
+// adjacent cells interleaved: one cell's sum is a serial chain, eight
+// independent chains overlap. Each chain still adds its terms in
+// ascending p from zero, bit-identical to the one-cell loop.
+func dotRowGeneric(row, t []float64, i, l, j0, s int) {
+	q := t[i : i+l]
+	j := j0
+	for ; j+8 <= s; j += 8 {
+		w := t[j : j+l+7] // cell j+d's term p reads w[p+d]
+		var v0, v1, v2, v3, v4, v5, v6, v7 float64
+		for p, qv := range q {
+			x := w[p : p+8]
+			v0 += qv * x[0]
+			v1 += qv * x[1]
+			v2 += qv * x[2]
+			v3 += qv * x[3]
+			v4 += qv * x[4]
+			v5 += qv * x[5]
+			v6 += qv * x[6]
+			v7 += qv * x[7]
+		}
+		r := row[j : j+8]
+		r[0], r[1], r[2], r[3] = v0, v1, v2, v3
+		r[4], r[5], r[6], r[7] = v4, v5, v6, v7
+	}
+	for ; j < s; j++ {
+		w := t[j : j+l]
+		var v float64
+		for p, qv := range q {
+			v += qv * w[p]
+		}
+		row[j] = v
+	}
+}
+
 // extendRowRagged finishes the cells [full, n−cur) whose step ranges clip
 // at the series end (the region is O(l) cells, never the pass cost).
 func extendRowRagged(row, t []float64, full, cur, n int, q []float64) {

@@ -1,10 +1,10 @@
 // Package kernels holds the engine's arithmetic hot loops — the STOMP row
 // recurrence, the branch-free argmax-correlation scans, the fused
-// multi-length dot-product extensions, the streaming column scan, the
-// diagonal pass of the incremental cross-length engine, and the seed sweep
-// that fuses that pass with the partial-profile selection — consolidated from
-// the per-file copies that used to live in internal/core, internal/stomp
-// and the hot-row path.
+// multi-length dot-product extensions, the direct dot-product row, the
+// streaming column scan, the diagonal pass of the incremental cross-length
+// engine, and the seed sweep that fuses that pass with the partial-profile
+// selection — consolidated from the per-file copies that used to live in
+// internal/core, internal/stomp and the hot-row path.
 //
 // Every routine here is paired with a naive reference implementation in
 // ref.go that spells out the defining loop, and TestKernelParity asserts
@@ -30,15 +30,15 @@
 //     scans (ColScan, DiagScan, SeedScan) share one stop protocol: the
 //     assembly computes correlations and returns only where a lane could
 //     change winner state, and Go applies the compare-updates there.
-//   - avx512 — avx2 plus an AVX-512F DiagScan (runtime CPUID- and
-//     XCR0-detected) that advances sixteen diagonals per step in two
-//     eight-lane ZMM chains, again without FMA. Its stop returns a lane
-//     mask, and Go applies only the flagged lanes. Every other kernel
-//     runs its avx2 body.
+//   - avx512 — avx2 plus AVX-512F bodies (runtime CPUID- and
+//     XCR0-detected), again without FMA: a DiagScan that advances sixteen
+//     diagonals per step in two eight-lane ZMM chains, whose stop returns
+//     a lane mask so Go applies only the flagged lanes, and a DotRow of
+//     thirty-two cells per block. Every other kernel runs its avx2 body.
 //
 // Every tier must produce bit-identical outputs. For pure arithmetic
-// (RowNext, ExtendRow) that holds lane-by-lane because each output cell's
-// operations run in the same order in every tier. For the winner scans
+// (RowNext, ExtendRow, DotRow) that holds lane-by-lane because each output
+// cell's operations run in the same order in every tier. For the winner scans
 // (ArgmaxCorr, ColScan, DiagScan, SeedScan) it holds because winner
 // selection is a maximum under the strict total order (correlation
 // descending, neighbor offset ascending on exact ties), which is
@@ -116,6 +116,26 @@ func ExtendRow(row, t []float64, i, cur, l int) {
 		extendRowAVX2(row, t, i, cur, l)
 	default:
 		extendRowGeneric(row, t, i, cur, l)
+	}
+}
+
+// DotRow writes anchor i's dot-product row at length l from scratch:
+// row[j] = Σ_{p<l} t[i+p]·t[j+p] for j ∈ [0, s), each cell summed from
+// zero in ascending p — the series.Dot of the two windows, bit for bit.
+// By ExtendRow's ascending-step contract, a row that starts as a DotRow
+// and is extended to a longer length equals that length's DotRow. It
+// costs s·l multiply-adds, where a row through the FFT correlator costs
+// O(n log n) at any l, so it is the cheaper row at short lengths (the
+// engine's cutover is in internal/core). The tiers interleave independent
+// cells, never the terms of one cell, so every tier writes the same bits.
+func DotRow(row, t []float64, i, l, s int) {
+	switch active {
+	case AVX512:
+		dotRowAVX512(row, t, i, l, s)
+	case AVX2:
+		dotRowAVX2(row, t, i, l, 0, s)
+	default:
+		dotRowGeneric(row, t, i, l, 0, s)
 	}
 }
 

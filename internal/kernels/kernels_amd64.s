@@ -336,3 +336,56 @@ seeddone:
 	MOVQ BX, mask+104(FP)
 	VZEROUPPER
 	RET
+
+// func dotRowBlocks16(row, q, x *float64, l, nb int)
+// Blocks of sixteen cells, four YMM accumulators: for b in [0, nb) and
+// c in [0, 16), row[16b+c] = sum over p in [0, l) of q[p]*x[16b+c+p],
+// each lane summed from zero in ascending p (a separate multiply and add
+// per term, as series.Dot does).
+TEXT ·dotRowBlocks16(SB), NOSPLIT, $0-40
+	MOVQ row+0(FP), DI
+	MOVQ q+8(FP), SI
+	MOVQ x+16(FP), R8
+	MOVQ l+24(FP), CX
+	MOVQ nb+32(FP), DX
+	TESTQ DX, DX
+	JLE   dr16done
+
+dr16block:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R8, R9 // &x[16b+p]
+	XORQ AX, AX // p
+	CMPQ AX, CX
+	JGE  dr16store
+
+dr16term:
+	VBROADCASTSD (SI)(AX*8), Y4 // q[p]
+	VMULPD  (R9), Y4, Y5
+	VMULPD  32(R9), Y4, Y6
+	VMULPD  64(R9), Y4, Y7
+	VMULPD  96(R9), Y4, Y8
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ $8, R9
+	INCQ AX
+	CMPQ AX, CX
+	JLT  dr16term
+
+dr16store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R8
+	DECQ DX
+	JNZ  dr16block
+
+dr16done:
+	VZEROUPPER
+	RET

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/seriesmining/valmod/internal/fft"
 	"github.com/seriesmining/valmod/internal/series"
 )
 
@@ -151,6 +152,51 @@ func testKernelParityExtendRow(t *testing.T) {
 		RefExtendRow(want, ts, tc.i, tc.cur, tc.l)
 		if !bitsEqual(got, want) {
 			t.Fatalf("i=%d cur=%d l=%d: ExtendRow diverges from reference", tc.i, tc.cur, tc.l)
+		}
+	}
+}
+
+func TestKernelParityDotRow(t *testing.T) { forEachVariant(t, testKernelParityDotRow) }
+
+// testKernelParityDotRow covers rows shorter than one vector block (s < 8,
+// 16, 32), every remainder of the 8-, 16- and 32-cell blocks, the first
+// and last anchor, l = 1, and rows crossing testSeries' σ = 0 stretches.
+// Each cell must equal RefDotRow and series.Dot bit for bit, and cells
+// past s must stay untouched.
+func testKernelParityDotRow(t *testing.T) {
+	for _, tc := range []struct{ n, l, s int }{
+		{12, 1, 12},     // l = 1, below one block
+		{20, 8, 13},     // s < 16
+		{40, 9, 31},     // s < 32, 16-block plus remainder
+		{40, 1, 40},     // 32-block plus remainder at l = 1
+		{100, 4, 97},    // 3 × 32 + 1
+		{130, 3, 128},   // exact multiple of every block
+		{257, 7, 251},   // odd remainders
+		{257, 64, 150},  // s below n−l+1
+		{1000, 33, 968}, // crosses both constant stretches
+		{1000, 250, 751},
+	} {
+		ts := testSeries(tc.n, 5)
+		for _, i := range []int{0, 1, tc.s / 2, tc.s - 1, tc.n - tc.l} {
+			if i < 0 || i+tc.l > tc.n {
+				continue
+			}
+			const pad = 3
+			want := make([]float64, tc.s+pad)
+			got := make([]float64, tc.s+pad)
+			for x := range got {
+				got[x], want[x] = -7, -7
+			}
+			RefDotRow(want, ts, i, tc.l, tc.s)
+			DotRow(got, ts, i, tc.l, tc.s)
+			if !bitsEqual(got, want) {
+				t.Fatalf("n=%d l=%d s=%d i=%d: DotRow diverges from reference", tc.n, tc.l, tc.s, i)
+			}
+			for j := 0; j < tc.s; j++ {
+				if d := series.Dot(ts[i:i+tc.l], ts[j:j+tc.l]); math.Float64bits(got[j]) != math.Float64bits(d) {
+					t.Fatalf("n=%d l=%d i=%d j=%d: DotRow %v != series.Dot %v", tc.n, tc.l, i, j, got[j], d)
+				}
+			}
 		}
 	}
 }
@@ -626,6 +672,49 @@ var (
 	sinkCorr float64
 	sinkJ    int
 )
+
+// BenchmarkDotRow times one dot-product row from scratch, reported in
+// µs per row: "direct" is DotRow on every tier, "fft" the correlator row
+// the engine takes above the direct row's cutover — Dots, and DotsPair
+// per row (two rows per transform, the recompute path's packing). The
+// FFT row does not depend on l below the padded size, so it runs once
+// per n, at l = 512.
+func BenchmarkDotRow(b *testing.B) {
+	for _, n := range []int{5000, 20000, 50000} {
+		ts := randomWalk(n, 12)
+		for _, l := range []int{64, 263, 512} {
+			s := n - l + 1
+			row := make([]float64, s)
+			b.Run(fmt.Sprintf("direct/n=%d/l=%d", n, l), func(b *testing.B) {
+				forEachVariantB(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						DotRow(row, ts, (i*97)%s, l, s)
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/row")
+				})
+			})
+		}
+		const l = 512
+		s := n - l + 1
+		corr := fft.NewCorrelator(ts, l)
+		row1, row2 := make([]float64, s), make([]float64, s)
+		b.Run(fmt.Sprintf("fft/n=%d/Dots", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				x := (i * 97) % s
+				corr.Dots(ts[x:x+l], row1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/row")
+		})
+		b.Run(fmt.Sprintf("fft/n=%d/DotsPair", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				x := (i * 97) % (s - 1)
+				corr.DotsPair(ts[x:x+l], ts[x+1:x+1+l], row1, row2)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(2*b.N), "µs/row")
+		})
+		corr.Release()
+	}
+}
 
 func BenchmarkExtendRowOneStep(b *testing.B) {
 	forEachVariantB(b, func(b *testing.B) {

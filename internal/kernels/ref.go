@@ -45,6 +45,17 @@ func RefExtendRow(row, t []float64, i, cur, l int) {
 	}
 }
 
+// RefDotRow is DotRow as one series.Dot-shaped loop per cell.
+func RefDotRow(row, t []float64, i, l, s int) {
+	for j := 0; j < s; j++ {
+		var sum float64
+		for p := 0; p < l; p++ {
+			sum += t[i+p] * t[j+p]
+		}
+		row[j] = sum
+	}
+}
+
 // RefAdvanceDot is AdvanceDot as the per-step loop.
 func RefAdvanceDot(qt float64, t []float64, i, j, p0, p1 int) float64 {
 	for p := p0; p < p1; p++ {

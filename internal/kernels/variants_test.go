@@ -104,7 +104,8 @@ func fuzzSeries(n int, seed int64, segA, segB uint8) []float64 {
 
 // FuzzKernelParity drives every dispatch tier of every kernel against its
 // Ref* baseline on fuzz-chosen series sizes, lengths, anchors and
-// degenerate-segment placements, asserting bit-identity. Random sizes
+// degenerate-segment placements, asserting bit-identity. DotRow shares
+// ExtendRow's case: the row it writes is the row ExtendRow extends. Random sizes
 // exercise the unroll and vector-width remainders; random anchors
 // exercise edge-clipped exclusion zones.
 func FuzzKernelParity(f *testing.F) {
@@ -130,6 +131,14 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(700), uint16(800), uint8(25), uint8(1), uint8(33), uint8(27))
 	f.Add(int64(200), uint16(968), uint8(17), uint8(101), uint8(40), uint8(123))
 	f.Add(int64(55), uint16(968), uint8(17), uint8(101), uint8(47), uint8(123))
+	// DotRow rows of 17–31 cells (under one 32-cell block), of an exact
+	// multiple of 32, and with 8-, 16- and 32-cell remainders, some
+	// crossing σ = 0 stretches, each extended by ExtendRow.
+	f.Add(int64(21), uint16(10), uint8(15), uint8(0), uint8(0), uint8(2))
+	f.Add(int64(22), uint16(62), uint8(6), uint8(3), uint8(1), uint8(8))
+	f.Add(int64(23), uint16(98), uint8(32), uint8(5), uint8(0), uint8(14))
+	f.Add(int64(24), uint16(453), uint8(50), uint8(9), uint8(11), uint8(20))
+	f.Add(int64(25), uint16(1167), uint8(61), uint8(131), uint8(201), uint8(26))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, lRaw, segA, segB, kernel uint8) {
 		n := 32 + int(nRaw)%1200
 		l := 3 + int(lRaw)%62
@@ -186,7 +195,7 @@ func FuzzKernelParity(f *testing.F) {
 					t.Fatalf("%v: ArgmaxCorr(n=%d l=%d i=%d): (%v,%d) != reference (%v,%d)", v, n, l, i, gc, gj, wc, wj)
 				}
 			})
-		case 2: // ExtendRow, single- and multi-step
+		case 2: // DotRow, then ExtendRow from it, single- and multi-step
 			cur := l
 			newL := l + 1 + int(segA)%12
 			if newL > n {
@@ -194,13 +203,23 @@ func FuzzKernelParity(f *testing.F) {
 			}
 			i := anchor % (n - newL + 1)
 			row0 := make([]float64, n-cur+1)
-			for j := range row0 {
-				row0[j] = series.Dot(ts[i:i+cur], ts[j:j+cur])
-			}
+			RefDotRow(row0, ts, i, cur, len(row0))
 			want := append([]float64(nil), row0...)
 			RefExtendRow(want, ts, i, cur, newL)
+			// The extended row is the direct row at newL: a hot row that
+			// entered the cache as a DotRow stays one.
+			sNew := n - newL + 1
+			direct := make([]float64, sNew)
+			RefDotRow(direct, ts, i, newL, sNew)
+			if !bitsEqual(want[:sNew], direct) {
+				t.Fatalf("ExtendRow(n=%d i=%d cur=%d l=%d) from a direct row is not the direct row", n, i, cur, newL)
+			}
 			allVariants(t, func(v Variant) {
-				got := append([]float64(nil), row0...)
+				got := make([]float64, len(row0))
+				DotRow(got, ts, i, cur, len(row0))
+				if !bitsEqual(got, row0) {
+					t.Fatalf("%v: DotRow(n=%d i=%d l=%d) diverges from reference", v, n, i, cur)
+				}
 				ExtendRow(got, ts, i, cur, newL)
 				if !bitsEqual(got, want) {
 					t.Fatalf("%v: ExtendRow(n=%d i=%d cur=%d l=%d) diverges from reference", v, n, i, cur, newL)

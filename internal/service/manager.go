@@ -559,7 +559,7 @@ func (m *Manager) run(ctx context.Context, job *Job, key cacheKey, values []floa
 	}
 
 	// Clamp client-supplied parallelism to the machine: each engine worker
-	// clones O(n) FFT scratch, so an unbounded request could multiply
+	// may clone O(n) FFT scratch, so an unbounded request could multiply
 	// memory and oversubscribe every core MaxConcurrent is meant to
 	// protect. Sound because Workers never changes the output (it is
 	// excluded from the cache key for the same reason).

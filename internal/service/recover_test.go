@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -113,6 +114,77 @@ func TestRecoverResumesInterruptedDiscover(t *testing.T) {
 		t.Fatalf("resumed result differs from uninterrupted run\n got %s\nwant %s", got, want)
 	}
 	m2.Shutdown()
+}
+
+// TestRecoverStaleCheckpointRerunsByteIdentical: an interrupted job whose
+// durable checkpoint the engine refuses — here a frame of the same series
+// under another range, whose config digest differs from the job's, as the
+// digest of every frame written before an engine change that moves output
+// bits does — re-runs from scratch on recovery, and the result is
+// byte-identical to an uninterrupted run.
+func TestRecoverStaleCheckpointRerunsByteIdentical(t *testing.T) {
+	values := testSeries(1500)
+	var stale []byte
+	if _, err := valmod.Discover(values, 16, 40, valmod.Options{Workers: 1, CheckpointEvery: 8,
+		Checkpoint: func(b []byte) error { stale = append(stale[:0], b...); return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	if stale == nil {
+		t.Fatal("no checkpoint written")
+	}
+	req := JobRequest{SeriesID: "s_stale", LMin: 16, LMax: 48, Workers: 1}
+	if _, err := valmod.NewEngine(req.options()).DiscoverResume(context.Background(), values, req.LMin, req.LMax, stale); !errors.Is(err, valmod.ErrBadCheckpoint) {
+		t.Fatalf("stale frame: want ErrBadCheckpoint, got %v", err)
+	}
+
+	dir := t.TempDir()
+	wal1, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal1.SaveSeries(req.SeriesID, values); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal1.SaveSubmit("j_stale", req); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal1.SaveCheckpoint("j_stale", stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wal2, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal2.Close()
+	m := NewManager(Config{MaxConcurrent: 1, Store: wal2})
+	defer m.Shutdown()
+	if err := m.Recover(wal2.Recovered()); err != nil {
+		t.Fatal(err)
+	}
+	job, ok := m.Job("j_stale")
+	if !ok {
+		t.Fatal("interrupted job not re-queued after restart")
+	}
+	st := waitTerminal(t, job)
+	if st.State != StateDone {
+		t.Fatalf("recovered job: state=%s err=%q", st.State, st.Error)
+	}
+	if ev := collectEvents(t, job); len(ev) == 0 || ev[0].Done != 1 {
+		t.Fatalf("recovered job's events %v: want a from-scratch run starting at Done=1", ev)
+	}
+	direct, err := valmod.Discover(values, req.LMin, req.LMax, req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(ResultOf(direct))
+	got, _ := json.Marshal(st.Result)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-run result differs from an uninterrupted run\n got %s\nwant %s", got, want)
+	}
 }
 
 // collectEvents drains a job's full event history after it is terminal.

@@ -44,10 +44,13 @@ type Options struct {
 	// ExclusionFactor sets the trivial-match zone ⌈ℓ/factor⌉ (default 4).
 	ExclusionFactor int
 	// RecomputeFraction is the fraction of anchors beyond which a length
-	// is recomputed wholesale rather than anchor-by-anchor (default 0.05:
-	// one MASS recompute costs Θ(n log n) against a full pass's Θ(s²), but
-	// the full pass also reseeds every partial profile, so the breakeven
-	// sits near s/log n ≈ 5% of anchors; see internal/core).
+	// is recomputed wholesale rather than anchor-by-anchor (default 0.05).
+	// One anchor recompute costs a dot-product row — s·ℓ multiply-adds
+	// below the engine's FFT cutover, Θ(n log n) above it — against a
+	// full pass's Θ(s²), and the full pass also reseeds every partial
+	// profile. The default was set where an FFT row breaks even, near
+	// s/log n ≈ 5% of anchors; against the direct row the breakeven falls
+	// as 1/ℓ (see internal/core).
 	RecomputeFraction float64
 	// Discords, when positive, additionally reports that many
 	// variable-length discords (Result.Discords): the subsequences whose
@@ -170,9 +173,10 @@ type LengthResult struct {
 
 // PlanStats instruments the engine's per-length planner over one run: how
 // many lengths ran the pruned pass, the incremental whole-profile pass,
-// or the seed sweep that seeds the pruned pass (plus how often the incremental engine's
-// carried head row was FFT-seeded and FMA-extended). It doubles as the
-// wire DTO of the serving layer, hence the JSON tags.
+// or the seed sweep that seeds the pruned pass (plus how often the
+// incremental engine's carried head row was seeded from scratch and
+// FMA-extended). It doubles as the wire DTO of the serving layer, hence
+// the JSON tags.
 type PlanStats struct {
 	PrunedLengths      int `json:"pruned_lengths"`
 	IncrementalLengths int `json:"incremental_lengths"`
@@ -241,8 +245,9 @@ type Result struct {
 }
 
 // Engine is a reusable motif-discovery pipeline bound to a fixed set of
-// Options. It owns pooled scratch (FFT correlator buffers, STOMP/MASS row
-// buffers) that repeated Discover calls reuse instead of re-allocating,
+// Options. It owns pooled scratch (dot-product row buffers, and FFT
+// correlator buffers for lengths above the direct-row cutover) that
+// repeated Discover calls reuse instead of re-allocating,
 // and it is safe for concurrent use. The package-level Discover helpers
 // remain thin wrappers over a shared engine.
 type Engine struct {
@@ -259,7 +264,7 @@ func NewEngine(opts Options) *Engine {
 func (e *Engine) Options() Options { return e.opts }
 
 // WithOptions returns an Engine bound to opts that shares e's pooled
-// scratch (FFT correlator buffers, STOMP/MASS rows). It is how a serving
+// scratch (dot-product rows, FFT correlator buffers). It is how a serving
 // layer gives every job its own Options — in particular a per-job Progress
 // callback — without abandoning the warm pools a long-lived engine has
 // built up. Both engines stay safe for concurrent use.
