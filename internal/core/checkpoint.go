@@ -102,9 +102,11 @@ type ckptPayload struct {
 // anchors would not resume byte-identically to an uninterrupted run. v4
 // computes from-scratch rows directly below the FFT cutover (rows.go), so
 // a v3 frame's retained entries and hot rows, computed through the FFT,
-// differ in the last bits from this engine's.
+// differ in the last bits from this engine's. v5 gives windows of one
+// repeated value σ = 0 exactly (series.Stats), where a v4 frame of such a
+// series can carry the small σ > 0 the cumulative sums left them.
 func cfgDigest(c Config) string {
-	return "v4 " + cfgFields(c)
+	return "v5 " + cfgFields(c)
 }
 
 // cfgFields renders the result-affecting configuration fields. Workers and

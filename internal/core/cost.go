@@ -106,3 +106,39 @@ func preferIncremental(n, l, p, exclFactor int, c prunedCounts) bool {
 	}
 	return prunedCost(n, s, excl, p, c) > incrementalCost(s, excl)
 }
+
+// The capped stream's eviction rule. When a sliding window drops its
+// oldest points, every length's survivors whose recorded neighbor was
+// evicted need their exact best over the window again. Streamer.evict
+// either repairs them by runs of consecutive offsets — one from-scratch
+// row per run (s·ℓ multiply-adds below the direct-row cutover) and, per
+// repaired offset, one O(s) row step and scan — or replays the column
+// recurrence over the whole window, half the s² triangle of cells. Like
+// the planner's switch, the choice reads counts only, and its constants
+// are fitted once on the avx2 tier and shared by every tier, so which
+// lengths replay — and every output bit — is the same at any worker count
+// and on any machine. The fit is BenchmarkStreamEvict's; ARCHITECTURE.md
+// records it.
+const (
+	// costEvictRow: one multiply-add of a repair run's from-scratch row
+	// (kernels.DotRow).
+	costEvictRow = 0.087
+	// costEvictRepair: one cell of a repaired offset's row — its RowNext
+	// step and its ArgmaxCorr scan.
+	costEvictRepair = 1.11
+	// costReplayCell: one cell of the replay's half triangle — the column
+	// advance (kernels.RowNext) and kernels.ColScan.
+	costReplayCell = 1.06
+)
+
+// replayEviction reports whether one length's eviction, leaving s windows
+// of length l of which repairs (in runs maximal runs) lost their recorded
+// neighbor, is predicted to cost at least as much repaired by runs as
+// replayed. Above the direct-row cutover a run's row is an FFT row that
+// costs less than s·ℓ multiply-adds, so there the rule replays early
+// rather than late.
+func replayEviction(s, l, repairs, runs int) bool {
+	fs := float64(s)
+	repair := float64(runs)*fs*float64(l)*costEvictRow + float64(repairs)*fs*costEvictRepair
+	return repair >= fs*fs/2*costReplayCell
+}

@@ -42,6 +42,50 @@ func TestPreferIncrementalTable(t *testing.T) {
 	}
 }
 
+// TestReplayEvictionRule: the capped stream's eviction rule as a pure
+// function of (s, ℓ, repairs, runs). No lost neighbor never replays, and
+// every offset lost, each in a run of its own, always does; the
+// stream-cap4096 workload's 512-point chunks repair by runs, 2 048-point
+// chunks replay (counts as BenchmarkStreamEvict and the workload's seeds
+// see them); and more repairs or more runs never turn a replay into a
+// repair.
+func TestReplayEvictionRule(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		s, l, repairs, runs int
+		want                bool
+	}{
+		{"nothing lost", 4024, 73, 0, 0, false},
+		{"every offset lost, runs of one", 4024, 73, 4024, 2012, true},
+		{"512-point chunk", 4024, 73, 441, 72, false},
+		{"2 048-point chunk", 4024, 73, 1396, 176, true},
+	} {
+		if got := replayEviction(tc.s, tc.l, tc.repairs, tc.runs); got != tc.want {
+			t.Errorf("%s: replayEviction(s=%d, l=%d, repairs=%d, runs=%d) = %v, want %v",
+				tc.name, tc.s, tc.l, tc.repairs, tc.runs, got, tc.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 5000; trial++ {
+		l := 4 + rng.Intn(2000)
+		s := 1 + rng.Intn(20000)
+		repairs := rng.Intn(s + 1)
+		runs := 0
+		if repairs > 0 {
+			runs = 1 + rng.Intn((repairs+1)/2)
+		}
+		if !replayEviction(s, l, repairs, runs) {
+			continue
+		}
+		if !replayEviction(s, l, repairs+1+rng.Intn(s), runs) {
+			t.Fatalf("s=%d l=%d: replays at %d repairs in %d runs but not with more repairs", s, l, repairs, runs)
+		}
+		if !replayEviction(s, l, repairs, runs+1+rng.Intn(s)) {
+			t.Fatalf("s=%d l=%d: replays at %d repairs in %d runs but not with more runs", s, l, repairs, runs)
+		}
+	}
+}
+
 // TestPreferIncrementalMonotone: more hot rows or more recomputes never
 // turn a switch into a stay — the property that makes the latch one-way.
 func TestPreferIncrementalMonotone(t *testing.T) {
@@ -231,6 +275,11 @@ func TestCheckpointRefusesV2Digest(t *testing.T) { assertDigestRefused(t, "v2") 
 // this engine's direct rows below the cutover, so its digest is refused
 // and the caller's scratch re-run is the exact fallback.
 func TestCheckpointRefusesV3Digest(t *testing.T) { assertDigestRefused(t, "v3") }
+
+// TestCheckpointRefusesV4Digest: a v4 frame of a series with exactly
+// constant windows can carry the σ > 0 the cumulative sums gave them,
+// where this engine's series.Stats gives σ = 0, so its digest is refused.
+func TestCheckpointRefusesV4Digest(t *testing.T) { assertDigestRefused(t, "v4") }
 
 // assertDigestRefused rewrites a seeded frame's config digest to an older
 // version and checks the frame is refused with ErrBadCheckpoint, while a

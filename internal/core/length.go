@@ -175,7 +175,9 @@ func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProf
 	hotRows := r.hotRows[:len(hotPend)]
 	runJob := func(k int, rows *rowWorker, rowBuf []float64) {
 		if k < len(runs) {
-			r.processRunWith(runs[k].lo, runs[k].count, l, excl, s, lmp, rows, rowBuf)
+			rows.runRows(rowBuf, runs[k].lo, runs[k].count, l, func(i int, row []float64) {
+				r.scanRow(i, l, excl, s, row, lmp)
+			})
 			return
 		}
 		x := (k - len(runs)) * 2

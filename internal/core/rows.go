@@ -2,8 +2,9 @@ package core
 
 // Dot-product rows computed from scratch. The pruned pass's recomputes and
 // run heads, the head rows of the seed sweep and the incremental pass, and
-// the stream's eviction repairs all need some anchor i's full row
-// QT(i, j), j < s, at one length ℓ. There are two exact ways to get it:
+// the heads of the stream's eviction repair runs all need some anchor i's
+// full row QT(i, j), j < s, at one length ℓ. There are two exact ways to
+// get it:
 //
 //   - kernels.DotRow sums each cell directly, s·ℓ multiply-adds, bit for
 //     bit series.Dot of the two windows;
@@ -22,6 +23,7 @@ import (
 
 	"github.com/seriesmining/valmod/internal/fft"
 	"github.com/seriesmining/valmod/internal/kernels"
+	"github.com/seriesmining/valmod/internal/series"
 )
 
 // rowSource computes the from-scratch rows of one series. The FFT
@@ -89,6 +91,26 @@ func (w *rowWorker) row(dst []float64, i, l int) []float64 {
 	s := len(t) - l + 1
 	kernels.DotRow(dst, t, i, l, s)
 	return dst[:s]
+}
+
+// runRows hands scan the rows of the contiguous anchor run
+// [i0, i0+count) at length l, in ascending anchor order: one from-scratch
+// row (row) for i0, then each following row from the one before in O(s)
+// with the STOMP recurrence (kernels.RowNext) plus one O(l) dot for its
+// j = 0 cell. Every row lives in dst (at least s cells) and is valid
+// until scan returns. The pruned pass's recompute runs and the stream's
+// eviction repairs both resolve their runs here.
+func (w *rowWorker) runRows(dst []float64, i0, count, l int, scan func(i int, row []float64)) {
+	t := w.src.t
+	s := len(t) - l + 1
+	row := w.row(dst, i0, l)
+	for i := i0; i < i0+count; i++ {
+		if i > i0 {
+			kernels.RowNext(row, t, i, l, s)
+			row[0] = series.Dot(t[i:i+l], t[0:l])
+		}
+		scan(i, row)
+	}
 }
 
 // rowPair is row for anchors i1 and i2; the FFT packs both queries into

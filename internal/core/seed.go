@@ -58,26 +58,6 @@ func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 	return mp, nil
 }
 
-// processRunWith resolves the contiguous recompute run [i0, i0+count)
-// exactly at length l: one from-scratch row (rows.go) seeds the
-// dot-product row of i0, each following row costs O(s) via the STOMP
-// recurrence (kernels.RowNext), and per row the kernel scans find the
-// exact profile minimum (division-free correlation compare) and reseed
-// the anchor's partial profile. It writes exact values into mp. The row
-// handle and row buffer are caller-owned, enabling concurrent runs; the
-// moment cache must already be at l.
-func (r *run) processRunWith(i0, count, l, excl, s int, mp *profile.MatrixProfile, rows *rowWorker, rowBuf []float64) {
-	t := r.t
-	row := rows.row(rowBuf, i0, l)
-	for i := i0; i < i0+count; i++ {
-		if i > i0 {
-			kernels.RowNext(row, t, i, l, s)
-			row[0] = series.Dot(t[i:i+l], t[0:l])
-		}
-		r.scanRow(i, l, excl, s, row, mp)
-	}
-}
-
 // exclSplit maps anchor i's exclusion interval (j excluded when
 // i−excl < j < i+excl) onto the two included branch-free ranges
 // [0, e1) and [j2, s) the kernels take, clipped at the series edges.

@@ -27,21 +27,23 @@ package core
 //     descending, neighbor offset ascending on exact ties) on both sides.
 //   - Sliding-window mode (Config.WindowCap = W) evicts to exactly the
 //     trailing W points after every Append. Survivor entries whose best
-//     neighbor was evicted are repaired *exactly*: one from-scratch
-//     dot-product row (rows.go: direct below the cutover, FFT above) +
-//     kernels.ArgmaxCorr over the remaining window when such entries are
-//     sparse, or a full replay of the column recurrence over the window
-//     when they are dense (see evict for the cutover); moments are rebuilt
-//     from the retained points, bit-identical to a batch run over that
-//     window. Results therefore always give the same pairs as a batch run
-//     over the last min(n, W) points, within floating tolerance
+//     neighbor was evicted are repaired *exactly*, per length in one of
+//     two ways: by runs of consecutive offsets — one from-scratch
+//     dot-product row per run (rows.go: direct below the cutover, FFT
+//     above), kernels.RowNext for the run's other rows, and
+//     kernels.ArgmaxCorr over the remaining window for each — or by
+//     replaying the column recurrence over the whole window, whichever a
+//     counted-work rule prices lower (replayEviction in cost.go). Moments
+//     are rebuilt from the retained points, bit-identical to a batch run
+//     over that window. Results therefore always give the same pairs as a
+//     batch run over the last min(n, W) points, within floating tolerance
 //     (TestStreamEvictionEqualsTrailingBatch). They are not a bit-level
-//     function of those points alone: a sparse repair keeps the
-//     survivors' column values, whose recurrence chains began on points
-//     since evicted, so chunkings that evict at different moments can
-//     differ in the last bits. A capped stream is bit-identical across
-//     worker counts and across Checkpoint/ResumeStreamer; only an
-//     uncapped one is bit-identical under any chunking.
+//     function of those points alone: a run repair keeps the survivors'
+//     column values, whose recurrence chains began on points since
+//     evicted, so chunkings that evict at different moments can differ in
+//     the last bits. A capped stream is bit-identical across worker counts
+//     and across Checkpoint/ResumeStreamer; only an uncapped one is
+//     bit-identical under any chunking.
 //
 // Snapshot materializes the accumulators into per-length matrix profiles
 // and routes them through the same sinks as the batch engine (pairsSink,
@@ -97,8 +99,9 @@ type Streamer struct {
 	total   int // points ever appended, evicted ones included
 	lens    []streamLen
 
-	topk profile.TopKScratch // Snapshot's pair-extraction scratch
-	degs []int               // Snapshot's degenerate-offset scratch
+	topk    profile.TopKScratch // Snapshot's pair-extraction scratch
+	degs    []int               // Snapshot's degenerate-offset scratch
+	rowBufs [][]float64         // evict's repair rows, one per worker
 }
 
 // NewStreamer validates cfg and returns an empty stream. The length range
@@ -226,20 +229,21 @@ func (s *Streamer) advance(ls *streamLen, t []float64) error {
 // evict drops the oldest e points, keeping results exact over the
 // retained window. Dot products are shift-invariant, so the carried
 // column and the winner accumulators shift down; moments are rebuilt from
-// the retained points (bit-identical to a batch run over them). A
-// surviving entry whose recorded neighbor was evicted is repaired exactly:
-// one from-scratch dot-product row over the window, then ArgmaxCorr with
-// the same total order. Entries whose neighbor survived keep their winner
-// — the maximum over a set cannot change when only non-maximal elements
-// leave.
+// the retained points (bit-identical to a batch run over them). Entries
+// whose neighbor survived keep their winner — the maximum over a set
+// cannot change when only non-maximal elements leave. The survivors whose
+// recorded neighbor was evicted need their exact best over the window
+// again; per length, evict either repairs them by runs (repair) or
+// replays the column recurrence over the whole window (rebuild), whichever
+// replayEviction (cost.go) prices lower from the length's counts alone.
 func (s *Streamer) evict(e int) error {
 	copy(s.t, s.t[e:])
 	s.t = s.t[:len(s.t)-e]
-	s.st = series.NewStats(s.t)
+	s.st.Reset(s.t)
 
 	// One row source serves every repair (its series spectrum, if a length
-	// needs one, is built once); each worker holds its own handle, so
-	// repairs run concurrently across lengths.
+	// needs one, is built once); each worker holds its own handle and row
+	// buffer, so repairs run concurrently across lengths.
 	src := newRowSource(s.t, s.cfg.LMax)
 	defer src.release()
 	workers := s.workers
@@ -250,87 +254,114 @@ func (s *Streamer) evict(e int) error {
 		workers = 1
 	}
 	handles := make([]rowWorker, workers)
-	rows := make([][]float64, workers)
 	for w := range handles {
 		handles[w] = rowWorker{src: src, clone: w > 0}
 		defer handles[w].release()
 	}
+	// Every eviction leaves exactly WindowCap points, so a buffer made at
+	// the first one serves all later ones.
+	for len(s.rowBufs) < workers {
+		s.rowBufs = append(s.rowBufs, make([]float64, len(s.t)))
+	}
 
 	return s.forEachLength(func(w int, ls *streamLen) error {
 		sNew := len(s.t) - ls.l + 1
-		// Count survivors whose recorded neighbor was evicted. Each one
-		// costs a from-scratch row, so when they are dense it is
-		// cheaper to replay the column recurrence over the whole retained
-		// window (O(s²) total) — the same code path as streaming the window
-		// into a fresh engine, so a replayed length is bit-identical to a
-		// fresh stream fed the retained points. The cutover is
-		// deterministic per eviction (it depends only on the accumulator
-		// state, never on workers), so worker-count bit-identity is
-		// preserved.
-		repairs := 0
-		for i := 0; i < sNew; i++ {
-			if old := ls.idx[i+e]; old >= 0 && int(old) < e {
-				repairs++
-			}
-		}
-		if repairs*32 > sNew {
+		repairs, runs := evictedRuns(ls.idx[e:e+sNew], e)
+		// The choice reads counts of the accumulator state only, never
+		// timing, the worker or the kernel tier, so output stays
+		// bit-identical at every worker count and on every tier. A
+		// replayed length is bit-identical to a fresh stream fed the
+		// retained points.
+		if replayEviction(sNew, ls.l, repairs, runs) {
 			return s.rebuild(ls)
 		}
-		copy(ls.col, ls.col[e:])
-		ls.col = ls.col[:sNew]
-		for i := 0; i < sNew; i++ {
-			mu, sd := s.st.MeanStd(i, ls.l)
-			ls.means[i] = mu
-			if sd > 0 {
-				ls.invs[i] = 1 / sd
-			} else {
-				ls.invs[i] = 0
-			}
-		}
-		ls.means = ls.means[:sNew]
-		ls.invs = ls.invs[:sNew]
-		for i := 0; i < sNew; i++ {
-			old := ls.idx[i+e]
-			switch {
-			case old < 0:
-				ls.corr[i], ls.idx[i] = math.Inf(-1), -1
-			case int(old) >= e:
-				ls.corr[i], ls.idx[i] = ls.corr[i+e], old-int32(e)
-			default:
-				// Neighbor evicted: recompute this offset's exact best over
-				// the window from one dot-product row.
-				if rows[w] == nil {
-					rows[w] = make([]float64, len(s.t))
-				}
-				row := handles[w].row(rows[w], i, ls.l)
-				e1 := i - ls.excl + 1
-				if e1 < 0 {
-					e1 = 0
-				}
-				j2 := i + ls.excl
-				if j2 > sNew {
-					j2 = sNew
-				}
-				bc, bj := kernels.ArgmaxCorr(row, ls.means, ls.invs, e1, j2, sNew,
-					ls.invFl, ls.means[i], ls.invs[i], math.Inf(-1), -1)
-				if bj >= 0 {
-					ls.corr[i], ls.idx[i] = bc, int32(bj)
-				} else {
-					ls.corr[i], ls.idx[i] = math.Inf(-1), -1
-				}
-			}
-		}
-		ls.corr = ls.corr[:sNew]
-		ls.idx = ls.idx[:sNew]
+		s.repair(ls, e, &handles[w], s.rowBufs[w])
 		return nil
 	})
 }
 
+// evictedRuns counts the survivors of an eviction of e points whose
+// recorded neighbor was evicted (idx holds the survivors' pre-eviction
+// neighbors) and the maximal runs of consecutive offsets they form.
+func evictedRuns(idx []int32, e int) (repairs, runs int) {
+	prev := false
+	for _, old := range idx {
+		lost := evicted(old, e)
+		if lost {
+			repairs++
+			if !prev {
+				runs++
+			}
+		}
+		prev = lost
+	}
+	return repairs, runs
+}
+
+// evicted reports whether neighbor offset old (pre-eviction, −1 none) was
+// among the e evicted points.
+func evicted(old int32, e int) bool { return old >= 0 && int(old) < e }
+
+// repair is one length's side of evict when it does not replay: shift the
+// column and the winners down by e, rebuild the moments, and resolve each
+// maximal run of survivors whose neighbor was evicted exactly — one
+// from-scratch row for the run's first offset and the row recurrence for
+// the rest (rowWorker.runRows), each row scanned by ArgmaxCorr under the
+// same total order. buf holds the rows (at least len(s.t) cells).
+func (s *Streamer) repair(ls *streamLen, e int, rw *rowWorker, buf []float64) {
+	sNew := len(s.t) - ls.l + 1
+	copy(ls.col, ls.col[e:])
+	ls.col = ls.col[:sNew]
+	for i := 0; i < sNew; i++ {
+		mu, sd := s.st.MeanStd(i, ls.l)
+		ls.means[i] = mu
+		if sd > 0 {
+			ls.invs[i] = 1 / sd
+		} else {
+			ls.invs[i] = 0
+		}
+	}
+	ls.means = ls.means[:sNew]
+	ls.invs = ls.invs[:sNew]
+	scan := func(i int, row []float64) {
+		e1, j2 := exclSplit(i, ls.excl, sNew)
+		bc, bj := kernels.ArgmaxCorr(row, ls.means, ls.invs, e1, j2, sNew,
+			ls.invFl, ls.means[i], ls.invs[i], math.Inf(-1), -1)
+		if bj >= 0 {
+			ls.corr[i], ls.idx[i] = bc, int32(bj)
+		} else {
+			ls.corr[i], ls.idx[i] = math.Inf(-1), -1
+		}
+	}
+	// Slot i is written only after entry i+e is read, and every later
+	// read is of an entry above i+e, so the shift runs in place.
+	for i := 0; i < sNew; {
+		old := ls.idx[i+e]
+		if !evicted(old, e) {
+			if old < 0 {
+				ls.corr[i], ls.idx[i] = math.Inf(-1), -1
+			} else {
+				ls.corr[i], ls.idx[i] = ls.corr[i+e], old-int32(e)
+			}
+			i++
+			continue
+		}
+		end := i + 1
+		for end < sNew && evicted(ls.idx[end+e], e) {
+			end++
+		}
+		rw.runRows(buf, i, end-i, ls.l, scan)
+		i = end
+	}
+	ls.corr = ls.corr[:sNew]
+	ls.idx = ls.idx[:sNew]
+}
+
 // rebuild discards one length's carried state and replays the column
 // recurrence over the retained series from scratch — bit-identical to
-// feeding the trailing window into a fresh stream. evict switches to it
-// when eviction invalidated so many neighbors that per-slot repairs would
-// cost more than the replay.
+// feeding the trailing window into a fresh stream. evict takes it when
+// the evicted neighbors form so many runs that repairing them would cost
+// more than the replay.
 func (s *Streamer) rebuild(ls *streamLen) error {
 	ls.col = ls.col[:0]
 	ls.corr = ls.corr[:0]
@@ -514,9 +545,12 @@ type streamLenCkpt struct {
 // result-affecting knob (WindowCap). Workers stays excluded: stream output
 // is worker-count invariant. v2 repairs evicted neighbors with direct rows
 // below the FFT cutover (rows.go), whose bits differ from a v1 stream's
-// FFT repairs.
+// FFT repairs. v3 repairs them by runs, each row after a run's first
+// advanced by the row recurrence, and gives windows of one repeated value
+// σ = 0 exactly, so a v2 frame's winners and moments differ in the last
+// bits from this stream's.
 func streamCfgDigest(c Config) string {
-	return fmt.Sprintf("v2 %s wcap=%d", cfgFields(c), c.WindowCap)
+	return fmt.Sprintf("v3 %s wcap=%d", cfgFields(c), c.WindowCap)
 }
 
 // Checkpoint serializes the stream's full state between Appends into a

@@ -79,8 +79,9 @@ func mustStreamer(t *testing.T, cfg Config) *Streamer {
 }
 
 // TestStreamCheckpointRefusesV1Digest: a v1 stream frame carries winners
-// repaired through FFT rows after evictions, whose bits differ from this
-// stream's direct repairs below the cutover, so its digest is refused.
+// repaired through FFT rows after evictions, and a v2 frame winners
+// repaired by one direct row per offset; both differ in the last bits from
+// this stream's run repairs, so both digests are refused.
 func TestStreamCheckpointRefusesV1Digest(t *testing.T) {
 	x := randWalk(rand.New(rand.NewSource(93)), 500)
 	cfg := Config{LMin: 8, LMax: 24, TopK: 3, WindowCap: 200, Workers: 1}
@@ -99,13 +100,15 @@ func TestStreamCheckpointRefusesV1Digest(t *testing.T) {
 	if _, err := ResumeStreamer(cfg, ck); err != nil {
 		t.Fatalf("current frame: %v", err)
 	}
-	p.CfgDigest = fmt.Sprintf("v1 %s wcap=%d", cfgFields(s.Cfg()), cfg.WindowCap)
-	v1, err := encodeFrame(streamMagic, streamVersion, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeStreamer(cfg, v1); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("v1-digest frame: want ErrBadCheckpoint, got %v", err)
+	for _, version := range []string{"v1", "v2"} {
+		p.CfgDigest = fmt.Sprintf("%s %s wcap=%d", version, cfgFields(s.Cfg()), cfg.WindowCap)
+		old, err := encodeFrame(streamMagic, streamVersion, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResumeStreamer(cfg, old); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("%s-digest frame: want ErrBadCheckpoint, got %v", version, err)
+		}
 	}
 }
 

@@ -8,10 +8,15 @@ package core
 // eviction removes the reigning best pair.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
+
+	"github.com/seriesmining/valmod/internal/gen"
+	"github.com/seriesmining/valmod/internal/series"
 )
 
 // streamChunks feeds x through a fresh Streamer in the given chunk sizes
@@ -259,6 +264,118 @@ func TestStreamEvictionEqualsTrailingBatch(t *testing.T) {
 	}
 }
 
+// TestStreamEvictionCutoverSides runs a capped stream on each side of the
+// eviction rule (replayEviction): 100-point chunks into an 800-point
+// window repair every length by runs, 400-point chunks replay most of
+// them. Each must equal the batch run over its trailing window within
+// tolerance, and be bit-identical at workers 1, 2 and 4 and across a
+// Checkpoint/ResumeStreamer taken mid-stream.
+func TestStreamEvictionCutoverSides(t *testing.T) {
+	const window = 800
+	for _, tc := range []struct {
+		chunk  int
+		replay bool
+	}{{100, false}, {400, true}} {
+		ds, err := gen.Dataset("ecg", window+4*tc.chunk, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := ds.Values
+		chunks := make([]int, len(x)/tc.chunk)
+		for i := range chunks {
+			chunks[i] = tc.chunk
+		}
+		cfg := Config{LMin: 16, LMax: 32, TopK: 3, Discords: 2, WindowCap: window, Workers: 1}
+		tag := fmt.Sprintf("chunk=%d", tc.chunk)
+
+		// Predict each eviction's side on an uncapped copy of the state
+		// Append leaves before evict.
+		st := mustStreamer(t, cfg)
+		replays, evictions := 0, 0
+		for k, c := range chunks {
+			chunk := x[k*tc.chunk : k*tc.chunk+c]
+			if e := st.N() + c - window; e > 0 {
+				ck, err := st.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pre, err := ResumeStreamer(cfg, ck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pre.cfg.WindowCap = 0
+				if err := pre.Append(chunk); err != nil {
+					t.Fatal(err)
+				}
+				for li := range pre.lens {
+					ls := &pre.lens[li]
+					s := window - ls.l + 1
+					repairs, runs := evictedRuns(ls.idx[e:e+s], e)
+					if replayEviction(s, ls.l, repairs, runs) {
+						replays++
+					}
+					evictions++
+				}
+			}
+			if err := st.Append(chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.replay && replays*2 < evictions || !tc.replay && replays > 0 {
+			t.Fatalf("%s: %d of %d length evictions replay; the case is on the wrong side of the rule", tag, replays, evictions)
+		}
+
+		batchCfg := cfg
+		batchCfg.WindowCap = 0
+		want, err := Run(x[len(x)-window:], batchCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertStreamEqualsBatch(t, tag, ref, want)
+
+		for _, workers := range []int{2, 4} {
+			wcfg := cfg
+			wcfg.Workers = workers
+			got, err := streamChunks(t, wcfg, x, chunks).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fingerprint(got), fingerprint(ref)) {
+				t.Fatalf("%s: snapshot at workers=%d differs from workers=1", tag, workers)
+			}
+		}
+
+		cut := len(chunks) / 2
+		half := streamChunks(t, cfg, x[:cut*tc.chunk], chunks[:cut])
+		ck, err := half.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg
+		rcfg.Workers = 3
+		rs, err := ResumeStreamer(rcfg, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos := cut * tc.chunk; pos < len(x); pos += tc.chunk {
+			if err := rs.Append(x[pos : pos+tc.chunk]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := rs.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fingerprint(got), fingerprint(ref)) {
+			t.Fatalf("%s: resumed snapshot differs from the uninterrupted stream", tag)
+		}
+	}
+}
+
 func TestStreamSnapshotGrowsWithSeries(t *testing.T) {
 	// Between LMin and LMax points, Snapshot covers the lengths that have
 	// windows — and matches a batch run with the clamped range.
@@ -447,4 +564,104 @@ func FuzzAppend(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkStreamEvict times one eviction from a 4 096-point ecg window,
+// ℓ ∈ [64, 83], at 512 and 2 048 evicted points. The state is a stream
+// holding the window plus the chunk that overflows it, as Append leaves
+// it before evict. Each iteration runs both of evict's per-length paths
+// directly on every length, each on its own copy of the state: the run
+// repairs (Streamer.repair) and the replay (Streamer.rebuild), reported in
+// ms per length eviction (repair_ms/len, replay_ms/len). It also times the
+// runs' from-scratch head rows alone, which separates the two terms of a
+// repair, and reports cost.go's eviction constants fitted from the three
+// timings and the counts the rule reads: ns per head-row multiply-add
+// (c_row_ns), per repaired-row cell (c_repair_ns) and per replayed cell
+// (c_replay_ns). repairs/len and runs/len average those counts over the
+// lengths; replay_share is the share of lengths the rule replays.
+func BenchmarkStreamEvict(b *testing.B) {
+	const window = 4096
+	cfg := Config{LMin: 64, LMax: 83, TopK: 3, Workers: 1}
+	for _, e := range []int{512, 2048} {
+		ds, err := gen.Dataset("ecg", window+e, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ck, err := streamChunks(b, cfg, ds.Values, []int{window + e}).Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		// fresh decodes the pre-eviction state and drops the oldest e
+		// points, as evict does before its per-length work.
+		fresh := func() *Streamer {
+			st, err := ResumeStreamer(cfg, ck)
+			if err != nil {
+				b.Fatal(err)
+			}
+			copy(st.t, st.t[e:])
+			st.t = st.t[:window]
+			st.st = series.NewStats(st.t)
+			return st
+		}
+		b.Run(fmt.Sprintf("evict=%d", e), func(b *testing.B) {
+			var repairs, runs, replays, rowMACs, repairCells, replayCells float64
+			st := fresh()
+			for li := range st.lens {
+				ls := &st.lens[li]
+				s := window - ls.l + 1
+				rp, rn := evictedRuns(ls.idx[e:e+s], e)
+				repairs += float64(rp)
+				runs += float64(rn)
+				rowMACs += float64(rn) * float64(s) * float64(ls.l)
+				repairCells += float64(rp) * float64(s)
+				replayCells += float64(s) * float64(s) / 2
+				if replayEviction(s, ls.l, rp, rn) {
+					replays++
+				}
+			}
+			buf := make([]float64, window)
+			var heads, repair, replay time.Duration
+			for it := 0; it < b.N; it++ {
+				src := newRowSource(st.t, cfg.LMax)
+				rw := rowWorker{src: src}
+				start := time.Now()
+				for li := range st.lens {
+					ls := &st.lens[li]
+					s := window - ls.l + 1
+					for i := 0; i < s; i++ {
+						if evicted(ls.idx[i+e], e) && (i == 0 || !evicted(ls.idx[i-1+e], e)) {
+							rw.row(buf, i, ls.l)
+						}
+					}
+				}
+				heads += time.Since(start)
+				start = time.Now()
+				for li := range st.lens {
+					st.repair(&st.lens[li], e, &rw, buf)
+				}
+				repair += time.Since(start)
+				rw.release()
+				src.release()
+
+				st = fresh()
+				start = time.Now()
+				for li := range st.lens {
+					if err := st.rebuild(&st.lens[li]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				replay += time.Since(start)
+				st = fresh()
+			}
+			lengths, iters := float64(len(st.lens)), float64(b.N)
+			b.ReportMetric(repair.Seconds()*1e3/iters/lengths, "repair_ms/len")
+			b.ReportMetric(replay.Seconds()*1e3/iters/lengths, "replay_ms/len")
+			b.ReportMetric(float64(heads.Nanoseconds())/iters/rowMACs, "c_row_ns")
+			b.ReportMetric(float64((repair-heads).Nanoseconds())/iters/repairCells, "c_repair_ns")
+			b.ReportMetric(float64(replay.Nanoseconds())/iters/replayCells, "c_replay_ns")
+			b.ReportMetric(repairs/lengths, "repairs/len")
+			b.ReportMetric(runs/lengths, "runs/len")
+			b.ReportMetric(replays/lengths, "replay_share")
+		})
+	}
 }

@@ -214,24 +214,34 @@ func (j *Job) publish(e Event) {
 	j.broadcastLocked()
 }
 
+// outcomeState is the terminal state a job ending with err takes.
+func outcomeState(err error) State {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, context.DeadlineExceeded):
+		// A blown deadline is a failure, not a cancellation: nobody asked
+		// the job to stop, it ran out of budget. Keeping the two apart
+		// gives Status a distinct "deadline exceeded" failure reason.
+		return StateFailed
+	case errors.Is(err, context.Canceled):
+		return StateCanceled
+	default:
+		return StateFailed
+	}
+}
+
 func (j *Job) finish(res *Result, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return
 	}
-	switch {
-	case err == nil:
-		j.state, j.result = StateDone, res
-	case errors.Is(err, context.DeadlineExceeded):
-		// A blown deadline is a failure, not a cancellation: nobody asked
-		// the job to stop, it ran out of budget. Keeping the two apart
-		// gives Status a distinct "deadline exceeded" failure reason.
-		j.state, j.err = StateFailed, err
-	case errors.Is(err, context.Canceled):
-		j.state, j.err = StateCanceled, err
-	default:
-		j.state, j.err = StateFailed, err
+	j.state = outcomeState(err)
+	if err == nil {
+		j.result = res
+	} else {
+		j.err = err
 	}
 	j.broadcastLocked()
 }

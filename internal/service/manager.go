@@ -463,8 +463,7 @@ func (m *Manager) follow(fctx context.Context, follower, leader *Job) {
 		m.mu.Unlock()
 	}()
 	defer follower.cancelCtx()
-	defer m.persistOutcome(follower)
-	defer guardJob(follower)
+	defer m.guardJob(follower)
 	next := 0
 	running := false
 	for {
@@ -489,20 +488,20 @@ func (m *Manager) follow(fctx context.Context, follower, leader *Job) {
 		select {
 		case <-changed:
 		case <-fctx.Done():
-			follower.finish(nil, context.Canceled)
+			m.complete(follower, nil, context.Canceled)
 			return
 		}
 	}
 	switch state, res, err := leader.terminalOutcome(); state {
 	case StateDone:
-		follower.finish(res, nil)
+		m.complete(follower, res, nil)
 	case StateCanceled:
-		follower.finish(nil, context.Canceled)
+		m.complete(follower, nil, context.Canceled)
 	default:
 		if err == nil {
 			err = errors.New("service: upstream job failed")
 		}
-		follower.finish(nil, err)
+		m.complete(follower, nil, err)
 	}
 }
 
@@ -537,13 +536,12 @@ func (m *Manager) run(ctx context.Context, job *Job, key cacheKey, values []floa
 	// so a concurrent identical Submit finds either this job or the cache.
 	defer m.clearInflight(key, job)
 	defer job.cancelCtx() // release the context's resources
-	defer m.persistOutcome(job)
-	defer guardJob(job)
+	defer m.guardJob(job)
 	select {
 	case m.sem <- struct{}{}:
 		defer func() { <-m.sem }()
 	case <-ctx.Done():
-		job.finish(nil, ctx.Err())
+		m.complete(job, nil, ctx.Err())
 		return
 	}
 	job.setState(StateRunning)
@@ -594,7 +592,7 @@ func (m *Manager) run(ctx context.Context, job *Job, key cacheKey, values []floa
 		if errors.Is(err, context.DeadlineExceeded) {
 			err = fmt.Errorf("deadline exceeded: job ran past its %v wall-clock budget: %w", budget, err)
 		}
-		job.finish(nil, err)
+		m.complete(job, nil, err)
 		return
 	}
 	m.planPruned.Add(int64(res.Plan.PrunedLengths))
@@ -605,7 +603,7 @@ func (m *Manager) run(ctx context.Context, job *Job, key cacheKey, values []floa
 	m.planHeadExtends.Add(int64(res.Plan.HeadExtensions))
 	out := ResultOf(res)
 	m.cache.Put(key, out)
-	job.finish(out, nil)
+	m.complete(job, out, nil)
 }
 
 // clearInflight releases the single-flight slot job holds for key and
@@ -682,17 +680,27 @@ func (m *Manager) Shutdown() {
 	}
 }
 
-// persistOutcome tees a job's terminal state through the store. Failures
-// are swallowed: the in-memory job is already terminal and correct, and
-// the worst consequence of a lost outcome record is a redundant re-run
-// after the next restart. Drain cancellations are deliberately not
-// persisted — see Shutdown.
-func (m *Manager) persistOutcome(job *Job) {
-	if m.store == nil {
+// complete makes job terminal with (res, err), writing the outcome
+// through the store first: a client that acts on the terminal state, or
+// restarts the server right after seeing it, always finds the record.
+// A job is completed from one place only (its run or follow goroutine,
+// or the seal of its stream), so the state cannot turn terminal between
+// the check and finish.
+func (m *Manager) complete(job *Job, res *Result, err error) {
+	if job.terminal() {
 		return
 	}
-	state, res, err := job.terminalOutcome()
-	if !state.Terminal() {
+	m.saveOutcome(job.ID, outcomeState(err), res, err)
+	job.finish(res, err)
+}
+
+// saveOutcome writes a terminal outcome through the store. Failures are
+// swallowed: the in-memory job is correct either way, and the worst
+// consequence of a lost outcome record is a redundant re-run after the
+// next restart. Drain cancellations are deliberately not persisted — see
+// Shutdown.
+func (m *Manager) saveOutcome(id string, state State, res *Result, err error) {
+	if m.store == nil {
 		return
 	}
 	if state == StateCanceled && m.draining.Load() {
@@ -705,16 +713,16 @@ func (m *Manager) persistOutcome(job *Job) {
 	if state != StateDone {
 		res = nil
 	}
-	_ = m.store.SaveOutcome(job.ID, state, msg, res)
+	_ = m.store.SaveOutcome(id, state, msg, res)
 }
 
 // guardJob converts a panic on a job goroutine into that job's failure,
-// stack attached, so one poisoned input cannot take down the process or
-// any other job. Deferred last in m.run/m.follow so it runs before the
-// outcome is persisted.
-func guardJob(job *Job) {
+// stack attached and written through the store like any outcome, so one
+// poisoned input cannot take down the process or any other job. Deferred
+// last in m.run/m.follow so it runs first.
+func (m *Manager) guardJob(job *Job) {
 	if r := recover(); r != nil {
-		job.finish(nil, fmt.Errorf("service: job panicked: %v\n%s", r, debug.Stack()))
+		m.complete(job, nil, fmt.Errorf("service: job panicked: %v\n%s", r, debug.Stack()))
 	}
 }
 

@@ -83,7 +83,7 @@ func (m *Manager) failStub(rj RecoveredJob, reason string) {
 	m.mu.Lock()
 	m.registerJobLocked(job)
 	m.mu.Unlock()
-	m.persistOutcome(job)
+	m.saveOutcome(job.ID, job.state, nil, job.err)
 }
 
 // recoverDiscover re-queues an interrupted batch discovery under its

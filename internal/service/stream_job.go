@@ -115,11 +115,10 @@ func (m *Manager) submitStream(req JobRequest, opts valmod.Options) (*Job, error
 // stream lock held (as ss.fail).
 func (m *Manager) failStream(job *Job, err error) {
 	job.stream.closed = true
-	job.finish(nil, err)
+	m.complete(job, nil, err)
 	m.mu.Lock()
 	m.liveJobs--
 	m.mu.Unlock()
-	m.persistOutcome(job)
 }
 
 // closeStream is the stream job's cancel function (Job.Cancel and manager
@@ -141,20 +140,21 @@ func (m *Manager) closeStream(job *Job) {
 		}
 	}
 	ss.mu.Unlock()
-	if out != nil {
-		job.finish(out, nil)
+	var err error
+	if out == nil {
+		err = context.Canceled
+	}
+	// A drain close is an interruption, not an outcome: without a
+	// terminal record the next process rebuilds the stream live from its
+	// logged appends.
+	if m.draining.Load() {
+		job.finish(out, err)
 	} else {
-		job.finish(nil, context.Canceled)
+		m.complete(job, out, err)
 	}
 	m.mu.Lock()
 	m.liveJobs--
 	m.mu.Unlock()
-	// A drain close is an interruption, not an outcome: without a
-	// terminal record the next process rebuilds the stream live from its
-	// logged appends.
-	if !m.draining.Load() {
-		m.persistOutcome(job)
-	}
 }
 
 // AppendStream feeds the next chunk of points to a stream job and

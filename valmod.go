@@ -70,8 +70,13 @@ type Options struct {
 	// retained series is trimmed to exactly the trailing WindowCap points
 	// after every Append, so results always give the same pairs as a batch
 	// Discover over the last min(n, WindowCap) points, within floating
-	// tolerance. They are bit-identical across Workers settings and across
-	// checkpoint/resume, but not across chunkings: a sparse eviction repair
+	// tolerance. An eviction repairs, per length, only the entries whose
+	// recorded neighbor left the window: by runs of consecutive offsets
+	// (one from-scratch row per run, then the row recurrence), or by
+	// replaying the window when a count-based cost rule prices that lower
+	// — the larger the chunk relative to the window, the more lengths
+	// replay. Results are bit-identical across Workers settings, kernel
+	// tiers and checkpoint/resume, but not across chunkings: a run repair
 	// keeps the survivors' carried dot products, whose recurrences began
 	// on points since evicted. Must be at least lmax when set (every
 	// length needs one window). Batch Discover ignores it.
