@@ -20,9 +20,9 @@ package kernels
 //     cells that actually update, since slot values only ever grow) or,
 //     in the column scan, beats the running best (exactly that update).
 //     Go recomputes that step's lanes in scalar, applies the exact
-//     sequential compare-updates and re-enters at the next step. The
-//     assembly never writes winner state, so the total order is enforced
-//     in exactly one place.
+//     sequential compare-updates and re-enters at the next step. This
+//     tier's assembly never writes winner state; only the avx512
+//     DiagScan body does (avx512_amd64.go).
 //
 // None of the assembly uses FMA: fused multiply-adds round differently
 // from the separate multiply and add the generic tier performs, and

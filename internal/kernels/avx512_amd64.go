@@ -2,27 +2,26 @@
 
 package kernels
 
-import "math/bits"
-
 // The AVX-512 dispatch tier, amd64 side. Two kernels have bodies of their
-// own: DiagScan, whose diagSteps16 advances sixteen diagonals per step
-// under the stop protocol of avx2_amd64.go, returning the stop row with a
-// lane mask so Go applies only the flagged lanes; and DotRow, whose
+// own: DiagScan, whose diagRun16 advances sixteen diagonals per step over
+// a group's whole common range in one call and, at a row where a lane
+// reaches a slot, applies the winner updates itself — the one routine
+// that writes winner state outside Go, so a stop costs a few vector
+// instructions instead of a return to Go; and DotRow, whose
 // dotRowBlocks32 sums thirty-two cells per block. Every other kernel
 // dispatches to its avx2 body.
 
-// diagSteps16 is diagSteps4 over sixteen chains qt[0..15] (diagonals
-// k..k+15 of a group, advanced together in two ZMM vectors of eight): over
-// cells i ∈ [i0, n), qt += ta[i]·w[i+x] − tb[i−1]·u[i+x] per lane x, then
-// c = (qt·invFl − mi[i]·mj[i+x])·vi[i]·vj[i+x]. It returns at the first i
-// where any lane satisfies c ≥ ci[i] or c ≥ cj[i+x] (qt advanced to that
-// cell and stored back; bit x of mask set for each such lane), or at n
-// with mask 0.
+// diagRun16 runs diagonals k..k+15 of a group (two ZMM vectors of eight
+// chains qt[0..15]) over cells i ∈ [i0, n): qt += ta[i]·w[i+x] −
+// tb[i−1]·u[i+x] per lane x, then c = (qt·invFl − mi[i]·mj[i+x])·vi[i]·vj[i+x].
+// At a row where some lane has c ≥ ci[i] or c ≥ cj[i+x] it applies the
+// winner rule itself, to slot i (ci, ii) and to each lane's slot
+// j = i+k+x (cj, ij), and runs on; the chains are stored back to qt at n.
 //
 //go:noescape
-func diagSteps16(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64, invFl float64, i0, n int) (stop, mask int)
+func diagRun16(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64, ii, ij *int32, invFl float64, i0, n, k int)
 
-// diagScanAVX512 runs groups of sixteen diagonals through diagSteps16; a
+// diagScanAVX512 runs groups of sixteen diagonals through diagRun16; a
 // block's remainder runs the avx2 quad path, then the scalar path.
 func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
 	invFl := 1 / float64(l)
@@ -34,8 +33,8 @@ func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []flo
 }
 
 // diagGroup16 mirrors diagQuadAVX2 at sixteen diagonals k..k+15: scalar
-// head cells, the common range through the diagSteps16 stop protocol,
-// scalar tails resuming from the carried chains.
+// head cells, the common range in one diagRun16 call, scalar tails
+// resuming from the carried chains.
 func diagGroup16(t, head, means, invs []float64, k, l, s int, invFl float64, corr []float64, idx []int32) {
 	var qt [16]float64
 	copy(qt[:], head[k:k+16])
@@ -49,31 +48,9 @@ func diagGroup16(t, head, means, invs []float64, k, l, s int, invFl float64, cor
 		w := t[k+l-1:]
 		u := t[k-1:]
 		ta := t[l-1:]
-		mj := means[k:]
-		vj := invs[k:]
-		cj := corr[k:]
-		n := m + 1
-		for i := 1; i < n; i++ {
-			stop, mask := diagSteps16(&qt[0], &w[0], &u[0], &ta[0], &t[0],
-				&means[0], &invs[0], &mj[0], &vj[0], &corr[0], &cj[0],
-				invFl, i, n)
-			if stop >= n {
-				break
-			}
-			i = stop
-			// Recompute the flagged lanes from the carried chains — scalar,
-			// same expression, bit-identical to the vector lanes — and apply
-			// them through the winner rule. An unflagged lane is below both
-			// of its slots, which only grow, so it can change neither.
-			m0, v0 := means[i], invs[i]
-			for ; mask != 0; mask &= mask - 1 {
-				x := bits.TrailingZeros(uint(mask))
-				j := i + k + x
-				c := (qt[x]*invFl - m0*means[j]) * v0 * invs[j]
-				update(corr, idx, i, c, int32(j))
-				update(corr, idx, j, c, int32(i))
-			}
-		}
+		diagRun16(&qt[0], &w[0], &u[0], &ta[0], &t[0],
+			&means[0], &invs[0], &means[k], &invs[k], &corr[0], &corr[k],
+			&idx[0], &idx[k], invFl, 1, m+1, k)
 	}
 	for x, q := range qt {
 		diagOneTail(t, means, invs, q, k+x, l, s, invFl, corr, idx, m)

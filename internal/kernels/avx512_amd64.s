@@ -3,20 +3,40 @@
 #include "textflag.h"
 
 // AVX-512F kernel routines, under the rules of kernels_amd64.s: no FMA,
-// no winner-state writes, every lane's evaluation order that of the
-// scalar expression it replaces. Only Z0–Z15 are used, so the closing
-// VZEROUPPER leaves no dirty upper register state behind.
+// every lane's evaluation order that of the scalar expression it
+// replaces, and no winner-state writes except in diagRun16, DiagScan's
+// body, which applies the winner rule at its stop rows (a second copy of
+// kernels.update, kept honest by parity against RefDiagScan). Two more
+// rules:
+//
+//   - Every scalar float instruction is VEX-encoded (VMOVSD, VUCOMISD;
+//     never MOVSD, UCOMISD): a legacy-SSE instruction that writes an XMM
+//     register while the upper ZMM state is dirty pays for it. One legacy
+//     MOVSD load in diagRun16's stop handler slowed BenchmarkDiagScan
+//     from 0.94 to 3.91 ns/cell on flat and from 0.63 to 0.91 on walk.
+//   - Only Z0–Z15 are used, so the closing VZEROUPPER leaves no dirty
+//     upper register state behind.
 
-// func diagSteps16(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64,
-//                  invFl float64, i0, n int) (stop, mask int)
-// diagSteps4 over sixteen diagonal chains, two ZMM vectors of eight:
-// over cells i in [i0, n), lane x in [0, 16)
+// func diagRun16(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64,
+//                ii, ij *int32, invFl float64, i0, n, k int)
+// Sixteen diagonal chains k..k+15, two ZMM vectors of eight, over cells
+// i in [i0, n), lane x in [0, 16):
 //   qt[x] += ta[i]*w[i+x] - tb[i-1]*u[i+x]
 //   c[x]   = ((qt[x]*invFl) - mi[i]*mj[i+x]) * vi[i] * vj[i+x]
-// Returns at the first i where any lane has c >= ci[i] or c >= cj[i+x]
-// (chains advanced to that cell and stored back; bit x of mask set for
-// each such lane), or at n with mask 0. Winner state is never written.
-TEXT ·diagSteps16(SB), NOSPLIT, $0-128
+// A row where some lane has c >= ci[i] or c >= cj[i+x] is a stop, and the
+// stop applies the winner rule (corr descending, neighbor ascending on
+// exact ties) to both sides of the row, ci/ii being slot i and cj/ij slot
+// j = i+k+x (the Go caller passes corr, idx, corr[k:], idx[k:]):
+//   - column: each lane takes slot j when c > cj[i+x], or c == cj[i+x]
+//     and i < ij[i+x]; masked stores write c and i;
+//   - row: the lanes with c >= ci[i] are reduced to their maximum, the
+//     first lane equal to it (the smallest j) is taken with its exact bits
+//     (a -0 keeps its sign), and slot i takes it when it is > ci[i], or
+//     equal and j < ii[i].
+// Row and column slots are disjoint (j > i, as k >= 1), so the two sides
+// commute, and the row side equals the ascending-lane sequence of
+// compare-updates it replaces. The chains are stored back to qt at n.
+TEXT ·diagRun16(SB), NOSPLIT, $0-136
 	MOVQ w+8(FP), R8
 	MOVQ u+16(FP), R9
 	MOVQ ta+24(FP), R10
@@ -27,17 +47,16 @@ TEXT ·diagSteps16(SB), NOSPLIT, $0-128
 	MOVQ vj+64(FP), DI
 	MOVQ ci+72(FP), SI
 	MOVQ cj+80(FP), BX
-	VBROADCASTSD invFl+88(FP), Z2
-	MOVQ i0+96(FP), AX
-	MOVQ n+104(FP), DX
+	VBROADCASTSD invFl+104(FP), Z2
+	MOVQ i0+112(FP), AX
+	MOVQ n+120(FP), DX
 	MOVQ qt+0(FP), CX
 	VMOVUPD (CX), Z0   // chains of lanes 0-7
 	VMOVUPD 64(CX), Z1 // chains of lanes 8-15
-	XORQ CX, CX
 	CMPQ AX, DX
-	JGE  d16done
+	JGE  r16done
 
-d16loop:
+r16loop:
 	VBROADCASTSD (R10)(AX*8), Z3   // ha = ta[i]
 	VBROADCASTSD -8(R11)(AX*8), Z4 // hb = tb[i-1]
 	VMULPD  (R8)(AX*8), Z3, Z8     // ha*w[i : i+8]
@@ -68,26 +87,87 @@ d16loop:
 	KORW    K2, K1, K1
 	KORW    K4, K3, K3
 	KORTESTW K3, K1
-	JNE     d16hit
+	JNE     r16stop
+
+r16next:
 	INCQ AX
 	CMPQ AX, DX
-	JLT  d16loop
-	JMP  d16done
+	JLT  r16loop
 
-d16hit:
-	KMOVW K1, CX
-	KMOVW K3, R10
-	SHLL $8, R10
-	ORL  R10, CX
-
-d16done:
+r16done:
 	MOVQ qt+0(FP), R10
 	VMOVUPD Z0, (R10)
 	VMOVUPD Z1, 64(R10)
-	MOVQ AX, stop+112(FP)
-	MOVQ CX, mask+120(FP)
 	VZEROUPPER
 	RET
+
+r16stop:
+	// CX, R10 and R11 are scratch here; R10/R11 (ta, tb) are reloaded
+	// from the arguments before the loop resumes.
+	// Column side. K1/K3: lanes 0-7/8-15 with c > cj; K2/K4 with c == cj;
+	// K5: all sixteen lanes with i < ij (K6 its upper half).
+	MOVQ ij+96(FP), R10
+	VPBROADCASTD AX, Z12                // i as sixteen int32
+	VCMPPD  $0x1e, (BX)(AX*8), Z8, K1   // GT_OQ
+	VCMPPD  $0x00, (BX)(AX*8), Z8, K2   // EQ_OQ
+	VCMPPD  $0x1e, 64(BX)(AX*8), Z9, K3
+	VCMPPD  $0x00, 64(BX)(AX*8), Z9, K4
+	VPCMPD  $1, (R10)(AX*4), Z12, K5    // i < ij[i+x] (LT, signed)
+	KSHIFTRW $8, K5, K6
+	KANDW   K5, K2, K2
+	KANDW   K6, K4, K4
+	KORW    K2, K1, K1
+	KORW    K4, K3, K3
+	VMOVUPD Z8, K1, (BX)(AX*8)
+	VMOVUPD Z9, K3, 64(BX)(AX*8)
+	KSHIFTLW $8, K3, K4
+	KORW    K4, K1, K4
+	VMOVDQU32 Z12, K4, (R10)(AX*4)
+
+	// Row side. K1/K3: the lanes with c >= ci[i]; every other lane is
+	// below slot i and sits out of the reduction at ci[i] itself.
+	VCMPPD  $0x0d, Z7, Z8, K1
+	VCMPPD  $0x0d, Z7, Z9, K3
+	KSHIFTLW $8, K3, K4
+	KORTESTW K4, K1
+	JEQ     r16resume
+	VMOVAPD Z7, Z10
+	VMOVAPD Z7, Z11
+	VMOVAPD Z8, K1, Z10
+	VMOVAPD Z9, K3, Z11
+	VMAXPD  Z11, Z10, Z10
+	VSHUFF64X2 $0x4e, Z10, Z10, Z11 // swap 256-bit halves
+	VMAXPD  Z11, Z10, Z10
+	VSHUFF64X2 $0xb1, Z10, Z10, Z11 // swap 128-bit pairs
+	VMAXPD  Z11, Z10, Z10
+	VPERMILPD $0x55, Z10, Z11       // swap within 128 bits
+	VMAXPD  Z11, Z10, Z10           // the maximum, in every lane
+	VCMPPD  $0x00, Z10, Z8, K1, K5  // candidates equal to it
+	VCMPPD  $0x00, Z10, Z9, K3, K6
+	KSHIFTLW $8, K6, K6
+	KORW    K6, K5, K5
+	KMOVW   K5, CX
+	BSFL    CX, CX                  // x of the first: the smallest j
+	VPBROADCASTQ CX, Z11
+	VPERMI2PD Z9, Z8, Z11           // lane x's exact bits
+	ADDQ    AX, CX
+	ADDQ    k+128(FP), CX           // j = i+k+x
+	MOVQ    ii+88(FP), R10
+	VCMPPD  $0x1e, Z7, Z11, K1      // > ci[i]
+	KORTESTW K1, K1
+	JNE     r16row
+	MOVLQSX (R10)(AX*4), R11        // equal: the smaller neighbor wins
+	CMPQ    CX, R11
+	JGE     r16resume
+
+r16row:
+	VMOVSD  X11, (SI)(AX*8)
+	MOVL    CX, (R10)(AX*4)
+
+r16resume:
+	MOVQ ta+24(FP), R10
+	MOVQ tb+32(FP), R11
+	JMP  r16next
 
 // func dotRowBlocks32(row, q, x *float64, l, nb int)
 // dotRowBlocks16 at thirty-two cells per block, four ZMM accumulators:

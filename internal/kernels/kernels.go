@@ -32,9 +32,15 @@
 //     change winner state, and Go applies the compare-updates there.
 //   - avx512 — avx2 plus AVX-512F bodies (runtime CPUID- and
 //     XCR0-detected), again without FMA: a DiagScan that advances sixteen
-//     diagonals per step in two eight-lane ZMM chains, whose stop returns
-//     a lane mask so Go applies only the flagged lanes, and a DotRow of
+//     diagonals per step in two eight-lane ZMM chains over a group's whole
+//     common range in one call, applying the winner updates of each row
+//     where a lane reaches a slot in the assembly itself, and a DotRow of
 //     thirty-two cells per block. Every other kernel runs its avx2 body.
+//
+// Winner state stays in Go, except in DiagScan's avx512 body: there the
+// winner rule has a second copy, in assembly, that only parity against
+// RefDiagScan keeps honest (TestKernelParityDiagScan rescans warmed slots
+// so that every lane must win exact ties).
 //
 // Every tier must produce bit-identical outputs. For pure arithmetic
 // (RowNext, ExtendRow, DotRow) that holds lane-by-lane because each output
@@ -313,7 +319,8 @@ func (tl *TopLists) Merge(o *TopLists, a int) {
 }
 
 // update applies one candidate (c, j) to slot i of corr/idx under the
-// total order. It is the single definition of the winner rule.
+// total order. It is the Go definition of the winner rule; diagRun16
+// (avx512_amd64.s) applies the same rule in assembly.
 func update(corr []float64, idx []int32, i int, c float64, j int32) {
 	if c > corr[i] || (c == corr[i] && j < idx[i]) {
 		corr[i], idx[i] = c, j

@@ -8,7 +8,8 @@
 //     VSUBPD) pair so the rounding matches the portable tiers bit for bit.
 //   - No winner-state writes: the scan routines compute correlations and
 //     (for the steppers) improvement masks only; the Go callers own the
-//     total-order compare-updates.
+//     total-order compare-updates. Winner state stays in Go, except in
+//     DiagScan's avx512 body (avx512_amd64.s).
 //   - Every evaluation order mirrors the scalar expression it replaces,
 //     lane by lane.
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/seriesmining/valmod/internal/fft"
@@ -247,26 +248,43 @@ func testKernelParityDiagScan(t *testing.T) {
 				if k0 < excl || k1 > s || k0 >= k1 {
 					continue
 				}
-				gc := make([]float64, s)
-				gi := make([]int32, s)
-				wc := make([]float64, s)
-				wi := make([]int32, s)
-				for i := 0; i < s; i++ {
-					gc[i], wc[i] = math.Inf(-1), math.Inf(-1)
-					gi[i], wi[i] = -1, -1
-				}
-				DiagScan(ts, head, means, invs, k0, k1, l, s, gc, gi)
-				RefDiagScan(ts, head, means, invs, k0, k1, l, s, wc, wi)
-				if !bitsEqual(gc, wc) {
-					t.Fatalf("n=%d l=%d k=[%d,%d): DiagScan corr diverges", n, l, k0, k1)
-				}
-				for i := range gi {
-					if gi[i] != wi[i] {
-						t.Fatalf("n=%d l=%d k=[%d,%d): DiagScan idx[%d]=%d != %d", n, l, k0, k1, i, gi[i], wi[i])
+				fc, fi := freshSlots(s)
+				diagScanParity(t, ts, head, means, invs, k0, k1, l, s, fc, fi, "fresh")
+				// Rescan into the split's own winners with every recorded
+				// neighbor bumped by one: each winner comes back only
+				// through an exact tie, at whichever lane or scalar head or
+				// tail cell produced it. From fresh slots the first cell to
+				// reach a column slot carries its smallest candidate — a
+				// group's last lane or a scalar head cell — so the other
+				// lanes never decide a tie there.
+				RefDiagScan(ts, head, means, invs, k0, k1, l, s, fc, fi)
+				want := slices.Clone(fi)
+				for i := range fi {
+					if fi[i] >= 0 {
+						fi[i]++
 					}
+				}
+				diagScanParity(t, ts, head, means, invs, k0, k1, l, s, fc, fi, "warmed")
+				RefDiagScan(ts, head, means, invs, k0, k1, l, s, fc, fi)
+				if !slices.Equal(fi, want) {
+					t.Fatalf("n=%d l=%d k=[%d,%d): the rescan did not restore the winners", n, l, k0, k1)
 				}
 			}
 		}
+	}
+}
+
+// diagScanParity runs DiagScan and RefDiagScan over diagonals [k0, k1)
+// from copies of the slots corr/idx and fails unless they agree bit for
+// bit. corr and idx are left as they were.
+func diagScanParity(t *testing.T, ts, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, slots string) {
+	t.Helper()
+	gc, gi := slices.Clone(corr), slices.Clone(idx)
+	wc, wi := slices.Clone(corr), slices.Clone(idx)
+	DiagScan(ts, head, means, invs, k0, k1, l, s, gc, gi)
+	RefDiagScan(ts, head, means, invs, k0, k1, l, s, wc, wi)
+	if err := slotsEqual(gc, gi, wc, wi); err != "" {
+		t.Fatalf("n=%d l=%d k=[%d,%d), %s slots: DiagScan %s", len(ts), l, k0, k1, slots, err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // DefaultExclusionFactor is the denominator of the trivial-match exclusion
@@ -279,32 +278,35 @@ type Discord struct {
 }
 
 // TopKDiscords returns the k subsequences with the largest nearest-neighbor
-// distances, de-duplicated by the exclusion zone. Matrix profiles give
-// discords for free (Matrix Profile I), and the suite exposes them because
-// the demo positions VALMAP as a general analysis surface.
+// distances, de-duplicated by the exclusion zone; nil for k ≤ 0. Matrix
+// profiles give discords for free (Matrix Profile I), and the suite exposes
+// them because the demo positions VALMAP as a general analysis surface.
+//
+// The extraction order is distance descending, offset ascending on exact
+// ties — a total order, so the output is that of a full sort. The
+// candidates are heapified once and popped only until k discords survive
+// the exclusion check, instead of sorting every slot.
 func (mp *MatrixProfile) TopKDiscords(k int) []Discord {
-	type cand struct {
-		i int
-		d float64
+	if k <= 0 {
+		return nil
 	}
-	cands := make([]cand, 0, len(mp.Dist))
+	cands := make([]pairCand, 0, len(mp.Dist))
 	for i, d := range mp.Dist {
 		if mp.Index[i] >= 0 && !math.IsInf(d, 1) {
-			cands = append(cands, cand{i, d})
+			cands = append(cands, pairCand{i, d})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d > cands[b].d
-		}
-		return cands[a].i < cands[b].i
-	})
+	for j := len(cands)/2 - 1; j >= 0; j-- {
+		discordSiftDown(cands, j)
+	}
 	var out []Discord
 	used := make([]int, 0, min(k, len(cands))) // at most one discord per candidate
-	for _, c := range cands {
-		if len(out) >= k {
-			break
-		}
+	for len(out) < k && len(cands) > 0 {
+		c := cands[0]
+		last := len(cands) - 1
+		cands[0] = cands[last]
+		cands = cands[:last]
+		discordSiftDown(cands, 0)
 		skip := false
 		for _, u := range used {
 			if abs(c.i-u) < mp.Exclusion {
@@ -319,6 +321,34 @@ func (mp *MatrixProfile) TopKDiscords(k int) []Discord {
 		used = append(used, c.i)
 	}
 	return out
+}
+
+// discordSiftDown restores the heap below i whose root is the next discord
+// candidate: the largest distance, the smallest offset on exact ties.
+func discordSiftDown(cands []pairCand, i int) {
+	n := len(cands)
+	for {
+		l, r := 2*i+1, 2*i+2
+		best := i
+		if l < n && discordBefore(cands[l], cands[best]) {
+			best = l
+		}
+		if r < n && discordBefore(cands[r], cands[best]) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		cands[i], cands[best] = cands[best], cands[i]
+		i = best
+	}
+}
+
+func discordBefore(a, b pairCand) bool {
+	if a.d != b.d {
+		return a.d > b.d
+	}
+	return a.i < b.i
 }
 
 func abs(x int) int {

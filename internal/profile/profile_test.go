@@ -119,6 +119,87 @@ func TestTopKDiscords(t *testing.T) {
 	}
 }
 
+// referenceTopKDiscords is the full-sort extraction TopKDiscords must
+// equal: sort every candidate by distance descending, then offset
+// ascending, then dedup-extract.
+func referenceTopKDiscords(mp *MatrixProfile, k int) []Discord {
+	type cand struct {
+		i int
+		d float64
+	}
+	var cands []cand
+	for i, d := range mp.Dist {
+		if mp.Index[i] >= 0 && !math.IsInf(d, 1) {
+			cands = append(cands, cand{i, d})
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].d != cands[b].d {
+			return cands[a].d > cands[b].d
+		}
+		return cands[a].i < cands[b].i
+	})
+	var out []Discord
+	var used []int
+	for _, c := range cands {
+		if len(out) >= k {
+			break
+		}
+		skip := false
+		for _, u := range used {
+			if abs(c.i-u) < mp.Exclusion {
+				skip = true
+				break
+			}
+		}
+		if skip {
+			continue
+		}
+		out = append(out, Discord{I: c.i, Dist: c.d})
+		used = append(used, c.i)
+	}
+	return out
+}
+
+// TestTopKDiscordsMatchesReference: the heap extraction must reproduce the
+// full sort exactly on profiles with exact distance ties, +Inf slots and
+// slots without a neighbor (index −1), for k from 0 to beyond the number
+// of candidates; k ≤ 0 returns nil.
+func TestTopKDiscordsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		n := 20 + rng.Intn(400)
+		m := 8 + rng.Intn(32)
+		mp := New(m, ExclusionZone(m, 4), n)
+		for i := 0; i < n; i++ {
+			switch r := rng.Float64(); {
+			case r < 0.05:
+				continue // index −1, distance +Inf
+			case r < 0.1:
+				mp.Index[i] = rng.Intn(n) // a neighbor at +Inf
+				continue
+			case r < 0.15:
+				mp.Dist[i] = rng.Float64() // a distance with index −1
+				continue
+			}
+			d := rng.Float64() * 10
+			if rng.Float64() < 0.5 {
+				d = math.Floor(d) // force exact ties
+			}
+			mp.Dist[i], mp.Index[i] = d, rng.Intn(n)
+		}
+		for _, k := range []int{0, 1, 3, n + 1} {
+			got, want := mp.TopKDiscords(k), referenceTopKDiscords(mp, k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d k=%d: %v, want %v", trial, k, got, want)
+			}
+		}
+		if got := mp.TopKDiscords(-1); got != nil {
+			t.Fatalf("trial %d: TopKDiscords(-1) = %v, want nil", trial, got)
+		}
+	}
+}
+
 func TestStringFormat(t *testing.T) {
 	p := MotifPair{A: 1, B: 2, M: 3, Dist: 0.12345}
 	if got := p.String(); got != "motif{A=1 B=2 m=3 d=0.1235}" {

@@ -194,6 +194,12 @@ func TestMatrixProfilePublicAPI(t *testing.T) {
 	if len(discords) == 0 {
 		t.Fatal("no discords")
 	}
+	if got := fp.Discords(-1); len(got) != 0 {
+		t.Errorf("Discords(-1) = %v, want none", got)
+	}
+	if got := fp.TopPairs(-1); len(got) != 0 {
+		t.Errorf("TopPairs(-1) = %v, want none", got)
+	}
 	for _, d := range discords {
 		if d.Length != 100 {
 			t.Errorf("discord length %d, want 100", d.Length)
