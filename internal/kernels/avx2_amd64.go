@@ -2,6 +2,8 @@
 
 package kernels
 
+import "math/bits"
+
 // The AVX2 dispatch tier, amd64 side: thin Go orchestration around the
 // assembly routines in kernels_amd64.s. Division of labor:
 //
@@ -365,7 +367,7 @@ func seedQuadAVX2(t, head, means, invs, sums []float64, k, l, s int, invFl float
 				break
 			}
 			i = stop
-			seedLanes(means, invs, sums, &qt, i, k, invFl, corr, idx, top, mask)
+			seedLanes(means, invs, sums, qt[:], i, k, invFl, corr, idx, top, uint64(mask))
 		}
 	}
 	if m < 0 {
@@ -376,23 +378,33 @@ func seedQuadAVX2(t, head, means, invs, sums []float64, k, l, s int, invFl float
 	}
 }
 
-// seedLanes applies the lanes seedSteps4 flagged at row i: each is
-// recomputed in scalar from its carried chain — the same expressions,
-// bit-identical to the vector lanes — and applied through the winner and
-// list rules.
-func seedLanes(means, invs, sums []float64, qt *[4]float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists, mask int) {
+// seedLanes applies the lanes a seed stepper flagged at row i on the
+// len(qt) diagonals k, k+1, …: condition b's lane mask sits in bits
+// [b·len(qt), (b+1)·len(qt)) of mask, in seedSteps4's order. Each flagged
+// lane is recomputed in scalar from its carried chain — the same
+// expressions, bit-identical to the vector lanes — and applied through
+// the winner and list rules, in ascending lane order.
+func seedLanes(means, invs, sums, qt []float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists, mask uint64) {
+	w := len(qt)
+	all := uint64(1)<<w - 1
+	slots := (mask | mask>>w) & all // c ≥ corr[i] or c ≥ corr[j]
+	toI := mask >> (2 * w) & all    // offer j to anchor i
+	toJ := mask >> (3 * w) & all    // offer i to anchor j
 	mi, vi, si := means[i], invs[i], sums[i]
-	for x, q := range qt {
+	for lanes := slots | toI | toJ; lanes != 0; lanes &= lanes - 1 {
+		x := bits.TrailingZeros64(lanes)
+		bit := uint64(1) << x
+		q := qt[x]
 		j := i + k + x
-		if mask&(0x11<<x) != 0 {
+		if slots&bit != 0 {
 			c := (q*invFl - mi*means[j]) * vi * invs[j]
 			update(corr, idx, i, c, int32(j))
 			update(corr, idx, j, c, int32(i))
 		}
-		if mask&(0x100<<x) != 0 {
+		if toI&bit != 0 {
 			top.Offer(i, int32(j), q, (q-means[j]*si)*invs[j])
 		}
-		if mask&(0x1000<<x) != 0 {
+		if toJ&bit != 0 {
 			top.Offer(j, int32(i), q, (q-mi*sums[j])*vi)
 		}
 	}

@@ -34,6 +34,10 @@ func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []flo
 	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
 
+func seedScanAVX512(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+}
+
 func dotRowAVX2(row, t []float64, i, l, j0, s int) {
 	dotRowGeneric(row, t, i, l, j0, s)
 }

@@ -30,12 +30,16 @@
 //     scans (ColScan, DiagScan, SeedScan) share one stop protocol: the
 //     assembly computes correlations and returns only where a lane could
 //     change winner state, and Go applies the compare-updates there.
-//   - avx512 — avx2 plus AVX-512F bodies (runtime CPUID- and
+//   - avx512 — avx2 plus three AVX-512F bodies (runtime CPUID- and
 //     XCR0-detected), again without FMA: a DiagScan that advances sixteen
 //     diagonals per step in two eight-lane ZMM chains over a group's whole
 //     common range in one call, applying the winner updates of each row
-//     where a lane reaches a slot in the assembly itself, and a DotRow of
-//     thirty-two cells per block. Every other kernel runs its avx2 body.
+//     where a lane reaches a slot in the assembly itself; a SeedScan that
+//     advances sixteen diagonals per step in the same two chains but keeps
+//     the avx2 stop protocol, since nearly every stop carries a list offer
+//     for Go;
+//     and a DotRow of thirty-two cells per block. Every other kernel runs
+//     its avx2 body.
 //
 // Winner state stays in Go, except in DiagScan's avx512 body: there the
 // winner rule has a second copy, in assembly, that only parity against
@@ -232,7 +236,9 @@ func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, 
 // tier.
 func SeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	switch active {
-	case AVX2, AVX512:
+	case AVX512:
+		seedScanAVX512(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+	case AVX2:
 		seedScanAVX2(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
 	default:
 		seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)

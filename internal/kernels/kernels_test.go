@@ -304,26 +304,61 @@ func testKernelParitySeedScan(t *testing.T) {
 			excl := (l + 3) / 4
 			// Block sequences exercising the quad path, its tails, the
 			// 1..3-diagonal remainders, and offers into lists an earlier
-			// block already filled.
-			seqs := [][][2]int{{{excl, s}}, {{excl, excl + 5}}, {{s - 3, s}}, {{excl + 7, excl + 23}, {excl, excl + 7}, {s - 1, s}}}
-			for _, c := range []int{1, 4, 11} {
-				for _, seq := range seqs {
-					gc, gi := freshSlots(s)
-					wc, wi := freshSlots(s)
-					got, want := NewTopLists(s, c), NewTopLists(s, c)
-					for _, b := range seq {
-						SeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, gc, gi, got)
-						RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, want)
+			// block already filled; then DiagScan's splits: the
+			// 16-diagonal group alone (16), with a single (17), with a quad
+			// and a single (21), and twice with three singles (35); and
+			// groups whose common range is short (s−20) or empty (s−16).
+			seqs := [][][2]int{{{excl, s}}, {{excl, excl + 5}}, {{s - 3, s}}, {{excl + 7, excl + 23}, {excl, excl + 7}, {s - 1, s}},
+				{{excl, excl + 16}}, {{excl, excl + 17}}, {{excl, excl + 21}}, {{excl, excl + 35}}, {{s - 20, s}}, {{s - 16, s}}}
+			for _, seq := range seqs {
+				// The warmed slots hold the sequence's own winners with
+				// every recorded neighbor bumped by one: each winner comes
+				// back only through an exact tie, so every lane must flag
+				// c ≥ corr, not c > corr.
+				fc, fi := freshSlots(s)
+				wc, wi := freshSlots(s)
+				for _, b := range seq {
+					RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, NewTopLists(s, 1))
+				}
+				want := slices.Clone(wi)
+				for i := range wi {
+					if wi[i] >= 0 {
+						wi[i]++
 					}
-					if err := slotsEqual(gc, gi, wc, wi); err != "" {
-						t.Fatalf("n=%d l=%d cap=%d blocks=%v: SeedScan %s", n, l, c, seq, err)
-					}
-					if err := topListsEqual(got, want); err != "" {
-						t.Fatalf("n=%d l=%d cap=%d blocks=%v: SeedScan %s", n, l, c, seq, err)
-					}
+				}
+				for _, c := range []int{1, 4, 11} {
+					seedScanParity(t, ts, head, means, invs, sums, seq, l, s, c, fc, fi, "fresh")
+					seedScanParity(t, ts, head, means, invs, sums, seq, l, s, c, wc, wi, "warmed")
+				}
+				for _, b := range seq {
+					RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, NewTopLists(s, 1))
+				}
+				if !slices.Equal(wi, want) {
+					t.Fatalf("n=%d l=%d blocks=%v: the rescan did not restore the winners", n, l, seq)
 				}
 			}
 		}
+	}
+}
+
+// seedScanParity runs SeedScan and RefSeedScan over the block sequence
+// seq from copies of the slots corr/idx, into fresh lists of capacity c,
+// and fails unless slots and lists agree bit for bit. corr and idx are
+// left as they were.
+func seedScanParity(t *testing.T, ts, head, means, invs, sums []float64, seq [][2]int, l, s, c int, corr []float64, idx []int32, slots string) {
+	t.Helper()
+	gc, gi := slices.Clone(corr), slices.Clone(idx)
+	wc, wi := slices.Clone(corr), slices.Clone(idx)
+	got, want := NewTopLists(s, c), NewTopLists(s, c)
+	for _, b := range seq {
+		SeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, gc, gi, got)
+		RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, want)
+	}
+	if err := slotsEqual(gc, gi, wc, wi); err != "" {
+		t.Fatalf("n=%d l=%d cap=%d blocks=%v, %s slots: SeedScan %s", len(ts), l, c, seq, slots, err)
+	}
+	if err := topListsEqual(got, want); err != "" {
+		t.Fatalf("n=%d l=%d cap=%d blocks=%v, %s slots: SeedScan %s", len(ts), l, c, seq, slots, err)
 	}
 }
 
@@ -524,39 +559,43 @@ func BenchmarkDiagScan(b *testing.B) {
 	}
 }
 
-// BenchmarkSeedScan is BenchmarkDiagScan's sweep with the partial-profile
-// seed fused in (p = 10 entries per anchor, so lists of 11), reported per
-// visited cell. It runs on a plain random walk: in benchSetup's series the
-// planted constant segments make σ = 0 windows, where every candidate
-// ties at correlation 0 and stops the vector body at nearly every cell
-// they touch, so that series would time the stop path instead.
+// BenchmarkSeedScan is BenchmarkDiagScan's pass with the partial-profile
+// seed fused in (p = 10 entries per anchor, so lists of 11), into slots
+// and lists reset to empty, reported per visited cell, on the same two
+// inputs: "walk" times the vector body and the list inserts, "flat" the
+// stop path, since every σ = 0 candidate ties its slot at correlation 0.
 func BenchmarkSeedScan(b *testing.B) {
-	forEachVariantB(b, func(b *testing.B) {
-		const n, l = 8192, 64
-		ts := randomWalk(n, 9)
-		s := n - l + 1
-		means, invs := moments(ts, l)
-		sums := windowSums(ts, l)
-		head := make([]float64, s)
-		for k := range head {
-			head[k] = series.Dot(ts[0:l], ts[k:k+l])
-		}
-		excl := 16
-		corr := make([]float64, s)
-		idx := make([]int32, s)
-		top := NewTopLists(s, 11)
-		cells := (s - excl) * (s - excl + 1) / 2
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < s; j++ {
-				corr[j], idx[j] = math.Inf(-1), -1
-				top.Len[j], top.Thr[j] = 0, -1
-			}
-			SeedScan(ts, head, means, invs, sums, excl, s, l, s, corr, idx, top)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
-	})
+	const n, l, excl = 8192, 64, 16
+	for _, in := range []struct {
+		name string
+		ts   []float64
+	}{{"walk", randomWalk(n, 9)}, {"flat", testSeries(n, 9)}} {
+		b.Run(in.name, func(b *testing.B) {
+			forEachVariantB(b, func(b *testing.B) {
+				ts := in.ts
+				s := n - l + 1
+				means, invs := moments(ts, l)
+				sums := windowSums(ts, l)
+				head := make([]float64, s)
+				for k := range head {
+					head[k] = series.Dot(ts[0:l], ts[k:k+l])
+				}
+				corr, idx := freshSlots(s)
+				top := NewTopLists(s, 11)
+				cells := (s - excl) * (s - excl + 1) / 2
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < s; j++ {
+						corr[j], idx[j] = math.Inf(-1), -1
+						top.Len[j], top.Thr[j] = 0, -1
+					}
+					SeedScan(ts, head, means, invs, sums, excl, s, l, s, corr, idx, top)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			})
+		})
+	}
 }
 
 // BenchmarkColScan times one column scan into slots reset to −Inf, so

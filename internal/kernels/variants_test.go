@@ -139,6 +139,14 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(23), uint16(98), uint8(32), uint8(5), uint8(0), uint8(14))
 	f.Add(int64(24), uint16(453), uint8(50), uint8(9), uint8(11), uint8(20))
 	f.Add(int64(25), uint16(1167), uint8(61), uint8(131), uint8(201), uint8(26))
+	// SeedScan second blocks of one 16-diagonal group alone (16), with a
+	// single (17), with a quad and a single (21), two groups with three
+	// singles (35) and three groups (48).
+	f.Add(int64(31), uint16(700), uint8(30), uint8(4), uint8(15), uint8(5))
+	f.Add(int64(32), uint16(1000), uint8(21), uint8(10), uint8(16), uint8(11))
+	f.Add(int64(33), uint16(420), uint8(12), uint8(2), uint8(20), uint8(17))
+	f.Add(int64(34), uint16(1180), uint8(45), uint8(131), uint8(34), uint8(23))
+	f.Add(int64(35), uint16(850), uint8(8), uint8(99), uint8(47), uint8(29))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, lRaw, segA, segB, kernel uint8) {
 		n := 32 + int(nRaw)%1200
 		l := 3 + int(lRaw)%62
@@ -351,8 +359,11 @@ func FuzzKernelParity(f *testing.F) {
 			}
 			sums := windowSums(ts, l)
 			c := 1 + int(segA)%12
+			// The second block, up to 48 diagonals, runs whole 16-diagonal
+			// groups and a remainder into the slots and lists the first
+			// one filled.
 			k0 := excl + anchor%(s-excl)
-			k1 := k0 + 1 + int(segB)%16
+			k1 := k0 + 1 + int(segB)%48
 			if k1 > s {
 				k1 = s
 			}

@@ -326,7 +326,8 @@ func TestTopKPairsAdversarialDedup(t *testing.T) {
 
 // TestTopKHugeKBounded: a k far beyond the slot count returns exactly what
 // k = len(mp.Dist) returns, and the working memory stays bounded by the
-// profile size instead of by k (a pool sized by k = 2⁴⁰ needs 16 TiB).
+// profile size instead of by k (a pool sized by k = math.MaxInt could
+// never be allocated).
 func TestTopKHugeKBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n, m := 500, 16
@@ -338,12 +339,12 @@ func TestTopKHugeKBounded(t *testing.T) {
 		mp.Dist[i] = rng.Float64() * 10
 		mp.Index[i] = (i + n/2) % n
 	}
-	const huge = 1 << 40
+	const huge = math.MaxInt
 	if got, want := mp.TopKPairs(huge), mp.TopKPairs(n); !slices.Equal(got, want) {
-		t.Fatalf("TopKPairs(2^40) = %d pairs, want the %d of k=n", len(got), len(want))
+		t.Fatalf("TopKPairs(MaxInt) = %d pairs, want the %d of k=n", len(got), len(want))
 	}
 	if got, want := mp.TopKDiscords(huge), mp.TopKDiscords(n); !slices.Equal(got, want) {
-		t.Fatalf("TopKDiscords(2^40) = %d discords, want the %d of k=n", len(got), len(want))
+		t.Fatalf("TopKDiscords(MaxInt) = %d discords, want the %d of k=n", len(got), len(want))
 	}
 	const limit = 1 << 20 // bytes; the n-slot working set is ~30 KiB
 	for name, f := range map[string]func(){
@@ -355,7 +356,7 @@ func TestTopKHugeKBounded(t *testing.T) {
 		f()
 		runtime.ReadMemStats(&m1)
 		if b := m1.TotalAlloc - m0.TotalAlloc; b > limit {
-			t.Errorf("%s(2^40) allocated %d bytes, want at most %d", name, b, limit)
+			t.Errorf("%s(MaxInt) allocated %d bytes, want at most %d", name, b, limit)
 		}
 	}
 }

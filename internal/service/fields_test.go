@@ -15,15 +15,15 @@ import (
 	valmod "github.com/seriesmining/valmod"
 )
 
-// TestHugeCountFieldsFinish: topk, discords and p at 2⁴⁰ must not size
-// any preallocation — one sized by the field needs terabytes and kills the
-// whole process with a fatal out-of-memory error. With every capacity
-// bounded by the candidate or anchor count the jobs finish done, and the
-// server outlives them:
+// TestHugeCountFieldsFinish: topk, discords and p at math.MaxInt must
+// not size any preallocation — one sized by the field needs terabytes and
+// kills the whole process with a fatal out-of-memory error. With every
+// capacity bounded by the candidate or anchor count the jobs finish done,
+// and the server outlives them:
 //
-//   - topk and discords at 2⁴⁰ return the bytes of the same request with
-//     both set to the series length n;
-//   - p at 2⁴⁰ returns the default-p run's best pair.
+//   - topk and discords at math.MaxInt return the bytes of the same
+//     request with both set to the series length n;
+//   - p at math.MaxInt returns the default-p run's best pair.
 func TestHugeCountFieldsFinish(t *testing.T) {
 	m := NewManager(Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(NewServer(m))
@@ -31,7 +31,7 @@ func TestHugeCountFieldsFinish(t *testing.T) {
 	client := ts.Client()
 
 	values := testSeries(600)
-	const huge = 1 << 40
+	const huge = math.MaxInt
 	run := func(req JobRequest) json.RawMessage {
 		t.Helper()
 		resp := postJSON(t, client, ts.URL+"/v1/jobs", req)
@@ -50,7 +50,7 @@ func TestHugeCountFieldsFinish(t *testing.T) {
 	hugeCounts.TopK, hugeCounts.Discords = huge, huge
 	nCounts.TopK, nCounts.Discords = len(values), len(values)
 	if got, want := run(hugeCounts), run(nCounts); !bytes.Equal(got, want) {
-		t.Fatalf("topk/discords=2^40 result differs from topk/discords=n\n got %s\nwant %s", got, want)
+		t.Fatalf("topk/discords=MaxInt result differs from topk/discords=n\n got %s\nwant %s", got, want)
 	}
 
 	hugeP := base
@@ -63,11 +63,11 @@ func TestHugeCountFieldsFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Best == nil || want.Best == nil {
-		t.Fatalf("missing best pair: p=2^40 %v, default %v", got.Best, want.Best)
+		t.Fatalf("missing best pair: p=MaxInt %v, default %v", got.Best, want.Best)
 	}
 	g, w := *got.Best, *want.Best
 	if g.A != w.A || g.B != w.B || g.Length != w.Length || math.Abs(g.NormDistance-w.NormDistance) > 1e-9*(1+w.NormDistance) {
-		t.Fatalf("p=2^40 best pair %+v, default p %+v", g, w)
+		t.Fatalf("p=MaxInt best pair %+v, default p %+v", g, w)
 	}
 
 	if resp, err := client.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
