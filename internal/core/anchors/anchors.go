@@ -1,7 +1,8 @@
 // Package anchors holds the per-anchor state of a VALMOD run: one partial
 // distance profile per subsequence offset (the retained lower-bound entries
-// of demo Figure 2a) plus the hot-row cache for anchors that keep failing
-// certification. The Store partitions its anchors into contiguous shards so
+// of demo Figure 2a). An anchor that fails certification is recomputed and
+// its partial profile refilled; no dot-product row outlives the length that
+// computed it. The Store partitions its anchors into contiguous shards so
 // the per-length advance→certify pass can run one shard per goroutine:
 // every anchor owns its state and its slots of the engine's scratch arrays
 // exclusively, which keeps the parallel pass bit-identical to the serial
@@ -9,6 +10,8 @@
 package anchors
 
 import (
+	"fmt"
+
 	"github.com/seriesmining/valmod/internal/kernels"
 	"github.com/seriesmining/valmod/internal/lb"
 )
@@ -34,38 +37,14 @@ type State struct {
 	Degenerate bool
 }
 
-// Store owns the anchor states of one run plus the hot-row cache. Hot rows
-// are kept in flat slices indexed by anchor offset (not a map) so that
-// concurrent shard workers can advance distinct anchors' rows without
-// synchronization; retention (MakeHot) happens only on the serial
-// recompute path.
+// Store owns the anchor states of one run.
 type Store struct {
 	states []State
-
-	// hotRows[i] is anchor i's cached full dot-product row (nil when the
-	// anchor is not hot); hotLens[i] the length the row is currently at.
-	hotRows  [][]float64
-	hotLens  []int32
-	hotCount int
-	budget   int
 }
 
-// NewStore returns a store for n anchors whose hot-row cache is bounded by
-// budgetBytes of row storage (at least 32 rows).
-func NewStore(n, budgetBytes int) *Store {
-	budget := 0
-	if n > 0 {
-		budget = budgetBytes / (8 * n)
-	}
-	if budget < 32 {
-		budget = 32
-	}
-	return &Store{
-		states:  make([]State, n),
-		hotRows: make([][]float64, n),
-		hotLens: make([]int32, n),
-		budget:  budget,
-	}
+// NewStore returns a store for n anchors.
+func NewStore(n int) *Store {
+	return &Store{states: make([]State, n)}
 }
 
 // Len returns the number of anchors.
@@ -124,40 +103,6 @@ func (s *Store) Seed(i, p, l int, lists []*kernels.TopLists, degenerate bool) {
 	lb.Heapify(a.Entries)
 }
 
-// HotRow returns anchor i's cached dot-product row and the length it is
-// currently advanced to, or ok=false when the anchor is not hot.
-func (s *Store) HotRow(i int) (row []float64, l int, ok bool) {
-	row = s.hotRows[i]
-	if row == nil {
-		return nil, 0, false
-	}
-	return row, int(s.hotLens[i]), true
-}
-
-// SetHotLen records that anchor i's cached row has been advanced to length
-// l. Distinct anchors may be updated concurrently.
-func (s *Store) SetHotLen(i, l int) { s.hotLens[i] = int32(l) }
-
-// MakeHot caches row (already advanced to length l) for anchor i and
-// reports whether the store retained it; false when the anchor is already
-// hot or the budget is exhausted, in which case the caller keeps ownership
-// of row. Serial use only.
-func (s *Store) MakeHot(i int, row []float64, l int) bool {
-	if s.hotRows[i] != nil || s.hotCount >= s.budget {
-		return false
-	}
-	s.hotRows[i] = row
-	s.hotLens[i] = int32(l)
-	s.hotCount++
-	return true
-}
-
-// HotCount returns the number of cached rows; Budget the cap.
-func (s *Store) HotCount() int { return s.hotCount }
-
-// Budget returns the maximum number of rows the cache may hold.
-func (s *Store) Budget() int { return s.budget }
-
 // Shard is a contiguous anchor range [Lo, Hi).
 type Shard struct{ Lo, Hi int }
 
@@ -169,64 +114,53 @@ func (s *Store) Shards(n, count int) []Shard {
 	return s.ShardsInto(n, count, nil)
 }
 
-// DrainHotRows removes every cached row, handing each to release (the
-// engine returns them to its row pool). After draining no anchor is hot;
-// the store remains usable.
-func (s *Store) DrainHotRows(release func([]float64)) {
-	for i, row := range s.hotRows {
-		if row != nil {
-			release(row)
-			s.hotRows[i] = nil
-		}
-	}
-	s.hotCount = 0
-}
-
 // Snapshot is the serializable image of a Store: the per-anchor partial
-// profiles plus the hot-row cache. It is the anchors section of an engine
-// checkpoint — resuming a pruned run bit-identically requires the hot rows
-// too, because a hot anchor resolves through a different (equally exact,
-// but not bit-equal) arithmetic path than a cold one.
+// profiles. It is the anchors section of an engine checkpoint.
 type Snapshot struct {
 	States []State
-	// HotAnchors lists the hot anchor offsets in ascending order; HotLens
-	// and HotRows are parallel to it. Rows are stored at their full
-	// retained length (later lengths read a shrinking prefix).
-	HotAnchors []int32
-	HotLens    []int32
-	HotRows    [][]float64
 }
 
 // Snapshot captures the store's current state. The returned snapshot
-// aliases the live slices (states, entries, rows) — it is a view for
-// immediate serialization between per-length passes, not a defensive copy.
+// aliases the live slices (states, entries) — it is a view for immediate
+// serialization between per-length passes, not a defensive copy.
 func (s *Store) Snapshot() *Snapshot {
-	sn := &Snapshot{States: s.states}
-	for i, row := range s.hotRows {
-		if row != nil {
-			sn.HotAnchors = append(sn.HotAnchors, int32(i))
-			sn.HotLens = append(sn.HotLens, s.hotLens[i])
-			sn.HotRows = append(sn.HotRows, row)
-		}
-	}
-	return sn
+	return &Snapshot{States: s.states}
 }
 
-// Restore loads a snapshot into the store. Hot rows are copied into
-// buffers acquired through getRow so the engine's row-pool accounting
-// (every retained row drains back through putRow at run end) stays exact.
-// The store must have been built for the same anchor count.
-func (s *Store) Restore(sn *Snapshot, getRow func(n int) []float64) {
-	copy(s.states, sn.States)
-	s.DrainHotRows(func([]float64) {})
-	for k, i := range sn.HotAnchors {
-		src := sn.HotRows[k]
-		row := getRow(len(src))[:len(src)]
-		copy(row, src)
-		s.hotRows[i] = row
-		s.hotLens[i] = sn.HotLens[k]
-		s.hotCount++
+// Validate checks that a decoded snapshot fits a store of n anchors
+// retaining at most p entries each (n, when p exceeds it — BeginReseed's
+// cap), seeded at lengths in [lmin, cur]: one state per anchor, every
+// retained offset in [0, n), every Base in range. A snapshot that fails
+// would index out of the run's arrays, or bound from a length the run has
+// not reached, on resume.
+func (sn *Snapshot) Validate(n, p, lmin, cur int) error {
+	if len(sn.States) != n {
+		return fmt.Errorf("%d anchor states, want %d", len(sn.States), n)
 	}
+	if p > n {
+		p = n
+	}
+	for i := range sn.States {
+		a := &sn.States[i]
+		if len(a.Entries) > p {
+			return fmt.Errorf("anchor %d retains %d entries, at most %d", i, len(a.Entries), p)
+		}
+		if int(a.Base) < lmin || int(a.Base) > cur {
+			return fmt.Errorf("anchor %d seeded at length %d, outside [%d, %d]", i, a.Base, lmin, cur)
+		}
+		for _, e := range a.Entries {
+			if e.J < 0 || int(e.J) >= n {
+				return fmt.Errorf("anchor %d retains offset %d, outside [0, %d)", i, e.J, n)
+			}
+		}
+	}
+	return nil
+}
+
+// Restore loads a snapshot into the store, which must have been built for
+// the same anchor count (see Validate).
+func (s *Store) Restore(sn *Snapshot) {
+	copy(s.states, sn.States)
 }
 
 // ShardsInto is Shards appending into buf (reused across lengths by the

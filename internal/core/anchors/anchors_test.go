@@ -7,7 +7,7 @@ import (
 )
 
 func TestBeginReseedResetsState(t *testing.T) {
-	s := NewStore(4, 1<<20)
+	s := NewStore(4)
 	a := s.At(2)
 	a.Entries = append(a.Entries, lb.Entry{J: 9})
 	a.Degenerate = true
@@ -22,57 +22,8 @@ func TestBeginReseedResetsState(t *testing.T) {
 	}
 }
 
-func TestHotRowLifecycle(t *testing.T) {
-	s := NewStore(100, 1<<20)
-	if _, _, ok := s.HotRow(5); ok {
-		t.Fatal("anchor 5 should not start hot")
-	}
-	row := make([]float64, 10)
-	if !s.MakeHot(5, row, 32) {
-		t.Fatal("MakeHot should retain the first row")
-	}
-	if s.MakeHot(5, make([]float64, 10), 33) {
-		t.Fatal("MakeHot must decline an already-hot anchor")
-	}
-	got, l, ok := s.HotRow(5)
-	if !ok || l != 32 || &got[0] != &row[0] {
-		t.Fatalf("HotRow = (%p, %d, %v), want original row at 32", got, l, ok)
-	}
-	s.SetHotLen(5, 40)
-	if _, l, _ := s.HotRow(5); l != 40 {
-		t.Fatalf("hot length %d after SetHotLen, want 40", l)
-	}
-	if s.HotCount() != 1 {
-		t.Fatalf("HotCount = %d", s.HotCount())
-	}
-}
-
-func TestHotBudgetEnforced(t *testing.T) {
-	// budgetBytes sized for exactly 40 rows of 100 anchors — below the
-	// 32-row floor this would clamp, so pick above it.
-	s := NewStore(100, 40*8*100)
-	if got := s.Budget(); got != 40 {
-		t.Fatalf("budget = %d, want 40", got)
-	}
-	retained := 0
-	for i := 0; i < 100; i++ {
-		if s.MakeHot(i, make([]float64, 1), 8) {
-			retained++
-		}
-	}
-	if retained != 40 || s.HotCount() != 40 {
-		t.Fatalf("retained %d rows (count %d), want 40", retained, s.HotCount())
-	}
-}
-
-func TestBudgetFloor(t *testing.T) {
-	if s := NewStore(1000, 0); s.Budget() != 32 {
-		t.Fatalf("budget floor = %d, want 32", s.Budget())
-	}
-}
-
 func TestShardsPartition(t *testing.T) {
-	s := NewStore(1000, 1<<20)
+	s := NewStore(1000)
 	for _, tc := range []struct{ n, count int }{
 		{1000, 4}, {1000, 7}, {1000, 1}, {3, 8}, {1000, 1000}, {0, 4}, {2000, 3},
 	} {

@@ -2,9 +2,7 @@ package core
 
 // Checkpointing: the engine can serialize the carried state of an
 // in-flight run at a length-pass boundary — the diagonal head row, the
-// per-anchor partial profiles (hot rows included: a hot anchor resolves
-// through a different, equally exact arithmetic path than a cold one, so
-// bit-identical resume needs them; once the cost model has latched the run
+// per-anchor partial profiles (once the cost model has latched the run
 // onto the incremental pass they are retired and left out), the
 // accumulated sink state and the plan counters — into a self-describing
 // blob, and later resume from it.
@@ -19,9 +17,11 @@ package core
 // version gates format evolution. The payload additionally pins the series
 // (length + SHA-256 of its float64 bits) and the result-affecting
 // configuration, so a checkpoint can never silently resume against the
-// wrong input. Workers is deliberately excluded from the digest: the
-// determinism contract makes worker count output-neutral, so a run may
-// resume with a different parallelism than it started with.
+// wrong input, and every section's shape is checked against them before
+// the run is rebuilt from it (validateResume). Workers is deliberately
+// excluded from the digest: the determinism contract makes worker count
+// output-neutral, so a run may resume with a different parallelism than
+// it started with.
 
 import (
 	"bytes"
@@ -74,8 +74,8 @@ type ckptPayload struct {
 	Plan    PlanStats
 
 	// Pruned-machinery carry (see run.seeded / run.entriesAt / run.latched).
-	// Once latched the machinery is retired, so Anchors (hot rows
-	// included, the bulk of a pruned frame) is omitted.
+	// Once latched the machinery is retired, so Anchors (the bulk of a
+	// pruned frame) is omitted.
 	Seeded    bool
 	Latched   bool
 	EntriesAt int
@@ -104,9 +104,13 @@ type ckptPayload struct {
 // a v3 frame's retained entries and hot rows, computed through the FFT,
 // differ in the last bits from this engine's. v5 gives windows of one
 // repeated value σ = 0 exactly (series.Stats), where a v4 frame of such a
-// series can carry the small σ > 0 the cumulative sums left them.
+// series can carry the small σ > 0 the cumulative sums left them. v6
+// retires the hot-row cache and re-prices the cost model: anchors a v5
+// frame kept hot now resolve by certification or a fresh row, and switch
+// lengths move, so a v5 frame (whose hot rows gob would drop unread) does
+// not resume byte-identically.
 func cfgDigest(c Config) string {
-	return "v5 " + cfgFields(c)
+	return "v6 " + cfgFields(c)
 }
 
 // cfgFields renders the result-affecting configuration fields. Workers and
@@ -280,9 +284,8 @@ func (r *run) seriesSum() [32]byte {
 	return r.tHash
 }
 
-// restore loads a decoded checkpoint into a freshly constructed run and
-// returns the plan index to resume at. Hot rows go through the engine's
-// row pool so the get/put balance invariant holds across resumed runs.
+// restore loads a decoded, validated checkpoint into a freshly
+// constructed run and returns the plan index to resume at.
 func (r *run) restore(p *ckptPayload) int {
 	r.planStats = p.Plan
 	r.seeded = p.Seeded
@@ -290,16 +293,21 @@ func (r *run) restore(p *ckptPayload) int {
 	r.entriesAt = p.EntriesAt
 	r.inc = incState{head: p.IncHead, cur: p.IncCur}
 	if p.Anchors != nil {
-		r.store.Restore(p.Anchors, r.eng.getRow)
+		r.store.Restore(p.Anchors)
 	}
 	return p.NextIdx
 }
 
 // validateResume checks a decoded checkpoint against the series and config
-// of the resuming run.
+// of the resuming run: the identity pins, then the shape of every section
+// the run is rebuilt from. A frame whose hash matches but whose sections
+// disagree with each other would otherwise panic on resume or return a
+// wrong-shaped result, where ErrBadCheckpoint sends the caller to its
+// byte-identical scratch re-run.
 func (p *ckptPayload) validateResume(t []float64, cfg Config) error {
-	if p.N != len(t) {
-		return fmt.Errorf("%w: checkpoint is for n=%d, series has n=%d", ErrBadCheckpoint, p.N, len(t))
+	n := len(t)
+	if p.N != n {
+		return fmt.Errorf("%w: checkpoint is for n=%d, series has n=%d", ErrBadCheckpoint, p.N, n)
 	}
 	if got := cfgDigest(cfg); p.CfgDigest != got {
 		return fmt.Errorf("%w: config mismatch (checkpoint %q, run %q)", ErrBadCheckpoint, p.CfgDigest, got)
@@ -309,6 +317,44 @@ func (p *ckptPayload) validateResume(t []float64, cfg Config) error {
 	}
 	if p.NextIdx < 1 || p.NextIdx > cfg.LMax-cfg.LMin+1 {
 		return fmt.Errorf("%w: resume index %d out of range", ErrBadCheckpoint, p.NextIdx)
+	}
+	if len(p.PerLength) != p.NextIdx {
+		return fmt.Errorf("%w: %d per-length results for resume index %d", ErrBadCheckpoint, len(p.PerLength), p.NextIdx)
+	}
+	for k, lr := range p.PerLength {
+		if lr.M != cfg.LMin+k {
+			return fmt.Errorf("%w: per-length result %d is for length %d, want %d", ErrBadCheckpoint, k, lr.M, cfg.LMin+k)
+		}
+	}
+	sMin := n - cfg.LMin + 1
+	if mp := p.MPMin; mp != nil && (mp.M != cfg.LMin || len(mp.Dist) != sMin || len(mp.Index) != sMin) {
+		return fmt.Errorf("%w: ℓmin profile shaped (m=%d, %d, %d), want (m=%d, %d slots)",
+			ErrBadCheckpoint, mp.M, len(mp.Dist), len(mp.Index), cfg.LMin, sMin)
+	}
+	if vm := p.VM; vm != nil && (vm.LMin != cfg.LMin || vm.LMax != cfg.LMax ||
+		len(vm.MPn) != sMin || len(vm.IP) != sMin || len(vm.LP) != sMin) {
+		return fmt.Errorf("%w: VALMAP shaped [%d, %d] × (%d, %d, %d), want [%d, %d] × %d",
+			ErrBadCheckpoint, vm.LMin, vm.LMax, len(vm.MPn), len(vm.IP), len(vm.LP), cfg.LMin, cfg.LMax, sMin)
+	}
+	if p.IncCur == 0 {
+		if len(p.IncHead) != 0 {
+			return fmt.Errorf("%w: head row of %d cells with no head length", ErrBadCheckpoint, len(p.IncHead))
+		}
+	} else if p.IncCur < cfg.LMin || p.IncCur > cfg.LMax || len(p.IncHead) != n-p.IncCur+1 {
+		return fmt.Errorf("%w: head row of %d cells at length %d", ErrBadCheckpoint, len(p.IncHead), p.IncCur)
+	}
+	if p.Seeded != (p.Anchors != nil) || (p.Seeded && p.Latched) {
+		return fmt.Errorf("%w: seeded=%v latched=%v with anchors present=%v",
+			ErrBadCheckpoint, p.Seeded, p.Latched, p.Anchors != nil)
+	}
+	if p.Seeded {
+		if last := cfg.LMin + p.NextIdx - 1; p.EntriesAt < cfg.LMin || p.EntriesAt > last {
+			return fmt.Errorf("%w: entries at length %d, outside [%d, %d]", ErrBadCheckpoint, p.EntriesAt, cfg.LMin, last)
+		}
+		// The built-in pipeline seeds at ℓmin, every anchor of the run.
+		if err := p.Anchors.Validate(sMin, cfg.P, cfg.LMin, p.EntriesAt); err != nil {
+			return fmt.Errorf("%w: anchors: %v", ErrBadCheckpoint, err)
+		}
 	}
 	return nil
 }

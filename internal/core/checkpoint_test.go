@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"github.com/seriesmining/valmod/internal/core/anchors"
 )
 
 // captureAll runs cfg over x collecting every emitted checkpoint blob
@@ -149,6 +151,108 @@ func TestCheckpointRejectsTampering(t *testing.T) {
 	otherCfg := cfg
 	otherCfg.TopK = 5
 	expectBad("different config", ck, x, otherCfg)
+}
+
+// TestCheckpointRefusesMalformedSections: a frame whose hash matches (it
+// is re-encoded after the edit) but whose sections disagree with the
+// series, the configuration or each other is refused with
+// ErrBadCheckpoint, never resumed into a panic or a wrong-shaped result.
+func TestCheckpointRefusesMalformedSections(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	x := randWalk(rng, 600)
+	e := NewEngine()
+	pruned := Config{LMin: 10, LMax: 30, TopK: 3, Workers: 1, pinPruned: true}
+	_, prunedCkpts := captureAll(t, e, x, pruned)
+	discords := Config{LMin: 10, LMax: 30, TopK: 3, Discords: 2, Workers: 1}
+	_, discordCkpts := captureAll(t, e, x, discords)
+	sMin := len(x) - pruned.LMin + 1
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		frame  []byte
+		mutate func(p *ckptPayload)
+	}{
+		{"control: unchanged pruned frame", pruned, prunedCkpts[10], nil},
+		{"control: unchanged discords frame", discords, discordCkpts[10], nil},
+		{"retained offset negative", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.States[5].Entries[0].J = -7
+		}},
+		{"retained offset past the anchors", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.States[5].Entries[0].J = int32(sMin)
+		}},
+		{"too many retained entries", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			a := &p.Anchors.States[5]
+			for len(a.Entries) <= DefaultP {
+				a.Entries = append(a.Entries, a.Entries[0])
+			}
+		}},
+		{"anchor state missing", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.States = p.Anchors.States[:sMin-1]
+		}},
+		{"seed length past the entries' length", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.States[5].Base = int32(p.EntriesAt + 1)
+		}},
+		{"anchor never seeded", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.States[5] = anchors.State{}
+		}},
+		{"entries past the resume point", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.EntriesAt = pruned.LMin + p.NextIdx
+		}},
+		{"seeded without anchors", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors = nil
+		}},
+		{"per-length results cut short", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.PerLength = p.PerLength[:1]
+		}},
+		{"per-length result at the wrong length", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.PerLength[3].M++
+		}},
+		{"ℓmin profile short", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.MPMin.Dist = p.MPMin.Dist[:sMin-1]
+			p.MPMin.Index = p.MPMin.Index[:sMin-1]
+		}},
+		{"ℓmin profile at another length", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.MPMin.M++
+		}},
+		{"VALMAP short", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.VM.MPn, p.VM.IP, p.VM.LP = p.VM.MPn[:sMin-1], p.VM.IP[:sMin-1], p.VM.LP[:sMin-1]
+		}},
+		{"VALMAP over another range", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.VM.LMin++
+		}},
+		{"head row short of its length", discords, discordCkpts[10], func(p *ckptPayload) {
+			p.IncHead = p.IncHead[:len(p.IncHead)-1]
+		}},
+		{"head row without a length", discords, discordCkpts[10], func(p *ckptPayload) {
+			p.IncCur = 0
+		}},
+		{"head length outside the range", discords, discordCkpts[10], func(p *ckptPayload) {
+			p.IncCur = discords.LMax + 1
+		}},
+	} {
+		p, err := decodeCheckpoint(tc.frame)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.mutate != nil {
+			tc.mutate(p)
+		}
+		blob, err := encodeCheckpoint(p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, err = e.ResumeRun(context.Background(), x, tc.cfg, blob)
+		if tc.mutate == nil {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: want ErrBadCheckpoint, got %v", tc.name, err)
+		}
+	}
 }
 
 // TestCheckpointEveryCadence: CheckpointEvery k emits only at every k-th

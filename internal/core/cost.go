@@ -2,26 +2,26 @@ package core
 
 // The per-length cost model behind the planner's pruned → incremental
 // switch. The pruned advance→certify pass is cheap while the lower bound
-// certifies most anchors, but its cost grows with the hot-row cache (every
-// hot row is advanced and scanned in full at every length) and with the
-// recomputes of anchors the bound fails; the incremental diagonal
-// pass costs the same half-triangle of cells at every length. After each
-// pruned length the engine predicts both costs of the next length from
-// counts the pruned pass just produced and latches to the incremental pass
-// for the rest of the range once the pruned prediction is the larger.
+// certifies most anchors, but its cost grows with the recomputes of
+// anchors the bound fails and with the fixpoint rounds those recomputes
+// trigger; the incremental diagonal pass costs the same half-triangle of
+// cells at every length. After each pruned length the engine predicts both
+// costs of the next length from counts the pruned pass just produced and
+// latches to the incremental pass for the rest of the range once the
+// pruned prediction is the larger.
 //
-// Every input is a deterministic count (hot rows, recomputed anchors, the
-// fallback flag, the geometry), never wall time or the dispatched kernel
-// tier, so the switch length — and with it every output bit — is the same
-// at any worker count and on any machine. The constants are per-unit
-// costs in nanoseconds, fitted once by least squares to per-length wall
-// times of both passes (two workers, avx2 kernels) on the pairs-wide and
-// pairs-n20k benchmark workloads; ARCHITECTURE.md records the fit.
+// Every input is a deterministic count (recomputed anchors, fixpoint
+// rounds, the fallback flag, the geometry and rows.go's direct-row rule),
+// never wall time or the dispatched kernel tier, so the switch length —
+// and with it every output bit — is the same at any worker count and on
+// any machine. The constants are per-unit costs in nanoseconds, measured
+// on the avx2 tier and shared by every tier; BenchmarkPrunedCost is the
+// pruned side's harness and ARCHITECTURE.md records the fit.
 //
-// The latch is one-way: the hot-row count only grows within a run, and the
-// partial-profile bounds loosen with distance from their seed length, so
-// a length that predicts the pruned pass to lose is followed by lengths
-// that predict the same.
+// The latch is one-way by rule: once latched, the run never returns to the
+// pruned pass, although the counts that predicted the loss can fall again
+// (a fallback's reseed leaves the next lengths cheap); ARCHITECTURE.md
+// measures what that costs.
 
 import (
 	"math"
@@ -30,20 +30,30 @@ import (
 )
 
 const (
-	// costHotCell: one hot-row cell per length (kernels.ExtendRow plus
-	// kernels.ArgmaxCorr over a row that no longer fits in cache).
-	costHotCell = 1.26
-	// costMass: one anchor recompute per unit of n·log₂n (the packed FFT
-	// row of recomputeBatch plus its row scan and fixpoint bookkeeping).
-	// It prices the FFT row: below the direct-row cutover of rows.go a
-	// recompute costs less, so the model overprices it there and latches
-	// early rather than late. Re-pricing it would move switch lengths,
-	// and with them the plan of existing runs.
+	// costRow, costScan: one multiply-add of a recompute's direct row
+	// (kernels.DotRow, below the direct-row cutover of rows.go) and one
+	// cell of its scan (scanRow: the partial-profile refill and
+	// kernels.ArgmaxCorr). Per-length times cannot separate the two over
+	// the fit's lengths, so they take the eviction rule's fitted prices of
+	// the same kernels.
+	costRow  = costEvictRow
+	costScan = costEvictRepair
+	// costMass: one anchor recompute above the direct-row cutover, per
+	// unit of n·log₂n (the packed FFT row of recomputeBatch plus its row
+	// scan).
 	costMass = 3.09
+	// costRound: one slot of a fixpoint round — the serial top-k
+	// extraction (TopKPairsInto) over the candidate profile and the scan
+	// for anchors the new τ leaves uncertified. Set by replaying the rule
+	// over measured lengths rather than by least squares, which prices a
+	// round at about 280: a length that needs a second round heralds, on
+	// small series, the fallback seed sweep no count predicts, and the
+	// higher price switches before it (ARCHITECTURE.md).
+	costRound = 450
 	// costAdvance: one retained partial-profile entry advanced and
 	// compared, with the anchor's bound and the per-length O(s) passes
-	// (moments, candidate profile, top-k extraction) folded in.
-	costAdvance = 50.3
+	// (moments, candidate profile assembly) folded in.
+	costAdvance = 13
 	// costSeedCell: one cell of the seed sweep a fallback length pays
 	// (kernels.SeedScan: the diagonal pass plus the two list filters).
 	costSeedCell = 0.79
@@ -61,29 +71,35 @@ const (
 )
 
 // prunedCounts are the counts one pruned length leaves for the model: the
-// hot rows cached after it, the anchors it recomputed, and whether it fell
-// back to a whole seed sweep.
+// anchors it recomputed, the rounds of its recompute fixpoint, and
+// whether it fell back to a whole seed sweep.
 type prunedCounts struct {
-	hot, recomputed int
-	fellBack        bool
+	recomputed, rounds int
+	fellBack           bool
 }
 
-// prunedCost predicts the pruned pass's cost (ns) at a length with s
+// prunedCost predicts the pruned pass's cost (ns) at length l with s
 // anchors and exclusion zone excl of an n-point series, retaining p
-// entries per anchor, from the previous pruned length's counts: the hot
-// rows advanced and scanned in full, the recomputes repeated, every
-// retained entry advanced — or, when the previous length fell back, one
-// more seed sweep. The sweep visits the incremental pass's cells and does
-// more per cell and per anchor, so a fallback always predicts a switch.
-func prunedCost(n, s, excl, p int, c prunedCounts) float64 {
+// entries per anchor, from the previous pruned length's counts: the
+// recomputes repeated — a direct row and its scan each when direct
+// (rows.go's rule at l), an FFT row each otherwise — the fixpoint rounds
+// repeated, every retained entry advanced; or, when the previous length
+// fell back, one more seed sweep. The sweep visits the incremental pass's cells and
+// does more per cell and per anchor, so a fallback always predicts a
+// switch.
+func prunedCost(n, l, s, excl, p int, direct bool, c prunedCounts) float64 {
 	fs := float64(s)
 	if c.fellBack {
 		d := float64(s - excl)
 		return d*(d+1)/2*costSeedCell + fs*costSeedAnchor
 	}
 	fn := float64(n)
-	return float64(c.hot)*fs*costHotCell +
-		float64(c.recomputed)*fn*math.Log2(fn)*costMass +
+	row := fn * math.Log2(fn) * costMass
+	if direct {
+		row = fs*float64(l)*costRow + fs*costScan
+	}
+	return float64(c.recomputed)*row +
+		float64(c.rounds)*fs*costRound +
 		fs*float64(p)*costAdvance
 }
 
@@ -97,14 +113,15 @@ func incrementalCost(s, excl int) float64 {
 
 // preferIncremental reports whether length l of an n-point series is
 // predicted to cost less on the incremental pass than on the pruned pass,
-// given the previous pruned length's counts.
-func preferIncremental(n, l, p, exclFactor int, c prunedCounts) bool {
+// given the previous pruned length's counts; direct is rows.go's
+// direct-row rule at l.
+func preferIncremental(n, l, p, exclFactor int, direct bool, c prunedCounts) bool {
 	s := n - l + 1
 	excl := profile.ExclusionZone(l, exclFactor)
 	if s <= excl {
 		return false // no pair at l: both passes return at once
 	}
-	return prunedCost(n, s, excl, p, c) > incrementalCost(s, excl)
+	return prunedCost(n, l, s, excl, p, direct, c) > incrementalCost(s, excl)
 }
 
 // The capped stream's eviction rule. When a sliding window drops its

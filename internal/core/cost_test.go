@@ -8,10 +8,14 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"github.com/seriesmining/valmod/internal/gen"
+	"github.com/seriesmining/valmod/internal/profile"
 	"github.com/seriesmining/valmod/internal/stomp"
 )
 
@@ -22,21 +26,28 @@ func TestPreferIncrementalTable(t *testing.T) {
 		c    prunedCounts
 		want bool
 	}{
-		// Geometries and counts observed on the benchmark workloads.
-		{"pairs-n20k, certifying cleanly", 20000, 66, prunedCounts{}, false},
-		{"pairs-n20k tail, moderate recomputes", 20000, 81, prunedCounts{hot: 360, recomputed: 94}, false},
-		{"pairs-n20k tail, recompute burst", 20000, 80, prunedCounts{hot: 207, recomputed: 153}, true},
-		{"pairs-wide, right after the seed", 5000, 66, prunedCounts{recomputed: 4}, false},
-		{"pairs-wide, hot cache at budget", 5000, 114, prunedCounts{hot: 1699}, true},
-		{"pairs-wide, recompute burst", 5000, 74, prunedCounts{hot: 202, recomputed: 57}, true},
-		{"ecg n=5k, certifying cleanly", 5000, 70, prunedCounts{}, false},
+		// Geometries and counts observed on the benchmark workloads and
+		// the wide golden inputs (BenchmarkPrunedCost): the pruned length
+		// before l left these counts.
+		{"pairs-n20k, certifying cleanly", 20000, 66, prunedCounts{rounds: 1}, false},
+		// Priced as FFT rows this burst latched; as direct rows and their
+		// scans it costs a tenth of that.
+		{"pairs-n20k tail, recompute burst", 20000, 80, prunedCounts{recomputed: 153, rounds: 2}, false},
+		{"pairs-n20k tail, larger burst", 20000, 82, prunedCounts{recomputed: 165, rounds: 2}, false},
+		{"pairs-wide, right after the seed", 5000, 66, prunedCounts{recomputed: 4, rounds: 2}, false},
+		{"pairs-wide, moderate recomputes", 5000, 78, prunedCounts{recomputed: 65, rounds: 2}, false},
+		{"pairs-wide, recompute burst", 5000, 79, prunedCounts{recomputed: 131, rounds: 2}, true},
+		{"ecg n=2k wide, before its switch", 2000, 77, prunedCounts{recomputed: 12, rounds: 2}, false},
+		{"ecg n=2k wide, at its switch", 2000, 78, prunedCounts{recomputed: 17, rounds: 2}, true},
+		{"ecg n=5k, certifying cleanly", 5000, 70, prunedCounts{rounds: 1}, false},
 		// A fallback predicts one more seed sweep: the incremental pass's
 		// cells plus the list filters and inserts, dearer at any size.
 		{"fallback predicts a seed sweep", 5000, 90, prunedCounts{fellBack: true}, true},
 		{"fallback on a tiny series", 240, 40, prunedCounts{fellBack: true}, true},
-		{"no pair at the length", 100, 90, prunedCounts{hot: 1000, recomputed: 1000}, false},
+		{"no pair at the length", 100, 90, prunedCounts{recomputed: 1000, rounds: 50}, false},
 	} {
-		if got := preferIncremental(tc.n, tc.l, DefaultP, 4, tc.c); got != tc.want {
+		direct := newRowSource(make([]float64, tc.n), tc.l).direct(tc.l)
+		if got := preferIncremental(tc.n, tc.l, DefaultP, 4, direct, tc.c); got != tc.want {
 			t.Errorf("%s: preferIncremental(n=%d, l=%d, %+v) = %v, want %v", tc.name, tc.n, tc.l, tc.c, got, tc.want)
 		}
 	}
@@ -86,22 +97,24 @@ func TestReplayEvictionRule(t *testing.T) {
 	}
 }
 
-// TestPreferIncrementalMonotone: more hot rows or more recomputes never
-// turn a switch into a stay — the property that makes the latch one-way.
+// TestPreferIncrementalMonotone: more recomputes or more fixpoint rounds
+// never turn a switch into a stay, on either side of the direct-row
+// cutover.
 func TestPreferIncrementalMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
 		n := 200 + rng.Intn(50000)
 		l := 8 + rng.Intn(n/2)
-		c := prunedCounts{hot: rng.Intn(n), recomputed: rng.Intn(n / 4)}
-		if !preferIncremental(n, l, DefaultP, 4, c) {
+		direct := rng.Intn(2) == 0
+		c := prunedCounts{recomputed: rng.Intn(n / 4), rounds: 1 + rng.Intn(20)}
+		if !preferIncremental(n, l, DefaultP, 4, direct, c) {
 			continue
 		}
 		more := c
-		more.hot += rng.Intn(n)
 		more.recomputed += rng.Intn(n/4 + 1)
-		if !preferIncremental(n, l, DefaultP, 4, more) {
-			t.Fatalf("n=%d l=%d: switch at %+v but not at %+v", n, l, c, more)
+		more.rounds += rng.Intn(20)
+		if !preferIncremental(n, l, DefaultP, 4, direct, more) {
+			t.Fatalf("n=%d l=%d direct=%v: switch at %+v but not at %+v", n, l, direct, c, more)
 		}
 	}
 }
@@ -118,7 +131,7 @@ func switchLength(res *Result) int {
 }
 
 // astroWide is a small astro series over a range wide enough that the
-// hot-row cache and the recomputes make the pruned pass lose.
+// recomputes make the pruned pass lose.
 func astroWide(t *testing.T) ([]float64, Config) {
 	t.Helper()
 	s, err := gen.Dataset("astro", 1200, 1)
@@ -281,6 +294,12 @@ func TestCheckpointRefusesV3Digest(t *testing.T) { assertDigestRefused(t, "v3") 
 // where this engine's series.Stats gives σ = 0, so its digest is refused.
 func TestCheckpointRefusesV4Digest(t *testing.T) { assertDigestRefused(t, "v4") }
 
+// TestCheckpointRefusesV5Digest: a v5 frame carries the hot-row cache,
+// whose anchors this engine resolves by certification or a fresh row, and
+// was written under the old cost model's switch lengths, so its digest is
+// refused (gob would otherwise drop the hot rows unread).
+func TestCheckpointRefusesV5Digest(t *testing.T) { assertDigestRefused(t, "v5") }
+
 // assertDigestRefused rewrites a seeded frame's config digest to an older
 // version and checks the frame is refused with ErrBadCheckpoint, while a
 // scratch re-run stays bit-identical to the run that wrote it.
@@ -312,4 +331,223 @@ func assertDigestRefused(t *testing.T, version string) {
 		t.Fatal(err)
 	}
 	assertResultsBitIdentical(t, "scratch re-run", base, res)
+}
+
+// costSample is one length of a fit input: the counts the model reads
+// (anchors s, length ℓ, recomputes R, fixpoint rounds, fallback) from the
+// pruned pass at ℓ−1 and at ℓ, and both passes' wall times at ℓ.
+type costSample struct {
+	l, s, recomputed, rounds int
+	fellBack                 bool
+	// prev holds the counts of the pruned length before ℓ, the ones the
+	// rule reads to predict ℓ.
+	prev prunedCounts
+	// pruned and incremental are wall times (ns) of the two passes at ℓ:
+	// the median over the benchmark's iterations.
+	pruned, incremental float64
+}
+
+// costFitInput is one input of the pruned constants' fit.
+type costFitInput struct {
+	name       string
+	ds         string
+	n, seed    int
+	lmin, lmax int
+}
+
+// costFitInputs are the fit's inputs: the pairs-n20k and pairs-wide
+// geometries, plus the four wide golden inputs, where the switch lands
+// within a few lengths of the seed.
+var costFitInputs = []costFitInput{
+	{"ecg20k/1", "ecg", 20000, 1, 64, 83},
+	{"ecg20k/2", "ecg", 20000, 2, 64, 83},
+	{"astro5k", "astro", 5000, 1, 64, 263},
+	{"ecg2k", "ecg", 2000, 1, 64, 163},
+	{"astro2k", "astro", 2000, 1, 64, 163},
+	{"randomwalk2k", "randomwalk", 2000, 1, 64, 163},
+	{"seismic2k", "seismic", 2000, 1, 64, 163},
+}
+
+// BenchmarkPrunedCost is the refit harness of cost.go's pruned-side
+// constants. On every fit input, at two workers, it runs the pruned pass
+// over the whole range (pinned, so no length latches) and the incremental
+// pass over the same lengths, timing each length; under -v it logs one
+// line per length with the counts the model reads (s, ℓ, R, rounds) and
+// both times, each the median over the benchmark's iterations. It fits
+// c_row, c_scan, c_round and c_adv by least squares through the origin to
+// the pruned lengths that did not fall back — on relative error, so short
+// and long series weigh alike — and reports them (c_row_ns, c_scan_ns,
+// c_round_ns, c_adv_ns) with the fit's rms relative residual. Then it
+// replays the rule with the committed constants over the measured times
+// and logs, per input, the switch length and the solve time with the
+// rule, all pruned and all incremental; rule_ms, pruned_ms and
+// incremental_ms are their sums over the inputs. Run it on the avx2 tier,
+// as the fit was (VALMOD_KERNELS=avx2), with -benchtime 5x or more.
+func BenchmarkPrunedCost(b *testing.B) {
+	type series struct {
+		in      costFitInput
+		x       []float64
+		samples []costSample
+		times   [][2][]float64 // per length: pruned and incremental times of every iteration
+	}
+	var all []*series
+	for _, in := range costFitInputs {
+		ds, err := gen.Dataset(in.ds, in.n, int64(in.seed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		all = append(all, &series{in: in, x: ds.Values, times: make([][2][]float64, in.lmax-in.lmin+1)})
+	}
+	eng := NewEngine()
+	for it := 0; it < b.N; it++ {
+		for _, sr := range all {
+			in := sr.in
+			cfg := Config{LMin: in.lmin, LMax: in.lmax, Workers: 2, pinPruned: true}
+			cfg.Fill()
+			pr := eng.newRun(context.Background(), sr.x, cfg)
+			inc := eng.newRun(context.Background(), sr.x, cfg)
+			if _, err := pr.seedAll(in.lmin); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := inc.processLengthIncremental(in.lmin); err != nil {
+				b.Fatal(err)
+			}
+			sr.samples = sr.samples[:0]
+			var prev prunedCounts
+			for l := in.lmin + 1; l <= in.lmax; l++ {
+				start := time.Now()
+				lr, _, err := pr.processLength(l)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tp := time.Since(start)
+				start = time.Now()
+				if _, _, err := inc.processLengthIncremental(l); err != nil {
+					b.Fatal(err)
+				}
+				ti := time.Since(start)
+				k := l - in.lmin
+				sr.times[k][0] = append(sr.times[k][0], float64(tp.Nanoseconds()))
+				sr.times[k][1] = append(sr.times[k][1], float64(ti.Nanoseconds()))
+				c := prunedCounts{recomputed: lr.Stats.Recomputed, rounds: pr.rounds, fellBack: lr.Stats.FullRecompute}
+				sr.samples = append(sr.samples, costSample{
+					l: l, s: len(sr.x) - l + 1,
+					recomputed: c.recomputed, rounds: c.rounds, fellBack: c.fellBack, prev: prev,
+				})
+				prev = c
+			}
+			pr.release()
+			inc.release()
+		}
+	}
+	b.StopTimer()
+
+	// The fit: t ≈ R·s·ℓ·c_row + R·s·c_scan + rounds·s·c_round + s·P·c_adv
+	// over the pruned lengths without fallback, each row scaled by 1/t.
+	var ata [4][4]float64
+	var atb [4]float64
+	var rows [][5]float64
+	for _, sr := range all {
+		for k := range sr.samples {
+			sm := &sr.samples[k]
+			sm.pruned = medianOf(sr.times[k+1][0])
+			sm.incremental = medianOf(sr.times[k+1][1])
+			if sm.fellBack {
+				continue
+			}
+			fs, fr := float64(sm.s), float64(sm.recomputed)
+			a := [4]float64{fr * fs * float64(sm.l), fr * fs, float64(sm.rounds) * fs, fs * DefaultP}
+			rows = append(rows, [5]float64{a[0], a[1], a[2], a[3], sm.pruned})
+			for i := range a {
+				for j := range a {
+					ata[i][j] += a[i] * a[j] / (sm.pruned * sm.pruned)
+				}
+				atb[i] += a[i] / sm.pruned
+			}
+		}
+	}
+	c := solve4(ata, atb)
+	var rss float64
+	for _, r := range rows {
+		pred := r[0]*c[0] + r[1]*c[1] + r[2]*c[2] + r[3]*c[3]
+		rss += (pred/r[4] - 1) * (pred/r[4] - 1)
+	}
+	b.ReportMetric(c[0], "c_row_ns")
+	b.ReportMetric(c[1], "c_scan_ns")
+	b.ReportMetric(c[2], "c_round_ns")
+	b.ReportMetric(c[3], "c_adv_ns")
+	b.ReportMetric(math.Sqrt(rss/float64(len(rows))), "rms_rel")
+
+	var ruleAll, prunedAll, incrementalAll float64
+	for _, sr := range all {
+		in := sr.in
+		rows := newRowSource(sr.x, in.lmax)
+		sw := 0
+		var rule, pruned, incremental float64
+		for k, sm := range sr.samples {
+			if testing.Verbose() {
+				b.Logf("%s l=%d s=%d R=%d rounds=%d fallback=%v pruned_ms=%.3f incremental_ms=%.3f",
+					in.name, sm.l, sm.s, sm.recomputed, sm.rounds, sm.fellBack, sm.pruned/1e6, sm.incremental/1e6)
+			}
+			if sw == 0 && k > 0 && preferIncremental(in.n, sm.l, DefaultP, profile.DefaultExclusionFactor, rows.direct(sm.l), sm.prev) {
+				sw = sm.l
+			}
+			pruned += sm.pruned
+			incremental += sm.incremental
+			if sw == 0 {
+				rule += sm.pruned
+			} else {
+				rule += sm.incremental
+			}
+		}
+		b.Logf("%s: switch at %d, with the rule %.1f ms, all pruned %.1f ms, all incremental %.1f ms",
+			in.name, sw, rule/1e6, pruned/1e6, incremental/1e6)
+		ruleAll += rule
+		prunedAll += pruned
+		incrementalAll += incremental
+	}
+	b.ReportMetric(ruleAll/1e6, "rule_ms")
+	b.ReportMetric(prunedAll/1e6, "pruned_ms")
+	b.ReportMetric(incrementalAll/1e6, "incremental_ms")
+}
+
+// medianOf returns the median of xs (xs is reordered).
+func medianOf(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// solve4 solves the 4×4 system a·x = y by Gaussian elimination with
+// partial pivoting.
+func solve4(a [4][4]float64, y [4]float64) [4]float64 {
+	for col := 0; col < 4; col++ {
+		p := col
+		for r := col + 1; r < 4; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[p][col]) {
+				p = r
+			}
+		}
+		a[col], a[p] = a[p], a[col]
+		y[col], y[p] = y[p], y[col]
+		for r := col + 1; r < 4; r++ {
+			f := a[r][col] / a[col][col]
+			for c := col; c < 4; c++ {
+				a[r][c] -= f * a[col][c]
+			}
+			y[r] -= f * y[col]
+		}
+	}
+	var x [4]float64
+	for r := 3; r >= 0; r-- {
+		x[r] = y[r]
+		for c := r + 1; c < 4; c++ {
+			x[r] -= a[r][c] * x[c]
+		}
+		x[r] /= a[r][r]
+	}
+	return x
 }

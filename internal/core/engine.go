@@ -22,10 +22,9 @@ type Engine struct {
 	rowPool sync.Pool // stores *[]float64, capacity re-checked on Get
 
 	// rowGets/rowPuts count getRow/putRow calls. Every acquired row must
-	// be returned exactly once (hot-cache rows included, drained at run
-	// end), so after any number of completed runs the two counters are
-	// equal — the invariant TestRowPoolBalanced asserts to catch row
-	// leaks like the one recomputeBatch's retention path used to have.
+	// be returned exactly once, so after any number of completed runs the
+	// two counters are equal — the invariant TestRowPoolBalanced asserts
+	// to catch row leaks.
 	rowGets, rowPuts atomic.Int64
 }
 
@@ -94,8 +93,11 @@ type run struct {
 
 	// latched reports that the cost model switched the run from the pruned
 	// pass to the incremental pass for every remaining length (see
-	// cost.go); the pruned machinery is retired and its hot rows drained.
+	// cost.go); the pruned machinery is retired.
 	latched bool
+	// rounds counts the recompute-fixpoint rounds (top-k extractions) of
+	// the last pruned length, one of the counts the cost model reads.
+	rounds int
 
 	// seeded reports that the pruned machinery (anchor partial profiles)
 	// has been seeded by a seed sweep; entriesAt is the length the
@@ -129,7 +131,9 @@ type run struct {
 	momentsL             int
 	means, stds, invStds []float64
 	degCount             int
-	rowQT                []float64 // scratch dot-product row for run scans
+	// rowQT holds the seed sweep's head row and, with rowQT2, the rows of
+	// the serial recompute path
+	rowQT, rowQT2 []float64
 
 	// Steady-state per-length scratch, allocated (or pooled) once per run
 	// and recycled across lengths so the pruned per-length pass performs
@@ -139,8 +143,7 @@ type run struct {
 	topk    profile.TopKScratch   // TopKPairsInto working memory
 	need    []int                 // per-round recompute set
 	runs    []recSpan             // contiguous recompute runs of a batch
-	hotPend []int                 // isolated hard anchors of a batch
-	hotRows [][]float64           // per-batch recomputed rows awaiting retention
+	singles []int                 // isolated anchors of a batch
 	degs    []int                 // degenerate offsets of fixupDegenerate
 	shards  []anchors.Shard       // advance-pass shard grid
 }
@@ -323,12 +326,15 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 				r.maybeCheckpoint(cs, done, total)
 				continue
 			}
-			lr, _, err := r.processLength(l)
+			// mp is non-nil when the fixpoint fell back to a seed sweep,
+			// whose exact profile is delivered like any whole-profile
+			// pass's.
+			lr, mp, err := r.processLength(l)
 			if err != nil {
 				return r.planStats, err
 			}
 			r.planStats.PrunedLengths++
-			dispatch(LengthData{L: l, Result: lr}, done)
+			dispatch(LengthData{L: l, Result: lr, Profile: mp}, done)
 			r.maybeLatch(l, lr.Stats)
 		default: // planFull
 			var (
@@ -372,23 +378,23 @@ func (e *Engine) newRun(ctx context.Context, t []float64, cfg Config) *run {
 		cfg:     cfg,
 		sMin:    sMin,
 		workers: workers,
-		store:   anchors.NewStore(sMin, hotRowBudgetBytes),
+		store:   anchors.NewStore(sMin),
 		dists:   make([]float64, sMin),
 		indexes: make([]int, sMin),
 		maxLBs:  make([]float64, sMin),
 		cert:    make([]bool, sMin),
 		rows:    rowWorker{src: newRowSource(t, cfg.LMax)},
-		// The run-scan row buffer is pooled (sMin covers every length).
-		rowQT: e.getRow(sMin),
+		// The serial row buffers are pooled (sMin covers every length).
+		rowQT:  e.getRow(sMin),
+		rowQT2: e.getRow(sMin),
 	}
 }
 
-// release returns the run's pooled buffers: the run-scan row, every row
-// the hot cache retained — the engine's get/put balance is the row-leak
-// invariant — and the correlator, if one was built.
+// release returns the run's pooled buffers — the engine's get/put balance
+// is the row-leak invariant — and the correlator, if one was built.
 func (r *run) release() {
 	r.eng.putRow(r.rowQT)
-	r.store.DrainHotRows(r.eng.putRow)
+	r.eng.putRow(r.rowQT2)
 	r.rows.src.release()
 }
 
@@ -399,18 +405,16 @@ func (r *run) maybeLatch(l int, st LengthStats) {
 	if r.cfg.pinPruned {
 		return
 	}
-	c := prunedCounts{hot: r.store.HotCount(), recomputed: st.Recomputed, fellBack: st.FullRecompute}
-	if preferIncremental(len(r.t), l+1, r.cfg.P, r.cfg.ExclusionFactor, c) {
+	c := prunedCounts{recomputed: st.Recomputed, rounds: r.rounds, fellBack: st.FullRecompute}
+	if preferIncremental(len(r.t), l+1, r.cfg.P, r.cfg.ExclusionFactor, r.rows.src.direct(l+1), c) {
 		r.latch()
 	}
 }
 
 // latch retires the pruned machinery for the rest of the run: every
 // remaining pruned length runs the incremental pass (its first one seeds
-// the diagonal head with one head row), and the hot rows go back to the
-// pool.
+// the diagonal head with one head row).
 func (r *run) latch() {
 	r.latched = true
 	r.seeded = false
-	r.store.DrainHotRows(r.eng.putRow)
 }

@@ -11,9 +11,6 @@ import (
 	"github.com/seriesmining/valmod/internal/series"
 )
 
-// hotRowBudgetBytes bounds the memory the hot-row cache may hold.
-const hotRowBudgetBytes = 64 << 20
-
 // advanceShardRows is the minimum anchors-per-worker below which the
 // advance→certify pass stays serial (goroutine handoff would cost more
 // than the work).
@@ -93,7 +90,7 @@ func (r *run) processLength(l int) (LengthResult, *profile.MatrixProfile, error)
 	// falls at or below the current τ. Each round certifies at least one
 	// new anchor, so the loop terminates.
 	recomputed := 0
-	for {
+	for r.rounds = 1; ; r.rounds++ {
 		if err := r.ctx.Err(); err != nil {
 			return lr, nil, err
 		}
@@ -127,29 +124,26 @@ func (r *run) processLength(l int) (LengthResult, *profile.MatrixProfile, error)
 			lr.Stats.FullRecompute = true
 			return lr, mp, nil
 		}
-		r.recomputeBatch(need, l, excl, s, lmp)
+		r.recomputeBatch(need, l, excl, s)
 		recomputed += len(need)
 	}
 }
 
 // recomputeBatch resolves the anchors in need (ascending) exactly at
-// length l. Neighboring anchors fail certification together (their windows
-// overlap), so contiguous runs are recomputed with one from-scratch head
-// row + O(s) row recurrences and reseeded; isolated hard anchors get a
-// from-scratch row each (rows.go: direct, or two per FFT round trip via
-// the packed correlator) and their rows join the hot-row cache (one row
-// now, O(s) per length afterwards). The jobs — one per run, one per
-// anchor pair — are fixed by the need list alone and touch disjoint
-// anchors, so they are distributed across Workers goroutines with
-// bit-identical results; only the hot-cache retention stays serial, in
-// need order, so the cache contents are deterministic too.
-// recSpan is one contiguous recompute run [lo, lo+count).
-type recSpan struct{ lo, count int }
-
-func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProfile) {
+// length l, each from a from-scratch row that scanRow reads for the exact
+// profile value and the partial-profile refill. Neighboring anchors fail
+// certification together (their windows overlap), so contiguous runs are
+// recomputed with one from-scratch head row + O(s) row recurrences;
+// isolated anchors get a from-scratch row each (rows.go: direct, or two
+// per FFT round trip via the packed correlator). The jobs — one per run,
+// one per anchor pair — are fixed by the need list alone and touch
+// disjoint anchors, so they are distributed across Workers goroutines with
+// bit-identical results. Every row lives in its worker's two row buffers
+// (the run's own on the serial path) and dies with its job.
+func (r *run) recomputeBatch(need []int, l, excl, s int) {
 	const runReseedMin = 8
 	runs := r.runs[:0]
-	hotPend := r.hotPend[:0]
+	singles := r.singles[:0]
 	for start := 0; start < len(need); {
 		end := start + 1
 		for end < len(need) && need[end] == need[end-1]+1 {
@@ -158,84 +152,71 @@ func (r *run) recomputeBatch(need []int, l, excl, s int, lmp *profile.MatrixProf
 		if end-start >= runReseedMin {
 			runs = append(runs, recSpan{need[start], end - start})
 		} else {
-			hotPend = append(hotPend, need[start:end]...)
+			singles = append(singles, need[start:end]...)
 		}
 		for _, i := range need[start:end] {
 			r.cert[i] = true // exact now at this length
 		}
 		start = end
 	}
+	r.runs, r.singles = runs, singles
 
-	r.runs, r.hotPend = runs, hotPend
-
-	nJobs := len(runs) + (len(hotPend)+1)/2
-	if cap(r.hotRows) < len(hotPend) {
-		r.hotRows = make([][]float64, len(hotPend))
-	}
-	hotRows := r.hotRows[:len(hotPend)]
-	runJob := func(k int, rows *rowWorker, rowBuf []float64) {
-		if k < len(runs) {
-			rows.runRows(rowBuf, runs[k].lo, runs[k].count, l, func(i int, row []float64) {
-				r.scanRow(i, l, excl, s, row, lmp)
-			})
-			return
-		}
-		x := (k - len(runs)) * 2
-		if x+1 < len(hotPend) {
-			i1, i2 := hotPend[x], hotPend[x+1]
-			row1, row2 := rows.rowPair(r.eng.getRow(s), r.eng.getRow(s), i1, i2, l)
-			r.scanRow(i1, l, excl, s, row1, lmp)
-			r.scanRow(i2, l, excl, s, row2, lmp)
-			hotRows[x], hotRows[x+1] = row1, row2
-		} else {
-			i := hotPend[x]
-			row := rows.row(r.eng.getRow(s), i, l)
-			r.scanRow(i, l, excl, s, row, lmp)
-			hotRows[x] = row
-		}
-	}
-
-	workers := r.workers
-	if workers > nJobs {
-		workers = nJobs
-	}
+	nJobs := len(runs) + (len(singles)+1)/2
+	workers := min(r.workers, nJobs)
 	if workers <= 1 {
 		for k := 0; k < nJobs; k++ {
-			runJob(k, &r.rows, r.rowQT[:s])
+			r.recomputeJob(k, l, excl, s, &r.rows, r.rowQT[:s], r.rowQT2[:s])
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rows := rowWorker{src: r.rows.src, clone: true}
-				defer rows.release()
-				rowBuf := r.eng.getRow(s)
-				defer r.eng.putRow(rowBuf)
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= nJobs {
-						return
-					}
-					runJob(k, &rows, rowBuf)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows := rowWorker{src: r.rows.src, clone: true}
+			defer rows.release()
+			buf1, buf2 := r.eng.getRow(s), r.eng.getRow(s)
+			defer r.eng.putRow(buf1)
+			defer r.eng.putRow(buf2)
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= nJobs {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				r.recomputeJob(k, l, excl, s, &rows, buf1, buf2)
+			}
+		}()
 	}
+	wg.Wait()
+}
 
-	// Hot-cache retention: serial, in need order. Every recomputed row is
-	// either retained by the store (and returned to the pool when the run
-	// drains the hot cache) or returned here — no third path, so the
-	// engine's get/put balance stays exact.
-	for x, i := range hotPend {
-		if !r.store.MakeHot(i, hotRows[x], l) {
-			r.eng.putRow(hotRows[x])
-		}
-		hotRows[x] = nil // no stale row outlives the batch
+// recSpan is one contiguous recompute run [lo, lo+count).
+type recSpan struct{ lo, count int }
+
+// recomputeJob runs job k of the batch recomputeBatch laid out in r.runs
+// and r.singles: run k, or else the next pair of isolated anchors (the
+// last one alone when their count is odd), with rows in buf1 and buf2.
+func (r *run) recomputeJob(k, l, excl, s int, rows *rowWorker, buf1, buf2 []float64) {
+	lmp := &r.lmp
+	if k < len(r.runs) {
+		sp := r.runs[k]
+		rows.runRows(buf1, sp.lo, sp.count, l, func(i int, row []float64) {
+			r.scanRow(i, l, excl, s, row, lmp)
+		})
+		return
 	}
+	x := (k - len(r.runs)) * 2
+	if x+1 < len(r.singles) {
+		i1, i2 := r.singles[x], r.singles[x+1]
+		row1, row2 := rows.rowPair(buf1, buf2, i1, i2, l)
+		r.scanRow(i1, l, excl, s, row1, lmp)
+		r.scanRow(i2, l, excl, s, row2, lmp)
+		return
+	}
+	i := r.singles[x]
+	r.scanRow(i, l, excl, s, rows.row(buf1, i, l), lmp)
 }
 
 // advanceAll runs the advance→certify pass over every anchor, partitioned
@@ -253,7 +234,7 @@ func (r *run) advanceAll(l, excl, s int) {
 		r.entriesAt = l
 		return
 	}
-	// More shards than workers evens out load skew (hot anchors cluster);
+	// More shards than workers evens out load skew (failing anchors cluster);
 	// the shard grid is fixed by s alone, assignment order is irrelevant.
 	shards := r.store.ShardsInto(s, workers*4, r.shards)
 	r.shards = shards
@@ -276,12 +257,11 @@ func (r *run) advanceAll(l, excl, s int) {
 	r.entriesAt = l
 }
 
-// advanceShard advances anchors [lo, hi) to length l: hot anchors resolve
-// exactly from their cached row; the rest advance their retained entries —
-// one fused multiply-add per intervening length, so entries catch up
-// across lengths the planner resolved incrementally or skipped — and
-// compare their best exact distance against the lower bound covering
-// every unretained candidate (certification).
+// advanceShard advances anchors [lo, hi) to length l: each advances its
+// retained entries — one fused multiply-add per intervening length, so
+// entries catch up across lengths the planner resolved incrementally or
+// skipped — and compares its best exact distance against the lower bound
+// covering every unretained candidate (certification).
 func (r *run) advanceShard(lo, hi, l, excl, s int) {
 	fl := float64(l)
 	from := r.entriesAt + 1 // entries currently hold QT at length entriesAt
@@ -290,12 +270,6 @@ func (r *run) advanceShard(lo, hi, l, excl, s int) {
 		r.cert[i] = false
 		r.dists[i] = math.Inf(1)
 		r.indexes[i] = -1
-
-		// Hot anchors resolve exactly with one advance-and-scan pass.
-		if row, cur, ok := r.store.HotRow(i); ok {
-			r.advanceAndScanHot(i, l, excl, s, row, cur)
-			continue
-		}
 
 		muA, sdA := r.means[i], r.stds[i]
 		switch {
@@ -341,43 +315,4 @@ func (r *run) advanceShard(lo, hi, l, excl, s int) {
 			r.cert[i] = true
 		}
 	}
-}
-
-// advanceAndScanHot advances anchor i's cached dot-product row from length
-// cur to length l (every pending length step carried through each cell in
-// one fused kernels.ExtendRow pass) and scans it for the exact profile
-// value — certification without a from-scratch row.
-func (r *run) advanceAndScanHot(i, l, excl, s int, row []float64, cur int) {
-	fl := float64(l)
-	kernels.ExtendRow(row, r.t, i, cur, l)
-	r.store.SetHotLen(i, l)
-
-	means, stds, invs := r.means, r.stds, r.invStds
-	muA, invA := means[i], invs[i]
-	if invA == 0 {
-		best, bestJ := math.Inf(1), -1
-		for j := 0; j < s; j++ {
-			if j > i-excl && j < i+excl {
-				continue
-			}
-			d := series.DistFromDot(row[j], fl, muA, 0, means[j], stds[j])
-			if d < best {
-				best, bestJ = d, j
-			}
-		}
-		r.dists[i], r.indexes[i], r.cert[i] = best, bestJ, true
-		return
-	}
-	e1, j2 := exclSplit(i, excl, s)
-	bestCorr, bestJ := kernels.ArgmaxCorr(row, means, invs, e1, j2, s, 1/fl, muA, invA, math.Inf(-1), -1)
-	if bestJ >= 0 {
-		if bestCorr > 1 {
-			bestCorr = 1
-		} else if bestCorr < -1 {
-			bestCorr = -1
-		}
-		r.dists[i] = math.Sqrt(2 * fl * (1 - bestCorr))
-		r.indexes[i] = bestJ
-	}
-	r.cert[i] = true
 }

@@ -1,7 +1,7 @@
 package core
 
 // Tests that force each resolution path of the per-length loop — pure
-// certification, individual hot-row recompute, contiguous-run recompute,
+// certification, isolated-anchor recompute, contiguous-run recompute,
 // and full-length fallback — and verify exactness on all of them.
 
 import (
@@ -36,9 +36,10 @@ func exactAgainstReference(t *testing.T, x []float64, cfg Config) *Result {
 	return res
 }
 
-func TestHotRowPathExact(t *testing.T) {
+func TestRecomputePathsExact(t *testing.T) {
 	// RecomputeFraction=1.0 forbids the full-length fallback, so every
-	// uncertified anchor goes through the hot-row / run recompute paths.
+	// uncertified anchor goes through the isolated-anchor / run recompute
+	// paths.
 	rng := rand.New(rand.NewSource(11))
 	x := randWalk(rng, 500)
 	res := exactAgainstReference(t, x, Config{

@@ -66,56 +66,6 @@ func TestRowRuleTierIndependent(t *testing.T) {
 	}
 }
 
-// TestHotRowsEqualDirectRows: a recomputed anchor's row enters the hot
-// cache as a direct row below the cutover, and ExtendRow adds each later
-// length's terms in ascending order, so every hot row at length ℓ is
-// kernels.RefDotRow(i, ℓ) bit for bit, whatever length it entered at. The
-// rows are checked at three lengths of the range; rows enter the cache at
-// every length.
-func TestHotRowsEqualDirectRows(t *testing.T) {
-	ds, err := gen.Dataset("ecg", 3000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ds.Values
-	for _, workers := range []int{1, 2} {
-		cfg := Config{LMin: 32, LMax: 64, TopK: 5}
-		r := newTestRun(t, NewEngine(), x, cfg)
-		r.workers = workers
-		checked := 0
-		for l := cfg.LMin + 1; l <= cfg.LMax; l++ {
-			if !r.rows.src.direct(l) {
-				t.Fatalf("l=%d takes the FFT row; the case needs direct rows", l)
-			}
-			if _, _, err := r.processLength(l); err != nil {
-				t.Fatal(err)
-			}
-			if l != 40 && l != 52 && l != cfg.LMax {
-				continue
-			}
-			for i := 0; i < r.store.Len(); i++ {
-				row, cur, ok := r.store.HotRow(i)
-				if !ok {
-					continue
-				}
-				s := len(x) - cur + 1
-				want := make([]float64, s)
-				kernels.RefDotRow(want, x, i, cur, s)
-				for j := range want {
-					if math.Float64bits(row[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("workers=%d l=%d: hot row %d at length %d, cell %d: %v, direct row %v",
-							workers, l, i, cur, j, row[j], want[j])
-					}
-				}
-				checked++
-			}
-		}
-		if checked == 0 {
-			t.Fatalf("workers=%d: no anchor went hot", workers)
-		}
-	}
-}
-
 // TestPrunedAboveCutoverExact: at lengths above the cutover every
 // from-scratch row — the seed sweep's head row at ℓ = 1 500 and the
 // pruned length's recomputes (29 anchors at ℓ = 1 501 on this astro

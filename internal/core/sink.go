@@ -49,12 +49,14 @@ type LengthData struct {
 	// Result carries the exact top-k pairs and the resolution stats.
 	Result LengthResult
 	// Profile is the exact matrix profile at L. It is present whenever
-	// the engine resolved the length with a whole-profile pass: at every
-	// length planned FullProfile, and at the length that seeds the pruned
-	// machinery (the first pruned length — ℓmin on the default plan, so
-	// the first delivery always carries a profile when every sink wants
-	// every length). At lengths admitting no non-trivial pair it is nil
-	// on the FullProfile paths.
+	// the engine resolved the length with a whole-profile pass
+	// (Result.Stats.FullRecompute): at every length planned FullProfile,
+	// at the length that seeds the pruned machinery (the first pruned
+	// length — ℓmin on the default plan, so the first delivery always
+	// carries a profile when every sink wants every length), at a pruned
+	// length whose fixpoint fell back to a seed sweep, and at the pruned
+	// lengths the cost model moved to the incremental pass. At lengths
+	// admitting no non-trivial pair it is nil on the FullProfile paths.
 	Profile *profile.MatrixProfile
 }
 

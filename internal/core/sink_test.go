@@ -218,25 +218,48 @@ func TestFullProfilePlanKeepsPairsAndVALMAP(t *testing.T) {
 // pipeline and sees every length in order with the pairs the Result
 // reports; the ℓmin profile is delivered regardless of requirements.
 func TestRunSinksCustomSink(t *testing.T) {
-	x := sineMix(400)
-	var seen []LengthData
-	collect := &collectSink{out: &seen}
-	eng := NewEngine()
-	if err := eng.RunSinks(context.Background(), x, Config{LMin: 12, LMax: 24, TopK: 2}, collect); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 24-12+1 {
-		t.Fatalf("%d lengths delivered, want %d", len(seen), 24-12+1)
-	}
-	if seen[0].Profile == nil {
-		t.Fatal("ℓmin profile not delivered")
-	}
-	for i, ld := range seen {
-		if ld.L != 12+i {
-			t.Fatalf("delivery %d: length %d, want %d", i, ld.L, 12+i)
+	for _, tc := range []struct {
+		name string
+		x    []float64
+		cfg  Config
+	}{
+		{"default", sineMix(400), Config{LMin: 12, LMax: 24, TopK: 2}},
+		// Pinned to the pruned pass with a microscopic recompute budget,
+		// every length that needs a recompute falls back to a seed sweep.
+		{"fallbacks", randWalk(rand.New(rand.NewSource(12)), 400),
+			Config{LMin: 12, LMax: 24, TopK: 2, RecomputeFraction: 1e-9, pinPruned: true}},
+	} {
+		var seen []LengthData
+		collect := &collectSink{out: &seen}
+		if err := NewEngine().RunSinks(context.Background(), tc.x, tc.cfg, collect); err != nil {
+			t.Fatal(err)
 		}
-		if i > 0 && ld.Profile != nil {
-			t.Fatalf("length %d: profile delivered under a TopKPairs-only plan", ld.L)
+		if len(seen) != 24-12+1 {
+			t.Fatalf("%s: %d lengths delivered, want %d", tc.name, len(seen), 24-12+1)
+		}
+		if seen[0].Profile == nil {
+			t.Fatalf("%s: ℓmin profile not delivered", tc.name)
+		}
+		// A profile comes with exactly the lengths a whole-profile pass
+		// resolved: the seed, fixpoint fallbacks and latched lengths.
+		wholeAfterSeed := 0
+		for i, ld := range seen {
+			if ld.L != 12+i {
+				t.Fatalf("%s: delivery %d: length %d, want %d", tc.name, i, ld.L, 12+i)
+			}
+			if (ld.Profile != nil) != ld.Result.Stats.FullRecompute {
+				t.Fatalf("%s: length %d: profile present=%v with FullRecompute=%v",
+					tc.name, ld.L, ld.Profile != nil, ld.Result.Stats.FullRecompute)
+			}
+			if i > 0 && ld.Profile != nil {
+				wholeAfterSeed++
+				if ld.Profile.M != ld.L {
+					t.Fatalf("%s: length %d delivered the profile of length %d", tc.name, ld.L, ld.Profile.M)
+				}
+			}
+		}
+		if tc.cfg.pinPruned && wholeAfterSeed == 0 {
+			t.Fatalf("%s: no length after the seed fell back", tc.name)
 		}
 	}
 }

@@ -51,9 +51,9 @@ func TestRecoverResumesInterruptedDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cadence 16: a checkpoint serializes the engine's hot-row cache (tens
-	// of MB once warm), so the test keeps the job small and checkpoints
-	// sparse to stay fast while still interrupting after two real frames.
+	// Cadence 16: every checkpoint serializes and fsyncs the engine's
+	// carried state, so the test keeps checkpoints sparse to stay fast
+	// while still interrupting after two real frames.
 	sig := newCkptSignal(wal1, 2)
 	m1 := NewManager(Config{MaxConcurrent: 1, Store: sig, CheckpointEvery: 16})
 	values := testSeries(3000)
