@@ -6,8 +6,10 @@ package valmod_test
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +171,57 @@ func TestJoinProfilePublicAPI(t *testing.T) {
 	if _, err := valmod.JoinProfile(a, b[:10], m); err == nil {
 		t.Error("short b should fail")
 	}
+}
+
+// TestJoinProfileTopPairs: when b is the longer series, an AB-join
+// profile's neighbors are offsets into b past the profile's own slots.
+// TopPairs must handle them and equal a full sort of the same profile
+// under the same de-duplication.
+func TestJoinProfileTopPairs(t *testing.T) {
+	const m = 64
+	a, b := gen.ECG(600, 1).Values, gen.ECG(3000, 1).Values
+	fp, err := valmod.JoinProfile(a, b, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := len(fp.Dist)
+	if slices.Max(fp.Index) < s {
+		t.Fatalf("no neighbor at or past the %d slots: the case is not exercised", s)
+	}
+	order := make([]int, s)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(fp.Dist[x], fp.Dist[y]) })
+	zone := (m + 3) / 4 // FixedProfile's trivial-match zone, ⌈m/4⌉
+	for _, k := range []int{1, 5, s} {
+		var want []valmod.MotifPair
+		var used []int
+		for _, i := range order {
+			if len(want) == k {
+				break
+			}
+			j := fp.Index[i]
+			if j < 0 || math.IsInf(fp.Dist[i], 1) || slices.ContainsFunc(used, func(u int) bool {
+				return abs(i-u) < zone || abs(j-u) < zone
+			}) {
+				continue
+			}
+			want = append(want, valmod.MotifPair{A: min(i, j), B: max(i, j), Length: m,
+				Distance: fp.Dist[i], NormDistance: fp.Dist[i] * math.Sqrt(1/float64(m))})
+			used = append(used, i, j)
+		}
+		if got := fp.TopPairs(k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: TopPairs\n got %v\nwant %v", k, got, want)
+		}
+	}
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // TestMotifSetConsistentWithTopMotifs: expanding each top motif must

@@ -43,12 +43,12 @@ const (
 	// scan).
 	costMass = 3.09
 	// costRound: one slot of a fixpoint round — the serial top-k
-	// extraction (TopKPairsInto) over the candidate profile and the scan
-	// for anchors the new τ leaves uncertified. Set by replaying the rule
-	// over measured lengths rather than by least squares, which prices a
-	// round at about 280: a length that needs a second round heralds, on
-	// small series, the fallback seed sweep no count predicts, and the
-	// higher price switches before it (ARCHITECTURE.md).
+	// extraction (TopKPairsInto, one pass over the candidate profile) and
+	// the scan for anchors the new τ leaves uncertified. Set by replaying
+	// the rule over measured lengths rather than by least squares, which
+	// prices a round at about 100: a length that needs a second round
+	// heralds, on small series, the fallback seed sweep no count
+	// predicts, and the higher price switches before it (ARCHITECTURE.md).
 	costRound = 450
 	// costAdvance: one retained partial-profile entry advanced and
 	// compared, with the anchor's bound and the per-length O(s) passes

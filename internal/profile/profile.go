@@ -7,7 +7,7 @@ package profile
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // DefaultExclusionFactor is the denominator of the trivial-match exclusion
@@ -110,13 +110,15 @@ func (p MotifPair) String() string {
 	return fmt.Sprintf("motif{A=%d B=%d m=%d d=%.4f}", p.A, p.B, p.M, p.Dist)
 }
 
-// TopKScratch is the reusable working memory of TopKPairsInto: the
-// bounded candidate heap, the used-offset list, and the output slice.
-// A zero value is ready to use; one scratch serves any number of calls.
+// TopKScratch is the working memory of TopKPairsInto: the tournament over
+// the profile's slots, the chosen endpoints and the output slice, each
+// O(s) for a profile of s slots. A zero value is ready to use; one scratch
+// serves any number of calls, and a call allocates only where a buffer
+// must grow past every earlier call's.
 type TopKScratch struct {
-	cands []pairCand
-	used  []int
-	out   []MotifPair
+	t    tournament
+	used []int
+	out  []MotifPair
 }
 
 // TopKPairs extracts the k best non-overlapping motif pairs from the
@@ -133,141 +135,176 @@ func (mp *MatrixProfile) TopKPairs(k int) []MotifPair {
 // TopKPairsInto is TopKPairs backed by caller-owned scratch: the returned
 // slice aliases sc and is valid only until the next call with the same
 // scratch — callers that retain results must copy them out.
+//
+// The output is that of a full sort of the candidates (distance ascending,
+// offset ascending on exact ties) followed by the de-duplicating scan, in
+// one pass: a tournament over the slots yields the candidates in that
+// order, and every slot that can no longer be chosen leaves it. Chosen
+// endpoints only accumulate, so a slot within the zone of one can never be
+// chosen: each accepted pair drops both endpoints' zones, and a candidate
+// whose partner is too close drops itself. A partner that is still in the
+// tournament is never too close; any other is checked against the chosen
+// endpoints, which also covers partners outside the profile (an AB-join
+// profile's neighbors are offsets into the other series).
 func (mp *MatrixProfile) TopKPairsInto(k int, sc *TopKScratch) []MotifPair {
 	if k <= 0 {
 		return nil
 	}
-	// Partial selection instead of a full sort: VALMOD calls this once (or
-	// more, in the recompute fixpoint) per length, and sorting all s
-	// candidates was the dominant serial cost of a pruned length. The
-	// de-duplication can in principle skip many candidates (every anchor
-	// may point into one already-used valley), so selection is retried with
-	// a growing candidate pool until either k pairs are extracted or the
-	// pool provably covers every candidate — the output is identical to the
-	// full sort.
-	//
-	// Every slot holds at most one candidate and every pair consumes one,
-	// so k and the pool are bounded by the slot count before any
-	// arithmetic: a huge k neither sizes the pool nor overflows 4k, and
-	// the output equals the k = len(mp.Dist) call.
-	n := len(mp.Dist)
-	if k > n {
-		k = n
-	}
-	limit := 4*k + 16
-	for {
-		if limit > n {
-			limit = n
-		}
-		pairs, exhausted := mp.topKPairsLimited(k, limit, sc)
-		if len(pairs) >= k || exhausted {
-			return pairs
-		}
-		limit *= 4
-	}
-}
-
-type pairCand struct {
-	i int
-	d float64
-}
-
-// candLess is the extraction order: ascending distance, offset-ascending on
-// exact ties. It is a total order, so the selected prefix is unambiguous.
-func candLess(a, b pairCand) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.i < b.i
-}
-
-// topKPairsLimited extracts up to k pairs considering only the `limit`
-// best candidates under candLess. exhausted reports that every candidate
-// was considered (the pool never overflowed), making the result final.
-func (mp *MatrixProfile) topKPairsLimited(k, limit int, sc *TopKScratch) ([]MotifPair, bool) {
-	// Max-heap (root = worst kept) of the `limit` best candidates.
-	if cap(sc.cands) < limit {
-		sc.cands = make([]pairCand, 0, limit+1)
-	}
-	cands := sc.cands[:0]
-	exhausted := true
-	for i, d := range mp.Dist {
-		if mp.Index[i] < 0 || math.IsInf(d, 1) {
-			continue
-		}
-		c := pairCand{i, d}
-		if len(cands) < limit {
-			cands = append(cands, c)
-			if len(cands) == limit {
-				for j := len(cands)/2 - 1; j >= 0; j-- {
-					candSiftDown(cands, j)
-				}
-			}
-			continue
-		}
-		exhausted = false
-		if candLess(c, cands[0]) {
-			cands[0] = c
-			candSiftDown(cands, 0)
-		}
-	}
-	sc.cands = cands
-	// candLess is a strict total order (offsets are unique), so the
-	// non-stable sort has exactly one possible output.
-	slices.SortFunc(cands, func(a, b pairCand) int {
-		if candLess(a, b) {
-			return -1
-		}
-		return 1
-	})
-
-	out := sc.out[:0]
-	used := sc.used[:0]
+	t := &sc.t
+	t.build(mp, 1)
+	out, used := sc.out[:0], sc.used[:0]
 	zone := mp.Exclusion
-	tooClose := func(x int) bool {
-		for _, u := range used {
-			if abs(x-u) < zone {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range cands {
-		if len(out) >= k {
+	r := max(zone-1, 0) // a zone spans u±(zone−1); with none, only the slot goes
+	for len(out) < k {
+		i := t.node[1].i
+		if i < 0 {
 			break
 		}
-		a, b := c.i, mp.Index[c.i]
-		if a > b {
-			a, b = b, a
-		}
-		if tooClose(a) || tooClose(b) {
+		j := mp.Index[i]
+		if !t.live(j) && tooClose(j, used, zone) {
+			t.kill(i, 0)
 			continue
 		}
-		out = append(out, MotifPair{A: a, B: b, M: mp.M, Dist: c.d})
-		used = append(used, a, b)
+		out = append(out, MotifPair{A: min(i, j), B: max(i, j), M: mp.M, Dist: mp.Dist[i]})
+		used = append(used, i, j)
+		t.kill(i, r)
+		if zone > 0 {
+			t.kill(j, r)
+		}
 	}
 	sc.out, sc.used = out, used
-	return out, exhausted
+	return out
 }
 
-// candSiftDown restores the max-heap (worst candidate at the root) below i.
-func candSiftDown(cands []pairCand, i int) {
-	n := len(cands)
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && candLess(cands[worst], cands[l]) {
-			worst = l
+// tooClose reports whether x lies within zone of an accepted endpoint.
+func tooClose(x int, used []int, zone int) bool {
+	for _, u := range used {
+		if abs(x-u) < zone {
+			return true
 		}
-		if r < n && candLess(cands[worst], cands[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		cands[i], cands[worst] = cands[worst], cands[i]
-		i = worst
 	}
+	return false
+}
+
+// bucket is the number of consecutive slots under one tournament leaf.
+const bucket = 16
+
+// slotKey is a tournament entry: slot i and its rank key; i < 0 is empty.
+type slotKey struct {
+	key float64
+	i   int
+}
+
+// tournament ranks the live slots of a profile — those an extraction can
+// still choose — and keeps the first of them at its root: key ascending,
+// offset ascending on exact ties, empty last. Each leaf holds the first
+// live slot of one bucket; an inner node holds the first of its children,
+// the left one on ties, whose slots are the smaller offsets.
+type tournament struct {
+	dist []float64
+	sign float64   // key = sign·Dist: +1 ranks nearest first, −1 farthest first
+	leaf int       // node index of bucket 0's leaf, a power of two
+	mask []uint16  // bit x of mask[b]: slot b·bucket+x is live
+	node []slotKey // node[1] is the root, node[v] the first of node[2v], node[2v+1]
+}
+
+// build makes every candidate slot live — a neighbor (Index ≥ 0) at a
+// distance below +Inf — and ranks them by sign·Dist.
+func (t *tournament) build(mp *MatrixProfile, sign float64) {
+	s := len(mp.Dist)
+	nb := (s + bucket - 1) / bucket
+	leaf := 1
+	for leaf < nb {
+		leaf *= 2
+	}
+	t.dist, t.sign, t.leaf = mp.Dist, sign, leaf
+	if cap(t.mask) < nb {
+		t.mask = make([]uint16, nb)
+	}
+	if cap(t.node) < 2*leaf {
+		t.node = make([]slotKey, 2*leaf)
+	}
+	t.mask, t.node = t.mask[:nb], t.node[:2*leaf]
+	for b := range t.mask {
+		lo := b * bucket
+		ds := mp.Dist[lo:min(lo+bucket, s)]
+		ix := mp.Index[lo : lo+len(ds)]
+		var m uint16
+		bk := math.Inf(1)
+		for x, d := range ds {
+			if ix[x] < 0 || math.IsInf(d, 1) {
+				continue
+			}
+			m |= 1 << x
+			bk = min(bk, sign*d)
+		}
+		// The first live slot at the bucket's least key: a branch-free
+		// minimum, then one short scan, instead of a compare per slot.
+		bi := -1
+		for mm := m; mm != 0; mm &= mm - 1 {
+			if x := bits.TrailingZeros16(mm); sign*ds[x] == bk {
+				bi = lo + x
+				break
+			}
+		}
+		t.mask[b] = m
+		t.node[leaf+b] = slotKey{bk, bi}
+	}
+	for v := leaf + nb; v < 2*leaf; v++ {
+		t.node[v] = slotKey{math.Inf(1), -1}
+	}
+	for v := leaf - 1; v > 0; v-- {
+		t.node[v] = winner(t.node[2*v], t.node[2*v+1])
+	}
+}
+
+// live reports whether slot j ≥ 0 is a live slot of the profile.
+func (t *tournament) live(j int) bool {
+	return j < len(t.dist) && t.mask[j/bucket]>>(j%bucket)&1 != 0
+}
+
+// kill drops the slots within r of u ≥ 0, [u−r, u+r] clipped to the
+// profile, and replays the tournament above their buckets.
+func (t *tournament) kill(u, r int) {
+	s := len(t.dist)
+	if u-r >= s {
+		return
+	}
+	lo, hi := max(u-r, 0), s-1
+	if r < s-1-u {
+		hi = u + r
+	}
+	b0, b1 := lo/bucket, hi/bucket
+	for b := b0; b <= b1; b++ {
+		x0, x1 := max(lo-b*bucket, 0), min(hi-b*bucket, bucket-1)
+		t.mask[b] &^= uint16(1<<(x1+1) - 1<<x0) // bits x0..x1
+		t.node[t.leaf+b] = t.best(b)
+	}
+	for lo, hi := (t.leaf+b0)/2, (t.leaf+b1)/2; lo > 0; lo, hi = lo/2, hi/2 {
+		for v := lo; v <= hi; v++ {
+			t.node[v] = winner(t.node[2*v], t.node[2*v+1])
+		}
+	}
+}
+
+// best returns the first live slot of bucket b.
+func (t *tournament) best(b int) slotKey {
+	best := slotKey{math.Inf(1), -1}
+	for m := t.mask[b]; m != 0; m &= m - 1 {
+		i := b*bucket + bits.TrailingZeros16(m)
+		if k := t.sign * t.dist[i]; k < best.key || best.i < 0 {
+			best = slotKey{k, i}
+		}
+	}
+	return best
+}
+
+// winner returns the entry that ranks first, l on ties.
+func winner(l, r slotKey) slotKey {
+	if r.key < l.key || l.i < 0 {
+		return r
+	}
+	return l
 }
 
 // Discord holds a discord (anomaly) candidate: the subsequence whose
@@ -278,77 +315,32 @@ type Discord struct {
 }
 
 // TopKDiscords returns the k subsequences with the largest nearest-neighbor
-// distances, de-duplicated by the exclusion zone; nil for k ≤ 0. Matrix
-// profiles give discords for free (Matrix Profile I), and the suite exposes
-// them because the demo positions VALMAP as a general analysis surface.
+// distances, de-duplicated by the exclusion zone; nil for k ≤ 0 or when no
+// slot has a neighbor at a finite distance. Matrix profiles give discords
+// for free (Matrix Profile I), and the suite exposes them because the demo
+// positions VALMAP as a general analysis surface.
 //
-// The extraction order is distance descending, offset ascending on exact
-// ties — a total order, so the output is that of a full sort. The
-// candidates are heapified once and popped only until k discords survive
-// the exclusion check, instead of sorting every slot.
+// The order is distance descending, offset ascending on exact ties, and
+// the output is that of a full sort: the tournament of TopKPairsInto,
+// keyed by −Dist, ranks the slots farthest first, and each discord drops
+// its zone, so the root is always the next discord.
 func (mp *MatrixProfile) TopKDiscords(k int) []Discord {
 	if k <= 0 {
 		return nil
 	}
-	cands := make([]pairCand, 0, len(mp.Dist))
-	for i, d := range mp.Dist {
-		if mp.Index[i] >= 0 && !math.IsInf(d, 1) {
-			cands = append(cands, pairCand{i, d})
-		}
-	}
-	for j := len(cands)/2 - 1; j >= 0; j-- {
-		discordSiftDown(cands, j)
-	}
+	var t tournament
+	t.build(mp, -1)
+	r := max(mp.Exclusion-1, 0)
 	var out []Discord
-	used := make([]int, 0, min(k, len(cands))) // at most one discord per candidate
-	for len(out) < k && len(cands) > 0 {
-		c := cands[0]
-		last := len(cands) - 1
-		cands[0] = cands[last]
-		cands = cands[:last]
-		discordSiftDown(cands, 0)
-		skip := false
-		for _, u := range used {
-			if abs(c.i-u) < mp.Exclusion {
-				skip = true
-				break
-			}
+	for len(out) < k {
+		i := t.node[1].i
+		if i < 0 {
+			break
 		}
-		if skip {
-			continue
-		}
-		out = append(out, Discord{I: c.i, Dist: c.d})
-		used = append(used, c.i)
+		out = append(out, Discord{I: i, Dist: mp.Dist[i]})
+		t.kill(i, r)
 	}
 	return out
-}
-
-// discordSiftDown restores the heap below i whose root is the next discord
-// candidate: the largest distance, the smallest offset on exact ties.
-func discordSiftDown(cands []pairCand, i int) {
-	n := len(cands)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && discordBefore(cands[l], cands[best]) {
-			best = l
-		}
-		if r < n && discordBefore(cands[r], cands[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		cands[i], cands[best] = cands[best], cands[i]
-		i = best
-	}
-}
-
-func discordBefore(a, b pairCand) bool {
-	if a.d != b.d {
-		return a.d > b.d
-	}
-	return a.i < b.i
 }
 
 func abs(x int) int {

@@ -88,9 +88,14 @@ func TestTopKPairsAOrder(t *testing.T) {
 }
 
 func TestTopKPairsEmptyProfile(t *testing.T) {
-	mp := New(4, 1, 10)
-	if pairs := mp.TopKPairs(5); len(pairs) != 0 {
-		t.Errorf("expected no pairs, got %v", pairs)
+	for _, n := range []int{0, 10} {
+		mp := New(4, 1, n)
+		if pairs := mp.TopKPairs(5); pairs != nil {
+			t.Errorf("n=%d: expected nil pairs, got %#v", n, pairs)
+		}
+		if ds := mp.TopKDiscords(5); ds != nil {
+			t.Errorf("n=%d: expected nil discords, got %#v", n, ds)
+		}
 	}
 }
 
@@ -161,16 +166,21 @@ func referenceTopKDiscords(mp *MatrixProfile, k int) []Discord {
 	return out
 }
 
-// TestTopKDiscordsMatchesReference: the heap extraction must reproduce the
-// full sort exactly on profiles with exact distance ties, +Inf slots and
-// slots without a neighbor (index −1), for k from 0 to beyond the number
-// of candidates; k ≤ 0 returns nil.
+// TestTopKDiscordsMatchesReference: the tournament extraction must
+// reproduce the full sort exactly on profiles with exact distance ties,
+// +Inf slots and slots without a neighbor (index −1), with and without an
+// exclusion zone, for k from 0 to beyond the number of candidates; k ≤ 0
+// returns nil.
 func TestTopKDiscordsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := 20 + rng.Intn(400)
 		m := 8 + rng.Intn(32)
-		mp := New(m, ExclusionZone(m, 4), n)
+		zone := ExclusionZone(m, 4)
+		if trial%5 == 0 {
+			zone = 0
+		}
+		mp := New(m, zone, n)
 		for i := 0; i < n; i++ {
 			switch r := rng.Float64(); {
 			case r < 0.05:
@@ -253,21 +263,30 @@ func referenceTopKPairs(mp *MatrixProfile, k int) []MotifPair {
 	return out
 }
 
-// TestTopKPairsMatchesReference: the partial-selection implementation must
-// reproduce the full sort exactly, including the retry path where the
-// dedup skips most of the initial candidate pool (the adversarial profile
-// below points every anchor at one valley).
+// TestTopKPairsMatchesReference: the tournament extraction must reproduce
+// the full sort exactly, with exact distance ties, with the exclusion zone
+// of 0 that stomp.ComputeAB's profiles carry, and with neighbors at or
+// past the slot count, as in an AB-join profile, where the partner check
+// cannot consult the tournament.
 func TestTopKPairsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		n := 50 + rng.Intn(400)
 		m := 8 + rng.Intn(32)
-		mp := New(m, ExclusionZone(m, 4), n)
+		zone := ExclusionZone(m, 4)
+		if trial%5 == 0 {
+			zone = 0
+		}
+		partners := n
+		if trial%2 == 1 {
+			partners = 2 * n
+		}
+		mp := New(m, zone, n)
 		for i := 0; i < n; i++ {
 			if rng.Float64() < 0.05 {
 				continue // leave some slots empty
 			}
-			j := rng.Intn(n)
+			j := rng.Intn(partners)
 			if j == i {
 				j = (i + 1) % n
 			}
@@ -294,8 +313,8 @@ func TestTopKPairsMatchesReference(t *testing.T) {
 }
 
 // TestTopKPairsAdversarialDedup: every anchor's nearest neighbor is inside
-// one small region, so extraction skips almost all of the best candidates
-// and the selection must grow its pool to stay exact.
+// one small region, so extraction rejects almost all of the best
+// candidates before it reaches the two distinct pairs.
 func TestTopKPairsAdversarialDedup(t *testing.T) {
 	n, m := 600, 16
 	mp := New(m, ExclusionZone(m, 4), n)
@@ -346,7 +365,7 @@ func TestTopKHugeKBounded(t *testing.T) {
 	if got, want := mp.TopKDiscords(huge), mp.TopKDiscords(n); !slices.Equal(got, want) {
 		t.Fatalf("TopKDiscords(MaxInt) = %d discords, want the %d of k=n", len(got), len(want))
 	}
-	const limit = 1 << 20 // bytes; the n-slot working set is ~30 KiB
+	const limit = 1 << 20 // bytes; the n-slot working set is a few KiB
 	for name, f := range map[string]func(){
 		"TopKPairs":    func() { mp.TopKPairs(huge) },
 		"TopKDiscords": func() { mp.TopKDiscords(huge) },
@@ -359,4 +378,54 @@ func TestTopKHugeKBounded(t *testing.T) {
 			t.Errorf("%s(MaxInt) allocated %d bytes, want at most %d", name, b, limit)
 		}
 	}
+}
+
+// FuzzTopKExtraction checks both extractions against the full-sort
+// references on arbitrary profiles: empty slots, +Inf distances with a
+// neighbor, partners in [−1, 2s), coarse distances so that exact ties
+// straddle bucket edges, zones from 0 to past s, and k from 1 to
+// math.MaxInt. One scratch serves the profile and then a prefix of it, so
+// the second call reuses larger buffers. NaN is left out: neither
+// implementation defines an order on it.
+func FuzzTopKExtraction(f *testing.F) {
+	for _, c := range []struct{ s, zone int }{{0, 0}, {1, 1}, {15, 0}, {16, 5}, {17, 30}, {31, 8}, {33, 0}, {200, 51}} {
+		data := make([]byte, 3*c.s+7)
+		for i := range data {
+			data[i] = byte(i*i*29 + i*c.s*7 + 11)
+		}
+		f.Add(uint8(c.s), uint16(c.zone), uint8(c.s/2), uint8(c.s), data)
+	}
+	f.Fuzz(func(t *testing.T, slots uint8, zone uint16, prefix, kSel uint8, data []byte) {
+		s := int(slots) % 201
+		mp := New(16, int(zone)%(2*s+3), s)
+		for i := range s {
+			var c [3]byte // three bytes a slot, cycling through data
+			for x := range c {
+				if len(data) > 0 {
+					c[x] = data[(3*i+x)%len(data)]
+				}
+			}
+			switch {
+			case c[0] < 32:
+				continue // empty: no neighbor, +Inf
+			case c[0] < 48:
+				mp.Dist[i] = math.Inf(1)
+			default:
+				mp.Dist[i] = float64(c[0]%8) / 4
+			}
+			mp.Index[i] = (int(c[1])<<8|int(c[2]))%(2*s+1) - 1
+		}
+		ks := []int{1, 3, 10, s, math.MaxInt}
+		k := ks[int(kSel)%len(ks)]
+		var sc TopKScratch
+		p := int(prefix) % (s + 1)
+		for _, q := range []*MatrixProfile{mp, {M: mp.M, Exclusion: mp.Exclusion, Dist: mp.Dist[:p], Index: mp.Index[:p]}} {
+			if got, want := q.TopKPairsInto(k, &sc), referenceTopKPairs(q, k); !slices.Equal(got, want) {
+				t.Fatalf("s=%d zone=%d k=%d pairs:\n got %v\nwant %v", q.Len(), q.Exclusion, k, got, want)
+			}
+		}
+		if got, want := mp.TopKDiscords(k), referenceTopKDiscords(mp, k); !slices.Equal(got, want) {
+			t.Fatalf("s=%d zone=%d k=%d discords:\n got %v\nwant %v", s, mp.Exclusion, k, got, want)
+		}
+	})
 }
