@@ -31,7 +31,7 @@ func main() {
 		lmin    = flag.Int("lmin", 50, "minimum subsequence length")
 		lmax    = flag.Int("lmax", 400, "maximum subsequence length")
 		topK    = flag.Int("k", 10, "motif pairs per length")
-		p       = flag.Int("p", 10, "entries kept per partial distance profile")
+		p       = flag.Int("p", 10, "most entries kept per partial distance profile (the seed keeps min(p, 4), a recomputed anchor p; at most 256)")
 		workers = flag.Int("workers", 0, "goroutines for the data-parallel phases (0 = all cores, 1 = serial; output is identical at any setting)")
 		recomp  = flag.Float64("recompute-fraction", 0, "fraction of anchors above which a length is recomputed wholesale (0 selects the default 0.05)")
 		disc    = flag.Int("discords", 0, "also report this many exact variable-length discords (0 disables; forces the full per-length profile pass)")

@@ -11,170 +11,117 @@ package anchors
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/seriesmining/valmod/internal/kernels"
-	"github.com/seriesmining/valmod/internal/lb"
 )
 
-// State is the partial distance profile of one anchor.
-type State struct {
-	// Entries are the retained candidates, at most P, kept as a min-heap
-	// on q̃² (see lb.Heapify). A seed lays the heap out from the entries'
-	// canonical order (Store.Seed), so the layout is as deterministic as
-	// the set.
-	Entries []lb.Entry
-	// Base is the length at which Entries and their q̃ were (re)seeded.
-	Base int32
-	// NextQ2 is the q̃² of the best candidate NOT retained (the (p+1)-th
-	// largest at seed time): every unkept candidate has q̃² ≤ NextQ2, so
-	// Bound(√NextQ2) lower-bounds all of them — a strictly tighter
-	// certification threshold than bounding via the worst kept entry.
-	// Negative when every candidate was retained (nothing to bound:
-	// maxLB = +Inf).
-	NextQ2 float64
-	// Degenerate marks a constant anchor window at the seed length, for
-	// which no lower bound is available (maxLB = 0).
-	Degenerate bool
-}
-
-// Store owns the anchor states of one run.
+// Store is the partial profiles of a run's anchors in one flat layout.
+// Anchor i owns the Cap slots [i·Cap, i·Cap+Cap) of J and QT and fills
+// the first Len[i] of them, best first under the lower bound's rank
+// order (q̃² descending, offset ascending; kernels.TopLists). A list may
+// hold fewer than Cap entries: the seed sweep keeps a short list, a
+// recompute's refill a full one (internal/core's seedKeep).
 type Store struct {
-	states []State
+	// Cap is the slot count per anchor: the most entries a partial
+	// profile holds.
+	Cap int
+	// Len[i] is anchor i's entry count.
+	Len []int32
+	// Base[i] is the length at which anchor i's entries were (re)seeded.
+	Base []int32
+	// NextQ2[i] is the q̃² of the best candidate NOT retained (the key
+	// after the kept ones at seed time): every unkept candidate has
+	// q̃² ≤ NextQ2, so Bound(√NextQ2) lower-bounds all of them — a
+	// strictly tighter certification threshold than bounding via the
+	// worst kept entry. Negative when every candidate was retained
+	// (nothing to bound: maxLB = +Inf).
+	NextQ2 []float64
+	// Degenerate[i] marks a constant anchor window at the seed length,
+	// for which no lower bound is available (maxLB = 0).
+	Degenerate []bool
+	// J and QT are the slots: each entry's candidate offset and its
+	// running dot product Σ_{t<ℓcur} a_t·b_t, advanced by one product per
+	// length.
+	J  []int32
+	QT []float64
 }
 
-// NewStore returns a store for n anchors.
-func NewStore(n int) *Store {
-	return &Store{states: make([]State, n)}
-}
-
-// Len returns the number of anchors.
-func (s *Store) Len() int { return len(s.states) }
-
-// At returns anchor i's state for in-place mutation.
-func (s *Store) At(i int) *State { return &s.states[i] }
-
-// BeginReseed prepares anchor i for a fresh top-p selection at base length
-// l and returns its state: entries emptied (capacity p, or the anchor count
-// when p exceeds it — a row never has more candidates than there are
-// anchors), bound fields reset. The caller fills Entries and NextQ2 (the
-// recompute path's row scan in core does this inline for speed).
-func (s *Store) BeginReseed(i, p, l int) *State {
-	a := &s.states[i]
-	if p > len(s.states) {
-		p = len(s.states)
+// NewStore returns a store for n anchors of up to c entries each (c is
+// clipped to n: a row never has as many candidates as there are
+// anchors). The slot count n·c is checked before it is formed, so a
+// product whose bytes pass the platform's int is an error rather than a
+// wrapped allocation.
+func NewStore(n, c int) (*Store, error) {
+	c = min(c, n)
+	if c < 0 || c > 0 && n > math.MaxInt/8/c {
+		return nil, fmt.Errorf("%d anchors of %d entries overflow the slot count", n, c)
 	}
-	if cap(a.Entries) < p {
-		a.Entries = make([]lb.Entry, 0, p)
-	}
-	a.Entries = a.Entries[:0]
-	a.Base = int32(l)
-	a.Degenerate = false
-	a.NextQ2 = -1
-	return a
+	return &Store{
+		Cap:        c,
+		Len:        make([]int32, n),
+		Base:       make([]int32, n),
+		NextQ2:     make([]float64, n),
+		Degenerate: make([]bool, n),
+		J:          make([]int32, n*c),
+		QT:         make([]float64, n*c),
+	}, nil
 }
 
-// Seed installs anchor i's partial profile at base length l from the
-// candidate lists of a seed sweep (kernels.SeedScan), one per sweep
-// worker, each keeping up to p+1 entries of disjoint candidates. The
-// canonical merge folds every list into the first under the strict order
-// (q̃² descending, offset ascending), keeps the first p entries, sets
-// NextQ2 to the (p+1)-th key (−1 when there is none) and heapifies the
-// kept entries from that sorted order. All three are functions of the
-// candidate set alone, so they are identical at every worker count. A
-// degenerate anchor keeps no entries.
-func (s *Store) Seed(i, p, l int, lists []*kernels.TopLists, degenerate bool) {
-	a := s.BeginReseed(i, p, l)
+// Anchors returns the number of anchors.
+func (s *Store) Anchors() int { return len(s.Len) }
+
+// Kept returns the entry count of the first n anchors: the entries the
+// advance pass moves at a length with n anchors.
+func (s *Store) Kept(n int) int {
+	kept := 0
+	for _, c := range s.Len[:min(n, len(s.Len))] {
+		kept += int(c)
+	}
+	return kept
+}
+
+// Set installs anchor i's partial profile at base length l from anchor
+// a's list in top: its first keep entries (keep ≤ Cap), and NextQ2 from
+// the key after them (−1 when the list holds no more). A degenerate
+// anchor keeps no entries.
+func (s *Store) Set(i, l, keep int, top *kernels.TopLists, a int, degenerate bool) {
+	s.Base[i] = int32(l)
+	s.Degenerate[i] = degenerate
+	s.NextQ2[i] = -1
 	if degenerate {
-		a.Degenerate = true
+		s.Len[i] = 0
 		return
 	}
-	top := lists[0]
-	for _, o := range lists[1:] {
-		top.Merge(o, i)
+	n := int(top.Len[a])
+	src := a * top.Cap
+	if n > keep {
+		q := top.Q[src+keep]
+		s.NextQ2[i] = q * q
+		n = keep
 	}
-	base, n := i*top.Cap, int(top.Len[i])
-	for x := base; x < base+n && x < base+p; x++ {
-		a.Entries = append(a.Entries, lb.Entry{J: top.J[x], QT: top.QT[x], QTilde: top.Q[x]})
-	}
-	if n > p {
-		q := top.Q[base+p]
-		a.NextQ2 = q * q
-	}
-	lb.Heapify(a.Entries)
+	dst := i * s.Cap
+	copy(s.J[dst:dst+n], top.J[src:src+n])
+	copy(s.QT[dst:dst+n], top.QT[src:src+n])
+	s.Len[i] = int32(n)
 }
 
 // Shard is a contiguous anchor range [Lo, Hi).
 type Shard struct{ Lo, Hi int }
 
-// Shards partitions the first n anchors (n ≤ Len) into count near-equal
-// contiguous ranges. The boundaries depend only on n and count — never on
-// which worker processes which shard — so any schedule over the shards
-// computes identical results.
+// Shards partitions the first n anchors (n ≤ Anchors) into count
+// near-equal contiguous ranges. The boundaries depend only on n and
+// count — never on which worker processes which shard — so any schedule
+// over the shards computes identical results.
 func (s *Store) Shards(n, count int) []Shard {
 	return s.ShardsInto(n, count, nil)
-}
-
-// Snapshot is the serializable image of a Store: the per-anchor partial
-// profiles. It is the anchors section of an engine checkpoint.
-type Snapshot struct {
-	States []State
-}
-
-// Snapshot captures the store's current state. The returned snapshot
-// aliases the live slices (states, entries) — it is a view for immediate
-// serialization between per-length passes, not a defensive copy.
-func (s *Store) Snapshot() *Snapshot {
-	return &Snapshot{States: s.states}
-}
-
-// Validate checks that a decoded snapshot fits a store of n anchors
-// retaining at most p entries each (n, when p exceeds it — BeginReseed's
-// cap), seeded at lengths in [lmin, cur]: one state per anchor, every
-// retained offset in [0, n), every Base in range. A snapshot that fails
-// would index out of the run's arrays, or bound from a length the run has
-// not reached, on resume.
-func (sn *Snapshot) Validate(n, p, lmin, cur int) error {
-	if len(sn.States) != n {
-		return fmt.Errorf("%d anchor states, want %d", len(sn.States), n)
-	}
-	if p > n {
-		p = n
-	}
-	for i := range sn.States {
-		a := &sn.States[i]
-		if len(a.Entries) > p {
-			return fmt.Errorf("anchor %d retains %d entries, at most %d", i, len(a.Entries), p)
-		}
-		if int(a.Base) < lmin || int(a.Base) > cur {
-			return fmt.Errorf("anchor %d seeded at length %d, outside [%d, %d]", i, a.Base, lmin, cur)
-		}
-		for _, e := range a.Entries {
-			if e.J < 0 || int(e.J) >= n {
-				return fmt.Errorf("anchor %d retains offset %d, outside [0, %d)", i, e.J, n)
-			}
-		}
-	}
-	return nil
-}
-
-// Restore loads a snapshot into the store, which must have been built for
-// the same anchor count (see Validate).
-func (s *Store) Restore(sn *Snapshot) {
-	copy(s.states, sn.States)
 }
 
 // ShardsInto is Shards appending into buf (reused across lengths by the
 // advance pass so the steady state allocates nothing).
 func (s *Store) ShardsInto(n, count int, buf []Shard) []Shard {
-	if n > len(s.states) {
-		n = len(s.states)
-	}
-	if count > n {
-		count = n
-	}
-	if count < 1 {
-		count = 1
-	}
+	n = min(n, s.Anchors())
+	count = max(min(count, n), 1)
 	out := buf[:0]
 	for w := 0; w < count; w++ {
 		lo, hi := w*n/count, (w+1)*n/count
@@ -183,4 +130,87 @@ func (s *Store) ShardsInto(n, count int, buf []Shard) []Shard {
 		}
 	}
 	return out
+}
+
+// Snapshot is the serializable image of a Store, the anchors section of
+// an engine checkpoint: the per-anchor arrays, and J and QT holding each
+// anchor's Len entries back to back (the unused slots are left out).
+type Snapshot struct {
+	Cap        int
+	Len, Base  []int32
+	NextQ2     []float64
+	Degenerate []bool
+	J          []int32
+	QT         []float64
+}
+
+// Snapshot captures the store's current state. The per-anchor arrays
+// alias the live ones — it is a view for immediate serialization between
+// per-length passes, not a defensive copy.
+func (s *Store) Snapshot() *Snapshot {
+	kept := s.Kept(len(s.Len))
+	sn := &Snapshot{
+		Cap: s.Cap, Len: s.Len, Base: s.Base, NextQ2: s.NextQ2, Degenerate: s.Degenerate,
+		J: make([]int32, 0, kept), QT: make([]float64, 0, kept),
+	}
+	for i, c := range s.Len {
+		lo := i * s.Cap
+		sn.J = append(sn.J, s.J[lo:lo+int(c)]...)
+		sn.QT = append(sn.QT, s.QT[lo:lo+int(c)]...)
+	}
+	return sn
+}
+
+// Validate checks that a decoded snapshot fits a store of n anchors
+// retaining at most p entries each (n, when p exceeds it), seeded at
+// lengths in [lmin, cur]: every per-anchor array n long, every Len within
+// the slots and none on a degenerate anchor, J and QT as long as the
+// entries, every offset in [0, n) and every Base in range. A snapshot
+// that fails would index out of the run's arrays, or bound from a length
+// the run has not reached, on resume.
+func (sn *Snapshot) Validate(n, p, lmin, cur int) error {
+	if sn.Cap != min(p, n) {
+		return fmt.Errorf("%d slots per anchor, want %d", sn.Cap, min(p, n))
+	}
+	if len(sn.Len) != n || len(sn.Base) != n || len(sn.NextQ2) != n || len(sn.Degenerate) != n {
+		return fmt.Errorf("anchor arrays of %d, %d, %d and %d, want %d",
+			len(sn.Len), len(sn.Base), len(sn.NextQ2), len(sn.Degenerate), n)
+	}
+	kept := 0
+	for i, c := range sn.Len {
+		if c < 0 || int(c) > sn.Cap || sn.Degenerate[i] && c != 0 {
+			return fmt.Errorf("anchor %d retains %d entries, at most %d (degenerate %v)", i, c, sn.Cap, sn.Degenerate[i])
+		}
+		if b := int(sn.Base[i]); b < lmin || b > cur {
+			return fmt.Errorf("anchor %d seeded at length %d, outside [%d, %d]", i, b, lmin, cur)
+		}
+		kept += int(c)
+	}
+	if len(sn.J) != kept || len(sn.QT) != kept {
+		return fmt.Errorf("%d offsets and %d dot products for %d entries", len(sn.J), len(sn.QT), kept)
+	}
+	for x, j := range sn.J {
+		if j < 0 || int(j) >= n {
+			return fmt.Errorf("entry %d retains offset %d, outside [0, %d)", x, j, n)
+		}
+	}
+	return nil
+}
+
+// Restore rebuilds a store from a snapshot validated for its anchor
+// count and P (see Validate).
+func Restore(sn *Snapshot) *Store {
+	n := len(sn.Len)
+	s := &Store{
+		Cap: sn.Cap, Len: sn.Len, Base: sn.Base, NextQ2: sn.NextQ2, Degenerate: sn.Degenerate,
+		J: make([]int32, n*sn.Cap), QT: make([]float64, n*sn.Cap),
+	}
+	x := 0
+	for i, c := range sn.Len {
+		lo, m := i*s.Cap, int(c)
+		copy(s.J[lo:lo+m], sn.J[x:x+m])
+		copy(s.QT[lo:lo+m], sn.QT[x:x+m])
+		x += m
+	}
+	return s
 }

@@ -59,7 +59,9 @@ const (
 
 // ckptPayload is the gob image of a run at a length-pass boundary. Slices
 // alias live engine state at capture time — encoding happens synchronously
-// before the engine mutates anything, so no defensive copies are taken.
+// before the engine mutates anything, so no defensive copies are taken
+// (the anchors' entries are packed back to back into fresh arrays, which
+// leaves the unused slots out of the frame).
 type ckptPayload struct {
 	// Identity pins: the checkpoint resumes only against the same series
 	// (length and content hash) and the same result-affecting config.
@@ -108,9 +110,11 @@ type ckptPayload struct {
 // retires the hot-row cache and re-prices the cost model: anchors a v5
 // frame kept hot now resolve by certification or a fresh row, and switch
 // lengths move, so a v5 frame (whose hot rows gob would drop unread) does
-// not resume byte-identically.
+// not resume byte-identically. v7 keeps seedKeep entries per seeded
+// partial profile and P per refilled one, in flat arrays: a v6 frame's
+// P-entry seed lists would certify differently from a fresh run's.
 func cfgDigest(c Config) string {
-	return "v6 " + cfgFields(c)
+	return "v7 " + cfgFields(c)
 }
 
 // cfgFields renders the result-affecting configuration fields. Workers and
@@ -293,7 +297,7 @@ func (r *run) restore(p *ckptPayload) int {
 	r.entriesAt = p.EntriesAt
 	r.inc = incState{head: p.IncHead, cur: p.IncCur}
 	if p.Anchors != nil {
-		r.store.Restore(p.Anchors)
+		r.store = anchors.Restore(p.Anchors)
 	}
 	return p.NextIdx
 }

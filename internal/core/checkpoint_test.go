@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
-
-	"github.com/seriesmining/valmod/internal/core/anchors"
 )
 
 // captureAll runs cfg over x collecting every emitted checkpoint blob
@@ -176,25 +176,56 @@ func TestCheckpointRefusesMalformedSections(t *testing.T) {
 		{"control: unchanged pruned frame", pruned, prunedCkpts[10], nil},
 		{"control: unchanged discords frame", discords, discordCkpts[10], nil},
 		{"retained offset negative", pruned, prunedCkpts[10], func(p *ckptPayload) {
-			p.Anchors.States[5].Entries[0].J = -7
+			p.Anchors.J[5] = -7
 		}},
 		{"retained offset past the anchors", pruned, prunedCkpts[10], func(p *ckptPayload) {
-			p.Anchors.States[5].Entries[0].J = int32(sMin)
+			p.Anchors.J[5] = int32(sMin)
 		}},
-		{"too many retained entries", pruned, prunedCkpts[10], func(p *ckptPayload) {
-			a := &p.Anchors.States[5]
-			for len(a.Entries) <= DefaultP {
-				a.Entries = append(a.Entries, a.Entries[0])
+		{"entry count above P", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			a := p.Anchors
+			for a.Len[5] <= DefaultP {
+				a.Len[5]++
+				a.J, a.QT = append(a.J, a.J[0]), append(a.QT, a.QT[0])
 			}
 		}},
-		{"anchor state missing", pruned, prunedCkpts[10], func(p *ckptPayload) {
-			p.Anchors.States = p.Anchors.States[:sMin-1]
+		{"entry count negative", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.Len[5] = -1
+		}},
+		{"slots per anchor other than P", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.Cap = DefaultP + 1
+		}},
+		{"entries on a degenerate anchor", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			a := p.Anchors
+			for i := range a.Len {
+				if a.Len[i] > 0 {
+					a.Degenerate[i] = true
+					return
+				}
+			}
+		}},
+		{"base array short", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.Base = p.Anchors.Base[:sMin-1]
+		}},
+		{"entry counts short", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.Len = p.Anchors.Len[:sMin-1]
+		}},
+		{"bound keys short", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.NextQ2 = p.Anchors.NextQ2[:sMin-1]
+		}},
+		{"degenerate flags long", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.Degenerate = append(p.Anchors.Degenerate, false)
+		}},
+		{"offsets short of the entry counts", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.J = p.Anchors.J[:len(p.Anchors.J)-1]
+		}},
+		{"dot products past the entry counts", pruned, prunedCkpts[10], func(p *ckptPayload) {
+			p.Anchors.QT = append(p.Anchors.QT, 1)
 		}},
 		{"seed length past the entries' length", pruned, prunedCkpts[10], func(p *ckptPayload) {
-			p.Anchors.States[5].Base = int32(p.EntriesAt + 1)
+			p.Anchors.Base[5] = int32(p.EntriesAt + 1)
 		}},
 		{"anchor never seeded", pruned, prunedCkpts[10], func(p *ckptPayload) {
-			p.Anchors.States[5] = anchors.State{}
+			p.Anchors.Base[5] = 0
 		}},
 		{"entries past the resume point", pruned, prunedCkpts[10], func(p *ckptPayload) {
 			p.EntriesAt = pruned.LMin + p.NextIdx
@@ -298,4 +329,47 @@ func TestCheckpointRequiresBuiltinSinks(t *testing.T) {
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("want ErrBadConfig, got %v", err)
 	}
+}
+
+// FuzzCheckpointDecode feeds mutated VALCKPT1 payloads to ResumeRun. The
+// seed corpus is the gob payload of a real frame taken mid-run by a small
+// pruned run; each input is re-framed with a correct header and SHA-256,
+// so it reaches the gob decoder and the section checks instead of being
+// turned away by the hash. Every input must resume to a finished run or
+// fail with ErrBadCheckpoint, never panic.
+func FuzzCheckpointDecode(f *testing.F) {
+	x := randWalk(rand.New(rand.NewSource(21)), 160)
+	cfg := Config{LMin: 8, LMax: 16, TopK: 3, Workers: 1, pinPruned: true}
+	e := NewEngine()
+	var frames [][]byte
+	cfg.OnCheckpoint = func(b []byte) error {
+		frames = append(frames, append([]byte(nil), b...))
+		return nil
+	}
+	if _, err := e.Run(context.Background(), x, cfg); err != nil {
+		f.Fatal(err)
+	}
+	cfg.OnCheckpoint = nil
+	payload := frames[len(frames)/2][ckptHeaderLen:]
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		blob := make([]byte, ckptHeaderLen+len(payload))
+		copy(blob, ckptMagic)
+		binary.BigEndian.PutUint32(blob[8:], ckptVersion)
+		binary.BigEndian.PutUint64(blob[12:], uint64(len(payload)))
+		sum := sha256.Sum256(payload)
+		copy(blob[20:], sum[:])
+		copy(blob[ckptHeaderLen:], payload)
+		res, err := e.ResumeRun(context.Background(), x, cfg, blob)
+		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("want ErrBadCheckpoint or a finished run, got %v", err)
+			}
+			return
+		}
+		if n := len(res.PerLength); n != cfg.LMax-cfg.LMin+1 {
+			t.Fatalf("finished run holds %d lengths", n)
+		}
+	})
 }

@@ -6,11 +6,13 @@
 // The algorithm follows the demo paper §2 exactly:
 //
 //  1. Compute the matrix profile at ℓmin and, for every anchor, retain the
-//     p entries with the smallest lower-bounding distance (internal/lb;
-//     rank preservation makes this the p largest q̃²) — the "partial
-//     distance profiles". One sweep over the diagonals does both: each
-//     pair is visited once, its dot product updates both endpoints'
-//     profile values and is offered to both endpoints' candidate lists.
+//     entries with the smallest lower-bounding distance (internal/lb;
+//     rank preservation makes this the largest q̃²) — the "partial
+//     distance profiles", min(p, 4) entries each at the seed and p for an
+//     anchor refilled by a recompute. One sweep over the diagonals does
+//     both: each pair is visited once, its dot product updates both
+//     endpoints' profile values and is offered to both endpoints'
+//     candidate lists.
 //  2. For each longer length, advance each retained entry's dot product in
 //     O(1), recompute its exact distance, and compare the anchor's best
 //     exact distance (minDist) against the bound covering every
@@ -55,6 +57,11 @@ import (
 const (
 	DefaultTopK = 10
 	DefaultP    = 10
+	// MaxP bounds Config.P. The partial-profile store is allocated at
+	// the first seed with s·min(P, s) slots, so an unbounded P would ask
+	// for s² of them; 256 is well above every measured optimum (at most
+	// 40) and every P the repository runs (at most 50).
+	MaxP = 256
 	// DefaultRecomputeFraction: one anchor recompute costs a
 	// dot-product row and its scan — s·ℓ multiply-adds below the FFT
 	// cutover of rows.go, Θ(n log n) above it — and a full seed sweep
@@ -75,9 +82,11 @@ type Config struct {
 	LMin, LMax int
 	// TopK is the number of motif pairs reported per length (default 10).
 	TopK int
-	// P is the number of entries retained per partial distance profile
-	// (default 10). Larger P certifies more anchors per length at the cost
-	// of memory and per-length work.
+	// P is the most entries a partial distance profile retains (default
+	// 10, at most MaxP). The seed sweep keeps min(P, seedKeep) entries
+	// per anchor, seedKeep = 4, and an anchor recomputed after failing
+	// certification keeps P. Larger P certifies more recomputed anchors
+	// at the cost of memory and per-length work.
 	P int
 	// ExclusionFactor sets the trivial-match zone ⌈ℓ/factor⌉ (default 4).
 	ExclusionFactor int
@@ -182,6 +191,9 @@ func ValidateRange(n, lmin, lmax int) error {
 func (c Config) validate(n int) error {
 	if err := ValidateRange(n, c.LMin, c.LMax); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	if c.P > MaxP {
+		return fmt.Errorf("%w: p=%d: must be at most %d", ErrBadConfig, c.P, MaxP)
 	}
 	return nil
 }

@@ -52,7 +52,8 @@ const (
 	costRound = 450
 	// costAdvance: one retained partial-profile entry advanced and
 	// compared, with the anchor's bound and the per-length O(s) passes
-	// (moments, candidate profile assembly) folded in.
+	// (moments, candidate profile assembly) folded in. It prices the
+	// entries the store actually holds (anchors.Store.Kept).
 	costAdvance = 13
 	// costSeedCell: one cell of the seed sweep a fallback length pays
 	// (kernels.SeedScan: the diagonal pass plus the two list filters).
@@ -79,15 +80,16 @@ type prunedCounts struct {
 }
 
 // prunedCost predicts the pruned pass's cost (ns) at length l with s
-// anchors and exclusion zone excl of an n-point series, retaining p
-// entries per anchor, from the previous pruned length's counts: the
-// recomputes repeated — a direct row and its scan each when direct
-// (rows.go's rule at l), an FFT row each otherwise — the fixpoint rounds
-// repeated, every retained entry advanced; or, when the previous length
-// fell back, one more seed sweep. The sweep visits the incremental pass's cells and
-// does more per cell and per anchor, so a fallback always predicts a
-// switch.
-func prunedCost(n, l, s, excl, p int, direct bool, c prunedCounts) float64 {
+// anchors and exclusion zone excl of an n-point series, whose partial
+// profiles retain kept entries in all, from the previous pruned length's
+// counts: the recomputes repeated — a direct row and its scan each when
+// direct (rows.go's rule at l), an FFT row each otherwise — the fixpoint
+// rounds repeated, every retained entry advanced; or, when the previous
+// length fell back, one more seed sweep. The sweep visits the incremental
+// pass's cells and does more per cell and per anchor, so a fallback
+// always predicts a switch. kept is a count of the store (seed lists are
+// shorter than refilled ones), the same at every worker count.
+func prunedCost(n, l, s, excl, kept int, direct bool, c prunedCounts) float64 {
 	fs := float64(s)
 	if c.fellBack {
 		d := float64(s - excl)
@@ -100,7 +102,7 @@ func prunedCost(n, l, s, excl, p int, direct bool, c prunedCounts) float64 {
 	}
 	return float64(c.recomputed)*row +
 		float64(c.rounds)*fs*costRound +
-		fs*float64(p)*costAdvance
+		float64(kept)*costAdvance
 }
 
 // incrementalCost predicts the incremental pass's cost (ns) at a length
@@ -113,15 +115,16 @@ func incrementalCost(s, excl int) float64 {
 
 // preferIncremental reports whether length l of an n-point series is
 // predicted to cost less on the incremental pass than on the pruned pass,
-// given the previous pruned length's counts; direct is rows.go's
-// direct-row rule at l.
-func preferIncremental(n, l, p, exclFactor int, direct bool, c prunedCounts) bool {
+// given the previous pruned length's counts and the entries the partial
+// profiles of l's anchors retain; direct is rows.go's direct-row rule at
+// l.
+func preferIncremental(n, l, kept, exclFactor int, direct bool, c prunedCounts) bool {
 	s := n - l + 1
 	excl := profile.ExclusionZone(l, exclFactor)
 	if s <= excl {
 		return false // no pair at l: both passes return at once
 	}
-	return prunedCost(n, l, s, excl, p, direct, c) > incrementalCost(s, excl)
+	return prunedCost(n, l, s, excl, kept, direct, c) > incrementalCost(s, excl)
 }
 
 // The capped stream's eviction rule. When a sliding window drops its

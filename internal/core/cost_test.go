@@ -19,36 +19,48 @@ import (
 	"github.com/seriesmining/valmod/internal/stomp"
 )
 
+// TestPreferIncrementalTable: the switch decision on the counts of real
+// lengths, each priced with s·DefaultP retained entries unless the row
+// gives another count per anchor.
 func TestPreferIncrementalTable(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		n, l int
-		c    prunedCounts
-		want bool
+		name      string
+		n, l      int
+		perAnchor int
+		c         prunedCounts
+		want      bool
 	}{
 		// Geometries and counts observed on the benchmark workloads and
 		// the wide golden inputs (BenchmarkPrunedCost): the pruned length
 		// before l left these counts.
-		{"pairs-n20k, certifying cleanly", 20000, 66, prunedCounts{rounds: 1}, false},
+		{"pairs-n20k, certifying cleanly", 20000, 66, 0, prunedCounts{rounds: 1}, false},
 		// Priced as FFT rows this burst latched; as direct rows and their
 		// scans it costs a tenth of that.
-		{"pairs-n20k tail, recompute burst", 20000, 80, prunedCounts{recomputed: 153, rounds: 2}, false},
-		{"pairs-n20k tail, larger burst", 20000, 82, prunedCounts{recomputed: 165, rounds: 2}, false},
-		{"pairs-wide, right after the seed", 5000, 66, prunedCounts{recomputed: 4, rounds: 2}, false},
-		{"pairs-wide, moderate recomputes", 5000, 78, prunedCounts{recomputed: 65, rounds: 2}, false},
-		{"pairs-wide, recompute burst", 5000, 79, prunedCounts{recomputed: 131, rounds: 2}, true},
-		{"ecg n=2k wide, before its switch", 2000, 77, prunedCounts{recomputed: 12, rounds: 2}, false},
-		{"ecg n=2k wide, at its switch", 2000, 78, prunedCounts{recomputed: 17, rounds: 2}, true},
-		{"ecg n=5k, certifying cleanly", 5000, 70, prunedCounts{rounds: 1}, false},
+		{"pairs-n20k tail, recompute burst", 20000, 80, 0, prunedCounts{recomputed: 153, rounds: 2}, false},
+		{"pairs-n20k tail, larger burst", 20000, 82, 0, prunedCounts{recomputed: 165, rounds: 2}, false},
+		{"pairs-wide, right after the seed", 5000, 66, 0, prunedCounts{recomputed: 4, rounds: 2}, false},
+		{"pairs-wide, moderate recomputes", 5000, 78, 0, prunedCounts{recomputed: 65, rounds: 2}, false},
+		{"pairs-wide, recompute burst", 5000, 79, 0, prunedCounts{recomputed: 131, rounds: 2}, true},
+		{"ecg n=2k wide, before its switch", 2000, 77, 0, prunedCounts{recomputed: 12, rounds: 2}, false},
+		{"ecg n=2k wide, at its switch", 2000, 78, 0, prunedCounts{recomputed: 17, rounds: 2}, true},
+		// The same counts with only the seed sweep's short lists: the
+		// advance term is 2.5 times smaller and the pass stays pruned.
+		{"ecg n=2k wide, seed lists only", 2000, 78, seedKeep, prunedCounts{recomputed: 17, rounds: 2}, false},
+		{"ecg n=5k, certifying cleanly", 5000, 70, 0, prunedCounts{rounds: 1}, false},
 		// A fallback predicts one more seed sweep: the incremental pass's
 		// cells plus the list filters and inserts, dearer at any size.
-		{"fallback predicts a seed sweep", 5000, 90, prunedCounts{fellBack: true}, true},
-		{"fallback on a tiny series", 240, 40, prunedCounts{fellBack: true}, true},
-		{"no pair at the length", 100, 90, prunedCounts{recomputed: 1000, rounds: 50}, false},
+		{"fallback predicts a seed sweep", 5000, 90, 0, prunedCounts{fellBack: true}, true},
+		{"fallback on a tiny series", 240, 40, 0, prunedCounts{fellBack: true}, true},
+		{"no pair at the length", 100, 90, 0, prunedCounts{recomputed: 1000, rounds: 50}, false},
 	} {
 		direct := newRowSource(make([]float64, tc.n), tc.l).direct(tc.l)
-		if got := preferIncremental(tc.n, tc.l, DefaultP, 4, direct, tc.c); got != tc.want {
-			t.Errorf("%s: preferIncremental(n=%d, l=%d, %+v) = %v, want %v", tc.name, tc.n, tc.l, tc.c, got, tc.want)
+		perAnchor := tc.perAnchor
+		if perAnchor == 0 {
+			perAnchor = DefaultP
+		}
+		kept := (tc.n - tc.l + 1) * perAnchor
+		if got := preferIncremental(tc.n, tc.l, kept, 4, direct, tc.c); got != tc.want {
+			t.Errorf("%s: preferIncremental(n=%d, l=%d, kept=%d, %+v) = %v, want %v", tc.name, tc.n, tc.l, kept, tc.c, got, tc.want)
 		}
 	}
 }
@@ -97,24 +109,27 @@ func TestReplayEvictionRule(t *testing.T) {
 	}
 }
 
-// TestPreferIncrementalMonotone: more recomputes or more fixpoint rounds
-// never turn a switch into a stay, on either side of the direct-row
-// cutover.
+// TestPreferIncrementalMonotone: more recomputes, more fixpoint rounds or
+// more retained entries never turn a switch into a stay, on either side
+// of the direct-row cutover.
 func TestPreferIncrementalMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
 		n := 200 + rng.Intn(50000)
 		l := 8 + rng.Intn(n/2)
+		s := n - l + 1
 		direct := rng.Intn(2) == 0
 		c := prunedCounts{recomputed: rng.Intn(n / 4), rounds: 1 + rng.Intn(20)}
-		if !preferIncremental(n, l, DefaultP, 4, direct, c) {
+		kept := rng.Intn(s*DefaultP + 1)
+		if !preferIncremental(n, l, kept, 4, direct, c) {
 			continue
 		}
 		more := c
 		more.recomputed += rng.Intn(n/4 + 1)
 		more.rounds += rng.Intn(20)
-		if !preferIncremental(n, l, DefaultP, 4, direct, more) {
-			t.Fatalf("n=%d l=%d direct=%v: switch at %+v but not at %+v", n, l, direct, c, more)
+		moreKept := kept + rng.Intn(s*DefaultP+1)
+		if !preferIncremental(n, l, moreKept, 4, direct, more) {
+			t.Fatalf("n=%d l=%d direct=%v: switch at %+v and %d entries but not at %+v and %d", n, l, direct, c, kept, more, moreKept)
 		}
 	}
 }
@@ -300,6 +315,12 @@ func TestCheckpointRefusesV4Digest(t *testing.T) { assertDigestRefused(t, "v4") 
 // refused (gob would otherwise drop the hot rows unread).
 func TestCheckpointRefusesV5Digest(t *testing.T) { assertDigestRefused(t, "v5") }
 
+// TestCheckpointRefusesV6Digest: a v6 frame's seeded partial profiles
+// hold P entries where this engine's seed keeps min(P, seedKeep), so its
+// anchors would certify differently from a fresh run's and its digest is
+// refused.
+func TestCheckpointRefusesV6Digest(t *testing.T) { assertDigestRefused(t, "v6") }
+
 // assertDigestRefused rewrites a seeded frame's config digest to an older
 // version and checks the frame is refused with ErrBadCheckpoint, while a
 // scratch re-run stays bit-identical to the run that wrote it.
@@ -338,7 +359,11 @@ func assertDigestRefused(t *testing.T, version string) {
 // pruned pass at ℓ−1 and at ℓ, and both passes' wall times at ℓ.
 type costSample struct {
 	l, s, recomputed, rounds int
-	fellBack                 bool
+	// kept is the entry count the partial profiles of ℓ's anchors retain
+	// when ℓ starts: the entries the advance pass moves, and the count
+	// the rule reads to predict ℓ.
+	kept     int
+	fellBack bool
 	// prev holds the counts of the pruned length before ℓ, the ones the
 	// rule reads to predict ℓ.
 	prev prunedCounts
@@ -372,8 +397,9 @@ var costFitInputs = []costFitInput{
 // constants. On every fit input, at two workers, it runs the pruned pass
 // over the whole range (pinned, so no length latches) and the incremental
 // pass over the same lengths, timing each length; under -v it logs one
-// line per length with the counts the model reads (s, ℓ, R, rounds) and
-// both times, each the median over the benchmark's iterations. It fits
+// line per length with the counts the model reads (s, ℓ, kept entries, R,
+// rounds) and both times, each the median over the benchmark's
+// iterations. It fits
 // c_row, c_scan, c_round and c_adv by least squares through the origin to
 // the pruned lengths that did not fall back — on relative error, so short
 // and long series weigh alike — and reports them (c_row_ns, c_scan_ns,
@@ -415,6 +441,7 @@ func BenchmarkPrunedCost(b *testing.B) {
 			sr.samples = sr.samples[:0]
 			var prev prunedCounts
 			for l := in.lmin + 1; l <= in.lmax; l++ {
+				kept := pr.store.Kept(len(sr.x) - l + 1)
 				start := time.Now()
 				lr, _, err := pr.processLength(l)
 				if err != nil {
@@ -431,7 +458,7 @@ func BenchmarkPrunedCost(b *testing.B) {
 				sr.times[k][1] = append(sr.times[k][1], float64(ti.Nanoseconds()))
 				c := prunedCounts{recomputed: lr.Stats.Recomputed, rounds: pr.rounds, fellBack: lr.Stats.FullRecompute}
 				sr.samples = append(sr.samples, costSample{
-					l: l, s: len(sr.x) - l + 1,
+					l: l, s: len(sr.x) - l + 1, kept: kept,
 					recomputed: c.recomputed, rounds: c.rounds, fellBack: c.fellBack, prev: prev,
 				})
 				prev = c
@@ -442,7 +469,7 @@ func BenchmarkPrunedCost(b *testing.B) {
 	}
 	b.StopTimer()
 
-	// The fit: t ≈ R·s·ℓ·c_row + R·s·c_scan + rounds·s·c_round + s·P·c_adv
+	// The fit: t ≈ R·s·ℓ·c_row + R·s·c_scan + rounds·s·c_round + kept·c_adv
 	// over the pruned lengths without fallback, each row scaled by 1/t.
 	var ata [4][4]float64
 	var atb [4]float64
@@ -456,7 +483,7 @@ func BenchmarkPrunedCost(b *testing.B) {
 				continue
 			}
 			fs, fr := float64(sm.s), float64(sm.recomputed)
-			a := [4]float64{fr * fs * float64(sm.l), fr * fs, float64(sm.rounds) * fs, fs * DefaultP}
+			a := [4]float64{fr * fs * float64(sm.l), fr * fs, float64(sm.rounds) * fs, float64(sm.kept)}
 			rows = append(rows, [5]float64{a[0], a[1], a[2], a[3], sm.pruned})
 			for i := range a {
 				for j := range a {
@@ -486,10 +513,10 @@ func BenchmarkPrunedCost(b *testing.B) {
 		var rule, pruned, incremental float64
 		for k, sm := range sr.samples {
 			if testing.Verbose() {
-				b.Logf("%s l=%d s=%d R=%d rounds=%d fallback=%v pruned_ms=%.3f incremental_ms=%.3f",
-					in.name, sm.l, sm.s, sm.recomputed, sm.rounds, sm.fellBack, sm.pruned/1e6, sm.incremental/1e6)
+				b.Logf("%s l=%d s=%d kept=%d R=%d rounds=%d fallback=%v pruned_ms=%.3f incremental_ms=%.3f",
+					in.name, sm.l, sm.s, sm.kept, sm.recomputed, sm.rounds, sm.fellBack, sm.pruned/1e6, sm.incremental/1e6)
 			}
-			if sw == 0 && k > 0 && preferIncremental(in.n, sm.l, DefaultP, profile.DefaultExclusionFactor, rows.direct(sm.l), sm.prev) {
+			if sw == 0 && k > 0 && preferIncremental(in.n, sm.l, sm.kept, profile.DefaultExclusionFactor, rows.direct(sm.l), sm.prev) {
 				sw = sm.l
 			}
 			pruned += sm.pruned

@@ -9,6 +9,7 @@ import (
 
 	"github.com/seriesmining/valmod/internal/core/anchors"
 	"github.com/seriesmining/valmod/internal/faultinject"
+	"github.com/seriesmining/valmod/internal/kernels"
 	"github.com/seriesmining/valmod/internal/profile"
 	"github.com/seriesmining/valmod/internal/series"
 )
@@ -79,7 +80,9 @@ type run struct {
 	cfg     Config
 	sMin    int
 	workers int
-	store   *anchors.Store
+	// store holds the partial profiles, allocated at the first seed
+	// (ensureSeedScratch) and dropped by the latch.
+	store *anchors.Store
 
 	// scratch per length
 	dists   []float64 // best retained pair distance per anchor
@@ -134,6 +137,12 @@ type run struct {
 	// rowQT holds the seed sweep's head row and, with rowQT2, the rows of
 	// the serial recompute path
 	rowQT, rowQT2 []float64
+	// The seed sweep's per-worker candidate lists and head sums, sized at
+	// the ℓmin anchor count at the first seed, and the per-worker
+	// one-anchor lists of the recompute refills.
+	seedLists []*kernels.TopLists
+	seedSums  []float64
+	refills   []*kernels.TopLists
 
 	// Steady-state per-length scratch, allocated (or pooled) once per run
 	// and recycled across lengths so the pruned per-length pass performs
@@ -378,7 +387,6 @@ func (e *Engine) newRun(ctx context.Context, t []float64, cfg Config) *run {
 		cfg:     cfg,
 		sMin:    sMin,
 		workers: workers,
-		store:   anchors.NewStore(sMin),
 		dists:   make([]float64, sMin),
 		indexes: make([]int, sMin),
 		maxLBs:  make([]float64, sMin),
@@ -406,15 +414,18 @@ func (r *run) maybeLatch(l int, st LengthStats) {
 		return
 	}
 	c := prunedCounts{recomputed: st.Recomputed, rounds: r.rounds, fellBack: st.FullRecompute}
-	if preferIncremental(len(r.t), l+1, r.cfg.P, r.cfg.ExclusionFactor, r.rows.src.direct(l+1), c) {
+	kept := r.store.Kept(len(r.t) - l)
+	if preferIncremental(len(r.t), l+1, kept, r.cfg.ExclusionFactor, r.rows.src.direct(l+1), c) {
 		r.latch()
 	}
 }
 
 // latch retires the pruned machinery for the rest of the run: every
 // remaining pruned length runs the incremental pass (its first one seeds
-// the diagonal head with one head row).
+// the diagonal head with one head row), so the partial profiles and the
+// seed and refill lists are dropped.
 func (r *run) latch() {
 	r.latched = true
 	r.seeded = false
+	r.store, r.seedLists, r.seedSums, r.refills = nil, nil, nil, nil
 }

@@ -163,9 +163,12 @@ func (r *run) recomputeBatch(need []int, l, excl, s int) {
 
 	nJobs := len(runs) + (len(singles)+1)/2
 	workers := min(r.workers, nJobs)
+	for len(r.refills) < max(workers, 1) {
+		r.refills = append(r.refills, kernels.NewTopLists(1, r.store.Cap+1))
+	}
 	if workers <= 1 {
 		for k := 0; k < nJobs; k++ {
-			r.recomputeJob(k, l, excl, s, &r.rows, r.rowQT[:s], r.rowQT2[:s])
+			r.recomputeJob(k, l, excl, s, &r.rows, r.rowQT[:s], r.rowQT2[:s], r.refills[0])
 		}
 		return
 	}
@@ -173,7 +176,7 @@ func (r *run) recomputeBatch(need []int, l, excl, s int) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(top *kernels.TopLists) {
 			defer wg.Done()
 			rows := rowWorker{src: r.rows.src, clone: true}
 			defer rows.release()
@@ -185,9 +188,9 @@ func (r *run) recomputeBatch(need []int, l, excl, s int) {
 				if k >= nJobs {
 					return
 				}
-				r.recomputeJob(k, l, excl, s, &rows, buf1, buf2)
+				r.recomputeJob(k, l, excl, s, &rows, buf1, buf2, top)
 			}
-		}()
+		}(r.refills[w])
 	}
 	wg.Wait()
 }
@@ -197,13 +200,14 @@ type recSpan struct{ lo, count int }
 
 // recomputeJob runs job k of the batch recomputeBatch laid out in r.runs
 // and r.singles: run k, or else the next pair of isolated anchors (the
-// last one alone when their count is odd), with rows in buf1 and buf2.
-func (r *run) recomputeJob(k, l, excl, s int, rows *rowWorker, buf1, buf2 []float64) {
+// last one alone when their count is odd), with rows in buf1 and buf2 and
+// the refills selected through top.
+func (r *run) recomputeJob(k, l, excl, s int, rows *rowWorker, buf1, buf2 []float64, top *kernels.TopLists) {
 	lmp := &r.lmp
 	if k < len(r.runs) {
 		sp := r.runs[k]
 		rows.runRows(buf1, sp.lo, sp.count, l, func(i int, row []float64) {
-			r.scanRow(i, l, excl, s, row, lmp)
+			r.scanRow(i, l, excl, s, row, lmp, top)
 		})
 		return
 	}
@@ -211,12 +215,12 @@ func (r *run) recomputeJob(k, l, excl, s int, rows *rowWorker, buf1, buf2 []floa
 	if x+1 < len(r.singles) {
 		i1, i2 := r.singles[x], r.singles[x+1]
 		row1, row2 := rows.rowPair(buf1, buf2, i1, i2, l)
-		r.scanRow(i1, l, excl, s, row1, lmp)
-		r.scanRow(i2, l, excl, s, row2, lmp)
+		r.scanRow(i1, l, excl, s, row1, lmp, top)
+		r.scanRow(i2, l, excl, s, row2, lmp, top)
 		return
 	}
 	i := r.singles[x]
-	r.scanRow(i, l, excl, s, rows.row(buf1, i, l), lmp)
+	r.scanRow(i, l, excl, s, rows.row(buf1, i, l), lmp, top)
 }
 
 // advanceAll runs the advance→certify pass over every anchor, partitioned
@@ -265,44 +269,44 @@ func (r *run) advanceAll(l, excl, s int) {
 func (r *run) advanceShard(lo, hi, l, excl, s int) {
 	fl := float64(l)
 	from := r.entriesAt + 1 // entries currently hold QT at length entriesAt
+	st := r.store
 	for i := lo; i < hi; i++ {
-		a := r.store.At(i)
 		r.cert[i] = false
 		r.dists[i] = math.Inf(1)
 		r.indexes[i] = -1
 
 		muA, sdA := r.means[i], r.stds[i]
 		switch {
-		case a.Degenerate:
+		case st.Degenerate[i]:
 			// Constant anchor at seed time: no bound exists; always
 			// resolved by recompute when within τ.
 			r.maxLBs[i] = 0
-		case a.NextQ2 < 0:
+			continue
+		case st.NextQ2[i] < 0:
 			// Every candidate is retained: nothing unseen to bound.
 			r.maxLBs[i] = math.Inf(1)
 		default:
-			terms := lb.NewAnchorTerms(r.st, i, int(a.Base), l-int(a.Base))
-			r.maxLBs[i] = terms.Bound(math.Sqrt(a.NextQ2))
-		}
-		if a.Degenerate {
-			continue
+			base := int(st.Base[i])
+			terms := lb.NewAnchorTerms(r.st, i, base, l-base)
+			r.maxLBs[i] = terms.Bound(math.Sqrt(st.NextQ2[i]))
 		}
 
 		minDist := math.Inf(1)
 		minIdx := -1
-		for e := range a.Entries {
-			ent := &a.Entries[e]
-			j := int(ent.J)
+		at := i * st.Cap
+		js := st.J[at : at+int(st.Len[i])]
+		qts := st.QT[at : at+len(js)]
+		for e, j32 := range js {
+			j := int(j32)
 			if j >= s {
 				continue // candidate no longer long enough
 			}
-			// All pending length steps in one fused pass (the per-length
-			// lb.Entry.Advance loop, carried through every step at once).
-			ent.QT = kernels.AdvanceDot(ent.QT, r.t, i, j, from-1, l)
+			// All pending length steps in one fused pass.
+			qts[e] = kernels.AdvanceDot(qts[e], r.t, i, j, from-1, l)
 			if j > i-excl && j < i+excl {
 				continue // grown exclusion zone swallowed it
 			}
-			d := series.DistFromDot(ent.QT, fl, muA, sdA, r.means[j], r.stds[j])
+			d := series.DistFromDot(qts[e], fl, muA, sdA, r.means[j], r.stds[j])
 			if d < minDist {
 				minDist, minIdx = d, j
 			}

@@ -68,9 +68,10 @@ func TestRowRuleTierIndependent(t *testing.T) {
 
 // TestPrunedAboveCutoverExact: at lengths above the cutover every
 // from-scratch row — the seed sweep's head row at ℓ = 1 500 and the
-// pruned length's recomputes (29 anchors at ℓ = 1 501 on this astro
-// series) — goes through the FFT correlator, and the pruned run stays
-// exact and bit-identical across worker counts. The reference is
+// pruned length's recomputes (70 anchors at ℓ = 1 501 on this astro
+// series, more than the default RecomputeFraction's 50, so the case pins
+// a larger one) — goes through the FFT correlator, and the pruned run
+// stays exact and bit-identical across worker counts. The reference is
 // stomp.Compute, which TestComputeMatchesBrute pins to brute force; brute
 // force itself would cost 3·10⁹ multiply-adds here. Smaller series above
 // the cutover fall back to the seed sweep at every length, which would
@@ -81,7 +82,7 @@ func TestPrunedAboveCutoverExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := ds.Values
-	cfg := Config{LMin: 1500, LMax: 1501, TopK: 3, pinPruned: true, Workers: 1}
+	cfg := Config{LMin: 1500, LMax: 1501, TopK: 3, RecomputeFraction: 0.2, pinPruned: true, Workers: 1}
 	src := newRowSource(x, cfg.LMax)
 	for l := cfg.LMin; l <= cfg.LMax; l++ {
 		if src.direct(l) {

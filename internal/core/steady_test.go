@@ -30,10 +30,12 @@ func newTestRun(t testing.TB, eng *Engine, x []float64, cfg Config) *run {
 
 // TestProcessLengthSteadyStateZeroAlloc asserts the pruned per-length pass
 // allocates zero heap objects once the scratch is warm: advance→certify,
-// the recompute fixpoint (run-owned row buffers, batch buffers) and the
-// top-k extraction all run out of run-owned memory. The probe processes
-// successive lengths, each of which recomputes anchors, so the fixpoint
-// is held to the same discipline as certification.
+// the recompute fixpoint (run-owned row buffers, batch buffers, refill
+// lists) and the top-k extraction all run out of run-owned memory. The
+// probe processes successive lengths, each of which recomputes anchors,
+// so the fixpoint is held to the same discipline as certification, and
+// the store ends up mixing seed lists with refilled ones, which grow
+// nothing: every anchor owns its P slots from the seed on.
 func TestProcessLengthSteadyStateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randWalk(rng, 4000)
@@ -74,6 +76,18 @@ func TestProcessLengthSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if noPairs > 0 {
 		t.Fatalf("%d measured lengths reported no pairs", noPairs)
+	}
+	seedOnly, refilled := 0, 0
+	for _, c := range r.store.Len {
+		switch {
+		case int(c) > seedKeep:
+			refilled++
+		case c > 0:
+			seedOnly++
+		}
+	}
+	if seedOnly == 0 || refilled == 0 {
+		t.Fatalf("%d seed-only and %d refilled anchors; the probe needs both", seedOnly, refilled)
 	}
 	if avg != 0 {
 		t.Fatalf("steady-state processLength allocates %.1f objects per length, want 0", avg)

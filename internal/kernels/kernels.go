@@ -150,7 +150,7 @@ func DotRow(row, t []float64, i, l, s int) {
 }
 
 // AdvanceDot adds Σ t[i+p]·t[j+p] for p ∈ [p0, p1) to qt, in ascending p
-// order — the fused form of per-length lb.Entry.Advance calls, carrying a
+// order — the fused form of one product per length step, carrying a
 // retained entry's dot product across every pending length step at once.
 //
 // AdvanceDot is one serial floating-point accumulation chain: any
@@ -245,11 +245,13 @@ func SeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []flo
 	}
 }
 
-// TopLists is SeedScan's candidate selection: per anchor, the best Cap
-// candidates offered so far under the strict total order (q̃² descending,
-// candidate offset ascending). Anchor a's entries sit at
-// [a·Cap, a·Cap+Len[a]) of J, QT and Q, best first. The list contents
-// are a pure function of the set of offers, never of their order.
+// TopLists is the partial profiles' candidate selection — SeedScan's
+// per-worker lists and a recompute's one-anchor refill list alike: per
+// anchor, the best Cap candidates offered so far under the strict total
+// order (q̃² descending, candidate offset ascending). Anchor a's entries
+// sit at [a·Cap, a·Cap+Len[a]) of J, QT and Q, best first. The list
+// contents are a pure function of the set of offers, never of their
+// order.
 type TopLists struct {
 	Cap int
 	Len []int32
@@ -271,10 +273,17 @@ func NewTopLists(s, c int) *TopLists {
 		QT:  make([]float64, s*c),
 		Q:   make([]float64, s*c),
 	}
-	for a := range tl.Thr {
+	tl.Reset(s)
+	return tl
+}
+
+// Reset empties the lists of anchors [0, s), so one set of lists serves
+// every length with at most as many anchors as it was built for.
+func (tl *TopLists) Reset(s int) {
+	clear(tl.Len[:s])
+	for a := range tl.Thr[:s] {
 		tl.Thr[a] = -1
 	}
-	return tl
 }
 
 // Offer inserts candidate j (dot product qt, key q) into anchor a's list

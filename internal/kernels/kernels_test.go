@@ -220,6 +220,14 @@ func testKernelParityAdvanceDot(t *testing.T) {
 			t.Fatalf("%+v: AdvanceDot %v != reference %v", tc, got, want)
 		}
 	}
+	// A retained entry's dot product at length l, advanced one step, is
+	// the direct dot product at l+1 (summed in the same ascending order).
+	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	i, j, l := 0, 3, 3
+	got := AdvanceDot(series.Dot(x[i:i+l], x[j:j+l]), x, i, j, l, l+1)
+	if want := series.Dot(x[i:i+l+1], x[j:j+l+1]); got != want {
+		t.Fatalf("one advanced step gives %v, direct dot product %v", got, want)
+	}
 }
 
 func TestKernelParityDiagScan(t *testing.T) { forEachVariant(t, testKernelParityDiagScan) }
@@ -560,41 +568,45 @@ func BenchmarkDiagScan(b *testing.B) {
 }
 
 // BenchmarkSeedScan is BenchmarkDiagScan's pass with the partial-profile
-// seed fused in (p = 10 entries per anchor, so lists of 11), into slots
-// and lists reset to empty, reported per visited cell, on the same two
-// inputs: "walk" times the vector body and the list inserts, "flat" the
-// stop path, since every σ = 0 candidate ties its slot at correlation 0.
+// seed fused in, into slots and lists reset to empty, reported per
+// visited cell, on the same two inputs: "walk" times the vector body and
+// the list inserts, "flat" the stop path, since every σ = 0 candidate ties
+// its slot at correlation 0. Each runs at two list capacities: 5, the
+// engine's seed lists (seedKeep = 4 entries and the next key), and 11,
+// lists of the default P = 10.
 func BenchmarkSeedScan(b *testing.B) {
 	const n, l, excl = 8192, 64, 16
 	for _, in := range []struct {
 		name string
 		ts   []float64
 	}{{"walk", randomWalk(n, 9)}, {"flat", testSeries(n, 9)}} {
-		b.Run(in.name, func(b *testing.B) {
-			forEachVariantB(b, func(b *testing.B) {
-				ts := in.ts
-				s := n - l + 1
-				means, invs := moments(ts, l)
-				sums := windowSums(ts, l)
-				head := make([]float64, s)
-				for k := range head {
-					head[k] = series.Dot(ts[0:l], ts[k:k+l])
-				}
-				corr, idx := freshSlots(s)
-				top := NewTopLists(s, 11)
-				cells := (s - excl) * (s - excl + 1) / 2
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j := 0; j < s; j++ {
-						corr[j], idx[j] = math.Inf(-1), -1
-						top.Len[j], top.Thr[j] = 0, -1
+		for _, c := range []int{5, 11} {
+			b.Run(fmt.Sprintf("%s/cap%d", in.name, c), func(b *testing.B) {
+				forEachVariantB(b, func(b *testing.B) {
+					ts := in.ts
+					s := n - l + 1
+					means, invs := moments(ts, l)
+					sums := windowSums(ts, l)
+					head := make([]float64, s)
+					for k := range head {
+						head[k] = series.Dot(ts[0:l], ts[k:k+l])
 					}
-					SeedScan(ts, head, means, invs, sums, excl, s, l, s, corr, idx, top)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+					corr, idx := freshSlots(s)
+					top := NewTopLists(s, c)
+					cells := (s - excl) * (s - excl + 1) / 2
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for j := 0; j < s; j++ {
+							corr[j], idx[j] = math.Inf(-1), -1
+						}
+						top.Reset(s)
+						SeedScan(ts, head, means, invs, sums, excl, s, l, s, corr, idx, top)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+				})
 			})
-		})
+		}
 	}
 }
 

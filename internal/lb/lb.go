@@ -111,71 +111,3 @@ func (t AnchorTerms) Bound(qTilde float64) float64 {
 	}
 	return math.Sqrt(2 * lk * (1 - rhoMax))
 }
-
-// Entry is one retained cell of a partial distance profile (demo Figure 2a
-// table row): the candidate offset, the running dot product at the current
-// length, and the frozen q̃ that orders the lower bounds.
-type Entry struct {
-	J      int32   // candidate offset
-	QT     float64 // Σ_{t<ℓcur} a_t·b_t, advanced by one product per length
-	QTilde float64 // frozen at the base length; orders LBs at every length
-}
-
-// Advance extends the entry's dot product from length ℓ−1 to ℓ for anchor i:
-// QT += T[i+ℓ−1]·T[j+ℓ−1].
-func (e *Entry) Advance(t []float64, i, l int) {
-	e.QT += t[i+l-1] * t[int(e.J)+l-1]
-}
-
-// Heapify orders entries as a min-heap on q̃². This is the layout VALMOD
-// keeps a partial distance profile in: rank preservation makes the root —
-// the entry with the smallest q̃² — the retained candidate with the largest
-// lower bound, so eviction always discards the least promising entry.
-func Heapify(es []Entry) {
-	for i := len(es)/2 - 1; i >= 0; i-- {
-		SiftDown(es, i)
-	}
-}
-
-// SiftDown restores the min-heap ordering on q̃² below slot i after the
-// entry there was replaced. (The pre-refactor core had a latent one-level
-// sift here — benign for exactness, since VALMOD's bounds stay valid for
-// any retained set, but it let less-promising entries survive eviction and
-// so weakened the pruning.)
-func SiftDown(es []Entry, i int) {
-	n := len(es)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && es[l].QTilde*es[l].QTilde < es[small].QTilde*es[small].QTilde {
-			small = l
-		}
-		if r < n && es[r].QTilde*es[r].QTilde < es[small].QTilde*es[small].QTilde {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		es[i], es[small] = es[small], es[i]
-		i = small
-	}
-}
-
-// MaxLB returns the largest lower bound among the entries — the certification
-// threshold maxLB of the demo paper: every candidate *not* retained in the
-// partial profile has a true distance of at least this value. Entries must
-// be the retained set (sorted or not; rank preservation makes the max the
-// entry with the smallest q̃²).
-func MaxLB(t AnchorTerms, entries []Entry) float64 {
-	if len(entries) == 0 {
-		return 0
-	}
-	// Smallest q̃² gives the largest LB; scan rather than trust ordering.
-	minQ2 := math.Inf(1)
-	for _, e := range entries {
-		if q2 := e.QTilde * e.QTilde; q2 < minQ2 {
-			minQ2 = q2
-		}
-	}
-	return t.Bound(math.Sqrt(minQ2))
-}

@@ -194,109 +194,3 @@ func TestDegenerateCandidate(t *testing.T) {
 		t.Errorf("degenerate candidate bound %g exceeds truth %g", bound, truth)
 	}
 }
-
-func TestEntryAdvance(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	i, j, l := 0, 3, 3
-	e := Entry{J: int32(j), QT: series.Dot(x[i:i+l], x[j:j+l])}
-	e.Advance(x, i, l+1)
-	want := series.Dot(x[i:i+l+1], x[j:j+l+1])
-	if math.Abs(e.QT-want) > 1e-12 {
-		t.Errorf("advanced QT = %g, want %g", e.QT, want)
-	}
-}
-
-func TestMaxLB(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := randWalk(rng, 200)
-	st := series.NewStats(x)
-	i, l, k := 5, 10, 15
-	terms := NewAnchorTerms(st, i, l, k)
-	entries := []Entry{
-		{J: 50, QTilde: 30},
-		{J: 80, QTilde: -2}, // smallest |q̃| → largest LB
-		{J: 120, QTilde: 11},
-	}
-	want := terms.Bound(2)
-	if got := MaxLB(terms, entries); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MaxLB = %g, want %g", got, want)
-	}
-	if got := MaxLB(terms, nil); got != 0 {
-		t.Errorf("MaxLB(empty) = %g, want 0", got)
-	}
-}
-
-// TestMaxLBCoversUnkept ties MaxLB to its semantic claim: given the p
-// entries with largest q̃², every other candidate's true distance at the
-// extended length is ≥ MaxLB.
-func TestMaxLBCoversUnkept(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := randWalk(rng, 250)
-	st := series.NewStats(x)
-	i, l, k, p := 17, 12, 9, 5
-	m := l + k
-	sCur := len(x) - m + 1
-	type cand struct {
-		j  int
-		q2 float64
-	}
-	var all []cand
-	for j := 0; j < sCur; j++ {
-		if absInt(j-i) < 3 {
-			continue
-		}
-		qt := qTildeFor(x, st, i, j, l)
-		all = append(all, cand{j, qt * qt})
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].q2 > all[b].q2 })
-	terms := NewAnchorTerms(st, i, l, k)
-	entries := make([]Entry, p)
-	for c := 0; c < p; c++ {
-		entries[c] = Entry{J: int32(all[c].j), QTilde: math.Sqrt(all[c].q2)}
-	}
-	maxLB := MaxLB(terms, entries)
-	for _, c := range all[p:] {
-		truth := series.ZNormDist(x[i:i+m], x[c.j:c.j+m])
-		if truth < maxLB-1e-7*(1+maxLB) {
-			t.Fatalf("unkept candidate j=%d has d=%g < maxLB=%g", c.j, truth, maxLB)
-		}
-	}
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func TestHeapifyAndSiftDownKeepMinHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	checkHeap := func(es []Entry) {
-		for i := range es {
-			for _, c := range []int{2*i + 1, 2*i + 2} {
-				if c < len(es) {
-					pi, ci := es[i].QTilde*es[i].QTilde, es[c].QTilde*es[c].QTilde
-					if ci < pi {
-						t.Fatalf("heap violated at %d->%d: %g < %g", i, c, ci, pi)
-					}
-				}
-			}
-		}
-	}
-	for trial := 0; trial < 100; trial++ {
-		es := make([]Entry, 1+rng.Intn(32))
-		for i := range es {
-			es[i] = Entry{J: int32(i), QTilde: rng.NormFloat64() * 3}
-		}
-		Heapify(es)
-		checkHeap(es)
-		// Repeated root replacement must keep the invariant at every step
-		// (a one-level sift breaks this on deep heaps).
-		for rep := 0; rep < 50; rep++ {
-			es[0] = Entry{J: int32(rep), QTilde: rng.NormFloat64() * 3}
-			SiftDown(es, 0)
-			checkHeap(es)
-		}
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	valmod "github.com/seriesmining/valmod"
@@ -23,7 +24,10 @@ import (
 //
 //   - topk and discords at math.MaxInt return the bytes of the same
 //     request with both set to the series length n;
-//   - p at math.MaxInt returns the default-p run's best pair.
+//   - p at math.MaxInt is refused with 400 naming the field (the
+//     partial-profile store holds s·min(p, s) entries, s² at any p past
+//     the series), and p at valmod.MaxP returns the default-p run's best
+//     pair.
 func TestHugeCountFieldsFinish(t *testing.T) {
 	m := NewManager(Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(NewServer(m))
@@ -55,19 +59,25 @@ func TestHugeCountFieldsFinish(t *testing.T) {
 
 	hugeP := base
 	hugeP.P = huge
+	resp := postJSON(t, client, ts.URL+"/v1/jobs", hugeP)
+	if body := decode[apiError](t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "Options.P") {
+		t.Fatalf("p=MaxInt: status %d, error %q; want 400 naming Options.P", resp.StatusCode, body.Error)
+	}
+	maxP := base
+	maxP.P = valmod.MaxP
 	var got, want Result
-	if err := json.Unmarshal(run(hugeP), &got); err != nil {
+	if err := json.Unmarshal(run(maxP), &got); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(run(base), &want); err != nil {
 		t.Fatal(err)
 	}
 	if got.Best == nil || want.Best == nil {
-		t.Fatalf("missing best pair: p=MaxInt %v, default %v", got.Best, want.Best)
+		t.Fatalf("missing best pair: p=MaxP %v, default %v", got.Best, want.Best)
 	}
 	g, w := *got.Best, *want.Best
 	if g.A != w.A || g.B != w.B || g.Length != w.Length || math.Abs(g.NormDistance-w.NormDistance) > 1e-9*(1+w.NormDistance) {
-		t.Fatalf("p=MaxInt best pair %+v, default p %+v", g, w)
+		t.Fatalf("p=MaxP best pair %+v, default p %+v", g, w)
 	}
 
 	if resp, err := client.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {

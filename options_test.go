@@ -29,6 +29,7 @@ func TestValidateNamesOffendingField(t *testing.T) {
 	}{
 		{"negative TopK", ok, 8, 16, valmod.Options{TopK: -1}, "Options.TopK=-1"},
 		{"negative P", ok, 8, 16, valmod.Options{P: -3}, "Options.P=-3"},
+		{"P above MaxP", ok, 8, 16, valmod.Options{P: valmod.MaxP + 1}, "Options.P=257"},
 		{"negative ExclusionFactor", ok, 8, 16, valmod.Options{ExclusionFactor: -2}, "Options.ExclusionFactor=-2"},
 		{"negative RecomputeFraction", ok, 8, 16, valmod.Options{RecomputeFraction: -0.5}, "Options.RecomputeFraction=-0.5"},
 		{"RecomputeFraction above one", ok, 8, 16, valmod.Options{RecomputeFraction: 1.5}, "Options.RecomputeFraction=1.5"},

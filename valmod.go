@@ -29,17 +29,24 @@ var ErrBadInput = errors.New("valmod: bad input")
 // what the resumed run would have produced.
 var ErrBadCheckpoint = core.ErrBadCheckpoint
 
+// MaxP is the largest Options.P accepted: the engine sizes its partial
+// profiles at s·min(P, s) entries for s subsequences.
+const MaxP = core.MaxP
+
 // Options tunes Discover. The zero value selects the published defaults.
 //
 // Validation contract: for every numeric field, zero selects the default;
 // a negative value (and, for RecomputeFraction, a non-finite value or one
-// above 1) is rejected with an error that wraps ErrBadInput and names the
-// field. Use Validate to check a full input set without running anything.
+// above 1; for P, one above MaxP) is rejected with an error that wraps
+// ErrBadInput and names the field. Use Validate to check a full input set
+// without running anything.
 type Options struct {
 	// TopK is the number of motif pairs reported per length (default 10).
 	TopK int
-	// P is the number of entries retained per partial distance profile
-	// (default 10); the memory/pruning trade-off knob from the paper.
+	// P is the most entries a partial distance profile retains (default
+	// 10, at most MaxP); the memory/pruning trade-off knob from the paper.
+	// The ℓmin seed keeps min(P, 4) entries per anchor, and an anchor
+	// recomputed after failing certification keeps P.
 	P int
 	// ExclusionFactor sets the trivial-match zone ⌈ℓ/factor⌉ (default 4).
 	ExclusionFactor int
@@ -283,8 +290,8 @@ func (o Options) validate() error {
 	if o.TopK < 0 {
 		return fmt.Errorf("%w: Options.TopK=%d: must be >= 0 (0 selects the default)", ErrBadInput, o.TopK)
 	}
-	if o.P < 0 {
-		return fmt.Errorf("%w: Options.P=%d: must be >= 0 (0 selects the default)", ErrBadInput, o.P)
+	if o.P < 0 || o.P > MaxP {
+		return fmt.Errorf("%w: Options.P=%d: must be in [0, %d] (0 selects the default)", ErrBadInput, o.P, MaxP)
 	}
 	if o.ExclusionFactor < 0 {
 		return fmt.Errorf("%w: Options.ExclusionFactor=%d: must be >= 0 (0 selects the default)", ErrBadInput, o.ExclusionFactor)
