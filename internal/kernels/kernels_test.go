@@ -220,14 +220,6 @@ func testKernelParityAdvanceDot(t *testing.T) {
 			t.Fatalf("%+v: AdvanceDot %v != reference %v", tc, got, want)
 		}
 	}
-	// A retained entry's dot product at length l, advanced one step, is
-	// the direct dot product at l+1 (summed in the same ascending order).
-	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	i, j, l := 0, 3, 3
-	got := AdvanceDot(series.Dot(x[i:i+l], x[j:j+l]), x, i, j, l, l+1)
-	if want := series.Dot(x[i:i+l+1], x[j:j+l+1]); got != want {
-		t.Fatalf("one advanced step gives %v, direct dot product %v", got, want)
-	}
 }
 
 func TestKernelParityDiagScan(t *testing.T) { forEachVariant(t, testKernelParityDiagScan) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/seriesmining/valmod/internal/kernels"
 	"github.com/seriesmining/valmod/internal/series"
 )
 
@@ -192,5 +193,79 @@ func TestDegenerateCandidate(t *testing.T) {
 	truth := series.ZNormDist(x[i:i+l+k], x[j:j+l+k])
 	if bound > truth+1e-9 {
 		t.Errorf("degenerate candidate bound %g exceeds truth %g", bound, truth)
+	}
+}
+
+// TestEntryAdvance: a retained entry's dot product at length ℓ, advanced
+// one length step by kernels.AdvanceDot, is the direct dot product at ℓ+1
+// (summed in the same ascending order).
+func TestEntryAdvance(t *testing.T) {
+	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	i, j, l := 0, 3, 3
+	got := kernels.AdvanceDot(series.Dot(x[i:i+l], x[j:j+l]), x, i, j, l, l+1)
+	if want := series.Dot(x[i:i+l+1], x[j:j+l+1]); got != want {
+		t.Errorf("advanced QT = %g, want %g", got, want)
+	}
+}
+
+// TestMaxLB: the largest lower bound among retained entries is the bound
+// at the smallest q̃², whatever the entries' signs and order, and the
+// engine, which keeps keys as q̃², recovers it as Bound(√q̃²).
+func TestMaxLB(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := randWalk(rng, 200)
+	st := series.NewStats(x)
+	i, l, k := 5, 10, 15
+	terms := NewAnchorTerms(st, i, l, k)
+	qs := []float64{30, -2, 11} // smallest |q̃| → largest LB
+	maxLB := math.Inf(-1)
+	for _, q := range qs {
+		maxLB = math.Max(maxLB, terms.Bound(q))
+	}
+	want := terms.Bound(2)
+	if math.Abs(maxLB-want) > 1e-12 {
+		t.Errorf("max LB = %g, want %g", maxLB, want)
+	}
+	if got := terms.Bound(math.Sqrt(qs[1] * qs[1])); got != maxLB {
+		t.Errorf("bound from the key q̃² = %g, max LB %g", got, maxLB)
+	}
+}
+
+// TestMaxLBCoversUnkept ties the certification threshold to its semantic
+// claim: given the p candidates with largest q̃², every other candidate's
+// true distance at the extended length is at least the bound at the best
+// unkept key — the threshold the engine certifies with — which is itself
+// at least the bound at the worst kept key.
+func TestMaxLBCoversUnkept(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	x := randWalk(rng, 250)
+	st := series.NewStats(x)
+	i, l, k, p := 17, 12, 9, 5
+	m := l + k
+	sCur := len(x) - m + 1
+	type cand struct {
+		j  int
+		q2 float64
+	}
+	var all []cand
+	for j := 0; j < sCur; j++ {
+		if j > i-3 && j < i+3 {
+			continue
+		}
+		qt := qTildeFor(x, st, i, j, l)
+		all = append(all, cand{j, qt * qt})
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].q2 > all[b].q2 })
+	terms := NewAnchorTerms(st, i, l, k)
+	worstLB := terms.Bound(math.Sqrt(all[p-1].q2))
+	maxLB := terms.Bound(math.Sqrt(all[p].q2))
+	if maxLB < worstLB {
+		t.Fatalf("bound from the best unkept key %g below the bound from the worst kept key %g", maxLB, worstLB)
+	}
+	for _, c := range all[p:] {
+		truth := series.ZNormDist(x[i:i+m], x[c.j:c.j+m])
+		if truth < maxLB-1e-7*(1+maxLB) {
+			t.Fatalf("unkept candidate j=%d has d=%g < maxLB=%g", c.j, truth, maxLB)
+		}
 	}
 }
