@@ -19,8 +19,10 @@ import (
 // Store is the partial profiles of a run's anchors in one flat layout.
 // Anchor i owns the Cap slots [i·Cap, i·Cap+Cap) of J and QT and fills
 // the first Len[i] of them, best first under the lower bound's rank
-// order (q̃² descending, offset ascending; kernels.TopLists). A list may
-// hold fewer than Cap entries: the seed sweep keeps a short list, a
+// order (q̃² descending, offset ascending). The lists it installs from
+// (kernels.TopLists) rank by the pair's correlation c instead; since
+// q̃ = ℓ·σᵢ·c with ℓ·σᵢ fixed per anchor, the order is the same. A list
+// may hold fewer than Cap entries: the seed sweep keeps a short list, a
 // recompute's refill a full one (internal/core's seedKeep).
 type Store struct {
 	// Cap is the slot count per anchor: the most entries a partial
@@ -30,11 +32,11 @@ type Store struct {
 	Len []int32
 	// Base[i] is the length at which anchor i's entries were (re)seeded.
 	Base []int32
-	// NextQ2[i] is the q̃² of the best candidate NOT retained (the key
-	// after the kept ones at seed time): every unkept candidate has
-	// q̃² ≤ NextQ2, so Bound(√NextQ2) lower-bounds all of them — a
-	// strictly tighter certification threshold than bounding via the
-	// worst kept entry. Negative when every candidate was retained
+	// NextQ2[i] is the q̃² of the best candidate NOT retained, the
+	// (ℓ·σᵢ·c)² of the key after the kept ones at seed time: every unkept
+	// candidate has q̃² ≤ NextQ2, so Bound(√NextQ2) lower-bounds all of
+	// them — a strictly tighter certification threshold than bounding via
+	// the worst kept entry. Negative when every candidate was retained
 	// (nothing to bound: maxLB = +Inf).
 	NextQ2 []float64
 	// Degenerate[i] marks a constant anchor window at the seed length,
@@ -83,20 +85,21 @@ func (s *Store) Kept(n int) int {
 
 // Set installs anchor i's partial profile at base length l from anchor
 // a's list in top: its first keep entries (keep ≤ Cap), and NextQ2 from
-// the key after them (−1 when the list holds no more). A degenerate
-// anchor keeps no entries.
-func (s *Store) Set(i, l, keep int, top *kernels.TopLists, a int, degenerate bool) {
+// the key c after them (−1 when the list holds no more), scaled to
+// q̃ = scale·c by scale = ℓ·σᵢ, anchor i's at l. A zero scale marks a
+// degenerate anchor (σᵢ = 0), which keeps no entries.
+func (s *Store) Set(i, l, keep int, top *kernels.TopLists, a int, scale float64) {
 	s.Base[i] = int32(l)
-	s.Degenerate[i] = degenerate
+	s.Degenerate[i] = scale == 0
 	s.NextQ2[i] = -1
-	if degenerate {
+	if scale == 0 {
 		s.Len[i] = 0
 		return
 	}
 	n := int(top.Len[a])
 	src := a * top.Cap
 	if n > keep {
-		q := top.Q[src+keep]
+		q := scale * top.Q[src+keep]
 		s.NextQ2[i] = q * q
 		n = keep
 	}

@@ -28,12 +28,12 @@ func TestSetResetsState(t *testing.T) {
 	s.Len[2], s.Degenerate[2], s.NextQ2[2], s.Base[2] = 3, true, 7, 5
 	top := kernels.NewTopLists(1, 4)
 	top.Offer(0, 1, 10, 2)
-	s.Set(2, 17, 3, top, 0, false)
+	s.Set(2, 17, 3, top, 0, 1)
 	if s.Len[2] != 1 || s.J[6] != 1 || s.QT[6] != 10 || s.Base[2] != 17 || s.Degenerate[2] || s.NextQ2[2] >= 0 {
 		t.Fatalf("state not reset: len %d j %d qt %v base %d degenerate %v next %v",
 			s.Len[2], s.J[6], s.QT[6], s.Base[2], s.Degenerate[2], s.NextQ2[2])
 	}
-	s.Set(2, 18, 3, top, 0, true)
+	s.Set(2, 18, 3, top, 0, 0)
 	if s.Len[2] != 0 || !s.Degenerate[2] || s.NextQ2[2] >= 0 || s.Base[2] != 18 {
 		t.Fatalf("degenerate anchor: len %d degenerate %v next %v base %d", s.Len[2], s.Degenerate[2], s.NextQ2[2], s.Base[2])
 	}
@@ -70,7 +70,7 @@ func TestSetKeepsSortedPrefix(t *testing.T) {
 		})
 		s := newStore(t, 16, c)
 		for keep := 0; keep <= c; keep++ {
-			s.Set(1, 9, keep, top, 0, false)
+			s.Set(1, 9, keep, top, 0, 1)
 			want := min(keep, len(cands))
 			if int(s.Len[1]) != want {
 				t.Fatalf("trial %d keep %d: %d entries, want %d", trial, keep, s.Len[1], want)
@@ -93,10 +93,11 @@ func TestSetKeepsSortedPrefix(t *testing.T) {
 }
 
 // TestMaxLBCoversUnkept ties the certification threshold to its semantic
-// claim: with an anchor's best p candidates kept, the bound at the
-// extended length from NextQ2 is at most the true distance of every
-// unkept candidate, and at least the bound from the worst kept key (the
-// threshold the kept entries alone would give).
+// claim: with an anchor's best p candidates kept, offered as the engine
+// offers them (keyed by the correlation c, installed with ℓ·σᵢ), the
+// bound at the extended length from NextQ2 is at most the true distance
+// of every unkept candidate, and at least the bound from the worst kept
+// q̃ (lb.QTilde; the threshold the kept entries alone would give).
 func TestMaxLBCoversUnkept(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := make([]float64, 250)
@@ -111,18 +112,19 @@ func TestMaxLBCoversUnkept(t *testing.T) {
 	sCur := len(x) - m + 1
 	top := kernels.NewTopLists(1, p+1)
 	qs := map[int32]float64{}
+	muA, sdA := st.MeanStd(i, l)
 	for j := 0; j < sCur; j++ {
 		if j > i-3 && j < i+3 {
 			continue
 		}
 		qt := series.Dot(x[i:i+l], x[j:j+l])
 		muB, sdB := st.MeanStd(j, l)
-		q := lb.QTilde(qt, st.Sum(i, l), muB, sdB)
-		qs[int32(j)] = q
-		top.Offer(0, int32(j), qt, q)
+		qs[int32(j)] = lb.QTilde(qt, st.Sum(i, l), muB, sdB)
+		c := (qt*(1/float64(l)) - muA*muB) * (1 / sdA) * (1 / sdB)
+		top.Offer(0, int32(j), qt, c)
 	}
 	s := newStore(t, sCur, p)
-	s.Set(i, l, p, top, 0, false)
+	s.Set(i, l, p, top, 0, float64(l)*sdA)
 	terms := lb.NewAnchorTerms(st, i, l, k)
 	maxLB := terms.Bound(math.Sqrt(s.NextQ2[i]))
 	kept := map[int32]bool{}
@@ -160,7 +162,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		for x := rng.Intn(2 * c); x > 0; x-- {
 			top.Offer(0, int32(rng.Intn(n)), rng.NormFloat64(), rng.NormFloat64())
 		}
-		s.Set(i, 10+rng.Intn(5), min(c, 1+rng.Intn(c)), top, 0, i%7 == 3)
+		scale := 1.0
+		if i%7 == 3 {
+			scale = 0 // degenerate
+		}
+		s.Set(i, 10+rng.Intn(5), min(c, 1+rng.Intn(c)), top, 0, scale)
 	}
 	sn := s.Snapshot()
 	if len(sn.J) != s.Kept(n) {

@@ -112,9 +112,13 @@ type ckptPayload struct {
 // lengths move, so a v5 frame (whose hot rows gob would drop unread) does
 // not resume byte-identically. v7 keeps seedKeep entries per seeded
 // partial profile and P per refilled one, in flat arrays: a v6 frame's
-// P-entry seed lists would certify differently from a fresh run's.
+// P-entry seed lists would certify differently from a fresh run's. v8
+// ranks the partial profiles by the pair's correlation and derives NextQ2
+// from it: a v7 frame's kept entries and NextQ2 came from the q̃
+// expression, which rounds differently, so it need not resume
+// byte-identically.
 func cfgDigest(c Config) string {
-	return "v7 " + cfgFields(c)
+	return "v8 " + cfgFields(c)
 }
 
 // cfgFields renders the result-affecting configuration fields. Workers and

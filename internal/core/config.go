@@ -7,12 +7,13 @@
 //
 //  1. Compute the matrix profile at ℓmin and, for every anchor, retain the
 //     entries with the smallest lower-bounding distance (internal/lb;
-//     rank preservation makes this the largest q̃²) — the "partial
+//     rank preservation makes this the largest q̃², and q̃ = ℓ·σ·ρ makes
+//     it the largest ρ², ρ the pair's correlation) — the "partial
 //     distance profiles", min(p, 4) entries each at the seed and p for an
 //     anchor refilled by a recompute. One sweep over the diagonals does
-//     both: each pair is visited once, its dot product updates both
-//     endpoints' profile values and is offered to both endpoints'
-//     candidate lists.
+//     both: each pair is visited once, and its correlation updates both
+//     endpoints' profile values and keys both endpoints' candidate-list
+//     offers.
 //  2. For each longer length, advance each retained entry's dot product in
 //     O(1), recompute its exact distance, and compare the anchor's best
 //     exact distance (minDist) against the bound covering every
@@ -25,7 +26,8 @@
 //     (maxLB below the current k-th best distance) get their distance
 //     profile recomputed from a from-scratch dot-product row (the paper's
 //     MASS; rows.go computes it directly below an FFT cutover) and their
-//     partial profile reseeded.
+//     partial profile reseeded, both from one correlation pass over the
+//     row (kernels.RowScan).
 //     When too many anchors need recomputing, fall back to one seed
 //     sweep at that length and reseed everything.
 //

@@ -32,8 +32,9 @@ import (
 const (
 	// costRow, costScan: one multiply-add of a recompute's direct row
 	// (kernels.DotRow, below the direct-row cutover of rows.go) and one
-	// cell of its scan (scanRow: the partial-profile refill and
-	// kernels.ArgmaxCorr). Per-length times cannot separate the two over
+	// cell of its scan (scanRow's kernels.RowScan: the nearest neighbor
+	// and the partial-profile refill in one pass). Per-length times cannot
+	// separate the two over
 	// the fit's lengths, so they take the eviction rule's fitted prices of
 	// the same kernels.
 	costRow  = costEvictRow

@@ -321,6 +321,13 @@ func TestCheckpointRefusesV5Digest(t *testing.T) { assertDigestRefused(t, "v5") 
 // refused.
 func TestCheckpointRefusesV6Digest(t *testing.T) { assertDigestRefused(t, "v6") }
 
+// TestCheckpointRefusesV7Digest: a v7 frame's partial profiles were
+// ranked by q̃ and its NextQ2 computed from it, where this engine ranks
+// by the pair's correlation and scales the next key by ℓ·σ, so the kept
+// entries and thresholds can differ in the last bits and its digest is
+// refused.
+func TestCheckpointRefusesV7Digest(t *testing.T) { assertDigestRefused(t, "v7") }
+
 // assertDigestRefused rewrites a seeded frame's config digest to an older
 // version and checks the frame is refused with ErrBadCheckpoint, while a
 // scratch re-run stays bit-identical to the run that wrote it.

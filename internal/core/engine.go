@@ -81,7 +81,7 @@ type run struct {
 	sMin    int
 	workers int
 	// store holds the partial profiles, allocated at the first seed
-	// (ensureSeedScratch) and dropped by the latch.
+	// (ensureStore) and dropped by the latch.
 	store *anchors.Store
 
 	// scratch per length
@@ -137,11 +137,10 @@ type run struct {
 	// rowQT holds the seed sweep's head row and, with rowQT2, the rows of
 	// the serial recompute path
 	rowQT, rowQT2 []float64
-	// The seed sweep's per-worker candidate lists and head sums, sized at
-	// the ℓmin anchor count at the first seed, and the per-worker
-	// one-anchor lists of the recompute refills.
+	// The seed sweep's per-worker candidate lists, sized at the ℓmin
+	// anchor count at the first seed, and the per-worker one-anchor lists
+	// of the recompute refills.
 	seedLists []*kernels.TopLists
-	seedSums  []float64
 	refills   []*kernels.TopLists
 
 	// Steady-state per-length scratch, allocated (or pooled) once per run
@@ -427,5 +426,5 @@ func (r *run) maybeLatch(l int, st LengthStats) {
 func (r *run) latch() {
 	r.latched = true
 	r.seeded = false
-	r.store, r.seedLists, r.seedSums, r.refills = nil, nil, nil, nil
+	r.store, r.seedLists, r.refills = nil, nil, nil
 }

@@ -24,28 +24,24 @@ const seedKeep = 4
 // anchor's partial profile with base l, in one sweep over the diagonal
 // pass's block grid: kernels.SeedScan streams every diagonal from one
 // from-scratch head row (rows.go), updates both profile slots of each
-// cell and offers each endpoint to the other's candidate list. Every
-// worker fills its own top-(keep+1) lists, keep = min(P, seedKeep); the
-// merge folds them under the strict order into the first, so the kept
-// entries and NextQ2 are identical at every worker count. The lists and
-// head sums are run-owned scratch (ensureSeedScratch), and the store is
-// allocated at the first seed.
+// cell and offers each endpoint to the other's candidate list, keyed by
+// the cell's correlation. Every worker fills its own top-(keep+1) lists,
+// keep = min(P, seedKeep); the merge folds them under the strict order
+// into the first, so the kept entries and NextQ2 are identical at every
+// worker count. The lists are run-owned scratch, and the store is
+// allocated at the first seed (ensureStore).
 func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 	n := len(r.t)
 	if err := stomp.ValidateLength(n, l); err != nil {
 		return nil, err
 	}
-	if err := r.ensureSeedScratch(); err != nil {
+	if err := r.ensureStore(); err != nil {
 		return nil, err
 	}
 	s := n - l + 1
 	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)
 	r.momentsAt(l)
 	head := r.rows.row(r.rowQT, 0, l)
-	sums := r.seedSums[:s]
-	for i := range sums {
-		sums[i] = r.st.Sum(i, l)
-	}
 	blocks := diagBlocks(s, excl)
 	workers := r.passWorkers(len(blocks))
 	for len(r.seedLists) < workers {
@@ -54,19 +50,30 @@ func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 	lists := r.seedLists[:workers]
 	for _, tl := range lists {
 		tl.Reset(s)
+		if r.degCount == 0 {
+			continue
+		}
+		// A σ = 0 anchor keeps no entries (Store.Set), and every offer to
+		// it keys c = 0, so an open list would pass each one to Offer.
+		for i, v := range r.invStds[:s] {
+			if v == 0 {
+				tl.Thr[i] = math.Inf(1)
+			}
+		}
 	}
 	mp, err := r.diagPass(l, excl, s, blocks, workers, func(w int, b diagBlock, corr []float64, idx []int32) {
-		kernels.SeedScan(r.t, head, r.means, r.invStds, sums, b.k0, b.k1, l, s, corr, idx, lists[w])
+		kernels.SeedScan(r.t, head, r.means, r.invStds, b.k0, b.k1, l, s, corr, idx, lists[w])
 	})
 	if err != nil {
 		return nil, err
 	}
 	top := lists[0]
+	fl := float64(l)
 	for i := 0; i < s; i++ {
 		for _, o := range lists[1:] {
 			top.Merge(o, i)
 		}
-		r.store.Set(i, l, top.Cap-1, top, i, r.invStds[i] == 0)
+		r.store.Set(i, l, top.Cap-1, top, i, fl*r.stds[i])
 	}
 	// The pruned machinery is live and its retained entries hold dot
 	// products at l.
@@ -75,19 +82,16 @@ func (r *run) seedAll(l int) (*profile.MatrixProfile, error) {
 	return mp, nil
 }
 
-// ensureSeedScratch allocates, at the run's first seed, the partial
-// profile store (P entries for each of the ℓmin anchors) and the seed
-// sweep's head sums; runs that never seed allocate neither.
-func (r *run) ensureSeedScratch() error {
+// ensureStore allocates, at the run's first seed, the partial profile
+// store (P entries for each of the ℓmin anchors); runs that never seed
+// allocate none.
+func (r *run) ensureStore() error {
 	if r.store == nil {
 		st, err := anchors.NewStore(r.sMin, r.cfg.P)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 		r.store = st
-	}
-	if r.seedSums == nil {
-		r.seedSums = make([]float64, r.sMin)
 	}
 	return nil
 }
@@ -108,33 +112,26 @@ func exclSplit(i, excl, s int) (e1, j2 int) {
 }
 
 // scanRow is the per-row pass: exact nearest neighbor of anchor i at
-// length l (outside the exclusion zone) plus the partial-profile refill,
-// which keeps the P best candidates by q̃² through top, a one-anchor list
-// of capacity P+1 owned by the calling worker. The moment cache must be
-// filled for l. Each anchor touches only its own state, so rows may be
-// scanned concurrently.
+// length l (outside the exclusion zone) and the partial-profile refill,
+// which keeps the P best candidates by c² through top, a one-anchor list
+// of capacity P+1 owned by the calling worker — both from one
+// kernels.RowScan over the row. The moment cache must be filled for l.
+// Each anchor touches only its own state, so rows may be scanned
+// concurrently.
 func (r *run) scanRow(i, l, excl, s int, row []float64, mp *profile.MatrixProfile, top *kernels.TopLists) {
-	means, invs := r.means, r.invStds
 	fl := float64(l)
-	muA := means[i]
-	invA := invs[i]
-
 	// Degenerate anchor: the fused correlation math is undefined; fall back
 	// to the convention-aware scalar path for this (rare) row.
-	if invA == 0 {
+	if r.invStds[i] == 0 {
 		r.scanRowDegenerate(i, l, excl, s, row, mp)
-		r.store.Set(i, l, 0, top, 0, true)
+		r.store.Set(i, l, 0, top, 0, 0)
 		return
 	}
 
 	e1, j2 := exclSplit(i, excl, s)
-	sumA := r.st.Sum(i, l)
 	top.Reset(1)
-	r.refill(top, row, 0, e1, sumA)
-	r.refill(top, row, j2, s, sumA)
-	r.store.Set(i, l, r.store.Cap, top, 0, false)
-
-	bestCorr, bestJ := kernels.ArgmaxCorr(row, means, invs, e1, j2, s, 1/fl, muA, invA, math.Inf(-1), -1)
+	bestCorr, bestJ := kernels.RowScan(row, r.means, r.invStds, e1, j2, s, 1/fl, r.means[i], r.invStds[i], math.Inf(-1), -1, top)
+	r.store.Set(i, l, r.store.Cap, top, 0, fl*r.stds[i])
 	if bestJ >= 0 {
 		if bestCorr > 1 {
 			bestCorr = 1
@@ -142,28 +139,6 @@ func (r *run) scanRow(i, l, excl, s int, row []float64, mp *profile.MatrixProfil
 			bestCorr = -1
 		}
 		mp.Update(i, math.Sqrt(2*fl*(1-bestCorr)), bestJ)
-	}
-}
-
-// refill offers the candidates of the included range [j0, j1) of an
-// anchor's row to top's list 0, keyed as the seed sweep keys its offers
-// (sumA is the anchor's window sum). The threshold test is inline, so
-// only the candidates that reach the list call TopLists.Offer.
-func (r *run) refill(top *kernels.TopLists, row []float64, j0, j1 int, sumA float64) {
-	if j1 <= j0 {
-		return
-	}
-	rr := row[j0:j1]
-	mm := r.means[j0:j1]
-	mm = mm[:len(rr)]
-	vv := r.invStds[j0:j1]
-	vv = vv[:len(rr)]
-	thr := top.Thr[0]
-	for x, qt := range rr {
-		if q := (qt - mm[x]*sumA) * vv[x]; q*q >= thr {
-			top.Offer(0, int32(j0+x), qt, q)
-			thr = top.Thr[0]
-		}
 	}
 }
 

@@ -2,29 +2,30 @@
 
 package kernels
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // The AVX2 dispatch tier, amd64 side: thin Go orchestration around the
 // assembly routines in kernels_amd64.s. Division of labor:
 //
-//   - Pure arithmetic (RowNext, ExtendRow, the argmax sweep) runs
-//     entirely in four-lane assembly; remainders shorter than a vector
-//     run the identical scalar expressions here.
-//   - Winner selection stays in Go. The argmax sweep returns only the
-//     maximum correlation; if it beats the running best, a scalar re-scan
-//     recomputes the identical per-lane expression and keeps the first
-//     cell comparing equal — the cell the sequential scan would keep.
-//   - The column, diagonal and seed steppers use a stop protocol:
-//     assembly computes four lanes per step — a group of four cells of
-//     the column, or one cell on each of four interleaved diagonal chains
-//     — and returns at the first step where any lane's correlation
-//     reaches a slot's current winner (a conservative superset of the
-//     cells that actually update, since slot values only ever grow) or,
-//     in the column scan, beats the running best (exactly that update).
-//     Go recomputes that step's lanes in scalar, applies the exact
-//     sequential compare-updates and re-enters at the next step. This
-//     tier's assembly never writes winner state; only the avx512
-//     DiagScan body does (avx512_amd64.go).
+//   - Pure arithmetic (RowNext, ExtendRow, DotRow) runs entirely in
+//     four-lane assembly; remainders shorter than a vector run the
+//     identical scalar expressions here.
+//   - Winner selection stays in Go. The row, column, diagonal and seed
+//     steppers use a stop protocol: assembly computes four lanes per
+//     step — a group of four cells of a row or column, or one cell on
+//     each of four interleaved diagonal chains — and returns at the
+//     first step where any lane's correlation reaches a slot's current
+//     winner (a conservative superset of the cells that actually update,
+//     since slot values only ever grow), beats the running best of a row
+//     or column scan (exactly that update), or has a square reaching a
+//     candidate list's threshold. Go recomputes that step's lanes in
+//     scalar, applies the exact sequential compare-updates and list
+//     offers, and re-enters at the next step. This tier's assembly never
+//     writes winner state; only the avx512 DiagScan body does
+//     (avx512_amd64.go).
 //
 // None of the assembly uses FMA: fused multiply-adds round differently
 // from the separate multiply and add the generic tier performs, and
@@ -42,11 +43,13 @@ func rowNextBlocks(r, a, b *float64, tail, head float64, lo, hi int)
 //go:noescape
 func axpyBlocks(dst, x *float64, a float64, n int)
 
-// corrMax returns max over j ∈ [0, n) of (r[j]·invFl − muA·m[j])·invA·v[j];
-// n must be a positive multiple of 4.
+// rowSteps4 walks groups of four cells j = j0, j0+4, … < n (n − j0 a
+// multiple of 4), computing c = (r[j]·invFl − muA·m[j])·invA·v[j], and
+// returns the first group start where any lane has c > best or
+// c² ≥ thr, or n if no group triggers.
 //
 //go:noescape
-func corrMax(r, m, v *float64, invFl, muA, invA float64, n int) float64
+func rowSteps4(r, m, v *float64, invFl, muA, invA, best, thr float64, j0, n int) int
 
 // colSteps4 walks groups of four cells i = i0, i0+4, … < n (n − i0 a
 // multiple of 4), computing c = (col[i]·invFl − m[i]·muJ)·v[i]·invJ, and
@@ -129,10 +132,13 @@ func extendRowAVX2(row, t []float64, i, cur, l int) {
 	}
 }
 
-func argmaxCorrRangeAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, invA float64, bestCorr float64, bestJ int) (float64, int) {
-	if j0 < 0 {
-		j0 = 0
-	}
+// rowScanAVX2 drives [j0, j1) through the rowSteps4 stop protocol, with
+// the list threshold read before each call. A stopped group and the
+// scalar tail (fewer than four cells) run rowScanGeneric, whose scalar
+// expression is bit-identical to the vector lanes, in ascending j. A
+// group that did not stop changes nothing: no lane beat the running best
+// it entered with, and no lane's c² reached the threshold.
+func rowScanAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, invA float64, bestCorr float64, bestJ int, top *TopLists) (float64, int) {
 	if j1 <= j0 {
 		return bestCorr, bestJ
 	}
@@ -141,26 +147,18 @@ func argmaxCorrRangeAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, inv
 	m = m[:len(r)]
 	v := invs[j0:j1]
 	v = v[:len(r)]
-	n := len(r)
-	x := 0
-	if nv := n &^ 3; nv > 0 {
-		bm := corrMax(&r[0], &m[0], &v[0], invFl, muA, invA, nv)
-		if bm > bestCorr {
-			for y := 0; y < nv; y++ {
-				c := (r[y]*invFl - muA*m[y]) * invA * v[y]
-				if c == bm {
-					bestCorr, bestJ = c, j0+y
-					break
-				}
+	nv := len(r) &^ 3
+	for x := 0; x < len(r); {
+		if x < nv {
+			thr := math.Inf(1)
+			if top != nil {
+				thr = top.Thr[0]
 			}
+			x = rowSteps4(&r[0], &m[0], &v[0], invFl, muA, invA, bestCorr, thr, x, nv)
 		}
-		x = nv
-	}
-	for ; x < n; x++ {
-		c := (r[x]*invFl - muA*m[x]) * invA * v[x]
-		if c > bestCorr {
-			bestCorr, bestJ = c, j0+x
-		}
+		end := min(x+4, len(r))
+		bestCorr, bestJ = rowScanGeneric(row, means, invs, j0+x, j0+end, invFl, muA, invA, bestCorr, bestJ, top)
+		x = end
 	}
 	return bestCorr, bestJ
 }
@@ -325,87 +323,87 @@ func diagQuadAVX2(t, head, means, invs []float64, k, l, s int, invFl float64, co
 
 // seedSteps4 is diagSteps4 extended with SeedScan's list filter: the four
 // chains qt[0..3] of diagonals k..k+3 advance over cells i ∈ [i0, n), and
-// besides the correlation c of cell (i, j = i+k+x) each lane computes the
-// two rank keys qij = (qt − means[j]·sums[i])·invs[j] and
-// qji = (qt − means[i]·sums[j])·invs[i]. It returns at the first i where
-// any lane has c ≥ corr[i], c ≥ corr[j], qij² ≥ thr[i] or qji² ≥ thr[j]
-// (chains advanced to that cell and stored back; the four conditions'
-// lane masks in bits 0–3, 4–7, 8–11 and 12–15 of mask), or at n with
-// mask 0. Slots and thresholds only ever grow, so every flagged set is a
-// superset of the cells that change state.
+// each lane squares the correlation c of its cell (i, j = i+k+x), the
+// key of both offers. It returns at the first i where any lane has
+// c ≥ corr[i], c ≥ corr[j], c² ≥ thr[i] or c² ≥ thr[j] (chains advanced
+// to that cell and stored back; the four conditions' lane masks in bits
+// 0–3, 4–7, 8–11 and 12–15 of mask), or at n with mask 0. Slots and
+// thresholds only ever grow, so every flagged set is a superset of the
+// cells that change state.
 //
 //go:noescape
-func seedSteps4(qt, t, means, invs, sums, corr, thr *float64, k, l int, invFl float64, i0, n int) (stop, mask int)
+func seedSteps4(qt, t, means, invs, corr, thr *float64, k, l int, invFl float64, i0, n int) (stop, mask int)
 
-func seedScanAVX2(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+func seedScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	invFl := 1 / float64(l)
 	k := k0
 	for ; k+4 <= k1; k += 4 {
-		seedQuadAVX2(t, head, means, invs, sums, k, l, s, invFl, corr, idx, top)
+		seedQuadAVX2(t, head, means, invs, k, l, s, invFl, corr, idx, top)
 	}
 	for ; k < k1; k++ {
-		seedCell(means, invs, sums, head[k], 0, k, invFl, corr, idx, top)
-		seedTail(t, means, invs, sums, head[k], k, l, s, invFl, corr, idx, top, 0)
+		seedCell(means, invs, head[k], 0, k, invFl, corr, idx, top)
+		seedTail(t, means, invs, head[k], k, l, s, invFl, corr, idx, top, 0)
 	}
 }
 
 // seedQuadAVX2 mirrors diagQuadAVX2: scalar head cells, the common range
 // through the seedSteps4 stop protocol, scalar tails resuming from the
 // carried chains.
-func seedQuadAVX2(t, head, means, invs, sums []float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists) {
+func seedQuadAVX2(t, head, means, invs []float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists) {
 	var qt [4]float64
 	for x := range qt {
 		qt[x] = head[k+x]
-		seedCell(means, invs, sums, qt[x], 0, k+x, invFl, corr, idx, top)
+		seedCell(means, invs, qt[x], 0, k+x, invFl, corr, idx, top)
 	}
 	m := s - k - 4
 	if m >= 1 {
 		n := m + 1 // common cells are i ∈ [1, m]
 		for i := 1; i < n; i++ {
-			stop, mask := seedSteps4(&qt[0], &t[0], &means[0], &invs[0], &sums[0], &corr[0], &top.Thr[0], k, l, invFl, i, n)
+			stop, mask := seedSteps4(&qt[0], &t[0], &means[0], &invs[0], &corr[0], &top.Thr[0], k, l, invFl, i, n)
 			if stop >= n {
 				break
 			}
 			i = stop
-			seedLanes(means, invs, sums, qt[:], i, k, invFl, corr, idx, top, uint64(mask))
+			seedLanes(means, invs, qt[:], i, k, invFl, corr, idx, top, uint64(mask))
 		}
 	}
 	if m < 0 {
 		m = 0
 	}
 	for x := range qt {
-		seedTail(t, means, invs, sums, qt[x], k+x, l, s, invFl, corr, idx, top, m)
+		seedTail(t, means, invs, qt[x], k+x, l, s, invFl, corr, idx, top, m)
 	}
 }
 
 // seedLanes applies the lanes a seed stepper flagged at row i on the
 // len(qt) diagonals k, k+1, …: condition b's lane mask sits in bits
 // [b·len(qt), (b+1)·len(qt)) of mask, in seedSteps4's order. Each flagged
-// lane is recomputed in scalar from its carried chain — the same
-// expressions, bit-identical to the vector lanes — and applied through
-// the winner and list rules, in ascending lane order.
-func seedLanes(means, invs, sums, qt []float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists, mask uint64) {
+// lane's correlation is recomputed in scalar from its carried chain —
+// the same expression, bit-identical to the vector lanes — and applied
+// through the winner rule and, as both offers' key, the list rule, in
+// ascending lane order.
+func seedLanes(means, invs, qt []float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists, mask uint64) {
 	w := len(qt)
 	all := uint64(1)<<w - 1
 	slots := (mask | mask>>w) & all // c ≥ corr[i] or c ≥ corr[j]
 	toI := mask >> (2 * w) & all    // offer j to anchor i
 	toJ := mask >> (3 * w) & all    // offer i to anchor j
-	mi, vi, si := means[i], invs[i], sums[i]
+	mi, vi := means[i], invs[i]
 	for lanes := slots | toI | toJ; lanes != 0; lanes &= lanes - 1 {
 		x := bits.TrailingZeros64(lanes)
 		bit := uint64(1) << x
 		q := qt[x]
 		j := i + k + x
+		c := (q*invFl - mi*means[j]) * vi * invs[j]
 		if slots&bit != 0 {
-			c := (q*invFl - mi*means[j]) * vi * invs[j]
 			update(corr, idx, i, c, int32(j))
 			update(corr, idx, j, c, int32(i))
 		}
 		if toI&bit != 0 {
-			top.Offer(i, int32(j), q, (q-means[j]*si)*invs[j])
+			top.Offer(i, int32(j), q, c)
 		}
 		if toJ&bit != 0 {
-			top.Offer(j, int32(i), q, (q-mi*sums[j])*vi)
+			top.Offer(j, int32(i), q, c)
 		}
 	}
 }

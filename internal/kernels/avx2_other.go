@@ -10,8 +10,8 @@ func rowNextAVX2(row, t []float64, i, l, s int) {
 	rowNextGeneric(row, t, i, l, s)
 }
 
-func argmaxCorrRangeAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, invA float64, bestCorr float64, bestJ int) (float64, int) {
-	return argmaxCorrRange(row, means, invs, j0, j1, invFl, muA, invA, bestCorr, bestJ)
+func rowScanAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, invA float64, bestCorr float64, bestJ int, top *TopLists) (float64, int) {
+	return rowScanGeneric(row, means, invs, j0, j1, invFl, muA, invA, bestCorr, bestJ, top)
 }
 
 func extendRowAVX2(row, t []float64, i, cur, l int) {
@@ -26,16 +26,16 @@ func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float
 	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
 
-func seedScanAVX2(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
-	seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+func seedScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	seedScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx, top)
 }
 
 func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
 	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
 }
 
-func seedScanAVX512(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
-	seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+func seedScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+	seedScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx, top)
 }
 
 func dotRowAVX2(row, t []float64, i, l, j0, s int) {

@@ -67,39 +67,39 @@ func diagGroup16(t, head, means, invs []float64, k, l, s int, invFl float64, cor
 // and 48–63 of mask, or at n with mask 0.
 //
 //go:noescape
-func seedSteps16(qt, t, means, invs, sums, corr, thr *float64, k, l int, invFl float64, i0, n int) (stop int, mask uint64)
+func seedSteps16(qt, t, means, invs, corr, thr *float64, k, l int, invFl float64, i0, n int) (stop int, mask uint64)
 
 // seedScanAVX512 runs groups of sixteen diagonals through seedSteps16; a
 // block's remainder runs the avx2 quad path, then the scalar path.
-func seedScanAVX512(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+func seedScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	invFl := 1 / float64(l)
 	k := k0
 	for ; k+16 <= k1; k += 16 {
-		seedGroup16(t, head, means, invs, sums, k, l, s, invFl, corr, idx, top)
+		seedGroup16(t, head, means, invs, k, l, s, invFl, corr, idx, top)
 	}
-	seedScanAVX2(t, head, means, invs, sums, k, k1, l, s, corr, idx, top)
+	seedScanAVX2(t, head, means, invs, k, k1, l, s, corr, idx, top)
 }
 
 // seedGroup16 mirrors seedQuadAVX2 at sixteen diagonals k..k+15: scalar
 // head cells, the common range through the seedSteps16 stop protocol,
 // scalar tails resuming from the carried chains.
-func seedGroup16(t, head, means, invs, sums []float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists) {
+func seedGroup16(t, head, means, invs []float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists) {
 	var qt [16]float64
 	copy(qt[:], head[k:k+16])
 	for x, q := range qt {
-		seedCell(means, invs, sums, q, 0, k+x, invFl, corr, idx, top)
+		seedCell(means, invs, q, 0, k+x, invFl, corr, idx, top)
 	}
 	m := s - k - 16 // common cells are i ∈ [1, m]; m ≥ 0 since k+16 ≤ s
 	for i, n := 1, m+1; i < n; i++ {
-		stop, mask := seedSteps16(&qt[0], &t[0], &means[0], &invs[0], &sums[0], &corr[0], &top.Thr[0], k, l, invFl, i, n)
+		stop, mask := seedSteps16(&qt[0], &t[0], &means[0], &invs[0], &corr[0], &top.Thr[0], k, l, invFl, i, n)
 		if stop >= n {
 			break
 		}
 		i = stop
-		seedLanes(means, invs, sums, qt[:], i, k, invFl, corr, idx, top, mask)
+		seedLanes(means, invs, qt[:], i, k, invFl, corr, idx, top, mask)
 	}
 	for x, q := range qt {
-		seedTail(t, means, invs, sums, q, k+x, l, s, invFl, corr, idx, top, m)
+		seedTail(t, means, invs, q, k+x, l, s, invFl, corr, idx, top, m)
 	}
 }
 

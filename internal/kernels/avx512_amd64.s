@@ -170,35 +170,34 @@ r16resume:
 	MOVQ tb+32(FP), R11
 	JMP  r16next
 
-// func seedSteps16(qt, t, means, invs, sums, corr, thr *float64, k, l int,
+// func seedSteps16(qt, t, means, invs, corr, thr *float64, k, l int,
 //                  invFl float64, i0, n int) (stop int, mask uint64)
 // seedSteps4 at sixteen lanes, two ZMM vectors of eight chains qt[0..15]
 // of diagonals k..k+15. Over cells i in [i0, n), lane x on diagonal k+x
 // (j = i+k+x):
 //   qt[x] += t[i+l-1]*t[j+l-1] - t[i-1]*t[j-1]
 //   c      = ((qt*invFl) - means[i]*means[j]) * invs[i] * invs[j]
-//   qij    = (qt - means[j]*sums[i]) * invs[j]
-//   qji    = (qt - means[i]*sums[j]) * invs[i]
 // Returns at the first i where any lane has c >= corr[i], c >= corr[j],
-// qij*qij >= thr[i] or qji*qji >= thr[j] (chains advanced to that cell and
-// stored back; the four conditions' lane masks in bits 0-15, 16-31, 32-47
-// and 48-63 of mask), or at n with mask 0. The loop tests the complement:
-// each half's four NGE_US compares are chained through the write mask, so
-// a lane bit survives only where no condition holds, and a row runs on
-// when all sixteen survive. Winner and list state are never written here.
-TEXT ·seedSteps16(SB), NOSPLIT, $0-112
+// c*c >= thr[i] or c*c >= thr[j] (chains advanced to that cell and stored
+// back; the four conditions' lane masks in bits 0-15, 16-31, 32-47 and
+// 48-63 of mask), or at n with mask 0. A row costs 20 vector multiplies,
+// adds and subtracts (diagRun16's 18 and the two squares) and 8 compares.
+// The loop tests the complement: each half's four NGE_US compares are
+// chained through the write mask, so a lane bit survives only where no
+// condition holds, and a row runs on when all sixteen survive. Winner and
+// list state are never written here.
+TEXT ·seedSteps16(SB), NOSPLIT, $0-104
 	MOVQ t+8(FP), R8
-	MOVQ l+64(FP), CX
+	MOVQ l+56(FP), CX
 	LEAQ -8(R8)(CX*8), R9 // &t[l-1]
 	MOVQ means+16(FP), R10
 	MOVQ invs+24(FP), R11
-	MOVQ sums+32(FP), R12
-	MOVQ corr+40(FP), R13
-	MOVQ thr+48(FP), R14
-	VBROADCASTSD invFl+72(FP), Z2
-	MOVQ i0+80(FP), AX
-	MOVQ n+88(FP), DX
-	MOVQ k+56(FP), CX
+	MOVQ corr+32(FP), R13
+	MOVQ thr+40(FP), R14
+	VBROADCASTSD invFl+64(FP), Z2
+	MOVQ i0+72(FP), AX
+	MOVQ n+80(FP), DX
+	MOVQ k+48(FP), CX
 	ADDQ AX, CX // j = i + k (lane 0)
 	MOVQ qt+0(FP), SI
 	VMOVUPD (SI), Z0   // chains of lanes 0-7
@@ -220,7 +219,6 @@ s16loop:
 	VADDPD  Z9, Z1, Z1
 	VBROADCASTSD (R10)(AX*8), Z5  // mi
 	VBROADCASTSD (R11)(AX*8), Z6  // vi
-	VBROADCASTSD (R12)(AX*8), Z7  // si
 	VMULPD  Z2, Z0, Z8            // qt*invFl
 	VMULPD  Z2, Z1, Z9
 	VMULPD  (R10)(CX*8), Z5, Z10  // mi*mj
@@ -231,32 +229,18 @@ s16loop:
 	VMULPD  Z6, Z9, Z9
 	VMULPD  (R11)(CX*8), Z8, Z8   // * vj -> c lanes
 	VMULPD  64(R11)(CX*8), Z9, Z9
-	VMULPD  (R10)(CX*8), Z7, Z10  // mj*si
-	VMULPD  64(R10)(CX*8), Z7, Z11
-	VSUBPD  Z10, Z0, Z10
-	VSUBPD  Z11, Z1, Z11
-	VMULPD  (R11)(CX*8), Z10, Z10 // qij
-	VMULPD  64(R11)(CX*8), Z11, Z11
-	VMULPD  Z10, Z10, Z10         // qij^2
-	VMULPD  Z11, Z11, Z11
-	VMULPD  (R12)(CX*8), Z5, Z12  // mi*sj
-	VMULPD  64(R12)(CX*8), Z5, Z13
-	VSUBPD  Z12, Z0, Z12
-	VSUBPD  Z13, Z1, Z13
-	VMULPD  Z6, Z12, Z12          // qji
-	VMULPD  Z6, Z13, Z13
-	VMULPD  Z12, Z12, Z12         // qji^2
-	VMULPD  Z13, Z13, Z13
+	VMULPD  Z8, Z8, Z10           // c^2
+	VMULPD  Z9, Z9, Z11
 	VBROADCASTSD (R13)(AX*8), Z14 // corr[i]
 	VBROADCASTSD (R14)(AX*8), Z15 // thr[i]
 	VCMPPD  $0x09, Z14, Z8, K1                  // c < corr[i] (NGE_US)
 	VCMPPD  $0x09, (R13)(CX*8), Z8, K1, K1      // and c < corr[j]
-	VCMPPD  $0x09, Z15, Z10, K1, K1             // and qij^2 < thr[i]
-	VCMPPD  $0x09, (R14)(CX*8), Z12, K1, K1     // and qji^2 < thr[j]
+	VCMPPD  $0x09, Z15, Z10, K1, K1             // and c^2 < thr[i]
+	VCMPPD  $0x09, (R14)(CX*8), Z10, K1, K1     // and c^2 < thr[j]
 	VCMPPD  $0x09, Z14, Z9, K2
 	VCMPPD  $0x09, 64(R13)(CX*8), Z9, K2, K2
 	VCMPPD  $0x09, Z15, Z11, K2, K2
-	VCMPPD  $0x09, 64(R14)(CX*8), Z13, K2, K2
+	VCMPPD  $0x09, 64(R14)(CX*8), Z11, K2, K2
 	KUNPCKBW K1, K2, K1 // lanes 0-7 low, 8-15 high
 	KORTESTW K1, K1     // CF: all sixteen lanes pass
 	JCC     s16hit
@@ -277,14 +261,14 @@ s16hit:
 	KMOVW   K1, SI
 	SHLQ    $16, SI
 	ORQ     SI, BX
-	VCMPPD  $0x0d, Z15, Z10, K1 // qij^2 >= thr[i]
+	VCMPPD  $0x0d, Z15, Z10, K1 // c^2 >= thr[i]
 	VCMPPD  $0x0d, Z15, Z11, K2
 	KUNPCKBW K1, K2, K1
 	KMOVW   K1, SI
 	SHLQ    $32, SI
 	ORQ     SI, BX
-	VCMPPD  $0x0d, (R14)(CX*8), Z12, K1 // qji^2 >= thr[j]
-	VCMPPD  $0x0d, 64(R14)(CX*8), Z13, K2
+	VCMPPD  $0x0d, (R14)(CX*8), Z10, K1 // c^2 >= thr[j]
+	VCMPPD  $0x0d, 64(R14)(CX*8), Z11, K2
 	KUNPCKBW K1, K2, K1
 	KMOVW   K1, SI
 	SHLQ    $48, SI
@@ -294,8 +278,8 @@ s16done:
 	MOVQ qt+0(FP), SI
 	VMOVUPD Z0, (SI)
 	VMOVUPD Z1, 64(SI)
-	MOVQ AX, stop+96(FP)
-	MOVQ BX, mask+104(FP)
+	MOVQ AX, stop+88(FP)
+	MOVQ BX, mask+96(FP)
 	VZEROUPPER
 	RET
 

@@ -1,5 +1,7 @@
 package kernels
 
+import "math"
+
 // The generic dispatch tier: the portable kernels, the default wherever
 // AVX2 is missing. The Ref* parity suite certifies them bit-for-bit, as it
 // does the avx2 tier.
@@ -33,11 +35,15 @@ func rowNextGeneric(row, t []float64, i, l, s int) {
 	}
 }
 
-// argmaxCorrRange scans one contiguous range [j0, j1), 4-way unrolled.
-func argmaxCorrRange(row, means, invs []float64, j0, j1 int, invFl, muA, invA float64, bestCorr float64, bestJ int) (float64, int) {
-	if j0 < 0 {
-		j0 = 0
-	}
+// rowScanGeneric is RowScan over one contiguous range [j0, j1), in
+// ascending j: each cell's correlation moves the running best on strict
+// improvement, and goes to top's list 0 when its square reaches the
+// list's threshold. Groups of four in which no cell does either are
+// skipped with one combined test, the avx2 stepper's protocol in Go;
+// the cells of the group that stops it, and the tail, run the cell rule.
+// The avx2 tier runs it on the groups its stepper stops at, so it is the
+// one Go definition of the row scan's cell rule.
+func rowScanGeneric(row, means, invs []float64, j0, j1 int, invFl, muA, invA float64, bestCorr float64, bestJ int, top *TopLists) (float64, int) {
 	if j1 <= j0 {
 		return bestCorr, bestJ
 	}
@@ -46,30 +52,30 @@ func argmaxCorrRange(row, means, invs []float64, j0, j1 int, invFl, muA, invA fl
 	m = m[:len(r)] // equal-length facts for BCE (panics on violated preconditions)
 	v := invs[j0:j1]
 	v = v[:len(r)]
-	n := len(r)
-	x := 0
-	for ; x+4 <= n; x += 4 {
-		c0 := (r[x]*invFl - muA*m[x]) * invA * v[x]
-		c1 := (r[x+1]*invFl - muA*m[x+1]) * invA * v[x+1]
-		c2 := (r[x+2]*invFl - muA*m[x+2]) * invA * v[x+2]
-		c3 := (r[x+3]*invFl - muA*m[x+3]) * invA * v[x+3]
-		if c0 > bestCorr {
-			bestCorr, bestJ = c0, j0+x
-		}
-		if c1 > bestCorr {
-			bestCorr, bestJ = c1, j0+x+1
-		}
-		if c2 > bestCorr {
-			bestCorr, bestJ = c2, j0+x+2
-		}
-		if c3 > bestCorr {
-			bestCorr, bestJ = c3, j0+x+3
-		}
+	thr := math.Inf(1)
+	if top != nil {
+		thr = top.Thr[0]
 	}
-	for ; x < n; x++ {
-		c := (r[x]*invFl - muA*m[x]) * invA * v[x]
-		if c > bestCorr {
-			bestCorr, bestJ = c, j0+x
+	for x := 0; x < len(r); {
+		for ; x+4 <= len(r); x += 4 {
+			c0 := (r[x]*invFl - muA*m[x]) * invA * v[x]
+			c1 := (r[x+1]*invFl - muA*m[x+1]) * invA * v[x+1]
+			c2 := (r[x+2]*invFl - muA*m[x+2]) * invA * v[x+2]
+			c3 := (r[x+3]*invFl - muA*m[x+3]) * invA * v[x+3]
+			if c0 > bestCorr || c1 > bestCorr || c2 > bestCorr || c3 > bestCorr ||
+				c0*c0 >= thr || c1*c1 >= thr || c2*c2 >= thr || c3*c3 >= thr {
+				break
+			}
+		}
+		for end := min(x+4, len(r)); x < end; x++ {
+			c := (r[x]*invFl - muA*m[x]) * invA * v[x]
+			if c > bestCorr {
+				bestCorr, bestJ = c, j0+x
+			}
+			if c*c >= thr && top != nil {
+				top.Offer(0, int32(j0+x), r[x], c)
+				thr = top.Thr[0]
+			}
 		}
 	}
 	return bestCorr, bestJ
@@ -450,32 +456,33 @@ func diagOneTail(t, means, invs []float64, qt float64, k, l, s int, invFl float6
 // seedScanGeneric is SeedScan one diagonal at a time, with hoisted
 // bounds; each cell's two list filters are inline and only the offers
 // that pass them call TopLists.Offer.
-func seedScanGeneric(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+func seedScanGeneric(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	invFl := 1 / float64(l)
 	for k := k0; k < k1; k++ {
-		seedCell(means, invs, sums, head[k], 0, k, invFl, corr, idx, top)
-		seedTail(t, means, invs, sums, head[k], k, l, s, invFl, corr, idx, top, 0)
+		seedCell(means, invs, head[k], 0, k, invFl, corr, idx, top)
+		seedTail(t, means, invs, head[k], k, l, s, invFl, corr, idx, top, 0)
 	}
 }
 
 // seedCell applies cell (i, i+k) with dot product qt: both profile
-// slots under the winner rule, both offers through the list filter.
-func seedCell(means, invs, sums []float64, qt float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists) {
+// slots under the winner rule, both offers, keyed by the cell's
+// correlation, through the list filter.
+func seedCell(means, invs []float64, qt float64, i, k int, invFl float64, corr []float64, idx []int32, top *TopLists) {
 	j := i + k
 	c := (qt*invFl - means[i]*means[j]) * invs[i] * invs[j]
 	update(corr, idx, i, c, int32(j))
 	update(corr, idx, j, c, int32(i))
-	if q := (qt - means[j]*sums[i]) * invs[j]; q*q >= top.Thr[i] {
-		top.Offer(i, int32(j), qt, q)
+	if c*c >= top.Thr[i] {
+		top.Offer(i, int32(j), qt, c)
 	}
-	if q := (qt - means[i]*sums[j]) * invs[i]; q*q >= top.Thr[j] {
-		top.Offer(j, int32(i), qt, q)
+	if c*c >= top.Thr[j] {
+		top.Offer(j, int32(i), qt, c)
 	}
 }
 
 // seedTail finishes diagonal k from cell i0+1 onward, given qt = the
 // chain value at cell i0 (whose cell has already been applied).
-func seedTail(t, means, invs, sums []float64, qt float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists, i0 int) {
+func seedTail(t, means, invs []float64, qt float64, k, l, s int, invFl float64, corr []float64, idx []int32, top *TopLists, i0 int) {
 	w := t[k+l-1 : s+l-1] // w[i] = t[j+l-1], len s−k
 	u := t[k-1 : s-1]
 	u = u[:len(w)]
@@ -487,16 +494,12 @@ func seedTail(t, means, invs, sums []float64, qt float64, k, l, s int, invFl flo
 	mi = mi[:len(w)]
 	vi := invs[0 : s-k]
 	vi = vi[:len(w)]
-	si := sums[0 : s-k]
-	si = si[:len(w)]
 	hi := top.Thr[0 : s-k]
 	hi = hi[:len(w)]
 	mj := means[k:s]
 	mj = mj[:len(w)]
 	vj := invs[k:s]
 	vj = vj[:len(w)]
-	sj := sums[k:s]
-	sj = sj[:len(w)]
 	hj := top.Thr[k:s]
 	hj = hj[:len(w)]
 	ci := corr[0 : s-k]
@@ -522,11 +525,11 @@ func seedTail(t, means, invs, sums []float64, qt float64, k, l, s int, invFl flo
 				cj[i], ij[i] = c, a
 			}
 		}
-		if q := (qt - mj[i]*si[i]) * vj[i]; q*q >= hi[i] {
-			top.Offer(i, j, qt, q)
+		if c*c >= hi[i] {
+			top.Offer(i, j, qt, c)
 		}
-		if q := (qt - mi[i]*sj[i]) * vi[i]; q*q >= hj[i] {
-			top.Offer(i+k, a, qt, q)
+		if c*c >= hj[i] {
+			top.Offer(i+k, a, qt, c)
 		}
 	}
 }

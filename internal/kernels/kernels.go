@@ -1,5 +1,6 @@
 // Package kernels holds the engine's arithmetic hot loops — the STOMP row
-// recurrence, the branch-free argmax-correlation scans, the fused
+// recurrence, the branch-free correlation row scan (the nearest neighbor
+// and the partial-profile refill of one row in one pass), the fused
 // multi-length dot-product extensions, the direct dot-product row, the
 // streaming column scan, the diagonal pass of the incremental cross-length
 // engine, and the seed sweep that fuses that pass with the partial-profile
@@ -27,9 +28,10 @@
 //     per vector. The assembly never uses FMA: fused multiply-adds round
 //     differently from the separate multiply and add the portable tier
 //     performs, and bit-identity across tiers is a hard contract. Its
-//     scans (ColScan, DiagScan, SeedScan) share one stop protocol: the
-//     assembly computes correlations and returns only where a lane could
-//     change winner state, and Go applies the compare-updates there.
+//     scans (RowScan, ColScan, DiagScan, SeedScan) share one stop
+//     protocol: the assembly computes correlations and returns only where
+//     a lane could change winner or list state, and Go applies the
+//     compare-updates and list offers there.
 //   - avx512 — avx2 plus three AVX-512F bodies (runtime CPUID- and
 //     XCR0-detected), again without FMA: a DiagScan that advances sixteen
 //     diagonals per step in two eight-lane ZMM chains over a group's whole
@@ -49,13 +51,14 @@
 // Every tier must produce bit-identical outputs. For pure arithmetic
 // (RowNext, ExtendRow, DotRow) that holds lane-by-lane because each output
 // cell's operations run in the same order in every tier. For the winner scans
-// (ArgmaxCorr, ColScan, DiagScan, SeedScan) it holds because winner
+// (RowScan, ColScan, DiagScan, SeedScan) it holds because winner
 // selection is a maximum under the strict total order (correlation
 // descending, neighbor offset ascending on exact ties), which is
 // associative and commutative — any tier may reorder candidate visits, but
-// every reordering reduces to the same argmax. SeedScan's candidate lists
-// are the best entries under another strict order (q̃² descending, offset
-// ascending), likewise independent of visiting order. AdvanceDot is the
+// every reordering reduces to the same argmax. The candidate lists of
+// SeedScan and RowScan are the best entries under another strict order
+// (c² descending, offset ascending, c the cell's correlation), likewise
+// independent of visiting order. AdvanceDot is the
 // one kernel with a single serial floating-point accumulation chain and
 // no slack to reorder, so every tier shares the one scalar loop.
 //
@@ -100,16 +103,32 @@ func RowNext(row, t []float64, i, l, s int) {
 // survives exact ties). A degenerate candidate (invs[j] = 0) contributes
 // corr 0, the √(2l)-distance convention. bestCorr/bestJ seed the running
 // maximum (pass −Inf, −1 to start fresh). The two half-open ranges are the
-// branch-free split of the exclusion zone: callers pass e1 = min(lo+1, s)
-// clamped at 0 and j2 = max(hi, 0) clamped at s.
+// branch-free split of the exclusion zone, clipped here to [0, s): anchor
+// i with exclusion half-width excl passes e1 = i−excl+1 and j2 = i+excl.
+// It is RowScan with no list.
 func ArgmaxCorr(row, means, invs []float64, e1, j2, s int, invFl, muA, invA float64, bestCorr float64, bestJ int) (float64, int) {
+	return RowScan(row, means, invs, e1, j2, s, invFl, muA, invA, bestCorr, bestJ, nil)
+}
+
+// RowScan is ArgmaxCorr fused with a recompute's partial-profile refill:
+// in the same pass, every candidate j is offered to top's list 0 (a
+// one-anchor list) with its dot product row[j] and the key corr(j), the
+// correlation the lower bound ranks by (see TopLists). Only the
+// candidates whose c² reaches the list's threshold Thr call
+// TopLists.Offer, and Thr is re-read after each offer. A nil top scans
+// for the maximum alone. Each range is visited in ascending j on every
+// tier, so the running best and the list both match the plain loop
+// (RefRowScan) bit for bit.
+func RowScan(row, means, invs []float64, e1, j2, s int, invFl, muA, invA float64, bestCorr float64, bestJ int, top *TopLists) (float64, int) {
+	e1 = min(max(e1, 0), s)
+	j2 = min(max(j2, e1), s)
 	switch active {
 	case AVX2, AVX512:
-		bestCorr, bestJ = argmaxCorrRangeAVX2(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ)
-		return argmaxCorrRangeAVX2(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ)
+		bestCorr, bestJ = rowScanAVX2(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ, top)
+		return rowScanAVX2(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ, top)
 	default:
-		bestCorr, bestJ = argmaxCorrRange(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ)
-		return argmaxCorrRange(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ)
+		bestCorr, bestJ = rowScanGeneric(row, means, invs, 0, e1, invFl, muA, invA, bestCorr, bestJ, top)
+		return rowScanGeneric(row, means, invs, j2, s, invFl, muA, invA, bestCorr, bestJ, top)
 	}
 }
 
@@ -222,45 +241,46 @@ func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, 
 
 // SeedScan is DiagScan fused with the seed of VALMOD's partial distance
 // profiles: besides both profile slots, every cell (i, j = i+k) offers
-// candidate j to anchor i with the lower bound's rank key
-//
-//	q̃ = (qt − means[j]·sums[i]) · invs[j]
-//
-// and candidate i to anchor j with (qt − means[i]·sums[j]) · invs[i],
-// where sums[a] is anchor a's window sum at length l (lb.QTilde with its
-// division taken as the inverse σ, so a degenerate candidate keys 0). top
-// keeps each anchor's best offers (see TopLists.Offer). Only offers that
-// reach an anchor's current threshold Thr, or cells that reach a profile
-// slot, leave the dispatch tier's filter; the winner and list rules are
-// total orders, so the result is independent of visiting order and of the
-// tier.
-func SeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+// candidate j to anchor i and candidate i to anchor j, both keyed by the
+// cell's correlation c — the expression that updates the slots. The
+// lower bound ranks an anchor's candidates by q̃² = (ℓ·σ_anchor·c)², an
+// order c² shares (see package lb). top keeps each anchor's best offers
+// (see TopLists.Offer). Only offers whose c² reaches an anchor's current
+// threshold Thr, or cells that reach a profile slot, leave the dispatch
+// tier's filter; the winner and list rules are total orders, so the
+// result is independent of visiting order and of the tier.
+func SeedScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	switch active {
 	case AVX512:
-		seedScanAVX512(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+		seedScanAVX512(t, head, means, invs, k0, k1, l, s, corr, idx, top)
 	case AVX2:
-		seedScanAVX2(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+		seedScanAVX2(t, head, means, invs, k0, k1, l, s, corr, idx, top)
 	default:
-		seedScanGeneric(t, head, means, invs, sums, k0, k1, l, s, corr, idx, top)
+		seedScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx, top)
 	}
 }
 
 // TopLists is the partial profiles' candidate selection — SeedScan's
-// per-worker lists and a recompute's one-anchor refill list alike: per
-// anchor, the best Cap candidates offered so far under the strict total
-// order (q̃² descending, candidate offset ascending). Anchor a's entries
-// sit at [a·Cap, a·Cap+Len[a]) of J, QT and Q, best first. The list
-// contents are a pure function of the set of offers, never of their
+// per-worker lists and a recompute's one-anchor refill list (RowScan)
+// alike: per anchor, the best Cap candidates offered so far under the
+// strict total order (key² descending, candidate offset ascending). Both
+// scans key a candidate by the pair's correlation c, so the order is the
+// lower bound's (q̃² descending) without its per-anchor factor. Anchor a's
+// entries sit at [a·Cap, a·Cap+Len[a]) of J, QT and Q, best first. The
+// list contents are a pure function of the set of offers, never of their
 // order.
 type TopLists struct {
 	Cap int
 	Len []int32
-	// Thr[a] is the q̃² of anchor a's last entry once its list is full and
-	// −1 before: an offer keyed below it cannot enter.
+	// Thr[a] is the key² of anchor a's last entry once its list is full
+	// and −1 before: an offer keyed below it cannot enter. A caller sets
+	// +Inf to close a list: no offer for it passes a scan's filter or
+	// enters it (the seed sweep closes the lists of σ = 0 anchors, which
+	// keep no entries).
 	Thr []float64
 	J   []int32
 	QT  []float64 // the pair's dot product
-	Q   []float64 // the rank key q̃
+	Q   []float64 // the rank key c
 }
 
 // NewTopLists returns empty lists of capacity c ≥ 1 for s anchors.
@@ -291,10 +311,10 @@ func (tl *TopLists) Reset(s int) {
 // full list falls off. It is the single definition of the list rule.
 func (tl *TopLists) Offer(a int, j int32, qt, q float64) {
 	q2 := q * q
-	n, c := int(tl.Len[a]), tl.Cap
-	if n == c && q2 < tl.Thr[a] {
+	if q2 < tl.Thr[a] {
 		return
 	}
+	n, c := int(tl.Len[a]), tl.Cap
 	base := a * c
 	js := tl.J[base : base+c]
 	qts := tl.QT[base : base+c]

@@ -87,51 +87,48 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// func corrMax(r, m, v *float64, invFl, muA, invA float64, n int) float64
-// max over [0, n) of ((r*invFl) - muA*m) * invA * v; n a positive
-// multiple of 4. No NaNs reach the kernels, so VMAXPD is a pure maximum.
-TEXT ·corrMax(SB), NOSPLIT, $0-64
+// func rowSteps4(r, m, v *float64, invFl, muA, invA, best, thr float64,
+//                j0, n int) int
+// Walks groups of four cells j = j0, j0+4, ... < n (n - j0 a multiple of
+// 4), computing RowScan's correlation in its evaluation order:
+//   c = ((r[j]*invFl) - muA*m[j]) * invA * v[j]
+// and returns the first group start where any lane has c > best (beats
+// the running best) or c*c >= thr (reaches the list's threshold), or n
+// when no group triggers. Winner and list state are never written here.
+TEXT ·rowSteps4(SB), NOSPLIT, $0-88
 	MOVQ r+0(FP), R8
 	MOVQ m+8(FP), R9
 	MOVQ v+16(FP), R10
 	VBROADCASTSD invFl+24(FP), Y1
 	VBROADCASTSD muA+32(FP), Y2
 	VBROADCASTSD invA+40(FP), Y3
-	MOVQ n+48(FP), DX
-
-	// First group seeds the running lane maxima.
-	VMOVUPD (R8), Y4
-	VMULPD  Y1, Y4, Y4 // r*invFl
-	VMOVUPD (R9), Y5
-	VMULPD  Y2, Y5, Y5 // muA*m
-	VSUBPD  Y5, Y4, Y4
-	VMULPD  Y3, Y4, Y4 // * invA
-	VMOVUPD (R10), Y5
-	VMULPD  Y5, Y4, Y4 // * v
-	MOVQ $4, AX
-
-maxloop:
+	VBROADCASTSD best+48(FP), Y4
+	VBROADCASTSD thr+56(FP), Y5
+	MOVQ j0+64(FP), AX
+	MOVQ n+72(FP), DX
 	CMPQ AX, DX
-	JGE  maxdone
-	VMOVUPD (R8)(AX*8), Y5
-	VMULPD  Y1, Y5, Y5
-	VMOVUPD (R9)(AX*8), Y6
-	VMULPD  Y2, Y6, Y6
-	VSUBPD  Y6, Y5, Y5
-	VMULPD  Y3, Y5, Y5
-	VMOVUPD (R10)(AX*8), Y6
-	VMULPD  Y6, Y5, Y5
-	VMAXPD  Y5, Y4, Y4
-	ADDQ $4, AX
-	JMP  maxloop
+	JGE  rsdone
 
-maxdone:
-	VEXTRACTF128 $1, Y4, X5
-	VMAXPD   X5, X4, X4
-	VPERMILPD $1, X4, X5
-	VMAXSD   X5, X4, X4
+rsloop:
+	VMULPD  (R8)(AX*8), Y1, Y6  // r*invFl
+	VMULPD  (R9)(AX*8), Y2, Y7  // muA*m
+	VSUBPD  Y7, Y6, Y6
+	VMULPD  Y3, Y6, Y6          // * invA
+	VMULPD  (R10)(AX*8), Y6, Y6 // * v -> c lanes
+	VMULPD  Y6, Y6, Y7          // c^2
+	VCMPPD  $0x0e, Y4, Y6, Y8   // c > best (GT_OS)
+	VCMPPD  $0x0d, Y5, Y7, Y9   // c^2 >= thr (GE_OS)
+	VORPD   Y9, Y8, Y8
+	VMOVMSKPD Y8, CX
+	TESTL CX, CX
+	JNE  rsdone
+	ADDQ $4, AX
+	CMPQ AX, DX
+	JLT  rsloop
+
+rsdone:
+	MOVQ AX, ret+80(FP)
 	VZEROUPPER
-	MOVSD X4, ret+56(FP)
 	RET
 
 // func colSteps4(col, m, v, corr *float64, invFl, muJ, invJ, best float64,
@@ -242,32 +239,29 @@ dsdone:
 	VZEROUPPER
 	RET
 
-// func seedSteps4(qt, t, means, invs, sums, corr, thr *float64, k, l int,
+// func seedSteps4(qt, t, means, invs, corr, thr *float64, k, l int,
 //                 invFl float64, i0, n int) (stop, mask int)
 // diagSteps4 extended with the partial-profile filter. Over cells i in
 // [i0, n), lane x on diagonal k+x (j = i+k+x):
 //   qt[x] += t[i+l-1]*t[j+l-1] - t[i-1]*t[j-1]
 //   c      = ((qt*invFl) - means[i]*means[j]) * invs[i] * invs[j]
-//   qij    = (qt - means[j]*sums[i]) * invs[j]
-//   qji    = (qt - means[i]*sums[j]) * invs[i]
 // Returns at the first i where any lane has c >= corr[i], c >= corr[j],
-// qij*qij >= thr[i] or qji*qji >= thr[j] (chains advanced to that cell and
-// stored back; the four conditions' lane masks in bits 0-3, 4-7, 8-11 and
-// 12-15 of mask), or at n with mask 0. Winner and list state are never
-// written here.
-TEXT ·seedSteps4(SB), NOSPLIT, $0-112
+// c*c >= thr[i] or c*c >= thr[j] (chains advanced to that cell and stored
+// back; the four conditions' lane masks in bits 0-3, 4-7, 8-11 and 12-15
+// of mask), or at n with mask 0. Winner and list state are never written
+// here.
+TEXT ·seedSteps4(SB), NOSPLIT, $0-104
 	MOVQ t+8(FP), R8
-	MOVQ l+64(FP), CX
+	MOVQ l+56(FP), CX
 	LEAQ -8(R8)(CX*8), R9 // &t[l-1]
 	MOVQ means+16(FP), R10
 	MOVQ invs+24(FP), R11
-	MOVQ sums+32(FP), R12
-	MOVQ corr+40(FP), R13
-	MOVQ thr+48(FP), R14
-	VBROADCASTSD invFl+72(FP), Y1
-	MOVQ i0+80(FP), AX
-	MOVQ n+88(FP), DX
-	MOVQ k+56(FP), CX
+	MOVQ corr+32(FP), R13
+	MOVQ thr+40(FP), R14
+	VBROADCASTSD invFl+64(FP), Y1
+	MOVQ i0+72(FP), AX
+	MOVQ n+80(FP), DX
+	MOVQ k+48(FP), CX
 	ADDQ AX, CX // j = i + k (lane 0)
 	MOVQ qt+0(FP), SI
 	VMOVUPD (SI), Y0 // chain lanes
@@ -283,29 +277,19 @@ seedloop:
 	VSUBPD  Y3, Y2, Y2
 	VADDPD  Y2, Y0, Y0            // qt += ha*w - hb*u
 	VBROADCASTSD (R10)(AX*8), Y5  // mi
-	VMOVUPD (R10)(CX*8), Y6       // mj lanes
 	VBROADCASTSD (R11)(AX*8), Y8  // vi
-	VMOVUPD (R11)(CX*8), Y9       // vj lanes
 	VMULPD  Y1, Y0, Y4            // qt*invFl
-	VMULPD  Y6, Y5, Y7            // mi*mj
+	VMULPD  (R10)(CX*8), Y5, Y7   // mi*mj
 	VSUBPD  Y7, Y4, Y4
 	VMULPD  Y8, Y4, Y4            // * vi
-	VMULPD  Y9, Y4, Y4            // * vj -> c lanes
-	VBROADCASTSD (R12)(AX*8), Y10 // si
-	VMULPD  Y10, Y6, Y10          // mj*si
-	VSUBPD  Y10, Y0, Y10
-	VMULPD  Y9, Y10, Y10          // qij
-	VMULPD  Y10, Y10, Y10         // qij^2
-	VMULPD  (R12)(CX*8), Y5, Y11  // mi*sj
-	VSUBPD  Y11, Y0, Y11
-	VMULPD  Y8, Y11, Y11          // qji
-	VMULPD  Y11, Y11, Y11         // qji^2
+	VMULPD  (R11)(CX*8), Y4, Y4   // * vj -> c lanes
+	VMULPD  Y4, Y4, Y10           // c^2
 	VBROADCASTSD (R13)(AX*8), Y12
 	VCMPPD  $0x0d, Y12, Y4, Y12          // c >= corr[i] (GE_OS)
 	VCMPPD  $0x0d, (R13)(CX*8), Y4, Y13  // c >= corr[j]
 	VBROADCASTSD (R14)(AX*8), Y14
-	VCMPPD  $0x0d, Y14, Y10, Y14         // qij^2 >= thr[i]
-	VCMPPD  $0x0d, (R14)(CX*8), Y11, Y15 // qji^2 >= thr[j]
+	VCMPPD  $0x0d, Y14, Y10, Y14         // c^2 >= thr[i]
+	VCMPPD  $0x0d, (R14)(CX*8), Y10, Y15 // c^2 >= thr[j]
 	VORPD   Y13, Y12, Y2
 	VORPD   Y15, Y14, Y3
 	VORPD   Y3, Y2, Y2
@@ -333,8 +317,8 @@ seedhit:
 seeddone:
 	MOVQ qt+0(FP), SI
 	VMOVUPD Y0, (SI)
-	MOVQ AX, stop+96(FP)
-	MOVQ BX, mask+104(FP)
+	MOVQ AX, stop+88(FP)
+	MOVQ BX, mask+96(FP)
 	VZEROUPPER
 	RET
 

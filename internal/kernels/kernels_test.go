@@ -129,6 +129,94 @@ func testKernelParityArgmaxCorr(t *testing.T) {
 	}
 }
 
+func TestKernelParityRowScan(t *testing.T) { forEachVariant(t, testKernelParityRowScan) }
+
+// testKernelParityRowScan checks RowScan against RefRowScan — the plain
+// argmax loop offering every candidate through refOffer — on anchors in a
+// random walk, on a planted repeat and inside a constant segment (where
+// invA is forced to 1 and every σ = 0 candidate keys c = 0), over
+// exclusion zones clipped at either edge and included ranges of 0–9
+// cells on both sides, into lists that start empty, full with Thr above
+// most of the row's keys, or full of zero keys at offsets past the row
+// (so the σ = 0 candidates tie Thr exactly), from a fresh running best or
+// one that ties an included cell and must survive the tie.
+func testKernelParityRowScan(t *testing.T) {
+	const n, l = 400, 13
+	ts := testSeries(n, 5)
+	s := n - l + 1
+	means, invs := moments(ts, l)
+	invFl := 1 / float64(l)
+	for _, i := range []int{0, 2, n/3 + 4, n / 2, s - 1} {
+		row := make([]float64, s)
+		for j := range row {
+			row[j] = series.Dot(ts[i:i+l], ts[j:j+l])
+		}
+		muA, invA := means[i], invs[i]
+		if invA == 0 {
+			invA = 1
+		}
+		corrAt := func(j int) float64 { return (row[j]*invFl - muA*means[j]) * invA * invs[j] }
+		keys := make([]float64, s)
+		for j := range keys {
+			keys[j] = corrAt(j) * corrAt(j)
+		}
+		slices.Sort(keys)
+		high := math.Sqrt(keys[s*9/10])
+		var splits [][2]int
+		for _, excl := range []int{1, 4, 9} {
+			splits = append(splits, [2]int{i - excl + 1, i + excl})
+		}
+		for m := 0; m <= 9; m++ {
+			splits = append(splits, [2]int{m, s - m})
+		}
+		splits = append(splits, [2]int{s, s})
+		for _, sp := range splits {
+			e1, j2 := sp[0], sp[1]
+			included := func(j int) bool { return j < e1 || j >= j2 }
+			tie := -1
+			for j := s / 3; j < s && tie < 0; j++ {
+				if included(j) {
+					tie = j
+				}
+			}
+			for _, c := range []int{1, 4, 11} {
+				for fill, key := range []float64{0, high, 0} { // fill 0: empty
+					for _, seeded := range []bool{false, true} {
+						want := NewTopLists(1, c)
+						if fill > 0 {
+							for x := 0; x < c; x++ {
+								want.Offer(0, int32(s+x), float64(x), math.Copysign(key, float64(x%2)-0.5))
+							}
+						}
+						got := cloneLists(want)
+						bc, bj := math.Inf(-1), -1
+						if seeded && tie >= 0 {
+							bc, bj = corrAt(tie), s
+						}
+						wc, wj := RefRowScan(row, means, invs, e1, j2, s, invFl, muA, invA, bc, bj, want)
+						gc, gj := RowScan(row, means, invs, e1, j2, s, invFl, muA, invA, bc, bj, got)
+						if math.Float64bits(gc) != math.Float64bits(wc) || gj != wj {
+							t.Fatalf("i=%d split=%v cap=%d fill=%d seeded=%v: RowScan (%v,%d) != reference (%v,%d)", i, sp, c, fill, seeded, gc, gj, wc, wj)
+						}
+						if err := topListsEqual(got, want); err != "" {
+							t.Fatalf("i=%d split=%v cap=%d fill=%d seeded=%v: RowScan %s", i, sp, c, fill, seeded, err)
+						}
+						if seeded && tie >= 0 && wj == s && wc != corrAt(tie) {
+							t.Fatalf("i=%d split=%v: the seeded best moved without an improvement", i, sp)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// cloneLists returns an independent copy of tl.
+func cloneLists(tl *TopLists) *TopLists {
+	return &TopLists{Cap: tl.Cap, Len: slices.Clone(tl.Len), Thr: slices.Clone(tl.Thr),
+		J: slices.Clone(tl.J), QT: slices.Clone(tl.QT), Q: slices.Clone(tl.Q)}
+}
+
 func TestKernelParityExtendRow(t *testing.T) { forEachVariant(t, testKernelParityExtendRow) }
 
 func testKernelParityExtendRow(t *testing.T) {
@@ -296,7 +384,6 @@ func testKernelParitySeedScan(t *testing.T) {
 		for _, l := range []int{8, 21} {
 			s := n - l + 1
 			means, invs := moments(ts, l)
-			sums := windowSums(ts, l)
 			head := make([]float64, s)
 			for k := range head {
 				head[k] = series.Dot(ts[0:l], ts[k:k+l])
@@ -318,7 +405,7 @@ func testKernelParitySeedScan(t *testing.T) {
 				fc, fi := freshSlots(s)
 				wc, wi := freshSlots(s)
 				for _, b := range seq {
-					RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, NewTopLists(s, 1))
+					RefSeedScan(ts, head, means, invs, b[0], b[1], l, s, wc, wi, NewTopLists(s, 1))
 				}
 				want := slices.Clone(wi)
 				for i := range wi {
@@ -327,11 +414,13 @@ func testKernelParitySeedScan(t *testing.T) {
 					}
 				}
 				for _, c := range []int{1, 4, 11} {
-					seedScanParity(t, ts, head, means, invs, sums, seq, l, s, c, fc, fi, "fresh")
-					seedScanParity(t, ts, head, means, invs, sums, seq, l, s, c, wc, wi, "warmed")
+					for _, closed := range []bool{false, true} {
+						seedScanParity(t, ts, head, means, invs, seq, l, s, c, fc, fi, "fresh", closed)
+						seedScanParity(t, ts, head, means, invs, seq, l, s, c, wc, wi, "warmed", closed)
+					}
 				}
 				for _, b := range seq {
-					RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, NewTopLists(s, 1))
+					RefSeedScan(ts, head, means, invs, b[0], b[1], l, s, wc, wi, NewTopLists(s, 1))
 				}
 				if !slices.Equal(wi, want) {
 					t.Fatalf("n=%d l=%d blocks=%v: the rescan did not restore the winners", n, l, seq)
@@ -342,17 +431,26 @@ func testKernelParitySeedScan(t *testing.T) {
 }
 
 // seedScanParity runs SeedScan and RefSeedScan over the block sequence
-// seq from copies of the slots corr/idx, into fresh lists of capacity c,
-// and fails unless slots and lists agree bit for bit. corr and idx are
-// left as they were.
-func seedScanParity(t *testing.T, ts, head, means, invs, sums []float64, seq [][2]int, l, s, c int, corr []float64, idx []int32, slots string) {
+// seq from copies of the slots corr/idx, into fresh lists of capacity c
+// (those of σ = 0 anchors closed when closed is set, as the engine's seed
+// closes them), and fails unless slots and lists agree bit for bit. corr
+// and idx are left as they were.
+func seedScanParity(t *testing.T, ts, head, means, invs []float64, seq [][2]int, l, s, c int, corr []float64, idx []int32, slots string, closed bool) {
 	t.Helper()
 	gc, gi := slices.Clone(corr), slices.Clone(idx)
 	wc, wi := slices.Clone(corr), slices.Clone(idx)
 	got, want := NewTopLists(s, c), NewTopLists(s, c)
+	if closed {
+		for a, v := range invs {
+			if v == 0 {
+				got.Thr[a], want.Thr[a] = math.Inf(1), math.Inf(1)
+			}
+		}
+		slots += ", σ = 0 lists closed"
+	}
 	for _, b := range seq {
-		SeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, gc, gi, got)
-		RefSeedScan(ts, head, means, invs, sums, b[0], b[1], l, s, wc, wi, want)
+		SeedScan(ts, head, means, invs, b[0], b[1], l, s, gc, gi, got)
+		RefSeedScan(ts, head, means, invs, b[0], b[1], l, s, wc, wi, want)
 	}
 	if err := slotsEqual(gc, gi, wc, wi); err != "" {
 		t.Fatalf("n=%d l=%d cap=%d blocks=%v, %s slots: SeedScan %s", len(ts), l, c, seq, slots, err)
@@ -377,10 +475,7 @@ func TestTopListsMerge(t *testing.T) {
 			b.Offer(0, j, float64(j), q)
 		}
 	}
-	b2 := &TopLists{Cap: c, Len: append([]int32(nil), b.Len...), Thr: append([]float64(nil), b.Thr...),
-		J: append([]int32(nil), b.J...), QT: append([]float64(nil), b.QT...), Q: append([]float64(nil), b.Q...)}
-	a2 := &TopLists{Cap: c, Len: append([]int32(nil), a.Len...), Thr: append([]float64(nil), a.Thr...),
-		J: append([]int32(nil), a.J...), QT: append([]float64(nil), a.QT...), Q: append([]float64(nil), a.Q...)}
+	b2, a2 := cloneLists(b), cloneLists(a)
 	a.Merge(b2, 0)
 	b.Merge(a2, 0)
 	for _, got := range []*TopLists{a, b} {
@@ -390,16 +485,18 @@ func TestTopListsMerge(t *testing.T) {
 	}
 }
 
-// windowSums returns Σ t[i:i+l] per window, the anchor sums SeedScan keys
-// its offers with.
-func windowSums(ts []float64, l int) []float64 {
-	sums := make([]float64, len(ts)-l+1)
-	for i := range sums {
-		for _, v := range ts[i : i+l] {
-			sums[i] += v
-		}
+// TestTopListsClosed: a list closed with Thr = +Inf takes no offer, full
+// or not, while the other lists fill as usual.
+func TestTopListsClosed(t *testing.T) {
+	tl := NewTopLists(2, 3)
+	tl.Thr[1] = math.Inf(1)
+	for j := int32(0); j < 5; j++ {
+		tl.Offer(0, j, float64(j), 1)
+		tl.Offer(1, j, float64(j), 1)
 	}
-	return sums
+	if tl.Len[0] != 3 || tl.Len[1] != 0 {
+		t.Fatalf("lengths %v, want [3 0]", tl.Len)
+	}
 }
 
 // randomWalk returns a seeded Gaussian random walk with no planted
@@ -563,7 +660,8 @@ func BenchmarkDiagScan(b *testing.B) {
 // seed fused in, into slots and lists reset to empty, reported per
 // visited cell, on the same two inputs: "walk" times the vector body and
 // the list inserts, "flat" the stop path, since every σ = 0 candidate ties
-// its slot at correlation 0. Each runs at two list capacities: 5, the
+// its slot at correlation 0. As in the engine's seed, the lists of σ = 0
+// anchors are closed. Each runs at two list capacities: 5, the
 // engine's seed lists (seedKeep = 4 entries and the next key), and 11,
 // lists of the default P = 10.
 func BenchmarkSeedScan(b *testing.B) {
@@ -578,7 +676,6 @@ func BenchmarkSeedScan(b *testing.B) {
 					ts := in.ts
 					s := n - l + 1
 					means, invs := moments(ts, l)
-					sums := windowSums(ts, l)
 					head := make([]float64, s)
 					for k := range head {
 						head[k] = series.Dot(ts[0:l], ts[k:k+l])
@@ -593,7 +690,12 @@ func BenchmarkSeedScan(b *testing.B) {
 							corr[j], idx[j] = math.Inf(-1), -1
 						}
 						top.Reset(s)
-						SeedScan(ts, head, means, invs, sums, excl, s, l, s, corr, idx, top)
+						for a, v := range invs {
+							if v == 0 {
+								top.Thr[a] = math.Inf(1)
+							}
+						}
+						SeedScan(ts, head, means, invs, excl, s, l, s, corr, idx, top)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 				})
@@ -699,19 +801,55 @@ func BenchmarkRefDiagScan(b *testing.B) {
 	}
 }
 
+// BenchmarkArgmaxCorr times one row scan at ℓ = 64 over 8 129 cells on
+// every tier, reported per scanned cell. "row" is testSeries' row of
+// anchor 0 with [100, 132) excluded, so the anchor's own cell at j = 0 is
+// the first maximum; "mid" is a random walk's row of anchor 0 outside its
+// exclusion zone, with the anchor's window planted at the middle of the
+// row, so the first maximum lies mid-row — a recompute's case. Each scans
+// for the maximum alone (ArgmaxCorr) and with a refill list of capacity 11
+// (RowScan, the default P = 10 and the next key), emptied before each
+// scan.
 func BenchmarkArgmaxCorr(b *testing.B) {
-	forEachVariantB(b, func(b *testing.B) {
-		ts, _, means, invs, s := benchSetup(8192, 64)
+	const n, l = 8192, 64
+	s := n - l + 1
+	mid := randomWalk(n, 9)
+	copy(mid[s/2:s/2+l], mid[:l])
+	for _, in := range []struct {
+		name   string
+		ts     []float64
+		e1, j2 int
+	}{{"row", testSeries(n, 9), 100, 132}, {"mid", mid, -15, 16}} {
+		means, invs := moments(in.ts, l)
 		row := make([]float64, s)
 		for j := range row {
-			row[j] = series.Dot(ts[0:l64], ts[j:j+l64])
+			row[j] = series.Dot(in.ts[0:l], in.ts[j:j+l])
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sinkCorr, sinkJ = ArgmaxCorr(row, means, invs, 100, 132, s, 1.0/64, means[0], invs[0], math.Inf(-1), -1)
+		cells := s - (min(in.j2, s) - max(in.e1, 0))
+		for _, c := range []int{0, 11} {
+			name := in.name + "/argmax"
+			if c > 0 {
+				name = fmt.Sprintf("%s/list%d", in.name, c)
+			}
+			b.Run(name, func(b *testing.B) {
+				forEachVariantB(b, func(b *testing.B) {
+					var top *TopLists
+					if c > 0 {
+						top = NewTopLists(1, c)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if top != nil {
+							top.Reset(1)
+						}
+						sinkCorr, sinkJ = RowScan(row, means, invs, in.e1, in.j2, s, 1.0/l, means[0], invs[0], math.Inf(-1), -1, top)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+				})
+			})
 		}
-	})
+	}
 }
 
 func BenchmarkRefArgmaxCorr(b *testing.B) {

@@ -1,5 +1,7 @@
 package kernels
 
+import "math"
+
 // This file retains the naive reference implementation of every kernel:
 // the defining scalar loop, with the per-cell exclusion/boundary branches
 // spelled out and no unrolling or interleaving. TestKernelParity asserts
@@ -18,9 +20,15 @@ func RefRowNext(row, t []float64, i, l, s int) {
 	}
 }
 
-// RefArgmaxCorr is ArgmaxCorr as the one-range loop with the per-cell
-// exclusion test: j ∈ [0, s) skipping e1 ≤ j < j2.
+// RefArgmaxCorr is ArgmaxCorr as RefRowScan with no list.
 func RefArgmaxCorr(row, means, invs []float64, e1, j2, s int, invFl, muA, invA float64, bestCorr float64, bestJ int) (float64, int) {
+	return RefRowScan(row, means, invs, e1, j2, s, invFl, muA, invA, bestCorr, bestJ, nil)
+}
+
+// RefRowScan is RowScan as the one-range loop with the per-cell exclusion
+// test, j ∈ [0, s) skipping e1 ≤ j < j2, that offers every candidate to
+// top's list 0 through refOffer (when top is not nil).
+func RefRowScan(row, means, invs []float64, e1, j2, s int, invFl, muA, invA float64, bestCorr float64, bestJ int, top *TopLists) (float64, int) {
 	for j := 0; j < s; j++ {
 		if j >= e1 && j < j2 {
 			continue
@@ -28,6 +36,9 @@ func RefArgmaxCorr(row, means, invs []float64, e1, j2, s int, invFl, muA, invA f
 		c := (row[j]*invFl - muA*means[j]) * invA * invs[j]
 		if c > bestCorr {
 			bestCorr, bestJ = c, j
+		}
+		if top != nil {
+			refOffer(top, 0, j, row[j], c)
 		}
 	}
 	return bestCorr, bestJ
@@ -109,8 +120,9 @@ func RefDiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float6
 
 // RefSeedScan is SeedScan one diagonal at a time with every offer made:
 // each cell updates both profile slots and offers each endpoint to the
-// other's list through refOffer, the plain ranked insertion.
-func RefSeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
+// other's list, keyed by the cell's correlation, through refOffer, the
+// plain ranked insertion.
+func RefSeedScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	invFl := 1 / float64(l)
 	for k := k0; k < k1; k++ {
 		qt := head[k]
@@ -126,16 +138,20 @@ func RefSeedScan(t, head, means, invs, sums []float64, k0, k1, l, s int, corr []
 			if c > corr[j] || (c == corr[j] && int32(i) < idx[j]) {
 				corr[j], idx[j] = c, int32(i)
 			}
-			refOffer(top, i, j, qt, (qt-means[j]*sums[i])*invs[j])
-			refOffer(top, j, i, qt, (qt-means[i]*sums[j])*invs[i])
+			refOffer(top, i, j, qt, c)
+			refOffer(top, j, i, qt, c)
 		}
 	}
 }
 
 // refOffer inserts candidate j into anchor a's list at its rank under
-// (q̃² descending, offset ascending), truncating the list to Cap entries
-// and refreshing Thr once it is full.
+// (q² descending, offset ascending), truncating the list to Cap entries
+// and refreshing Thr once it is full; a closed list (Thr = +Inf) takes
+// nothing.
 func refOffer(top *TopLists, a, j int, qt, q float64) {
+	if math.IsInf(top.Thr[a], 1) {
+		return
+	}
 	base, n := a*top.Cap, int(top.Len[a])
 	pos := 0
 	for pos < n {

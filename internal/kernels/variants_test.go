@@ -104,7 +104,8 @@ func fuzzSeries(n int, seed int64, segA, segB uint8) []float64 {
 
 // FuzzKernelParity drives every dispatch tier of every kernel against its
 // Ref* baseline on fuzz-chosen series sizes, lengths, anchors and
-// degenerate-segment placements, asserting bit-identity. DotRow shares
+// degenerate-segment placements, asserting bit-identity. kernel % 7 picks
+// the kernel and kernel / 7 a case's own variations. DotRow shares
 // ExtendRow's case: the row it writes is the row ExtendRow extends. Random sizes
 // exercise the unroll and vector-width remainders; random anchors
 // exercise edge-clipped exclusion zones.
@@ -115,38 +116,48 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(4), uint16(100), uint8(8), uint8(1), uint8(1), uint8(3))
 	f.Add(int64(5), uint16(333), uint8(16), uint8(0), uint8(9), uint8(4))
 	f.Add(int64(6), uint16(1000), uint8(40), uint8(200), uint8(0), uint8(5))
-	f.Add(int64(7), uint16(96), uint8(5), uint8(11), uint8(33), uint8(6))
-	f.Add(int64(8), uint16(770), uint8(50), uint8(77), uint8(128), uint8(7))
-	f.Add(int64(500), uint16(611), uint8(20), uint8(6), uint8(2), uint8(10))
-	f.Add(int64(900), uint16(1100), uint8(61), uint8(3), uint8(6), uint8(16))
+	f.Add(int64(7), uint16(96), uint8(5), uint8(11), uint8(33), uint8(7))
+	f.Add(int64(8), uint16(770), uint8(50), uint8(77), uint8(128), uint8(8))
+	f.Add(int64(500), uint16(611), uint8(20), uint8(6), uint8(2), uint8(11))
+	f.Add(int64(900), uint16(1100), uint8(61), uint8(3), uint8(6), uint8(18))
 	f.Add(int64(3666), uint16(1410), uint8(26), uint8(94), uint8(56), uint8(4))
 	// DiagScan blocks of 17–48 diagonals (16-diagonal groups, alone and
 	// with quad and single remainders) into slots warmed after, over and
 	// before them; the last two put σ = 0 ties where a group's first lane
 	// (slot i) or last lane (slot j) decides, so only c ≥ slot flags them.
-	f.Add(int64(11), uint16(640), uint8(20), uint8(129), uint8(16), uint8(9))
-	f.Add(int64(12), uint16(900), uint8(33), uint8(7), uint8(35), uint8(21))
+	f.Add(int64(11), uint16(640), uint8(20), uint8(129), uint8(16), uint8(10))
+	f.Add(int64(12), uint16(900), uint8(33), uint8(7), uint8(35), uint8(24))
 	f.Add(int64(13), uint16(1150), uint8(30), uint8(200), uint8(47), uint8(255))
-	f.Add(int64(14), uint16(300), uint8(10), uint8(65), uint8(20), uint8(15))
-	f.Add(int64(700), uint16(800), uint8(25), uint8(1), uint8(33), uint8(27))
-	f.Add(int64(200), uint16(968), uint8(17), uint8(101), uint8(40), uint8(123))
-	f.Add(int64(55), uint16(968), uint8(17), uint8(101), uint8(47), uint8(123))
+	f.Add(int64(14), uint16(300), uint8(10), uint8(65), uint8(20), uint8(17))
+	f.Add(int64(700), uint16(800), uint8(25), uint8(1), uint8(33), uint8(31))
+	f.Add(int64(200), uint16(968), uint8(17), uint8(101), uint8(40), uint8(143))
+	f.Add(int64(55), uint16(968), uint8(17), uint8(101), uint8(47), uint8(143))
 	// DotRow rows of 17–31 cells (under one 32-cell block), of an exact
 	// multiple of 32, and with 8-, 16- and 32-cell remainders, some
 	// crossing σ = 0 stretches, each extended by ExtendRow.
 	f.Add(int64(21), uint16(10), uint8(15), uint8(0), uint8(0), uint8(2))
-	f.Add(int64(22), uint16(62), uint8(6), uint8(3), uint8(1), uint8(8))
-	f.Add(int64(23), uint16(98), uint8(32), uint8(5), uint8(0), uint8(14))
-	f.Add(int64(24), uint16(453), uint8(50), uint8(9), uint8(11), uint8(20))
-	f.Add(int64(25), uint16(1167), uint8(61), uint8(131), uint8(201), uint8(26))
+	f.Add(int64(22), uint16(62), uint8(6), uint8(3), uint8(1), uint8(9))
+	f.Add(int64(23), uint16(98), uint8(32), uint8(5), uint8(0), uint8(16))
+	f.Add(int64(24), uint16(453), uint8(50), uint8(9), uint8(11), uint8(23))
+	f.Add(int64(25), uint16(1167), uint8(61), uint8(131), uint8(201), uint8(30))
 	// SeedScan second blocks of one 16-diagonal group alone (16), with a
 	// single (17), with a quad and a single (21), two groups with three
 	// singles (35) and three groups (48).
 	f.Add(int64(31), uint16(700), uint8(30), uint8(4), uint8(15), uint8(5))
-	f.Add(int64(32), uint16(1000), uint8(21), uint8(10), uint8(16), uint8(11))
-	f.Add(int64(33), uint16(420), uint8(12), uint8(2), uint8(20), uint8(17))
-	f.Add(int64(34), uint16(1180), uint8(45), uint8(131), uint8(34), uint8(23))
-	f.Add(int64(35), uint16(850), uint8(8), uint8(99), uint8(47), uint8(29))
+	f.Add(int64(32), uint16(1000), uint8(21), uint8(10), uint8(16), uint8(12))
+	f.Add(int64(33), uint16(420), uint8(12), uint8(2), uint8(20), uint8(19))
+	f.Add(int64(34), uint16(1180), uint8(45), uint8(131), uint8(34), uint8(26))
+	f.Add(int64(35), uint16(850), uint8(8), uint8(99), uint8(47), uint8(33))
+	// RowScan into an empty list and full ones keyed 0 (every σ = 0
+	// candidate ties Thr), 1/8, 3/8 and 1, from a fresh best and from one
+	// that must survive a tie; the last two anchors sit flush against
+	// either edge.
+	f.Add(int64(41), uint16(400), uint8(13), uint8(4), uint8(0), uint8(6))
+	f.Add(int64(42), uint16(700), uint8(20), uint8(1), uint8(1), uint8(13))
+	f.Add(int64(43), uint16(257), uint8(9), uint8(10), uint8(7), uint8(13))
+	f.Add(int64(44), uint16(900), uint8(31), uint8(3), uint8(17), uint8(20))
+	f.Add(int64(0), uint16(333), uint8(16), uint8(6), uint8(1), uint8(27))
+	f.Add(int64(346), uint16(333), uint8(16), uint8(2), uint8(3), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, lRaw, segA, segB, kernel uint8) {
 		n := 32 + int(nRaw)%1200
 		l := 3 + int(lRaw)%62
@@ -163,7 +174,7 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		anchor := int(seed&0x7fffffff) % s
 
-		switch kernel % 6 {
+		switch kernel % 7 {
 		case 0: // RowNext
 			row0 := make([]float64, s)
 			for j := range row0 {
@@ -253,7 +264,7 @@ func FuzzKernelParity(f *testing.F) {
 			// partial lane masks, and σ = 0 ties meet recorded neighbors
 			// on both sides.
 			w0 := excl + int(segA)*(s-excl)/256
-			w1 := w0 + 1 + int(kernel/6)*(s-excl)/42
+			w1 := w0 + 1 + int(kernel/7)*(s-excl)/42
 			if w1 > s {
 				w1 = s
 			}
@@ -303,7 +314,7 @@ func FuzzKernelParity(f *testing.F) {
 			// column's maximum (nothing may replace it).
 			bestC, bestI := math.Inf(-1), int32(-1)
 			if iEnd > 0 {
-				switch kernel / 6 % 3 {
+				switch kernel / 7 % 3 {
 				case 1:
 					bestC, bestI = cellCorr(anchor%iEnd), int32(s)
 				case 2:
@@ -357,7 +368,6 @@ func FuzzKernelParity(f *testing.F) {
 			for k := range head {
 				head[k] = series.Dot(ts[0:l], ts[k:k+l])
 			}
-			sums := windowSums(ts, l)
 			c := 1 + int(segA)%12
 			// The second block, up to 48 diagonals, runs whole 16-diagonal
 			// groups and a remainder into the slots and lists the first
@@ -369,18 +379,60 @@ func FuzzKernelParity(f *testing.F) {
 			}
 			wc, wi := freshSlots(s)
 			want := NewTopLists(s, c)
-			RefSeedScan(ts, head, means, invs, sums, excl, k0, l, s, wc, wi, want)
-			RefSeedScan(ts, head, means, invs, sums, k0, k1, l, s, wc, wi, want)
+			RefSeedScan(ts, head, means, invs, excl, k0, l, s, wc, wi, want)
+			RefSeedScan(ts, head, means, invs, k0, k1, l, s, wc, wi, want)
 			allVariants(t, func(v Variant) {
 				gc, gi := freshSlots(s)
 				got := NewTopLists(s, c)
-				SeedScan(ts, head, means, invs, sums, excl, k0, l, s, gc, gi, got)
-				SeedScan(ts, head, means, invs, sums, k0, k1, l, s, gc, gi, got)
+				SeedScan(ts, head, means, invs, excl, k0, l, s, gc, gi, got)
+				SeedScan(ts, head, means, invs, k0, k1, l, s, gc, gi, got)
 				if err := slotsEqual(gc, gi, wc, wi); err != "" {
 					t.Fatalf("%v: SeedScan(n=%d l=%d k=[%d,%d)) %s", v, n, l, k0, k1, err)
 				}
 				if err := topListsEqual(got, want); err != "" {
 					t.Fatalf("%v: SeedScan(n=%d l=%d k=[%d,%d) cap=%d) %s", v, n, l, k0, k1, c, err)
+				}
+			})
+		case 6: // RowScan: a recompute's row scan with its refill list
+			i := anchor
+			row := make([]float64, s)
+			for j := range row {
+				row[j] = series.Dot(ts[i:i+l], ts[j:j+l])
+			}
+			muA, invA := means[i], invs[i]
+			if invA == 0 {
+				invA = 1
+			}
+			e1, j2 := i-excl+1, i+excl
+			corrAt := func(j int) float64 { return (row[j]*invFl - muA*means[j]) * invA * invs[j] }
+			// The list starts empty or full, at offsets past the row, of a
+			// fuzz-chosen key on a 1/8 grid (0 ties the σ = 0 candidates);
+			// the running best starts fresh or tied with a fuzz-chosen
+			// cell, a tie it must survive.
+			c := 1 + int(segA)%12
+			fresh := func() *TopLists {
+				top := NewTopLists(1, c)
+				if segB&1 != 0 {
+					for x := 0; x < c; x++ {
+						top.Offer(0, int32(s+x), float64(x), float64(int(segB>>1)%9)/8)
+					}
+				}
+				return top
+			}
+			bc, bj := math.Inf(-1), -1
+			if kernel/7%2 == 1 {
+				bc, bj = corrAt(int(segA)*s/256), s
+			}
+			want := fresh()
+			wc, wj := RefRowScan(row, means, invs, e1, j2, s, invFl, muA, invA, bc, bj, want)
+			allVariants(t, func(v Variant) {
+				got := fresh()
+				gc, gj := RowScan(row, means, invs, e1, j2, s, invFl, muA, invA, bc, bj, got)
+				if math.Float64bits(gc) != math.Float64bits(wc) || gj != wj {
+					t.Fatalf("%v: RowScan(n=%d l=%d i=%d cap=%d): (%v,%d) != reference (%v,%d)", v, n, l, i, c, gc, gj, wc, wj)
+				}
+				if err := topListsEqual(got, want); err != "" {
+					t.Fatalf("%v: RowScan(n=%d l=%d i=%d cap=%d) %s", v, n, l, i, c, err)
 				}
 			})
 		}

@@ -37,6 +37,16 @@
 // paper states ("the same rank will be preserved along all the lower bound
 // updates") and the one that lets VALMOD keep only the p most-promising
 // entries per distance profile.
+//
+// Since S_{A,L} = L·μ_{A,L}, the candidate term is the base-length
+// correlation scaled by anchor-only factors:
+//
+//	q̃ = L·σ_{A,L}·ρ_L,  ρ_L = (QT_L/L − μ_{A,L}·μ_{B,L}) / (σ_{A,L}·σ_{B,L}),
+//
+// so ρ_L² orders an anchor's candidates as q̃² does. The engine ranks its
+// partial profiles by ρ_L, the correlation every one of its scans already
+// computes, and scales only the one key it bounds with back to q̃
+// (internal/core/anchors, Store.Set).
 package lb
 
 import (
