@@ -1,11 +1,12 @@
 package core
 
 // Checkpointing: the engine can serialize the carried state of an
-// in-flight run at a length-pass boundary — the diagonal head row, the
-// per-anchor partial profiles (once the cost model has latched the run
-// onto the incremental pass they are retired and left out), the
-// accumulated sink state and the plan counters — into a self-describing
-// blob, and later resume from it.
+// in-flight run at a length-pass boundary — the per-anchor partial
+// profiles (once the cost model has latched the run onto the incremental
+// pass they are retired and left out), the accumulated sink state and the
+// plan counters — into a self-describing blob, and later resume from it.
+// The incremental pass carries nothing across lengths, so a frame holds
+// no head row.
 // A resumed run produces byte-identical results to the uninterrupted one
 // at every worker count, because everything the remaining lengths read is
 // either restored exactly (float64 bits survive gob) or recomputed by a
@@ -83,10 +84,6 @@ type ckptPayload struct {
 	EntriesAt int
 	Anchors   *anchors.Snapshot // nil unless seeded
 
-	// Incremental-engine carry (see incState).
-	IncCur  int
-	IncHead []float64
-
 	// Built-in sink state: per-length results + ℓmin profile (pairsSink),
 	// the VALMAP (valmapSink), and discord candidates (discordSink, only
 	// when the run has one).
@@ -116,9 +113,12 @@ type ckptPayload struct {
 // ranks the partial profiles by the pair's correlation and derives NextQ2
 // from it: a v7 frame's kept entries and NextQ2 came from the q̃
 // expression, which rounds differently, so it need not resume
-// byte-identically.
+// byte-identically. v9 resolves incremental lengths on the centred
+// covariance recurrence with a fresh head row per length: a v8 frame
+// carries a raw head row this engine no longer reads, and its profiles
+// of incremental lengths differ in the last bits from this engine's.
 func cfgDigest(c Config) string {
-	return "v8 " + cfgFields(c)
+	return "v9 " + cfgFields(c)
 }
 
 // cfgFields renders the result-affecting configuration fields. Workers and
@@ -267,8 +267,6 @@ func (r *run) captureCheckpoint(cs ckptSinks, nextIdx int) ([]byte, error) {
 		Seeded:     r.seeded,
 		Latched:    r.latched,
 		EntriesAt:  r.entriesAt,
-		IncCur:     r.inc.cur,
-		IncHead:    r.inc.head,
 		PerLength:  cs.pairs.perLength,
 		MPMin:      cs.pairs.mpMin,
 		VM:         cs.vms.vm,
@@ -299,7 +297,6 @@ func (r *run) restore(p *ckptPayload) int {
 	r.seeded = p.Seeded
 	r.latched = p.Latched
 	r.entriesAt = p.EntriesAt
-	r.inc = incState{head: p.IncHead, cur: p.IncCur}
 	if p.Anchors != nil {
 		r.store = anchors.Restore(p.Anchors)
 	}
@@ -343,13 +340,6 @@ func (p *ckptPayload) validateResume(t []float64, cfg Config) error {
 		len(vm.MPn) != sMin || len(vm.IP) != sMin || len(vm.LP) != sMin) {
 		return fmt.Errorf("%w: VALMAP shaped [%d, %d] × (%d, %d, %d), want [%d, %d] × %d",
 			ErrBadCheckpoint, vm.LMin, vm.LMax, len(vm.MPn), len(vm.IP), len(vm.LP), cfg.LMin, cfg.LMax, sMin)
-	}
-	if p.IncCur == 0 {
-		if len(p.IncHead) != 0 {
-			return fmt.Errorf("%w: head row of %d cells with no head length", ErrBadCheckpoint, len(p.IncHead))
-		}
-	} else if p.IncCur < cfg.LMin || p.IncCur > cfg.LMax || len(p.IncHead) != n-p.IncCur+1 {
-		return fmt.Errorf("%w: head row of %d cells at length %d", ErrBadCheckpoint, len(p.IncHead), p.IncCur)
 	}
 	if p.Seeded != (p.Anchors != nil) || (p.Seeded && p.Latched) {
 		return fmt.Errorf("%w: seeded=%v latched=%v with anchors present=%v",

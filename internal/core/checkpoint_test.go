@@ -252,15 +252,6 @@ func TestCheckpointRefusesMalformedSections(t *testing.T) {
 		{"VALMAP over another range", pruned, prunedCkpts[10], func(p *ckptPayload) {
 			p.VM.LMin++
 		}},
-		{"head row short of its length", discords, discordCkpts[10], func(p *ckptPayload) {
-			p.IncHead = p.IncHead[:len(p.IncHead)-1]
-		}},
-		{"head row without a length", discords, discordCkpts[10], func(p *ckptPayload) {
-			p.IncCur = 0
-		}},
-		{"head length outside the range", discords, discordCkpts[10], func(p *ckptPayload) {
-			p.IncCur = discords.LMax + 1
-		}},
 	} {
 		p, err := decodeCheckpoint(tc.frame)
 		if err != nil {

@@ -176,7 +176,7 @@ func TestCostModelSwitchesOnAstroWide(t *testing.T) {
 
 	p := base.Plan
 	if p.IncrementalLengths == 0 || p.PrunedLengths == 0 || p.RecomputeLengths != 1 ||
-		p.PrunedLengths+p.IncrementalLengths != lengths-1 || p.HeadSeeds != 1 {
+		p.PrunedLengths+p.IncrementalLengths != lengths-1 || p.HeadSeeds != p.IncrementalLengths {
 		t.Fatalf("plan stats %+v: want one seed, pruned lengths, then a switch to incremental", p)
 	}
 	// The latch is one-way: once a length resolves incrementally, every
@@ -327,6 +327,13 @@ func TestCheckpointRefusesV6Digest(t *testing.T) { assertDigestRefused(t, "v6") 
 // entries and thresholds can differ in the last bits and its digest is
 // refused.
 func TestCheckpointRefusesV7Digest(t *testing.T) { assertDigestRefused(t, "v7") }
+
+// TestCheckpointRefusesV8Digest: a v8 frame carries the raw diagonal
+// head row of the incremental pass, which this engine no longer carries,
+// and its profiles of incremental lengths came from the raw recurrence,
+// which rounds differently from the centred one, so its digest is
+// refused.
+func TestCheckpointRefusesV8Digest(t *testing.T) { assertDigestRefused(t, "v8") }
 
 // assertDigestRefused rewrites a seeded frame's config digest to an older
 // version and checks the frame is refused with ErrBadCheckpoint, while a

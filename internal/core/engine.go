@@ -110,12 +110,12 @@ type run struct {
 	seeded    bool
 	entriesAt int
 
-	// incremental cross-length profile state (see incremental.go): the
-	// diagonal head row carried across FullProfile lengths plus the
-	// per-worker (corr, index) accumulators of the diagonal pass.
-	inc      incState
-	diagCorr [][]float64
-	diagIdx  [][]int32
+	// The incremental pass's inputs (covAt, sized at ℓmin's anchor count
+	// at its first length; the head row goes to rowQT) and the per-worker
+	// (corr, index) accumulators of the diagonal passes.
+	df, dg, nrm, query []float64
+	diagCorr           [][]float64
+	diagIdx            [][]int32
 
 	// planStats instruments the per-length planner for this run.
 	planStats PlanStats
@@ -134,8 +134,8 @@ type run struct {
 	momentsL             int
 	means, stds, invStds []float64
 	degCount             int
-	// rowQT holds the seed sweep's head row and, with rowQT2, the rows of
-	// the serial recompute path
+	// rowQT holds the seed sweep's and the incremental pass's head rows
+	// and, with rowQT2, the rows of the serial recompute path
 	rowQT, rowQT2 []float64
 	// The seed sweep's per-worker candidate lists, sized at the ℓmin
 	// anchor count at the first seed, and the per-worker one-anchor lists
@@ -311,8 +311,8 @@ func (e *Engine) runSinksFrom(ctx context.Context, t []float64, cfg Config, sink
 		switch plan {
 		case planSkip:
 			// No sink wants this length: no state even needs advancing —
-			// the head row and the retained entries catch up lazily at
-			// the next length that runs.
+			// the retained entries catch up lazily at the next length
+			// that runs.
 			r.planStats.SkippedLengths++
 			if cfg.OnLength != nil {
 				cfg.OnLength(Progress{Done: done, Total: total, Result: LengthResult{M: l}})
@@ -420,9 +420,8 @@ func (r *run) maybeLatch(l int, st LengthStats) {
 }
 
 // latch retires the pruned machinery for the rest of the run: every
-// remaining pruned length runs the incremental pass (its first one seeds
-// the diagonal head with one head row), so the partial profiles and the
-// seed and refill lists are dropped.
+// remaining pruned length runs the incremental pass, so the partial
+// profiles and the seed and refill lists are dropped.
 func (r *run) latch() {
 	r.latched = true
 	r.seeded = false

@@ -1,16 +1,15 @@
 package core
 
 // The incremental cross-length profile engine: the FullProfile plan's
-// per-length pass. Instead of computing a fresh head row at every length
-// (as the seed sweep does — processLengthFull, which the planner runs
-// only when a whole-profile length seeds pruned lengths), the run
-// carries one piece of state across lengths — the diagonal head row
-// QT(0, k) — and extends it from length ℓ to ℓ+1 with the
-// one-FMA-per-cell recurrence QT(i,j)ₗ₊₁ = QT(i,j)ₗ + t[i+ℓ]·t[j+ℓ]. Each
-// length is then resolved by one fused diagonal pass that visits every
-// non-trivial pair exactly once (symmetry updates both endpoints), on a
-// fixed diagonal-block grid — the grid diagPass runs the seed sweep on
-// too — with no from-scratch row.
+// per-length pass. Each length is resolved by one fused diagonal pass that
+// visits every non-trivial pair exactly once (symmetry updates both
+// endpoints), on a fixed diagonal-block grid — the grid diagPass runs the
+// seed sweep on too. The pass runs on SCAMP's mean-centred covariance
+// recurrence (kernels.CovScan), whose per-cell update needs no window
+// means and no 1/ℓ. Its inputs are O(s) per length (covAt): the steps df
+// and dg, the normalizers, and the head row cov(0, k), one dot row of the
+// centred first window against the series. Nothing is carried from one
+// length to the next.
 //
 // Determinism: a diagonal's cells depend only on its head cell, never on
 // which block or worker scans it, so the computed correlations are
@@ -27,7 +26,7 @@ import (
 
 	"github.com/seriesmining/valmod/internal/kernels"
 	"github.com/seriesmining/valmod/internal/profile"
-	"github.com/seriesmining/valmod/internal/stomp"
+	"github.com/seriesmining/valmod/internal/series"
 )
 
 // diagBlockCells is the minimum target cell count of one diagonal block —
@@ -51,15 +50,6 @@ const diagBlockMinWidth = 16
 // enough that the dynamic scheduler can balance the triangle's uneven
 // diagonals across workers.
 const diagBlockShards = 2048
-
-// incState is the cross-length state of the incremental engine: the
-// diagonal head row QT(0, k) at length cur. Seeded with one from-scratch
-// row (rows.go) at the first FullProfile length of the run, then
-// FMA-extended; cur == 0 means unseeded.
-type incState struct {
-	head []float64
-	cur  int
-}
 
 // diagBlock is a contiguous range of diagonals [k0, k1).
 type diagBlock struct{ k0, k1 int }
@@ -93,27 +83,31 @@ func diagBlocks(s, excl int) []diagBlock {
 	return out
 }
 
-// headAt returns the run's diagonal head row advanced to length l: one
-// from-scratch row on first use (rows.go), then
-// stomp.ExtendDiagonalHead's one-FMA-per-cell recurrence per length step.
-// The state only ever moves forward (l never regresses within a run).
-func (r *run) headAt(l int) ([]float64, error) {
-	st := &r.inc
-	if st.cur == 0 {
-		n := len(r.t)
-		st.head = r.rows.row(make([]float64, n-l+1), 0, l)
-		st.cur = l
-		r.planStats.HeadSeeds++
-		return st.head, nil
+// covAt prepares the centred diagonal pass at length l (kernels.CovInputs)
+// in run-owned arrays sized at ℓmin's anchor count: the steps df and dg,
+// the normalizers nrm, and the head row cov(0, k) in rowQT. The head is
+// the dot row of the first window centred on its two-pass mean a₀,
+// minus aₖ times the centred window's sum, so it never subtracts the
+// large products of raw dot products and means. The moment cache must be
+// at l.
+func (r *run) covAt(l int) {
+	s := len(r.t) - l + 1
+	if r.df == nil {
+		r.df = make([]float64, r.sMin)
+		r.dg = make([]float64, r.sMin)
+		r.nrm = make([]float64, r.sMin)
+		r.query = make([]float64, r.cfg.LMax)
 	}
-	head, err := stomp.ExtendDiagonalHead(st.head, r.t, st.cur, l)
-	if err != nil {
-		return nil, err
+	a0, _ := series.MeanStdTwoPass(r.t[:l])
+	q := r.query[:l]
+	var w float64
+	for p, v := range r.t[:l] {
+		q[p] = v - a0
+		w += q[p]
 	}
-	r.planStats.HeadExtensions += l - st.cur
-	st.head = head
-	st.cur = l
-	return head, nil
+	head := r.rows.dots(r.rowQT, q)
+	kernels.CovInputs(r.t, head, r.df[:s], r.dg[:s], r.nrm[:s], r.invStds, a0, w, l)
+	r.planStats.HeadSeeds++
 }
 
 // ensureDiagScratch sizes the per-worker (corr, index) accumulators of the
@@ -132,31 +126,28 @@ func (r *run) ensureDiagScratch(workers int) {
 	}
 }
 
-// processLengthIncremental resolves length l with the incremental
-// cross-length pass: extend the run's carried head row to l, then one
-// fused diagonal scan — in-length recurrence, division-free correlation,
-// both endpoints of each pair updated — over the fixed diagonal-block
-// grid. Output contract matches processLengthFull: the exact top-k pairs
-// and the exact matrix profile (nil when the length admits no non-trivial
-// pair).
+// processLengthIncremental resolves length l with the incremental pass:
+// prepare the centred inputs (covAt), then one fused diagonal scan —
+// covariance recurrence, division-free correlation, both endpoints of
+// each pair updated — over the fixed diagonal-block grid. Output contract
+// matches processLengthFull: the exact top-k pairs and the exact matrix
+// profile (nil when the length admits no non-trivial pair).
 func (r *run) processLengthIncremental(l int) (LengthResult, *profile.MatrixProfile, error) {
 	s := len(r.t) - l + 1
 	excl := profile.ExclusionZone(l, r.cfg.ExclusionFactor)
 	lr := LengthResult{M: l}
 	if s <= excl {
 		// No non-trivial pair (hence no finite NN distance) can exist, and
-		// none can at any longer length either: the head row stays put.
+		// none can at any longer length either.
 		return lr, nil, nil
 	}
 	r.momentsAt(l)
-	head, err := r.headAt(l)
-	if err != nil {
-		return lr, nil, err
-	}
+	r.covAt(l)
+	head, df, dg, nrm := r.rowQT[:s], r.df[:s], r.dg[:s], r.nrm[:s]
 
 	blocks := diagBlocks(s, excl)
 	mp, err := r.diagPass(l, excl, s, blocks, r.passWorkers(len(blocks)), func(_ int, b diagBlock, corr []float64, idx []int32) {
-		kernels.DiagScan(r.t, head, r.means, r.invStds, b.k0, b.k1, l, s, corr, idx)
+		kernels.CovScan(head, df, dg, nrm, b.k0, b.k1, s, corr, idx)
 	})
 	if err != nil {
 		return lr, nil, err
@@ -305,9 +296,9 @@ func (r *run) mergeDiagLocals(workers, s int) {
 	wg.Wait()
 }
 
-// The diagonal scan itself lives in kernels.DiagScan (shared, interleaved,
-// parity-tested against kernels.RefDiagScan): each diagonal starts from
-// its head cell, advances with the in-length recurrence, and each cell's
+// The diagonal scan itself lives in kernels.CovScan (shared, interleaved,
+// parity-tested against kernels.RefCovScan): each diagonal starts from
+// its head cell, advances with the covariance recurrence, and each cell's
 // division-free correlation updates the best-so-far of both endpoints
 // under the total order (corr desc, neighbor asc). A degenerate endpoint
 // (σ = 0, inv = 0) zeroes the correlation, which matches the

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/seriesmining/valmod/internal/gen"
 	"github.com/seriesmining/valmod/internal/profile"
 	"github.com/seriesmining/valmod/internal/series"
 	"github.com/seriesmining/valmod/internal/stomp"
@@ -109,11 +110,61 @@ func TestIncrementalProfileMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestIncrementalProfileMatchesZNormAtScale is TestIncrementalProfileMatchesBrute
+// at realistic sizes, where brute force is too slow: on ecg, astro,
+// seismic and random walk (n = 5 000, seed 1), over ℓ ∈ [64, 66] and
+// [200, 201], a discords run's incremental pass must report at every slot
+// a distance equal to series.ZNormDist of its reported neighbor within
+// 1e-9 relative. It pins the error of the centred covariance recurrence
+// and its head row.
+func TestIncrementalProfileMatchesZNormAtScale(t *testing.T) {
+	for _, ds := range []string{"ecg", "astro", "seismic", "randomwalk"} {
+		s, err := gen.Dataset(ds, 5000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := s.Values
+		worst := 0.0
+		for _, rg := range [][2]int{{64, 66}, {200, 201}} {
+			sink := &profileSink{}
+			cfg := Config{LMin: rg[0], LMax: rg[1], Discords: 1, Workers: 2}
+			cfg.Fill()
+			disc := newDiscordSink(cfg.Discords, cfg.ExclusionFactor)
+			if err := NewEngine().RunSinks(context.Background(), x, cfg, sink, disc); err != nil {
+				t.Fatal(err)
+			}
+			for _, ld := range sink.got {
+				if !ld.Result.Stats.Incremental {
+					t.Fatalf("%s l=%d: not resolved by the incremental pass", ds, ld.L)
+				}
+				mp := ld.Profile
+				for i, j := range mp.Index {
+					if j < 0 {
+						continue
+					}
+					got := mp.Dist[i]
+					want := series.ZNormDist(x[i:i+ld.L], x[j:j+ld.L])
+					rel := math.Abs(got-want) / want
+					if got == want {
+						rel = 0
+					}
+					worst = math.Max(worst, rel)
+					if !(rel <= 1e-9) {
+						t.Fatalf("%s l=%d i=%d: distance %v to %d, series.ZNormDist %v (relative %.2g)", ds, ld.L, i, got, j, want, rel)
+					}
+				}
+			}
+		}
+		t.Logf("%s: worst relative error %.2g", ds, worst)
+	}
+}
+
 // TestIncrementalMatchesFromScratchPlan: the incremental plan must
 // discover the same pairs and discords as a from-scratch reference built
 // from stomp.Compute at every length — identical offsets, lengths and
-// ordering; distances equal within floating tolerance (the carried head
-// row and a per-length FFT seed take different arithmetic paths).
+// ordering; distances equal within floating tolerance (the centred
+// covariance recurrence and STOMP's raw dot products take different
+// arithmetic paths).
 func TestIncrementalMatchesFromScratchPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	x := randWalk(rng, 600)
@@ -122,7 +173,7 @@ func TestIncrementalMatchesFromScratchPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.Plan.IncrementalLengths != 40-12+1 || inc.Plan.HeadSeeds != 1 {
+	if inc.Plan.IncrementalLengths != 40-12+1 || inc.Plan.HeadSeeds != 40-12+1 {
 		t.Fatalf("incremental plan stats: %+v", inc.Plan)
 	}
 	ref := newDiscordSink(cfg.Discords, profile.DefaultExclusionFactor)

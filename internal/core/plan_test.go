@@ -108,8 +108,8 @@ func TestHybridPlanFullLengthSeedsPrunedMachinery(t *testing.T) {
 
 // TestSubsetOnlyPlanSkipsLengths: with a single length-subset FullProfile
 // sink, every unwanted length is skipped outright — no pruned pass, no
-// seed — while progress still ticks once per length and the carried head
-// row crosses the gaps with FMA extensions only.
+// seed — while progress still ticks once per length, and each wanted
+// length computes its own head row.
 func TestSubsetOnlyPlanSkipsLengths(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	x := randWalk(rng, 300)
@@ -127,8 +127,7 @@ func TestSubsetOnlyPlanSkipsLengths(t *testing.T) {
 	want := PlanStats{
 		IncrementalLengths: 2,
 		SkippedLengths:     (lmax - lmin + 1) - 2,
-		HeadSeeds:          1,
-		HeadExtensions:     20 - 12,
+		HeadSeeds:          2,
 	}
 	if stats != want {
 		t.Fatalf("plan stats %+v, want %+v", stats, want)
@@ -170,8 +169,8 @@ func TestRunPlanStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Plan.IncrementalLengths != lengths || full.Plan.HeadSeeds != 1 ||
-		full.Plan.HeadExtensions != lengths-1 || full.Plan.PrunedLengths != 0 {
+	if full.Plan.IncrementalLengths != lengths || full.Plan.HeadSeeds != lengths ||
+		full.Plan.HeadExtensions != 0 || full.Plan.PrunedLengths != 0 {
 		t.Fatalf("full plan stats %+v", full.Plan)
 	}
 }

@@ -42,11 +42,12 @@ type PlanStats struct {
 	RecomputeLengths int `json:"recompute_lengths"`
 	// SkippedLengths counts lengths no registered sink wanted.
 	SkippedLengths int `json:"skipped_lengths"`
-	// HeadSeeds counts from-scratch seedings of the incremental engine's
-	// diagonal head row (at most one per run).
+	// HeadSeeds counts the incremental pass's head rows: one from-scratch
+	// row per incremental length.
 	HeadSeeds int `json:"head_seeds"`
-	// HeadExtensions counts one-FMA-per-cell head-row advances (one per
-	// length step the carried state crossed).
+	// HeadExtensions counted the cross-length advances of a head row the
+	// incremental pass once carried. Nothing is carried now, so it stays
+	// 0; it is kept for the readers of the plan counters.
 	HeadExtensions int `json:"head_extensions"`
 }
 

@@ -2,8 +2,10 @@ package core
 
 // Dot-product rows computed from scratch. The pruned pass's recomputes and
 // run heads, the head rows of the seed sweep and the incremental pass, and
-// the heads of the stream's eviction repair runs all need some anchor i's
-// full row QT(i, j), j < s, at one length ℓ. There are two exact ways to
+// the heads of the stream's eviction repair runs all need the dot products
+// of one query against every window, j < s, at one length ℓ: some anchor
+// i's full row QT(i, j), or (the incremental pass) the first window
+// centred on its mean. There are two exact ways to
 // get it:
 //
 //   - kernels.DotRow sums each cell directly, s·ℓ multiply-adds, bit for
@@ -84,12 +86,19 @@ func (w *rowWorker) correlator() *fft.Correlator {
 // row writes anchor i's dot-product row at length l, QT(i, j) for j < s,
 // into dst (at least s cells) and returns dst[:s].
 func (w *rowWorker) row(dst []float64, i, l int) []float64 {
+	return w.dots(dst, w.src.t[i:i+l])
+}
+
+// dots writes the dot products of the query q against every window of
+// its length, for j < s = n − len(q) + 1, into dst (at least s cells) and
+// returns dst[:s]: a direct row or an FFT row by the length's cutover.
+func (w *rowWorker) dots(dst, q []float64) []float64 {
 	t := w.src.t
-	if !w.src.direct(l) {
-		return w.correlator().Dots(t[i:i+l], dst)
+	if !w.src.direct(len(q)) {
+		return w.correlator().Dots(q, dst)
 	}
-	s := len(t) - l + 1
-	kernels.DotRow(dst, t, i, l, s)
+	s := len(t) - len(q) + 1
+	kernels.DotRow(dst, t, q, s)
 	return dst[:s]
 }
 

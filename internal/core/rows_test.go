@@ -48,7 +48,7 @@ func TestRowRuleTierIndependent(t *testing.T) {
 					want = row
 					if d {
 						want = make([]float64, s)
-						kernels.RefDotRow(want, x, i, l, s)
+						kernels.RefDotRow(want, x, x[i:i+l], s)
 					}
 					rows[cell{l, i}] = want
 				}

@@ -10,9 +10,9 @@ import (
 // The AVX2 dispatch tier, amd64 side: thin Go orchestration around the
 // assembly routines in kernels_amd64.s. Division of labor:
 //
-//   - Pure arithmetic (RowNext, ExtendRow, DotRow) runs entirely in
-//     four-lane assembly; remainders shorter than a vector run the
-//     identical scalar expressions here.
+//   - Pure arithmetic (RowNext, DotRow) runs entirely in four-lane
+//     assembly; remainders shorter than a vector run the identical scalar
+//     expressions here.
 //   - Winner selection stays in Go. The row, column, diagonal and seed
 //     steppers use a stop protocol: assembly computes four lanes per
 //     step — a group of four cells of a row or column, or one cell on
@@ -24,7 +24,7 @@ import (
 //     candidate list's threshold. Go recomputes that step's lanes in
 //     scalar, applies the exact sequential compare-updates and list
 //     offers, and re-enters at the next step. This tier's assembly never
-//     writes winner state; only the avx512 DiagScan body does
+//     writes winner state; only the avx512 CovScan body does
 //     (avx512_amd64.go).
 //
 // None of the assembly uses FMA: fused multiply-adds round differently
@@ -37,11 +37,6 @@ import (
 //
 //go:noescape
 func rowNextBlocks(r, a, b *float64, tail, head float64, lo, hi int)
-
-// axpyBlocks adds a·x[j] to dst[j] for j ∈ [0, n), n a multiple of 4.
-//
-//go:noescape
-func axpyBlocks(dst, x *float64, a float64, n int)
 
 // rowSteps4 walks groups of four cells j = j0, j0+4, … < n (n − j0 a
 // multiple of 4), computing c = (r[j]·invFl − muA·m[j])·invA·v[j], and
@@ -59,14 +54,14 @@ func rowSteps4(r, m, v *float64, invFl, muA, invA, best, thr float64, j0, n int)
 //go:noescape
 func colSteps4(col, m, v, corr *float64, invFl, muJ, invJ, best float64, i0, n int) int
 
-// diagSteps4 advances the four interleaved diagonal chains qt[0..3] over
-// cells i ∈ [i0, n): qt += ta[i]·w[i+x] − tb[i−1]·u[i+x] per lane x, then
-// c = (qt·invFl − mi[i]·mj[i+x])·vi[i]·vj[i+x]. It returns at the first i
-// where any lane satisfies c ≥ ci[i] or c ≥ cj[i+x] (qt already advanced
-// to that cell, lanes stored back), or n if no cell triggers.
+// diagSteps4 advances the four interleaved covariance chains cov[0..3]
+// over cells i ∈ [i0, i1): cov += df[i]·dgj[i+x] + dg[i]·dfj[i+x] per
+// lane x, then c = (cov·nr[i])·nrj[i+x]. It returns at the first i where
+// any lane satisfies c ≥ ci[i] or c ≥ cj[i+x] (cov already advanced to
+// that cell, lanes stored back), or i1 if no cell triggers.
 //
 //go:noescape
-func diagSteps4(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64, invFl float64, i0, n int) int
+func diagSteps4(cov, df, dg, nr, dfj, dgj, nrj, ci, cj *float64, i0, i1 int) int
 
 // dotRowBlocks16 writes DotRow's cells in blocks of sixteen: for
 // b ∈ [0, nb), row[16b+c] = Σ_{p<l} q[p]·x[16b+c+p], c ∈ [0, 16), each
@@ -89,47 +84,23 @@ func rowNextAVX2(row, t []float64, i, l, s int) {
 		rowNextBlocks(&r[0], &a[0], &b[0], tail, head, lo, s-2)
 	}
 	for p := lo - 1; p >= 0; p-- {
-		r[p+1] = r[p] + tail*a[p] - head*b[p]
+		r[p+1] = r[p] + float64(tail*a[p]) - float64(head*b[p])
 	}
 }
 
 // dotRowAVX2 writes cells [j0, s) of DotRow: blocks of sixteen through
 // dotRowBlocks16, the rest (fewer than sixteen cells) through the generic
 // body.
-func dotRowAVX2(row, t []float64, i, l, j0, s int) {
+func dotRowAVX2(row, t, q []float64, j0, s int) {
+	l := len(q)
 	nb := (s - j0) / 16
 	if nb > 0 && l > 0 {
-		q := t[i : i+l]
 		x := t[j0 : j0+16*nb+l-1] // the blocks read up to x[16nb−1+l−1]
 		r := row[j0 : j0+16*nb]
 		dotRowBlocks16(&r[0], &q[0], &x[0], l, nb)
 		j0 += 16 * nb
 	}
-	dotRowGeneric(row, t, i, l, j0, s)
-}
-
-// extendRowAVX2 runs the l−cur pending steps as one-step vector passes.
-// ExtendRow's contract makes this bit-identical to the fused form: each
-// cell's additions arrive in ascending step order either way, only the
-// pass structure differs.
-func extendRowAVX2(row, t []float64, i, cur, l int) {
-	n := len(t)
-	for p := cur; p < l; p++ {
-		e := n - p // the one-step pass at step p updates cells j < n−p
-		if e <= 0 {
-			break
-		}
-		dst := row[0:e]
-		x := t[p:n]
-		a := t[i+p]
-		nv := e &^ 3
-		if nv > 0 {
-			axpyBlocks(&dst[0], &x[0], a, nv)
-		}
-		for j := nv; j < e; j++ {
-			dst[j] += a * x[j]
-		}
-	}
+	dotRowGeneric(row, t, q, j0, s)
 }
 
 // rowScanAVX2 drives [j0, j1) through the rowSteps4 stop protocol, with
@@ -192,7 +163,7 @@ func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64,
 			end = len(cl)
 		}
 		for ; i < end; i++ {
-			c := (cl[i]*invFl - m[i]*muJ) * v[i] * invJ
+			c := (float64(cl[i]*invFl) - float64(m[i]*muJ)) * v[i] * invJ
 			if c > cr[i] || (c == cr[i] && j < ix[i]) {
 				cr[i], ix[i] = c, j
 			}
@@ -204,56 +175,30 @@ func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64,
 	return bestCorr, bestIdx
 }
 
-func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	invFl := 1 / float64(l)
+func covScanAVX2(cov, df, dg, nrm []float64, k0, k1, s int, corr []float64, idx []int32) {
 	k := k0
 	for ; k+4 <= k1; k += 4 {
-		diagQuadAVX2(t, head, means, invs, k, l, s, invFl, corr, idx)
+		diagQuadAVX2(cov, df, dg, nrm, k, s, corr, idx)
 	}
 	for ; k < k1; k++ {
-		diagOne(t, means, invs, head[k], k, l, s, invFl, corr, idx)
+		diagOne(df, dg, nrm, cov[k], k, s, corr, idx)
 	}
 }
 
 // diagQuadAVX2 mirrors diagQuad: identical head-row handling and tails,
 // with the common range driven through the diagSteps4 stop protocol.
-func diagQuadAVX2(t, head, means, invs []float64, k, l, s int, invFl float64, corr []float64, idx []int32) {
-	var qt [4]float64
-	qt[0], qt[1], qt[2], qt[3] = head[k], head[k+1], head[k+2], head[k+3]
-	c0 := (qt[0]*invFl - means[0]*means[k]) * invs[0] * invs[k]
-	c1 := (qt[1]*invFl - means[0]*means[k+1]) * invs[0] * invs[k+1]
-	c2 := (qt[2]*invFl - means[0]*means[k+2]) * invs[0] * invs[k+2]
-	c3 := (qt[3]*invFl - means[0]*means[k+3]) * invs[0] * invs[k+3]
-	bc, bj := c0, int32(k)
-	if c1 > bc {
-		bc, bj = c1, int32(k+1)
-	}
-	if c2 > bc {
-		bc, bj = c2, int32(k+2)
-	}
-	if c3 > bc {
-		bc, bj = c3, int32(k+3)
-	}
-	update(corr, idx, 0, bc, bj)
-	update(corr, idx, k, c0, 0)
-	update(corr, idx, k+1, c1, 0)
-	update(corr, idx, k+2, c2, 0)
-	update(corr, idx, k+3, c3, 0)
+func diagQuadAVX2(cov, df, dg, nrm []float64, k, s int, corr []float64, idx []int32) {
+	var v [4]float64
+	copy(v[:], cov[k:k+4])
+	n0 := nrm[0]
+	diagHeads([]float64{v[0] * n0 * nrm[k], v[1] * n0 * nrm[k+1], v[2] * n0 * nrm[k+2], v[3] * n0 * nrm[k+3]}, k, corr, idx)
 
 	m := s - k - 4
 	if m >= 1 {
-		w := t[k+l-1:]
-		u := t[k-1:]
-		ta := t[l-1:]
-		mj := means[k:]
-		vj := invs[k:]
-		cj := corr[k:]
+		fj, gj, nj, cj := df[k:], dg[k:], nrm[k:], corr[k:]
 		n := m + 1 // common cells are i ∈ [1, m]
-		i := 1
-		for i < n {
-			hit := diagSteps4(&qt[0], &w[0], &u[0], &ta[0], &t[0],
-				&means[0], &invs[0], &mj[0], &vj[0], &corr[0], &cj[0],
-				invFl, i, n)
+		for i := 1; i < n; i++ {
+			hit := diagSteps4(&v[0], &df[0], &dg[0], &nrm[0], &fj[0], &gj[0], &nj[0], &corr[0], &cj[0], i, n)
 			if hit >= n {
 				break
 			}
@@ -261,70 +206,25 @@ func diagQuadAVX2(t, head, means, invs []float64, k, l, s int, invFl float64, co
 			// Recompute the lane correlations from the carried chains —
 			// scalar, same expression, bit-identical to the vector lanes —
 			// and apply the exact sequential compare-updates of diagQuad.
-			m0, v0 := means[i], invs[i]
-			c0 := (qt[0]*invFl - m0*mj[i]) * v0 * vj[i]
-			c1 := (qt[1]*invFl - m0*mj[i+1]) * v0 * vj[i+1]
-			c2 := (qt[2]*invFl - m0*mj[i+2]) * v0 * vj[i+2]
-			c3 := (qt[3]*invFl - m0*mj[i+3]) * v0 * vj[i+3]
-			j := int32(i + k)
-			if c0 >= corr[i] {
-				if c0 > corr[i] || j < idx[i] {
-					corr[i], idx[i] = c0, j
-				}
+			ni := nrm[i]
+			for x, vx := range v {
+				c := vx * ni * nj[i+x]
+				update(corr, idx, i, c, int32(i+k+x))
+				update(corr, idx, k+i+x, c, int32(i))
 			}
-			if c1 >= corr[i] {
-				if c1 > corr[i] || j+1 < idx[i] {
-					corr[i], idx[i] = c1, j+1
-				}
-			}
-			if c2 >= corr[i] {
-				if c2 > corr[i] || j+2 < idx[i] {
-					corr[i], idx[i] = c2, j+2
-				}
-			}
-			if c3 >= corr[i] {
-				if c3 > corr[i] || j+3 < idx[i] {
-					corr[i], idx[i] = c3, j+3
-				}
-			}
-			a := int32(i)
-			if c0 >= corr[k+i] {
-				if c0 > corr[k+i] || a < idx[k+i] {
-					corr[k+i], idx[k+i] = c0, a
-				}
-			}
-			if c1 >= corr[k+i+1] {
-				if c1 > corr[k+i+1] || a < idx[k+i+1] {
-					corr[k+i+1], idx[k+i+1] = c1, a
-				}
-			}
-			if c2 >= corr[k+i+2] {
-				if c2 > corr[k+i+2] || a < idx[k+i+2] {
-					corr[k+i+2], idx[k+i+2] = c2, a
-				}
-			}
-			if c3 >= corr[k+i+3] {
-				if c3 > corr[k+i+3] || a < idx[k+i+3] {
-					corr[k+i+3], idx[k+i+3] = c3, a
-				}
-			}
-			i++
 		}
 	}
 
-	if m < 0 {
-		m = 0
+	m = max(m, 0)
+	for x, vx := range v {
+		diagOneTail(df, dg, nrm, vx, k+x, s, corr, idx, m)
 	}
-	diagOneTail(t, means, invs, qt[0], k, l, s, invFl, corr, idx, m)
-	diagOneTail(t, means, invs, qt[1], k+1, l, s, invFl, corr, idx, m)
-	diagOneTail(t, means, invs, qt[2], k+2, l, s, invFl, corr, idx, m)
-	diagOneTail(t, means, invs, qt[3], k+3, l, s, invFl, corr, idx, m)
 }
 
-// seedSteps4 is diagSteps4 extended with SeedScan's list filter: the four
-// chains qt[0..3] of diagonals k..k+3 advance over cells i ∈ [i0, n), and
-// each lane squares the correlation c of its cell (i, j = i+k+x), the
-// key of both offers. It returns at the first i where any lane has
+// seedSteps4 is SeedScan's stepper: the four raw dot-product chains
+// qt[0..3] of diagonals k..k+3 advance over cells i ∈ [i0, n) with the
+// in-length recurrence, and each lane computes the correlation c of its
+// cell (i, j = i+k+x) and squares it, the key of both offers. It returns at the first i where any lane has
 // c ≥ corr[i], c ≥ corr[j], c² ≥ thr[i] or c² ≥ thr[j] (chains advanced
 // to that cell and stored back; the four conditions' lane masks in bits
 // 0–3, 4–7, 8–11 and 12–15 of mask), or at n with mask 0. Slots and
@@ -394,7 +294,7 @@ func seedLanes(means, invs, qt []float64, i, k int, invFl float64, corr []float6
 		bit := uint64(1) << x
 		q := qt[x]
 		j := i + k + x
-		c := (q*invFl - mi*means[j]) * vi * invs[j]
+		c := (float64(q*invFl) - float64(mi*means[j])) * vi * invs[j]
 		if slots&bit != 0 {
 			update(corr, idx, i, c, int32(j))
 			update(corr, idx, j, c, int32(i))

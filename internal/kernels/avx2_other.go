@@ -14,34 +14,30 @@ func rowScanAVX2(row, means, invs []float64, j0, j1 int, invFl, muA, invA float6
 	return rowScanGeneric(row, means, invs, j0, j1, invFl, muA, invA, bestCorr, bestJ, top)
 }
 
-func extendRowAVX2(row, t []float64, i, cur, l int) {
-	extendRowGeneric(row, t, i, cur, l)
-}
-
 func colScanAVX2(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, corr []float64, idx []int32, j int32, bestCorr float64, bestIdx int32) (float64, int32) {
 	return colScanGeneric(col, means, invs, iEnd, invFl, muJ, invJ, corr, idx, j, bestCorr, bestIdx)
 }
 
-func diagScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
+func covScanAVX2(cov, df, dg, nrm []float64, k0, k1, s int, corr []float64, idx []int32) {
+	covScanGeneric(cov, df, dg, nrm, k0, k1, s, corr, idx)
 }
 
 func seedScanAVX2(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	seedScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx, top)
 }
 
-func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
+func covScanAVX512(cov, df, dg, nrm []float64, k0, k1, s int, corr []float64, idx []int32) {
+	covScanGeneric(cov, df, dg, nrm, k0, k1, s, corr, idx)
 }
 
 func seedScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, top *TopLists) {
 	seedScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx, top)
 }
 
-func dotRowAVX2(row, t []float64, i, l, j0, s int) {
-	dotRowGeneric(row, t, i, l, j0, s)
+func dotRowAVX2(row, t, q []float64, j0, s int) {
+	dotRowGeneric(row, t, q, j0, s)
 }
 
-func dotRowAVX512(row, t []float64, i, l, s int) {
-	dotRowGeneric(row, t, i, l, 0, s)
+func dotRowAVX512(row, t, q []float64, s int) {
+	dotRowGeneric(row, t, q, 0, s)
 }

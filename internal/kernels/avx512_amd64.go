@@ -3,7 +3,7 @@
 package kernels
 
 // The AVX-512 dispatch tier, amd64 side. Three kernels have bodies of
-// their own: DiagScan, whose diagRun16 advances sixteen diagonals per step
+// their own: CovScan, whose diagRun16 advances sixteen diagonals per step
 // over a group's whole common range in one call and, at a row where a lane
 // reaches a slot, applies the winner updates itself — the one routine
 // that writes winner state outside Go, so a stop costs a few vector
@@ -14,49 +14,44 @@ package kernels
 // thirty-two cells per block. Every other kernel dispatches to its avx2
 // body.
 
-// diagRun16 runs diagonals k..k+15 of a group (two ZMM vectors of eight
-// chains qt[0..15]) over cells i ∈ [i0, n): qt += ta[i]·w[i+x] −
-// tb[i−1]·u[i+x] per lane x, then c = (qt·invFl − mi[i]·mj[i+x])·vi[i]·vj[i+x].
+// diagRun16 runs the covariance chains cov[0..15] of diagonals k..k+15
+// (two ZMM vectors of eight) over cells i ∈ [i0, i1):
+// cov += df[i]·dgj[i+x] + dg[i]·dfj[i+x], then c = (cov·nr[i])·nrj[i+x].
 // At a row where some lane has c ≥ ci[i] or c ≥ cj[i+x] it applies the
 // winner rule itself, to slot i (ci, ii) and to each lane's slot
-// j = i+k+x (cj, ij), and runs on; the chains are stored back to qt at n.
+// j = i+k+x (cj, ij), and runs on; the chains are stored back to cov at
+// i1.
 //
 //go:noescape
-func diagRun16(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64, ii, ij *int32, invFl float64, i0, n, k int)
+func diagRun16(cov, df, dg, nr, dfj, dgj, nrj, ci, cj *float64, ii, ij *int32, i0, i1, k int)
 
-// diagScanAVX512 runs groups of sixteen diagonals through diagRun16; a
+// covScanAVX512 runs groups of sixteen diagonals through diagRun16; a
 // block's remainder runs the avx2 quad path, then the scalar path.
-func diagScanAVX512(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	invFl := 1 / float64(l)
+func covScanAVX512(cov, df, dg, nrm []float64, k0, k1, s int, corr []float64, idx []int32) {
 	k := k0
 	for ; k+16 <= k1; k += 16 {
-		diagGroup16(t, head, means, invs, k, l, s, invFl, corr, idx)
+		diagGroup16(cov, df, dg, nrm, k, s, corr, idx)
 	}
-	diagScanAVX2(t, head, means, invs, k, k1, l, s, corr, idx)
+	covScanAVX2(cov, df, dg, nrm, k, k1, s, corr, idx)
 }
 
 // diagGroup16 mirrors diagQuadAVX2 at sixteen diagonals k..k+15: scalar
 // head cells, the common range in one diagRun16 call, scalar tails
 // resuming from the carried chains.
-func diagGroup16(t, head, means, invs []float64, k, l, s int, invFl float64, corr []float64, idx []int32) {
-	var qt [16]float64
-	copy(qt[:], head[k:k+16])
-	for x, q := range qt {
-		c := (q*invFl - means[0]*means[k+x]) * invs[0] * invs[k+x]
-		update(corr, idx, 0, c, int32(k+x))
-		update(corr, idx, k+x, c, 0)
+func diagGroup16(cov, df, dg, nrm []float64, k, s int, corr []float64, idx []int32) {
+	var v, c [16]float64
+	copy(v[:], cov[k:k+16])
+	for x, vx := range v {
+		c[x] = vx * nrm[0] * nrm[k+x]
 	}
+	diagHeads(c[:], k, corr, idx)
 	m := s - k - 16 // common cells are i ∈ [1, m]; m ≥ 0 since k+16 ≤ s
 	if m >= 1 {
-		w := t[k+l-1:]
-		u := t[k-1:]
-		ta := t[l-1:]
-		diagRun16(&qt[0], &w[0], &u[0], &ta[0], &t[0],
-			&means[0], &invs[0], &means[k], &invs[k], &corr[0], &corr[k],
-			&idx[0], &idx[k], invFl, 1, m+1, k)
+		diagRun16(&v[0], &df[0], &dg[0], &nrm[0], &df[k], &dg[k], &nrm[k],
+			&corr[0], &corr[k], &idx[0], &idx[k], 1, m+1, k)
 	}
-	for x, q := range qt {
-		diagOneTail(t, means, invs, q, k+x, l, s, invFl, corr, idx, m)
+	for x, vx := range v {
+		diagOneTail(df, dg, nrm, vx, k+x, s, corr, idx, m)
 	}
 }
 
@@ -113,14 +108,14 @@ func dotRowBlocks32(row, q, x *float64, l, nb int)
 // dotRowAVX512 writes DotRow's cells in blocks of thirty-two through
 // dotRowBlocks32; the rest (fewer than thirty-two cells) run the avx2
 // body.
-func dotRowAVX512(row, t []float64, i, l, s int) {
+func dotRowAVX512(row, t, q []float64, s int) {
+	l := len(q)
 	j0 := 0
 	if nb := s / 32; nb > 0 && l > 0 {
-		q := t[i : i+l]
 		x := t[0 : 32*nb+l-1] // the blocks read up to x[32nb−1+l−1]
 		r := row[0 : 32*nb]
 		dotRowBlocks32(&r[0], &q[0], &x[0], l, nb)
 		j0 = 32 * nb
 	}
-	dotRowAVX2(row, t, i, l, j0, s)
+	dotRowAVX2(row, t, q, j0, s)
 }

@@ -2,12 +2,12 @@
 
 #include "textflag.h"
 
-// AVX-512F kernel routines: the bodies of DiagScan (diagRun16), SeedScan
+// AVX-512F kernel routines: the bodies of CovScan (diagRun16), SeedScan
 // (seedSteps16) and DotRow (dotRowBlocks32). They keep the rules of
 // kernels_amd64.s: no FMA, every lane's evaluation order that of the
 // scalar expression it replaces, and no winner-state writes except in
 // diagRun16, which applies the winner rule at its stop rows (a second copy
-// of kernels.update, kept honest by parity against RefDiagScan). Two more
+// of kernels.update, kept honest by parity against RefCovScan). Two more
 // rules:
 //
 //   - Every scalar float instruction is VEX-encoded (VMOVSD, VUCOMISD;
@@ -18,16 +18,18 @@
 //   - Only Z0–Z15 are used, so the closing VZEROUPPER leaves no dirty
 //     upper register state behind.
 
-// func diagRun16(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64,
-//                ii, ij *int32, invFl float64, i0, n, k int)
-// Sixteen diagonal chains k..k+15, two ZMM vectors of eight, over cells
-// i in [i0, n), lane x in [0, 16):
-//   qt[x] += ta[i]*w[i+x] - tb[i-1]*u[i+x]
-//   c[x]   = ((qt[x]*invFl) - mi[i]*mj[i+x]) * vi[i] * vj[i+x]
-// A row where some lane has c >= ci[i] or c >= cj[i+x] is a stop, and the
-// stop applies the winner rule (corr descending, neighbor ascending on
-// exact ties) to both sides of the row, ci/ii being slot i and cj/ij slot
-// j = i+k+x (the Go caller passes corr, idx, corr[k:], idx[k:]):
+// func diagRun16(cov, df, dg, nr, dfj, dgj, nrj, ci, cj *float64,
+//                ii, ij *int32, i0, i1, k int)
+// Sixteen covariance chains of diagonals k..k+15, two ZMM vectors of
+// eight, over cells i in [i0, i1), lane x in [0, 16):
+//   cov[x] += df[i]*dgj[i+x] + dg[i]*dfj[i+x]
+//   c[x]    = (cov[x]*nr[i]) * nrj[i+x]
+// A row costs 12 vector multiplies and adds, 8 vector loads and 4
+// broadcasts before its compares. A row where some lane has c >= ci[i]
+// or c >= cj[i+x] is a stop, and the stop applies the winner rule (corr
+// descending, neighbor ascending on exact ties) to both sides of the row,
+// ci/ii being slot i and cj/ij slot j = i+k+x (the Go caller passes corr,
+// idx, corr[k:], idx[k:]):
 //   - column: each lane takes slot j when c > cj[i+x], or c == cj[i+x]
 //     and i < ij[i+x]; masked stores write c and i;
 //   - row: the lanes with c >= ci[i] are reduced to their maximum, the
@@ -36,50 +38,40 @@
 //     equal and j < ii[i].
 // Row and column slots are disjoint (j > i, as k >= 1), so the two sides
 // commute, and the row side equals the ascending-lane sequence of
-// compare-updates it replaces. The chains are stored back to qt at n.
-TEXT ·diagRun16(SB), NOSPLIT, $0-136
-	MOVQ w+8(FP), R8
-	MOVQ u+16(FP), R9
-	MOVQ ta+24(FP), R10
-	MOVQ tb+32(FP), R11
-	MOVQ mi+40(FP), R12
-	MOVQ vi+48(FP), R13
-	MOVQ mj+56(FP), R14
-	MOVQ vj+64(FP), DI
-	MOVQ ci+72(FP), SI
-	MOVQ cj+80(FP), BX
-	VBROADCASTSD invFl+104(FP), Z2
-	MOVQ i0+112(FP), AX
-	MOVQ n+120(FP), DX
-	MOVQ qt+0(FP), CX
+// compare-updates it replaces. The chains are stored back to cov at i1.
+TEXT ·diagRun16(SB), NOSPLIT, $0-112
+	MOVQ df+8(FP), R8
+	MOVQ dg+16(FP), R9
+	MOVQ nr+24(FP), R10
+	MOVQ dfj+32(FP), R11
+	MOVQ dgj+40(FP), R12
+	MOVQ nrj+48(FP), R13
+	MOVQ ci+56(FP), SI
+	MOVQ cj+64(FP), BX
+	MOVQ i0+88(FP), AX
+	MOVQ i1+96(FP), DX
+	MOVQ cov+0(FP), CX
 	VMOVUPD (CX), Z0   // chains of lanes 0-7
 	VMOVUPD 64(CX), Z1 // chains of lanes 8-15
 	CMPQ AX, DX
 	JGE  r16done
 
 r16loop:
-	VBROADCASTSD (R10)(AX*8), Z3   // ha = ta[i]
-	VBROADCASTSD -8(R11)(AX*8), Z4 // hb = tb[i-1]
-	VMULPD  (R8)(AX*8), Z3, Z8     // ha*w[i : i+8]
-	VMULPD  64(R8)(AX*8), Z3, Z9   // ha*w[i+8 : i+16]
-	VMULPD  (R9)(AX*8), Z4, Z10    // hb*u
-	VMULPD  64(R9)(AX*8), Z4, Z11
-	VSUBPD  Z10, Z8, Z8
-	VSUBPD  Z11, Z9, Z9
-	VADDPD  Z8, Z0, Z0             // qt += ha*w - hb*u
+	VBROADCASTSD (R8)(AX*8), Z3    // df[i]
+	VBROADCASTSD (R9)(AX*8), Z4    // dg[i]
+	VMULPD  (R12)(AX*8), Z3, Z8    // df[i]*dgj[i : i+8]
+	VMULPD  64(R12)(AX*8), Z3, Z9  // df[i]*dgj[i+8 : i+16]
+	VMULPD  (R11)(AX*8), Z4, Z10   // dg[i]*dfj
+	VMULPD  64(R11)(AX*8), Z4, Z11
+	VADDPD  Z10, Z8, Z8
+	VADDPD  Z11, Z9, Z9
+	VADDPD  Z8, Z0, Z0             // cov += df[i]*dgj + dg[i]*dfj
 	VADDPD  Z9, Z1, Z1
-	VBROADCASTSD (R12)(AX*8), Z5   // m0 = mi[i]
-	VMULPD  (R14)(AX*8), Z5, Z10   // m0*mj
-	VMULPD  64(R14)(AX*8), Z5, Z11
-	VMULPD  Z2, Z0, Z8             // qt*invFl
-	VMULPD  Z2, Z1, Z9
-	VSUBPD  Z10, Z8, Z8
-	VSUBPD  Z11, Z9, Z9
-	VBROADCASTSD (R13)(AX*8), Z6   // v0 = vi[i]
-	VMULPD  Z6, Z8, Z8             // * v0
-	VMULPD  Z6, Z9, Z9
-	VMULPD  (DI)(AX*8), Z8, Z8     // * vj -> c lanes
-	VMULPD  64(DI)(AX*8), Z9, Z9
+	VBROADCASTSD (R10)(AX*8), Z5   // nr[i]
+	VMULPD  Z5, Z0, Z8             // cov*nr[i]
+	VMULPD  Z5, Z1, Z9
+	VMULPD  (R13)(AX*8), Z8, Z8    // * nrj -> c lanes
+	VMULPD  64(R13)(AX*8), Z9, Z9
 	VBROADCASTSD (SI)(AX*8), Z7    // ci[i]
 	VCMPPD  $0x0d, Z7, Z8, K1           // c >= ci[i] (GE_OS)
 	VCMPPD  $0x0d, (BX)(AX*8), Z8, K2   // c >= cj[i+x]
@@ -96,24 +88,23 @@ r16next:
 	JLT  r16loop
 
 r16done:
-	MOVQ qt+0(FP), R10
-	VMOVUPD Z0, (R10)
-	VMOVUPD Z1, 64(R10)
+	MOVQ cov+0(FP), CX
+	VMOVUPD Z0, (CX)
+	VMOVUPD Z1, 64(CX)
 	VZEROUPPER
 	RET
 
 r16stop:
-	// CX, R10 and R11 are scratch here; R10/R11 (ta, tb) are reloaded
-	// from the arguments before the loop resumes.
+	// CX, DI and R14 are scratch here.
 	// Column side. K1/K3: lanes 0-7/8-15 with c > cj; K2/K4 with c == cj;
 	// K5: all sixteen lanes with i < ij (K6 its upper half).
-	MOVQ ij+96(FP), R10
+	MOVQ ij+80(FP), R14
 	VPBROADCASTD AX, Z12                // i as sixteen int32
 	VCMPPD  $0x1e, (BX)(AX*8), Z8, K1   // GT_OQ
 	VCMPPD  $0x00, (BX)(AX*8), Z8, K2   // EQ_OQ
 	VCMPPD  $0x1e, 64(BX)(AX*8), Z9, K3
 	VCMPPD  $0x00, 64(BX)(AX*8), Z9, K4
-	VPCMPD  $1, (R10)(AX*4), Z12, K5    // i < ij[i+x] (LT, signed)
+	VPCMPD  $1, (R14)(AX*4), Z12, K5    // i < ij[i+x] (LT, signed)
 	KSHIFTRW $8, K5, K6
 	KANDW   K5, K2, K2
 	KANDW   K6, K4, K4
@@ -123,7 +114,7 @@ r16stop:
 	VMOVUPD Z9, K3, 64(BX)(AX*8)
 	KSHIFTLW $8, K3, K4
 	KORW    K4, K1, K4
-	VMOVDQU32 Z12, K4, (R10)(AX*4)
+	VMOVDQU32 Z12, K4, (R14)(AX*4)
 
 	// Row side. K1/K3: the lanes with c >= ci[i]; every other lane is
 	// below slot i and sits out of the reduction at ci[i] itself.
@@ -131,7 +122,7 @@ r16stop:
 	VCMPPD  $0x0d, Z7, Z9, K3
 	KSHIFTLW $8, K3, K4
 	KORTESTW K4, K1
-	JEQ     r16resume
+	JEQ     r16next
 	VMOVAPD Z7, Z10
 	VMOVAPD Z7, Z11
 	VMOVAPD Z8, K1, Z10
@@ -152,23 +143,19 @@ r16stop:
 	VPBROADCASTQ CX, Z11
 	VPERMI2PD Z9, Z8, Z11           // lane x's exact bits
 	ADDQ    AX, CX
-	ADDQ    k+128(FP), CX           // j = i+k+x
-	MOVQ    ii+88(FP), R10
+	ADDQ    k+104(FP), CX           // j = i+k+x
+	MOVQ    ii+72(FP), R14
 	VCMPPD  $0x1e, Z7, Z11, K1      // > ci[i]
 	KORTESTW K1, K1
 	JNE     r16row
-	MOVLQSX (R10)(AX*4), R11        // equal: the smaller neighbor wins
-	CMPQ    CX, R11
-	JGE     r16resume
+	MOVLQSX (R14)(AX*4), DI         // equal: the smaller neighbor wins
+	CMPQ    CX, DI
+	JGE     r16next
 
 r16row:
 	VMOVSD  X11, (SI)(AX*8)
-	MOVL    CX, (R10)(AX*4)
-
-r16resume:
-	MOVQ ta+24(FP), R10
-	MOVQ tb+32(FP), R11
-	JMP  r16next
+	MOVL    CX, (R14)(AX*4)
+	JMP     r16next
 
 // func seedSteps16(qt, t, means, invs, corr, thr *float64, k, l int,
 //                  invFl float64, i0, n int) (stop int, mask uint64)
@@ -181,7 +168,8 @@ r16resume:
 // c*c >= thr[i] or c*c >= thr[j] (chains advanced to that cell and stored
 // back; the four conditions' lane masks in bits 0-15, 16-31, 32-47 and
 // 48-63 of mask), or at n with mask 0. A row costs 20 vector multiplies,
-// adds and subtracts (diagRun16's 18 and the two squares) and 8 compares.
+// adds and subtracts (18 for the raw recurrence and its correlation, and
+// the two squares) and 8 compares.
 // The loop tests the complement: each half's four NGE_US compares are
 // chained through the write mask, so a lane bit survives only where no
 // condition holds, and a row runs on when all sixteen survive. Winner and

@@ -14,7 +14,7 @@ const (
 	Generic Variant = iota
 	// AVX2 is the amd64 assembly tier (4 float64 lanes, no FMA).
 	AVX2
-	// AVX512 is AVX2 with three AVX-512F bodies, no FMA: DiagScan and
+	// AVX512 is AVX2 with three AVX-512F bodies, no FMA: CovScan and
 	// SeedScan advance 16 diagonals per step, DotRow sums 32 cells per
 	// block. Every other kernel runs its avx2 body.
 	AVX512

@@ -1,11 +1,19 @@
 // Package kernels holds the engine's arithmetic hot loops — the STOMP row
 // recurrence, the branch-free correlation row scan (the nearest neighbor
-// and the partial-profile refill of one row in one pass), the fused
-// multi-length dot-product extensions, the direct dot-product row, the
-// streaming column scan, the diagonal pass of the incremental cross-length
-// engine, and the seed sweep that fuses that pass with the partial-profile
-// selection — consolidated from the per-file copies that used to live in
-// internal/core, internal/stomp and the hot-row path.
+// and the partial-profile refill of one row in one pass), the direct
+// dot-product row, the streaming column scan, the diagonal pass of the
+// incremental cross-length engine, and the seed sweep that fuses a
+// diagonal pass with the partial-profile selection — consolidated from the
+// per-file copies that used to live in internal/core, internal/stomp and
+// the hot-row path.
+//
+// Two recurrences run here. RowNext, RowScan, ColScan, SeedScan and
+// AdvanceDot work on raw dot products QT(i, j), because the pruned
+// machinery keeps them: AdvanceDot carries a retained entry's QT across
+// lengths and the lower bound reads it. The incremental pass's diagonal
+// scan (CovScan) works on SCAMP's mean-centred covariance instead, whose
+// per-cell update needs no means and no 1/ℓ: two products and two adds
+// advance a cell, two multiplies give its correlation.
 //
 // Every routine here is paired with a naive reference implementation in
 // ref.go that spells out the defining loop, and TestKernelParity asserts
@@ -22,36 +30,34 @@
 // start (see dispatch.go; VALMOD_KERNELS forces a tier):
 //
 //   - generic — the portable Go bodies: unrolled loops with hoisted
-//     bounds, interleaved per-cell accumulation chains in the fused
-//     extensions, and interleaved diagonal chains in the diagonal pass.
+//     bounds and interleaved diagonal chains in the diagonal passes.
 //   - avx2 — amd64 assembly (runtime CPUID-detected), four float64 lanes
 //     per vector. The assembly never uses FMA: fused multiply-adds round
 //     differently from the separate multiply and add the portable tier
 //     performs, and bit-identity across tiers is a hard contract. Its
-//     scans (RowScan, ColScan, DiagScan, SeedScan) share one stop
+//     scans (RowScan, ColScan, CovScan, SeedScan) share one stop
 //     protocol: the assembly computes correlations and returns only where
 //     a lane could change winner or list state, and Go applies the
 //     compare-updates and list offers there.
 //   - avx512 — avx2 plus three AVX-512F bodies (runtime CPUID- and
-//     XCR0-detected), again without FMA: a DiagScan that advances sixteen
+//     XCR0-detected), again without FMA: a CovScan that advances sixteen
 //     diagonals per step in two eight-lane ZMM chains over a group's whole
 //     common range in one call, applying the winner updates of each row
 //     where a lane reaches a slot in the assembly itself; a SeedScan that
 //     advances sixteen diagonals per step in the same two chains but keeps
 //     the avx2 stop protocol, since nearly every stop carries a list offer
-//     for Go;
-//     and a DotRow of thirty-two cells per block. Every other kernel runs
-//     its avx2 body.
+//     for Go; and a DotRow of thirty-two cells per block. Every other
+//     kernel runs its avx2 body.
 //
-// Winner state stays in Go, except in DiagScan's avx512 body: there the
+// Winner state stays in Go, except in CovScan's avx512 body: there the
 // winner rule has a second copy, in assembly, that only parity against
-// RefDiagScan keeps honest (TestKernelParityDiagScan rescans warmed slots
+// RefCovScan keeps honest (TestKernelParityCovScan rescans warmed slots
 // so that every lane must win exact ties).
 //
 // Every tier must produce bit-identical outputs. For pure arithmetic
-// (RowNext, ExtendRow, DotRow) that holds lane-by-lane because each output
-// cell's operations run in the same order in every tier. For the winner scans
-// (RowScan, ColScan, DiagScan, SeedScan) it holds because winner
+// (RowNext, DotRow) that holds lane-by-lane because each output cell's
+// operations run in the same order in every tier. For the winner scans
+// (RowScan, ColScan, CovScan, SeedScan) it holds because winner
 // selection is a maximum under the strict total order (correlation
 // descending, neighbor offset ascending on exact ties), which is
 // associative and commutative — any tier may reorder candidate visits, but
@@ -69,13 +75,21 @@
 //     every cell against the zone.
 //   - Loops are unrolled with slice bounds hoisted into sub-slices, so the
 //     compiler can eliminate per-cell bounds checks.
-//   - The diagonal pass interleaves independent diagonals per sweep: each
-//     diagonal's dot product is a serial dependency chain, so interleaving
+//   - The diagonal passes interleave independent diagonals per sweep: each
+//     diagonal's recurrence is a serial dependency chain, so interleaving
 //     independent chains is what actually feeds the multiply units.
-//   - Cross-length extensions carry all pending length steps through each
-//     cell in one pass (ascending step order per cell, so the float adds
-//     associate exactly as the one-pass-per-length loops they replace).
+//   - No fused multiply-adds where a bit contract holds. Go may fuse
+//     x·y + z into one instruction on some architectures (arm64 does), and
+//     the fused form rounds once where the assembly and the other tiers
+//     round twice. Every portable body and reference rounds each product
+//     with an explicit float64(…) conversion before it meets an add, which
+//     forbids the fusion; series.Dot and the moments in internal/series do
+//     the same. CI cross-compiles for arm64 and fails on any fused
+//     instruction from a non-test file of this package or internal/series
+//     (scripts/check_no_fma.sh).
 package kernels
+
+import "math"
 
 // RowNext advances a STOMP dot-product row in place from anchor i−1 to
 // anchor i at length l: row[j] = row[j−1] + t[i+l−1]·t[j+l−1] −
@@ -96,8 +110,9 @@ func RowNext(row, t []float64, i, l, s int) {
 //
 //	corr(j) = (row[j]·invFl − muA·means[j]) · invA · invs[j]
 //
-// — the ONE correlation expression of the engine, shared bit-for-bit with
-// DiagScan (invFl = 1/ℓ, computed once per scan) — under strict
+// — the raw-dot-product correlation expression of the engine, shared
+// bit-for-bit with ColScan and SeedScan (invFl = 1/ℓ, computed once per
+// scan) — under strict
 // improvement (the first maximum in ascending j wins — exactly the tie
 // behavior of the scalar scan it replaces; an incoming bestCorr/bestJ seed
 // survives exact ties). A degenerate candidate (invs[j] = 0) contributes
@@ -133,38 +148,41 @@ func RowScan(row, means, invs []float64, e1, j2, s int, invFl, muA, invA float64
 }
 
 // ExtendRow advances anchor i's dot-product row across every pending
-// length step in one pass: cell j accumulates t[i+p]·t[j+p] for
-// p ∈ [cur, min(l, n−j)) in ascending p order — bit-identical to running
-// l−cur one-step passes (each of which updates j < n−p), because each
-// cell's additions happen in the same order; only the pass structure is
-// fused. Cells at j ≥ n−cur receive no step and are not touched. row must
-// have at least n−cur valid cells when cur < l.
+// length step: cell j accumulates t[i+p]·t[j+p] for p ∈ [cur, min(l, n−j))
+// in ascending p order, one pass per step, as RefExtendRow spells out. A
+// row that starts as a DotRow at length cur therefore ends as the DotRow
+// at length l. Cells at j ≥ n−cur receive no step and are not touched.
+// row must have at least n−cur valid cells when cur < l. No pass of the
+// engine runs it; it is one plain loop on every tier.
 func ExtendRow(row, t []float64, i, cur, l int) {
-	switch active {
-	case AVX2, AVX512:
-		extendRowAVX2(row, t, i, cur, l)
-	default:
-		extendRowGeneric(row, t, i, cur, l)
+	n := len(t)
+	for p := cur; p < l; p++ {
+		a := t[i+p]
+		x := t[p:n]
+		r := row[:len(x)]
+		for j, v := range x {
+			r[j] += float64(a * v)
+		}
 	}
 }
 
-// DotRow writes anchor i's dot-product row at length l from scratch:
-// row[j] = Σ_{p<l} t[i+p]·t[j+p] for j ∈ [0, s), each cell summed from
-// zero in ascending p — the series.Dot of the two windows, bit for bit.
-// By ExtendRow's ascending-step contract, a row that starts as a DotRow
-// and is extended to a longer length equals that length's DotRow. It
-// costs s·l multiply-adds, where a row through the FFT correlator costs
-// O(n log n) at any l, so it is the cheaper row at short lengths (the
-// engine's cutover is in internal/core). The tiers interleave independent
-// cells, never the terms of one cell, so every tier writes the same bits.
-func DotRow(row, t []float64, i, l, s int) {
+// DotRow writes the dot products of the query q against the windows of t
+// of its length: row[j] = Σ_{p<len(q)} q[p]·t[j+p] for j ∈ [0, s), each
+// cell summed from zero in ascending p. With q = t[i:i+l] it is anchor i's
+// row at length l, the series.Dot of the two windows bit for bit. It
+// costs s·len(q) multiply-adds, where a row through the FFT correlator
+// costs O(n log n) at any length, so it is the cheaper row at short
+// lengths (the engine's cutover is in internal/core). The tiers
+// interleave independent cells, never the terms of one cell, so every
+// tier writes the same bits.
+func DotRow(row, t, q []float64, s int) {
 	switch active {
 	case AVX512:
-		dotRowAVX512(row, t, i, l, s)
+		dotRowAVX512(row, t, q, s)
 	case AVX2:
-		dotRowAVX2(row, t, i, l, 0, s)
+		dotRowAVX2(row, t, q, 0, s)
 	default:
-		dotRowGeneric(row, t, i, l, 0, s)
+		dotRowGeneric(row, t, q, 0, s)
 	}
 }
 
@@ -185,7 +203,7 @@ func AdvanceDot(qt float64, t []float64, i, j, p0, p1 int) float64 {
 	b := t[j+p0 : j+p1]
 	b = b[:len(a)] // same width by construction; the fact feeds BCE
 	for x, av := range a {
-		qt += av * b[x]
+		qt += float64(av * b[x])
 	}
 	return qt
 }
@@ -194,11 +212,11 @@ func AdvanceDot(qt float64, t []float64, i, j, p0, p1 int) float64 {
 // just been appended and col[i] = QT(i, j) holds its dot products against
 // every earlier window (the column AppendColumn produced). The scan visits
 // the non-trivial candidates i ∈ [0, iEnd) (iEnd = j − excl + 1 clamped at
-// 0), computes the engine's ONE division-free correlation
+// 0), computes the engine's division-free correlation
 //
 //	c = (col[i]·invFl − means[i]·muJ) · invs[i] · invJ
 //
-// (anchor-side factors first — the same association DiagScan uses for a
+// (anchor-side factors first — the same association SeedScan uses for a
 // cell (i, j) with i < j), improves slot i with candidate (c, j) under the
 // strict total order (corr descending, neighbor ascending on exact ties),
 // and returns the running best candidate for slot j itself — seeded by
@@ -215,34 +233,88 @@ func ColScan(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, cor
 	}
 }
 
-// DiagScan streams diagonals [k0, k1) of the length-l self-join: each
-// diagonal starts from its head cell head[k] = QT(0, k), advances with the
-// in-length recurrence QT(i,j) = QT(i−1,j−1) + t[i+l−1]·t[j+l−1] −
-// t[i−1]·t[j−1], and every cell's division-free correlation
+// CovScan is the diagonal pass of the length-l self-join on SCAMP's
+// mean-centred covariance recurrence (Zimmerman et al., "Matrix Profile
+// XIV", SoCC 2019). It streams diagonals [k0, k1) of s windows: each
+// diagonal starts from its head cell cov[k] = cov(0, k) and advances with
 //
-//	c = (qt·invFl − means[i]·means[j]) · invs[i] · invs[j]
+//	cov(i, j) = cov(i−1, j−1) + (df[i]·dg[j] + dg[i]·df[j])
 //
-// updates the running best of both endpoints in corr/idx under the strict
-// total order (corr descending, neighbor offset ascending on exact ties).
-// Independent diagonals are interleaved per sweep — independent recurrence
-// chains — which the total order renders bit-identical to the
-// one-diagonal reference regardless of the interleave width each dispatch
-// tier picks. The moment slices must be at length l; s = len(t) − l + 1.
-func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
+// (the two products, their sum, then the add into cov), and every cell's
+// correlation c = (cov·nrm[i])·nrm[j] updates the running best of both
+// endpoints in corr/idx under the strict total order (corr descending,
+// neighbor offset ascending on exact ties). CovInputs prepares df, dg,
+// nrm and the head. Independent diagonals are interleaved per sweep —
+// independent recurrence chains — which the total order renders
+// bit-identical to the one-diagonal reference (RefCovScan) whatever the
+// interleave width each dispatch tier picks.
+func CovScan(cov, df, dg, nrm []float64, k0, k1, s int, corr []float64, idx []int32) {
 	switch active {
 	case AVX512:
-		diagScanAVX512(t, head, means, invs, k0, k1, l, s, corr, idx)
+		covScanAVX512(cov, df, dg, nrm, k0, k1, s, corr, idx)
 	case AVX2:
-		diagScanAVX2(t, head, means, invs, k0, k1, l, s, corr, idx)
+		covScanAVX2(cov, df, dg, nrm, k0, k1, s, corr, idx)
 	default:
-		diagScanGeneric(t, head, means, invs, k0, k1, l, s, corr, idx)
+		covScanGeneric(cov, df, dg, nrm, k0, k1, s, corr, idx)
 	}
 }
 
-// SeedScan is DiagScan fused with the seed of VALMOD's partial distance
-// profiles: besides both profile slots, every cell (i, j = i+k) offers
-// candidate j to anchor i and candidate i to anchor j, both keyed by the
-// cell's correlation c — the expression that updates the slots. The
+// CovInputs prepares CovScan's inputs at length l for the s = len(df)
+// windows of t. The windows are centred on means that step with the data,
+// a₀ = a0 and aᵢ = aᵢ₋₁ + (t[i+l−1] − t[i−1])/l, which is what keeps the
+// recurrence exact; then, for i ≥ 1,
+//
+//	df[i] = (t[i+l−1] − t[i−1])·0.5
+//	dg[i] = (t[i+l−1] − aᵢ) + (t[i−1] − aᵢ₋₁)
+//
+// (both 0 at i = 0), nrm[i] = invs[i]·(1/√l), so that c is the Pearson
+// correlation (invs[i] = 1/σᵢ, 0 for σ = 0, which keeps c = 0), and the
+// head cov[k] −= aₖ·w. With cov the dot row of the query q = t[0:l] − a₀
+// against t and w = Σq, the head becomes cov(0, k) = Σ q[p]·(t[k+p] − aₖ).
+func CovInputs(t, cov, df, dg, nrm, invs []float64, a0, w float64, l int) {
+	s := len(df)
+	fl := float64(l)
+	isl := 1 / math.Sqrt(fl)
+	dg = dg[:s]
+	nrm = nrm[:s]
+	cov = cov[:s]
+	a := a0
+	df[0], dg[0] = 0, 0
+	cov[0] -= float64(a * w)
+	nrm[0] = invs[0] * isl
+	for i := 1; i < s; i++ {
+		in, out := t[i+l-1], t[i-1]
+		prev := a
+		a += (in - out) / fl
+		df[i] = (in - out) * 0.5
+		dg[i] = (in - a) + (out - prev)
+		nrm[i] = invs[i] * isl
+		cov[i] -= float64(a * w)
+	}
+}
+
+// DiagScan is the diagonal pass from a raw head row: head[k] = QT(0, k),
+// the window means and invs[i] = 1/σᵢ at length l, s = len(t) − l + 1. It
+// centres the windows on means[0] and the data's steps (CovInputs, with
+// cov(0, k) = QT(0, k) − l·a₀·aₖ) and runs CovScan over diagonals
+// [k0, k1). It allocates its inputs; the engine prepares its own and
+// calls CovScan.
+func DiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
+	cov := make([]float64, 4*s)
+	copy(cov, head[:s])
+	df, dg, nrm := cov[s:2*s], cov[2*s:3*s], cov[3*s:]
+	CovInputs(t, cov[:s], df, dg, nrm, invs, means[0], float64(l)*means[0], l)
+	CovScan(cov[:s], df, dg, nrm, k0, k1, s, corr, idx)
+}
+
+// SeedScan is a diagonal pass on raw dot products fused with the seed of
+// VALMOD's partial distance profiles. Each diagonal starts from its head
+// cell head[k] = QT(0, k) and advances with the in-length recurrence
+// QT(i, j) = QT(i−1, j−1) + t[i+l−1]·t[j+l−1] − t[i−1]·t[j−1]; each cell's
+// correlation c = (QT·invFl − means[i]·means[j])·invs[i]·invs[j] updates
+// both profile slots under the total order, and the cell (i, j = i+k)
+// offers candidate j to anchor i and candidate i to anchor j, both keyed
+// by c, with QT as the entry's dot product. The
 // lower bound ranks an anchor's candidates by q̃² = (ℓ·σ_anchor·c)², an
 // order c² shares (see package lb). top keeps each anchor's best offers
 // (see TopLists.Offer). Only offers whose c² reaches an anchor's current

@@ -9,7 +9,7 @@
 //   - No winner-state writes: the scan routines compute correlations and
 //     (for the steppers) improvement masks only; the Go callers own the
 //     total-order compare-updates. Winner state stays in Go, except in
-//     DiagScan's avx512 body (avx512_amd64.s).
+//     CovScan's avx512 body (avx512_amd64.s).
 //   - Every evaluation order mirrors the scalar expression it replaces,
 //     lane by lane.
 
@@ -42,48 +42,6 @@ rowloop:
 	CMPQ AX, DX
 	JGE  rowloop
 
-	VZEROUPPER
-	RET
-
-// func axpyBlocks(dst, x *float64, a float64, n int)
-// dst[j] += a*x[j] for j in [0, n), n a multiple of 4.
-TEXT ·axpyBlocks(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), R8
-	MOVQ x+8(FP), R9
-	VBROADCASTSD a+16(FP), Y1
-	MOVQ n+24(FP), DX
-	XORQ AX, AX
-
-axpy8:
-	LEAQ 8(AX), CX
-	CMPQ CX, DX
-	JGT  axpy4
-	VMOVUPD (R9)(AX*8), Y2
-	VMOVUPD 32(R9)(AX*8), Y3
-	VMULPD  Y2, Y1, Y2
-	VMULPD  Y3, Y1, Y3
-	VMOVUPD (R8)(AX*8), Y4
-	VMOVUPD 32(R8)(AX*8), Y5
-	VADDPD  Y2, Y4, Y4 // dst + a*x
-	VADDPD  Y3, Y5, Y5
-	VMOVUPD Y4, (R8)(AX*8)
-	VMOVUPD Y5, 32(R8)(AX*8)
-	ADDQ $8, AX
-	JMP  axpy8
-
-axpy4:
-	LEAQ 4(AX), CX
-	CMPQ CX, DX
-	JGT  axpydone
-	VMOVUPD (R9)(AX*8), Y2
-	VMULPD  Y2, Y1, Y2
-	VMOVUPD (R8)(AX*8), Y4
-	VADDPD  Y2, Y4, Y4
-	VMOVUPD Y4, (R8)(AX*8)
-	ADDQ $4, AX
-	JMP  axpy4
-
-axpydone:
 	VZEROUPPER
 	RET
 
@@ -174,58 +132,46 @@ csdone:
 	VZEROUPPER
 	RET
 
-// func diagSteps4(qt, w, u, ta, tb, mi, vi, mj, vj, ci, cj *float64,
-//                 invFl float64, i0, n int) int
-// Advances the four interleaved diagonal chains over cells i in [i0, n):
-//   qt[x] += ta[i]*w[i+x] - tb[i-1]*u[i+x]
-//   c[x]   = ((qt[x]*invFl) - mi[i]*mj[i+x]) * vi[i] * vj[i+x]
+// func diagSteps4(cov, df, dg, nr, dfj, dgj, nrj, ci, cj *float64,
+//                 i0, i1 int) int
+// Advances the four interleaved covariance chains over cells i in
+// [i0, i1):
+//   cov[x] += df[i]*dgj[i+x] + dg[i]*dfj[i+x]
+//   c[x]    = (cov[x]*nr[i]) * nrj[i+x]
 // and returns at the first i where any lane has c >= ci[i] or
 // c >= cj[i+x] (chains already advanced to that cell and stored back),
-// or n when no cell triggers. Winner state is never written here.
-TEXT ·diagSteps4(SB), NOSPLIT, $0-120
-	MOVQ w+8(FP), R8
-	MOVQ u+16(FP), R9
-	MOVQ ta+24(FP), R10
-	MOVQ tb+32(FP), R11
-	MOVQ mi+40(FP), R12
-	MOVQ vi+48(FP), R13
-	MOVQ mj+56(FP), R14
-	MOVQ vj+64(FP), DI
-	MOVQ ci+72(FP), SI
-	MOVQ cj+80(FP), BX
-	VBROADCASTSD invFl+88(FP), Y1
-	MOVQ i0+96(FP), AX
-	MOVQ n+104(FP), DX
-	MOVQ qt+0(FP), CX
+// or i1 when no cell triggers. Winner state is never written here.
+TEXT ·diagSteps4(SB), NOSPLIT, $0-96
+	MOVQ df+8(FP), R8
+	MOVQ dg+16(FP), R9
+	MOVQ nr+24(FP), R10
+	MOVQ dfj+32(FP), R11
+	MOVQ dgj+40(FP), R12
+	MOVQ nrj+48(FP), R13
+	MOVQ ci+56(FP), SI
+	MOVQ cj+64(FP), BX
+	MOVQ i0+72(FP), AX
+	MOVQ i1+80(FP), DX
+	MOVQ cov+0(FP), CX
 	VMOVUPD (CX), Y0 // chain lanes
 	CMPQ AX, DX
 	JGE  dsdone
 
 dsloop:
-	VBROADCASTSD (R10)(AX*8), Y2 // ha = ta[i]
-	LEAQ -1(AX), CX
-	VBROADCASTSD (R11)(CX*8), Y3 // hb = tb[i-1]
-	VMOVUPD (R8)(AX*8), Y4       // w[i : i+4]
-	VMOVUPD (R9)(AX*8), Y5       // u[i : i+4]
-	VMULPD  Y4, Y2, Y4           // ha*w
-	VMULPD  Y5, Y3, Y5           // hb*u
-	VSUBPD  Y5, Y4, Y4
-	VADDPD  Y4, Y0, Y0           // qt += ha*w - hb*u
-	VMULPD  Y1, Y0, Y6           // qt*invFl
-	VBROADCASTSD (R12)(AX*8), Y7 // m0 = mi[i]
-	VMOVUPD (R14)(AX*8), Y8      // mj[i : i+4]
-	VMULPD  Y8, Y7, Y7           // m0*mj
-	VSUBPD  Y7, Y6, Y6
-	VBROADCASTSD (R13)(AX*8), Y9 // v0 = vi[i]
-	VMULPD  Y9, Y6, Y6           // * v0
-	VMOVUPD (DI)(AX*8), Y10      // vj[i : i+4]
-	VMULPD  Y10, Y6, Y6          // * vj → c lanes
-	VBROADCASTSD (SI)(AX*8), Y11 // ci[i]
-	VCMPPD  $0x0d, Y11, Y6, Y12  // c >= ci[i] (GE_OS)
-	VMOVUPD (BX)(AX*8), Y13      // cj[i : i+4]
-	VCMPPD  $0x0d, Y13, Y6, Y14  // c >= cj[i+x]
-	VORPD   Y14, Y12, Y12
-	VMOVMSKPD Y12, CX
+	VBROADCASTSD (R8)(AX*8), Y2  // df[i]
+	VBROADCASTSD (R9)(AX*8), Y3  // dg[i]
+	VMULPD  (R12)(AX*8), Y2, Y4  // df[i]*dgj
+	VMULPD  (R11)(AX*8), Y3, Y5  // dg[i]*dfj
+	VADDPD  Y5, Y4, Y4
+	VADDPD  Y4, Y0, Y0           // cov += df[i]*dgj + dg[i]*dfj
+	VBROADCASTSD (R10)(AX*8), Y6 // nr[i]
+	VMULPD  Y6, Y0, Y6           // cov*nr[i]
+	VMULPD  (R13)(AX*8), Y6, Y6  // * nrj -> c lanes
+	VBROADCASTSD (SI)(AX*8), Y7  // ci[i]
+	VCMPPD  $0x0d, Y7, Y6, Y8    // c >= ci[i] (GE_OS)
+	VCMPPD  $0x0d, (BX)(AX*8), Y6, Y9 // c >= cj[i+x]
+	VORPD   Y9, Y8, Y8
+	VMOVMSKPD Y8, CX
 	TESTL CX, CX
 	JNE  dsdone
 	INCQ AX
@@ -233,16 +179,16 @@ dsloop:
 	JLT  dsloop
 
 dsdone:
-	MOVQ qt+0(FP), CX
+	MOVQ cov+0(FP), CX
 	VMOVUPD Y0, (CX)
-	MOVQ AX, ret+112(FP)
+	MOVQ AX, ret+88(FP)
 	VZEROUPPER
 	RET
 
 // func seedSteps4(qt, t, means, invs, corr, thr *float64, k, l int,
 //                 invFl float64, i0, n int) (stop, mask int)
-// diagSteps4 extended with the partial-profile filter. Over cells i in
-// [i0, n), lane x on diagonal k+x (j = i+k+x):
+// The raw-dot-product diagonal stepper with the partial-profile filter.
+// Over cells i in [i0, n), lane x on diagonal k+x (j = i+k+x):
 //   qt[x] += t[i+l-1]*t[j+l-1] - t[i-1]*t[j-1]
 //   c      = ((qt*invFl) - means[i]*means[j]) * invs[i] * invs[j]
 // Returns at the first i where any lane has c >= corr[i], c >= corr[j],

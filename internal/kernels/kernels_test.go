@@ -273,11 +273,26 @@ func testKernelParityDotRow(t *testing.T) {
 			const pad = 3
 			want := make([]float64, tc.s+pad)
 			got := make([]float64, tc.s+pad)
+			// A query that is no window of the series: the window
+			// centred on an offset, as the incremental pass's head row
+			// takes it.
+			q := slices.Clone(ts[i : i+tc.l])
+			for p := range q {
+				q[p] -= 0.3125 * float64(i%7)
+			}
 			for x := range got {
 				got[x], want[x] = -7, -7
 			}
-			RefDotRow(want, ts, i, tc.l, tc.s)
-			DotRow(got, ts, i, tc.l, tc.s)
+			RefDotRow(want, ts, q, tc.s)
+			DotRow(got, ts, q, tc.s)
+			if !bitsEqual(got, want) {
+				t.Fatalf("n=%d l=%d s=%d i=%d: DotRow of a centred query diverges from reference", tc.n, tc.l, tc.s, i)
+			}
+			for x := range got {
+				got[x], want[x] = -7, -7
+			}
+			RefDotRow(want, ts, ts[i:i+tc.l], tc.s)
+			DotRow(got, ts, ts[i:i+tc.l], tc.s)
 			if !bitsEqual(got, want) {
 				t.Fatalf("n=%d l=%d s=%d i=%d: DotRow diverges from reference", tc.n, tc.l, tc.s, i)
 			}
@@ -310,18 +325,33 @@ func testKernelParityAdvanceDot(t *testing.T) {
 	}
 }
 
-func TestKernelParityDiagScan(t *testing.T) { forEachVariant(t, testKernelParityDiagScan) }
+// covInputs prepares CovScan's inputs at length l as the engine does:
+// the head row is the dot row of the first window centred on its
+// two-pass mean, and CovInputs centres the rest.
+func covInputs(ts []float64, l int) (cov, df, dg, nrm []float64) {
+	s := len(ts) - l + 1
+	_, invs := moments(ts, l)
+	a0, _ := series.MeanStdTwoPass(ts[:l])
+	q := make([]float64, l)
+	var w float64
+	for p := range q {
+		q[p] = ts[p] - a0
+		w += q[p]
+	}
+	cov, df, dg, nrm = make([]float64, s), make([]float64, s), make([]float64, s), make([]float64, s)
+	RefDotRow(cov, ts, q, s)
+	CovInputs(ts, cov, df, dg, nrm, invs, a0, w, l)
+	return cov, df, dg, nrm
+}
 
-func testKernelParityDiagScan(t *testing.T) {
+func TestKernelParityCovScan(t *testing.T) { forEachVariant(t, testKernelParityCovScan) }
+
+func testKernelParityCovScan(t *testing.T) {
 	for _, n := range []int{120, 493, 1000} {
 		ts := testSeries(n, 5)
 		for _, l := range []int{8, 21} {
 			s := n - l + 1
-			means, invs := moments(ts, l)
-			head := make([]float64, s)
-			for k := range head {
-				head[k] = series.Dot(ts[0:l], ts[k:k+l])
-			}
+			cov, df, dg, nrm := covInputs(ts, l)
 			excl := (l + 3) / 4
 			// Block splits exercising the quad path, its tails, and
 			// remainders of 1..3 diagonals; the 16-diagonal group alone
@@ -337,7 +367,7 @@ func testKernelParityDiagScan(t *testing.T) {
 					continue
 				}
 				fc, fi := freshSlots(s)
-				diagScanParity(t, ts, head, means, invs, k0, k1, l, s, fc, fi, "fresh")
+				covScanParity(t, cov, df, dg, nrm, k0, k1, s, fc, fi, "fresh")
 				// Rescan into the split's own winners with every recorded
 				// neighbor bumped by one: each winner comes back only
 				// through an exact tie, at whichever lane or scalar head or
@@ -345,15 +375,15 @@ func testKernelParityDiagScan(t *testing.T) {
 				// reach a column slot carries its smallest candidate — a
 				// group's last lane or a scalar head cell — so the other
 				// lanes never decide a tie there.
-				RefDiagScan(ts, head, means, invs, k0, k1, l, s, fc, fi)
+				RefCovScan(cov, df, dg, nrm, k0, k1, s, fc, fi)
 				want := slices.Clone(fi)
 				for i := range fi {
 					if fi[i] >= 0 {
 						fi[i]++
 					}
 				}
-				diagScanParity(t, ts, head, means, invs, k0, k1, l, s, fc, fi, "warmed")
-				RefDiagScan(ts, head, means, invs, k0, k1, l, s, fc, fi)
+				covScanParity(t, cov, df, dg, nrm, k0, k1, s, fc, fi, "warmed")
+				RefCovScan(cov, df, dg, nrm, k0, k1, s, fc, fi)
 				if !slices.Equal(fi, want) {
 					t.Fatalf("n=%d l=%d k=[%d,%d): the rescan did not restore the winners", n, l, k0, k1)
 				}
@@ -362,17 +392,75 @@ func testKernelParityDiagScan(t *testing.T) {
 	}
 }
 
-// diagScanParity runs DiagScan and RefDiagScan over diagonals [k0, k1)
-// from copies of the slots corr/idx and fails unless they agree bit for
-// bit. corr and idx are left as they were.
-func diagScanParity(t *testing.T, ts, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32, slots string) {
+// covScanParity runs CovScan and RefCovScan over diagonals [k0, k1) from
+// copies of the slots corr/idx and fails unless they agree bit for bit.
+// corr and idx are left as they were.
+func covScanParity(t *testing.T, cov, df, dg, nrm []float64, k0, k1, s int, corr []float64, idx []int32, slots string) {
 	t.Helper()
 	gc, gi := slices.Clone(corr), slices.Clone(idx)
 	wc, wi := slices.Clone(corr), slices.Clone(idx)
-	DiagScan(ts, head, means, invs, k0, k1, l, s, gc, gi)
-	RefDiagScan(ts, head, means, invs, k0, k1, l, s, wc, wi)
+	CovScan(cov, df, dg, nrm, k0, k1, s, gc, gi)
+	RefCovScan(cov, df, dg, nrm, k0, k1, s, wc, wi)
 	if err := slotsEqual(gc, gi, wc, wi); err != "" {
-		t.Fatalf("n=%d l=%d k=[%d,%d), %s slots: DiagScan %s", len(ts), l, k0, k1, slots, err)
+		t.Fatalf("s=%d k=[%d,%d), %s slots: CovScan %s", s, k0, k1, slots, err)
+	}
+}
+
+// TestKernelParityDiagScan: DiagScan, which centres a raw head row and
+// runs CovScan, is on every tier bit-identical to RefCovScan over the
+// inputs CovInputs derives from that head (head[k] − l·a₀·aₖ), over
+// whole passes and blocks with group remainders. Over the whole pass it
+// also yields at every slot the exact correlation of its reported
+// neighbor (two-pass, within 1e-9) and the best one over every
+// non-trivial candidate. Windows with σ = 0 are left out of that check:
+// the kernels give them correlation 0 and the profile's conventions are
+// applied later (internal/core).
+func TestKernelParityDiagScan(t *testing.T) { forEachVariant(t, testKernelParityDiagScan) }
+
+func testKernelParityDiagScan(t *testing.T) {
+	const n, l = 493, 21
+	ts := testSeries(n, 5)
+	s := n - l + 1
+	excl := (l + 3) / 4
+	means, invs := moments(ts, l)
+	head := make([]float64, s)
+	RefDotRow(head, ts, ts[:l], s)
+	cov := slices.Clone(head)
+	df, dg, nrm := make([]float64, s), make([]float64, s), make([]float64, s)
+	CovInputs(ts, cov, df, dg, nrm, invs, means[0], l*means[0], l)
+	for _, sp := range [][2]int{{excl, excl + 21}, {s - 35, s}, {excl, s}} {
+		gc, gi := freshSlots(s)
+		wc, wi := freshSlots(s)
+		DiagScan(ts, head, means, invs, sp[0], sp[1], l, s, gc, gi)
+		RefCovScan(cov, df, dg, nrm, sp[0], sp[1], s, wc, wi)
+		if err := slotsEqual(gc, gi, wc, wi); err != "" {
+			t.Fatalf("k=[%d,%d): DiagScan %s", sp[0], sp[1], err)
+		}
+	}
+	corr, idx := freshSlots(s)
+	DiagScan(ts, head, means, invs, excl, s, l, s, corr, idx)
+	pearson := func(i, j int) float64 {
+		d := series.ZNormDist(ts[i:i+l], ts[j:j+l])
+		return 1 - d*d/(2*l)
+	}
+	for i := 0; i < s; i++ {
+		if invs[i] == 0 {
+			continue
+		}
+		best := math.Inf(-1)
+		for j := 0; j < s; j++ {
+			if j > i-excl && j < i+excl || invs[j] == 0 {
+				continue
+			}
+			best = math.Max(best, pearson(i, j))
+		}
+		j := int(idx[i])
+		if invs[j] == 0 {
+			continue // a σ = 0 neighbor at correlation 0: nothing better exists
+		}
+		if c := pearson(i, j); math.Abs(c-corr[i]) > 1e-9 || math.Abs(best-corr[i]) > 1e-9 {
+			t.Fatalf("slot %d: neighbor %d at %v, its correlation %v, best %v", i, j, corr[i], c, best)
+		}
 	}
 }
 
@@ -618,13 +706,14 @@ func benchSetup(n, l int) (ts, head, means, invs []float64, s int) {
 	return
 }
 
-// BenchmarkDiagScan times one full diagonal pass (ℓ = 64, every diagonal
-// past a 16-wide exclusion zone) into slots reset to −Inf, reported per
-// visited cell. "walk" is a plain random walk: after the first diagonals
-// have filled the slots few cells reach one, so it times the vector body.
-// "flat" is testSeries, whose planted constant segments make σ = 0
-// windows: every candidate of one ties at correlation 0 and stops the
-// vector body, so it times the stop path.
+// BenchmarkDiagScan times one full diagonal pass of the incremental
+// engine (CovScan at ℓ = 64, every diagonal past a 16-wide exclusion
+// zone, inputs prepared as the engine prepares them) into slots reset to
+// −Inf, reported per visited cell. "walk" is a plain random walk: after
+// the first diagonals have filled the slots few cells reach one, so it
+// times the vector body. "flat" is testSeries, whose planted constant
+// segments make σ = 0 windows: every candidate of one ties at correlation
+// 0 and stops the vector body, so it times the stop path.
 func BenchmarkDiagScan(b *testing.B) {
 	const n, l, excl = 8192, 64, 16
 	for _, in := range []struct {
@@ -633,13 +722,8 @@ func BenchmarkDiagScan(b *testing.B) {
 	}{{"walk", randomWalk(n, 9)}, {"flat", testSeries(n, 9)}} {
 		b.Run(in.name, func(b *testing.B) {
 			forEachVariantB(b, func(b *testing.B) {
-				ts := in.ts
 				s := n - l + 1
-				means, invs := moments(ts, l)
-				head := make([]float64, s)
-				for k := range head {
-					head[k] = series.Dot(ts[0:l], ts[k:k+l])
-				}
+				cov, df, dg, nrm := covInputs(in.ts, l)
 				corr, idx := freshSlots(s)
 				cells := (s - excl) * (s - excl + 1) / 2
 				b.ReportAllocs()
@@ -648,7 +732,7 @@ func BenchmarkDiagScan(b *testing.B) {
 					for j := 0; j < s; j++ {
 						corr[j], idx[j] = math.Inf(-1), -1
 					}
-					DiagScan(ts, head, means, invs, excl, s, l, s, corr, idx)
+					CovScan(cov, df, dg, nrm, excl, s, s, corr, idx)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 			})
@@ -656,8 +740,8 @@ func BenchmarkDiagScan(b *testing.B) {
 	}
 }
 
-// BenchmarkSeedScan is BenchmarkDiagScan's pass with the partial-profile
-// seed fused in, into slots and lists reset to empty, reported per
+// BenchmarkSeedScan is BenchmarkDiagScan's pass on the raw recurrence
+// with the partial-profile seed fused in, into slots and lists reset to empty, reported per
 // visited cell, on the same two inputs: "walk" times the vector body and
 // the list inserts, "flat" the stop path, since every σ = 0 candidate ties
 // its slot at correlation 0. As in the engine's seed, the lists of σ = 0
@@ -784,11 +868,11 @@ func BenchmarkColScanReplay(b *testing.B) {
 	}
 }
 
-func BenchmarkRefDiagScan(b *testing.B) {
-	ts, head, means, invs, s := benchSetup(4096, 64)
-	excl := 16
-	corr := make([]float64, s)
-	idx := make([]int32, s)
+func BenchmarkRefCovScan(b *testing.B) {
+	const n, l, excl = 4096, 64, 16
+	s := n - l + 1
+	cov, df, dg, nrm := covInputs(testSeries(n, 9), l)
+	corr, idx := freshSlots(s)
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * (s - excl) * (s - excl) / 2))
 	b.ResetTimer()
@@ -797,7 +881,7 @@ func BenchmarkRefDiagScan(b *testing.B) {
 			corr[j] = math.Inf(-1)
 			idx[j] = -1
 		}
-		RefDiagScan(ts, head, means, invs, excl, s, 64, s, corr, idx)
+		RefCovScan(cov, df, dg, nrm, excl, s, s, corr, idx)
 	}
 }
 
@@ -887,7 +971,8 @@ func BenchmarkDotRow(b *testing.B) {
 			b.Run(fmt.Sprintf("direct/n=%d/l=%d", n, l), func(b *testing.B) {
 				forEachVariantB(b, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						DotRow(row, ts, (i*97)%s, l, s)
+						x := (i * 97) % s
+						DotRow(row, ts, ts[x:x+l], s)
 					}
 					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/row")
 				})
@@ -913,31 +998,6 @@ func BenchmarkDotRow(b *testing.B) {
 		})
 		corr.Release()
 	}
-}
-
-func BenchmarkExtendRowOneStep(b *testing.B) {
-	forEachVariantB(b, func(b *testing.B) {
-		ts, head, _, _, _ := benchSetup(8192, 64)
-		row := append([]float64(nil), head...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ExtendRow(row, ts, 0, 64, 65)
-			ExtendRow(row, ts, 0, 64, 65) // keep the row hot; values drift, timing doesn't
-		}
-	})
-}
-
-func BenchmarkExtendRowMultiStep(b *testing.B) {
-	forEachVariantB(b, func(b *testing.B) {
-		ts, head, _, _, _ := benchSetup(8192, 64)
-		row := append([]float64(nil), head...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ExtendRow(row, ts, 0, 64, 72) // 8 pending steps, the planner-gap shape
-		}
-	})
 }
 
 func BenchmarkRowNext(b *testing.B) {

@@ -4,7 +4,9 @@ import "math"
 
 // This file retains the naive reference implementation of every kernel:
 // the defining scalar loop, with the per-cell exclusion/boundary branches
-// spelled out and no unrolling or interleaving. TestKernelParity asserts
+// spelled out and no unrolling or interleaving. Each product is rounded by
+// an explicit float64(…) before it meets an add, so no compiler fuses the
+// pair into one multiply-add. TestKernelParity asserts
 // each optimized routine is bit-identical to its reference on adversarial
 // inputs (σ=0 degenerate windows, exclusion zones clipped at the series
 // edges, lengths that exercise every unroll remainder). The references are
@@ -16,7 +18,7 @@ func RefRowNext(row, t []float64, i, l, s int) {
 	tail := t[i+l-1]
 	head := t[i-1]
 	for j := s - 1; j >= 1; j-- {
-		row[j] = row[j-1] + tail*t[j+l-1] - head*t[j-1]
+		row[j] = row[j-1] + float64(tail*t[j+l-1]) - float64(head*t[j-1])
 	}
 }
 
@@ -33,7 +35,7 @@ func RefRowScan(row, means, invs []float64, e1, j2, s int, invFl, muA, invA floa
 		if j >= e1 && j < j2 {
 			continue
 		}
-		c := (row[j]*invFl - muA*means[j]) * invA * invs[j]
+		c := (float64(row[j]*invFl) - float64(muA*means[j])) * invA * invs[j]
 		if c > bestCorr {
 			bestCorr, bestJ = c, j
 		}
@@ -44,24 +46,24 @@ func RefRowScan(row, means, invs []float64, e1, j2, s int, invFl, muA, invA floa
 	return bestCorr, bestJ
 }
 
-// RefExtendRow is ExtendRow as the one-pass-per-length-step loop nest the
-// fused kernel replaces (each step updates every cell still in range).
+// RefExtendRow is ExtendRow as the one-pass-per-length-step loop nest
+// (each step updates every cell still in range).
 func RefExtendRow(row, t []float64, i, cur, l int) {
 	n := len(t)
 	for ; cur < l; cur++ {
 		tail := t[i+cur]
 		for j := 0; j < n-cur; j++ {
-			row[j] += tail * t[j+cur]
+			row[j] += float64(tail * t[j+cur])
 		}
 	}
 }
 
 // RefDotRow is DotRow as one series.Dot-shaped loop per cell.
-func RefDotRow(row, t []float64, i, l, s int) {
+func RefDotRow(row, t, q []float64, s int) {
 	for j := 0; j < s; j++ {
 		var sum float64
-		for p := 0; p < l; p++ {
-			sum += t[i+p] * t[j+p]
+		for p := range q {
+			sum += float64(q[p] * t[j+p])
 		}
 		row[j] = sum
 	}
@@ -70,7 +72,7 @@ func RefDotRow(row, t []float64, i, l, s int) {
 // RefAdvanceDot is AdvanceDot as the per-step loop.
 func RefAdvanceDot(qt float64, t []float64, i, j, p0, p1 int) float64 {
 	for p := p0; p < p1; p++ {
-		qt += t[i+p] * t[j+p]
+		qt += float64(t[i+p] * t[j+p])
 	}
 	return qt
 }
@@ -80,7 +82,7 @@ func RefAdvanceDot(qt float64, t []float64, i, j, p0, p1 int) float64 {
 // maximum spelled out.
 func RefColScan(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, corr []float64, idx []int32, j int32, bestCorr float64, bestIdx int32) (float64, int32) {
 	for i := 0; i < iEnd; i++ {
-		c := (col[i]*invFl - means[i]*muJ) * invs[i] * invJ
+		c := (float64(col[i]*invFl) - float64(means[i]*muJ)) * invs[i] * invJ
 		if c > corr[i] || (c == corr[i] && j < idx[i]) {
 			corr[i], idx[i] = c, j
 		}
@@ -91,23 +93,18 @@ func RefColScan(col, means, invs []float64, iEnd int, invFl, muJ, invJ float64, 
 	return bestCorr, bestIdx
 }
 
-// RefDiagScan is DiagScan one diagonal at a time — the shape the
-// incremental engine's pass had before the kernels were consolidated.
-func RefDiagScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float64, idx []int32) {
-	invFl := 1 / float64(l)
+// RefCovScan is CovScan one diagonal at a time: the head cell, then the
+// covariance recurrence and the correlation of each cell, both slots
+// updated under the total order.
+func RefCovScan(cov, df, dg, nrm []float64, k0, k1, s int, corr []float64, idx []int32) {
 	for k := k0; k < k1; k++ {
-		qt := head[k]
-		c := (qt*invFl - means[0]*means[k]) * invs[0] * invs[k]
-		if c > corr[0] || (c == corr[0] && int32(k) < idx[0]) {
-			corr[0], idx[0] = c, int32(k)
-		}
-		if c > corr[k] || (c == corr[k] && 0 < idx[k]) {
-			corr[k], idx[k] = c, 0
-		}
-		for i := 1; i+k < s; i++ {
+		v := cov[k]
+		for i := 0; i+k < s; i++ {
 			j := i + k
-			qt += t[i+l-1]*t[j+l-1] - t[i-1]*t[j-1]
-			c := (qt*invFl - means[i]*means[j]) * invs[i] * invs[j]
+			if i > 0 {
+				v += float64(df[i]*dg[j]) + float64(dg[i]*df[j])
+			}
+			c := v * nrm[i] * nrm[j]
 			if c > corr[i] || (c == corr[i] && int32(j) < idx[i]) {
 				corr[i], idx[i] = c, int32(j)
 			}
@@ -129,9 +126,9 @@ func RefSeedScan(t, head, means, invs []float64, k0, k1, l, s int, corr []float6
 		for i := 0; i+k < s; i++ {
 			j := i + k
 			if i > 0 {
-				qt += t[i+l-1]*t[j+l-1] - t[i-1]*t[j-1]
+				qt += float64(t[i+l-1]*t[j+l-1]) - float64(t[i-1]*t[j-1])
 			}
-			c := (qt*invFl - means[i]*means[j]) * invs[i] * invs[j]
+			c := (float64(qt*invFl) - float64(means[i]*means[j])) * invs[i] * invs[j]
 			if c > corr[i] || (c == corr[i] && int32(j) < idx[i]) {
 				corr[i], idx[i] = c, int32(j)
 			}

@@ -121,7 +121,7 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(500), uint16(611), uint8(20), uint8(6), uint8(2), uint8(11))
 	f.Add(int64(900), uint16(1100), uint8(61), uint8(3), uint8(6), uint8(18))
 	f.Add(int64(3666), uint16(1410), uint8(26), uint8(94), uint8(56), uint8(4))
-	// DiagScan blocks of 17–48 diagonals (16-diagonal groups, alone and
+	// CovScan blocks of 17–48 diagonals (16-diagonal groups, alone and
 	// with quad and single remainders) into slots warmed after, over and
 	// before them; the last two put σ = 0 ties where a group's first lane
 	// (slot i) or last lane (slot j) decides, so only c ≥ slot flags them.
@@ -222,20 +222,20 @@ func FuzzKernelParity(f *testing.F) {
 			}
 			i := anchor % (n - newL + 1)
 			row0 := make([]float64, n-cur+1)
-			RefDotRow(row0, ts, i, cur, len(row0))
+			RefDotRow(row0, ts, ts[i:i+cur], len(row0))
 			want := append([]float64(nil), row0...)
 			RefExtendRow(want, ts, i, cur, newL)
 			// The extended row is the direct row at newL: a hot row that
 			// entered the cache as a DotRow stays one.
 			sNew := n - newL + 1
 			direct := make([]float64, sNew)
-			RefDotRow(direct, ts, i, newL, sNew)
+			RefDotRow(direct, ts, ts[i:i+newL], sNew)
 			if !bitsEqual(want[:sNew], direct) {
 				t.Fatalf("ExtendRow(n=%d i=%d cur=%d l=%d) from a direct row is not the direct row", n, i, cur, newL)
 			}
 			allVariants(t, func(v Variant) {
 				got := make([]float64, len(row0))
-				DotRow(got, ts, i, cur, len(row0))
+				DotRow(got, ts, ts[i:i+cur], len(row0))
 				if !bitsEqual(got, row0) {
 					t.Fatalf("%v: DotRow(n=%d i=%d l=%d) diverges from reference", v, n, i, cur)
 				}
@@ -244,14 +244,11 @@ func FuzzKernelParity(f *testing.F) {
 					t.Fatalf("%v: ExtendRow(n=%d i=%d cur=%d l=%d) diverges from reference", v, n, i, cur, newL)
 				}
 			})
-		case 3: // DiagScan over a fuzz-chosen diagonal block into warm slots
+		case 3: // CovScan over a fuzz-chosen diagonal block into warm slots
 			if excl >= s {
 				return
 			}
-			head := make([]float64, s)
-			for k := range head {
-				head[k] = series.Dot(ts[0:l], ts[k:k+l])
-			}
+			cov, df, dg, nrm := covInputs(ts, l)
 			k0 := excl + anchor%(s-excl)
 			k1 := k0 + 1 + int(segB)%48
 			if k1 > s {
@@ -270,16 +267,16 @@ func FuzzKernelParity(f *testing.F) {
 			}
 			warm := func() ([]float64, []int32) {
 				c, ix := freshSlots(s)
-				RefDiagScan(ts, head, means, invs, w0, w1, l, s, c, ix)
+				RefCovScan(cov, df, dg, nrm, w0, w1, s, c, ix)
 				return c, ix
 			}
 			wc, wi := warm()
-			RefDiagScan(ts, head, means, invs, k0, k1, l, s, wc, wi)
+			RefCovScan(cov, df, dg, nrm, k0, k1, s, wc, wi)
 			allVariants(t, func(v Variant) {
 				gc, gi := warm()
-				DiagScan(ts, head, means, invs, k0, k1, l, s, gc, gi)
+				CovScan(cov, df, dg, nrm, k0, k1, s, gc, gi)
 				if err := slotsEqual(gc, gi, wc, wi); err != "" {
-					t.Fatalf("%v: DiagScan(n=%d l=%d k=[%d,%d) warm=[%d,%d)) %s", v, n, l, k0, k1, w0, w1, err)
+					t.Fatalf("%v: CovScan(n=%d l=%d k=[%d,%d) warm=[%d,%d)) %s", v, n, l, k0, k1, w0, w1, err)
 				}
 			})
 		case 4: // ColScan into warm slots, with a seeded best and planted ties

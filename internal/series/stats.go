@@ -8,6 +8,11 @@ import "math"
 // VALMOD per-length loop needs: a fresh pair of μ/σ arrays per length would
 // cost O(n) per length anyway, but the cumulative sums are shared.
 //
+// Every product is rounded by an explicit float64(…) before it meets an
+// add, so no architecture fuses the pair into one multiply-add: the
+// moments, and everything bit-identical across tiers and plans that reads
+// them, stay the same on every build.
+//
 // Beside the sums, Stats records where each run of equal values starts. A
 // window of one repeated value has σ = 0 exactly, but the sums can lose it
 // to cancellation and leave a tiny σ > 0, and the engine's σ = 0
@@ -60,7 +65,7 @@ func (st *Stats) Append(x []float64) {
 		}
 		st.runStart = append(st.runStart, start)
 		st.cum = append(st.cum, st.cum[st.n]+v)
-		st.cumSq = append(st.cumSq, st.cumSq[st.n]+v*v)
+		st.cumSq = append(st.cumSq, st.cumSq[st.n]+float64(v*v))
 		st.last = v
 		st.n++
 	}
@@ -88,7 +93,7 @@ func (st *Stats) Var(i, m int) float64 {
 		return 0
 	}
 	mu := st.Mean(i, m)
-	v := st.SumSq(i, m)/float64(m) - mu*mu
+	v := st.SumSq(i, m)/float64(m) - float64(mu*mu)
 	if v < 0 {
 		return 0
 	}
@@ -105,7 +110,7 @@ func (st *Stats) MeanStd(i, m int) (mean, std float64) {
 	if st.constant(i, m) {
 		return mean, 0
 	}
-	v := st.SumSq(i, m)/float64(m) - mean*mean
+	v := st.SumSq(i, m)/float64(m) - float64(mean*mean)
 	if v < 0 {
 		v = 0
 	}
@@ -147,7 +152,7 @@ func MeanStdTwoPass(w []float64) (mean, std float64) {
 	var ss float64
 	for _, v := range w {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return mean, math.Sqrt(ss / n)
 }

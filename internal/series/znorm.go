@@ -46,7 +46,7 @@ func ZNormDist(a, b []float64) float64 {
 	// two zero-mean windows, so DistFromDot takes it with zero means.
 	var cov float64
 	for i := range a {
-		cov += (a[i] - muA) * (b[i] - muB)
+		cov += float64((a[i] - muA) * (b[i] - muB))
 	}
 	return DistFromDot(cov, float64(m), 0, sdA, 0, sdB)
 }
@@ -63,7 +63,7 @@ func DistFromDot(qt, m, muA, sdA, muB, sdB float64) float64 {
 	if sdA == 0 || sdB == 0 {
 		return math.Sqrt(2 * m)
 	}
-	rho := (qt - m*muA*muB) / (m * sdA * sdB)
+	rho := (qt - float64(m*muA*muB)) / (m * sdA * sdB)
 	if rho > 1 {
 		rho = 1
 	} else if rho < -1 {
@@ -82,7 +82,7 @@ func CorrFromDot(qt, m, muA, sdA, muB, sdB float64) float64 {
 	if sdA == 0 || sdB == 0 {
 		return 0
 	}
-	rho := (qt - m*muA*muB) / (m * sdA * sdB)
+	rho := (qt - float64(m*muA*muB)) / (m * sdA * sdB)
 	if rho > 1 {
 		return 1
 	}
@@ -92,14 +92,17 @@ func CorrFromDot(qt, m, muA, sdA, muB, sdB float64) float64 {
 	return rho
 }
 
-// Dot returns the plain dot product of two equal-length windows.
+// Dot returns the plain dot product of two equal-length windows, summed
+// from zero in ascending order with each product rounded before its add
+// (an explicit float64, so no architecture fuses them): the same bits as
+// kernels.DotRow's cell.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("series: Dot length mismatch")
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

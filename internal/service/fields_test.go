@@ -149,7 +149,7 @@ func TestRetiredRequestFieldsIgnored(t *testing.T) {
 	if !bytes.Equal(final.Result, wantBytes) {
 		t.Fatalf("result differs from the default plan\n got %s\nwant %s", final.Result, wantBytes)
 	}
-	if plan := direct.Plan; plan.IncrementalLengths != 35-16+1 || plan.HeadSeeds != 1 {
+	if plan := direct.Plan; plan.IncrementalLengths != 35-16+1 || plan.HeadSeeds != 35-16+1 {
 		t.Fatalf("default discords plan stats %+v", plan)
 	}
 

@@ -25,16 +25,13 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 	}
 	lengths := 32 - 16 + 1
 	pairsPlan := st.Result.Plan
-	switched := 0
-	if pairsPlan.IncrementalLengths > 0 {
-		switched = 1
-	}
 	if pairsPlan.RecomputeLengths != 1 || pairsPlan.PrunedLengths < 1 ||
-		pairsPlan.PrunedLengths+pairsPlan.IncrementalLengths != lengths-1 || pairsPlan.HeadSeeds != switched {
+		pairsPlan.PrunedLengths+pairsPlan.IncrementalLengths != lengths-1 ||
+		pairsPlan.HeadSeeds != pairsPlan.IncrementalLengths || pairsPlan.HeadExtensions != 0 {
 		t.Fatalf("pairs-only plan stats %+v", pairsPlan)
 	}
 
-	// A discords query: every length incremental, one FFT head seed.
+	// A discords query: every length incremental, one head row each.
 	j, err = m.Submit(JobRequest{Values: values, LMin: 16, LMax: 32, TopK: 2, Discords: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +41,7 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 		t.Fatalf("job state %s: %s", st.State, st.Error)
 	}
 	plan := st.Result.Plan
-	if plan.IncrementalLengths != lengths || plan.HeadSeeds != 1 || plan.HeadExtensions != lengths-1 {
+	if plan.IncrementalLengths != lengths || plan.HeadSeeds != lengths || plan.HeadExtensions != 0 {
 		t.Fatalf("discords plan stats %+v", plan)
 	}
 
@@ -53,8 +50,8 @@ func TestJobResultAndStatsCarryPlanStats(t *testing.T) {
 	if totals.PrunedLengths != int64(pairsPlan.PrunedLengths) ||
 		totals.IncrementalLengths != int64(pairsPlan.IncrementalLengths+lengths) ||
 		totals.RecomputeLengths != 1 ||
-		totals.HeadSeeds != int64(1+switched) ||
-		totals.HeadExtensions != int64(pairsPlan.HeadExtensions+lengths-1) {
+		totals.HeadSeeds != int64(pairsPlan.IncrementalLengths+lengths) ||
+		totals.HeadExtensions != 0 {
 		t.Fatalf("aggregated plan totals %+v", totals)
 	}
 }

@@ -1,7 +1,7 @@
 package stomp
 
-// The right-append path of the diagonal traversal: where DiagonalHead /
-// ExtendDiagonalHead carry dot-product state across *lengths*, AppendColumn
+// The right-append path of the diagonal traversal: where
+// ExtendDiagonalHead carries dot-product state across *lengths*, AppendColumn
 // carries it across *time*. A growing series gains one window per appended
 // point (once n ≥ m), and the new window's dot products against every
 // earlier window — the new last column QT(·, j) of the self-join — follow

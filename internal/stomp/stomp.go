@@ -3,9 +3,9 @@
 // sliding dot products. It is the paper's fixed-length baseline (adapted
 // to length ranges in internal/baseline/stomprange) and the substrate of
 // valmod.MatrixProfile. VALMOD's engine (internal/core) takes from it the
-// diagonal head row's extend path below and the streaming column append
-// (AppendColumn); its ℓmin seed is a sweep of its own over the diagonal
-// blocks (kernels.SeedScan).
+// streaming column append (AppendColumn); its ℓmin seed is a sweep of its
+// own over the diagonal blocks (kernels.SeedScan), and its incremental
+// pass runs kernels.CovScan from a centred head row of its own per length.
 //
 // Three variants are provided: a cache-friendly diagonal traversal
 // (Compute), a goroutine-parallel version partitioning diagonals
@@ -15,11 +15,9 @@
 // The diagonal traversal is split into a seed path and an extend path:
 // DiagonalHead computes the first cell of every diagonal with one FFT, and
 // ExtendDiagonalHead advances that head row from length ℓ to ℓ+1 with one
-// fused multiply-add per cell — the cross-length recurrence
+// multiply-add per cell — the cross-length recurrence
 // QT(i,j)ₗ₊₁ = QT(i,j)ₗ + t[i+ℓ]·t[j+ℓ] specialized to row 0. A scan over
-// a length range therefore pays for one FFT total, not one per length;
-// VALMOD's incremental cross-length profile engine (internal/core) is built
-// on the same split.
+// a length range therefore pays for one FFT total, not one per length.
 package stomp
 
 import (
@@ -63,14 +61,12 @@ func DiagonalHead(t []float64, m int) ([]float64, error) {
 
 // ExtendDiagonalHead is the *extend path*: it advances a diagonal head row
 // from length cur to length next with the cross-length recurrence
-// QT(0,k)ₗ₊₁ = QT(0,k)ₗ + t[ℓ]·t[k+ℓ] — one fused multiply-add per cell
-// per length step, no FFT. All pending steps are carried through each cell
-// in one pass (kernels.ExtendRow with anchor 0), bit-identical to the
-// one-pass-per-step loop it replaces. It returns the head trimmed to the
-// diagonals that still exist at the new length (n−next+1 cells). This is
-// what lets a length-range scan seed its FFT exactly once: VALMOD's
-// incremental cross-length engine carries one head row through the whole
-// range.
+// QT(0,k)ₗ₊₁ = QT(0,k)ₗ + t[ℓ]·t[k+ℓ] — one multiply-add per cell per
+// length step, no FFT (kernels.ExtendRow with anchor 0). It returns the
+// head trimmed to the diagonals that still exist at the new length
+// (n−next+1 cells). This is what lets a length-range scan seed its FFT
+// exactly once. No pass of VALMOD's engine calls it: its incremental pass
+// computes a centred head row at each length instead.
 func ExtendDiagonalHead(head, t []float64, cur, next int) ([]float64, error) {
 	if err := validate(len(t), cur); err != nil {
 		return nil, err

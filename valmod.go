@@ -185,10 +185,10 @@ type LengthResult struct {
 
 // PlanStats instruments the engine's per-length planner over one run: how
 // many lengths ran the pruned pass, the incremental whole-profile pass,
-// or the seed sweep that seeds the pruned pass (plus how often the
-// incremental engine's carried head row was seeded from scratch and
-// FMA-extended). It doubles as the wire DTO of the serving layer, hence
-// the JSON tags.
+// or the seed sweep that seeds the pruned pass (plus the incremental
+// pass's head rows, one per incremental length; HeadExtensions, the
+// advances of a head row it no longer carries, stays 0). It doubles as
+// the wire DTO of the serving layer, hence the JSON tags.
 type PlanStats struct {
 	PrunedLengths      int `json:"pruned_lengths"`
 	IncrementalLengths int `json:"incremental_lengths"`
