@@ -135,9 +135,11 @@ func (s *Store) ShardsInto(n, count int, buf []Shard) []Shard {
 	return out
 }
 
-// Snapshot is the serializable image of a Store, the anchors section of
-// an engine checkpoint: the per-anchor arrays, and J and QT holding each
-// anchor's Len entries back to back (the unused slots are left out).
+// Snapshot is the anchors section of an engine checkpoint as it is read
+// back: the per-anchor arrays, and J and QT holding each anchor's Len
+// entries back to back (a frame carries no unused slot). The section is
+// written straight from a live Store's slots; Validate checks a decoded
+// one before Restore rebuilds the slots from it.
 type Snapshot struct {
 	Cap        int
 	Len, Base  []int32
@@ -145,23 +147,6 @@ type Snapshot struct {
 	Degenerate []bool
 	J          []int32
 	QT         []float64
-}
-
-// Snapshot captures the store's current state. The per-anchor arrays
-// alias the live ones — it is a view for immediate serialization between
-// per-length passes, not a defensive copy.
-func (s *Store) Snapshot() *Snapshot {
-	kept := s.Kept(len(s.Len))
-	sn := &Snapshot{
-		Cap: s.Cap, Len: s.Len, Base: s.Base, NextQ2: s.NextQ2, Degenerate: s.Degenerate,
-		J: make([]int32, 0, kept), QT: make([]float64, 0, kept),
-	}
-	for i, c := range s.Len {
-		lo := i * s.Cap
-		sn.J = append(sn.J, s.J[lo:lo+int(c)]...)
-		sn.QT = append(sn.QT, s.QT[lo:lo+int(c)]...)
-	}
-	return sn
 }
 
 // Validate checks that a decoded snapshot fits a store of n anchors

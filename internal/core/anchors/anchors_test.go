@@ -150,9 +150,10 @@ func TestMaxLBCoversUnkept(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreRoundTrip: a snapshot packs each anchor's entries
-// back to back and passes Validate, and Restore rebuilds the slots the
-// store's lists occupy; malformed snapshots are refused.
+// TestSnapshotRestoreRoundTrip: a store's entries packed back to back,
+// as a checkpoint frame carries them, form a snapshot that passes
+// Validate, and Restore rebuilds the slots the store's lists occupy;
+// malformed snapshots are refused.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n, c = 50, 6
@@ -168,7 +169,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 		s.Set(i, 10+rng.Intn(5), min(c, 1+rng.Intn(c)), top, 0, scale)
 	}
-	sn := s.Snapshot()
+	sn := &Snapshot{Cap: s.Cap, Len: s.Len, Base: s.Base, NextQ2: s.NextQ2, Degenerate: s.Degenerate}
+	for i, c := range s.Len {
+		lo := i * s.Cap
+		sn.J = append(sn.J, s.J[lo:lo+int(c)]...)
+		sn.QT = append(sn.QT, s.QT[lo:lo+int(c)]...)
+	}
 	if len(sn.J) != s.Kept(n) {
 		t.Fatalf("snapshot holds %d entries, store %d", len(sn.J), s.Kept(n))
 	}

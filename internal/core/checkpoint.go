@@ -9,11 +9,13 @@ package core
 // no head row.
 // A resumed run produces byte-identical results to the uninterrupted one
 // at every worker count, because everything the remaining lengths read is
-// either restored exactly (float64 bits survive gob) or recomputed by a
-// deterministic pure function of the series (moments, correlator plans).
+// either restored exactly (floats travel as their IEEE-754 bits) or
+// recomputed by a deterministic pure function of the series and the
+// frame (moments, correlator plans, the VALMAP's sealed ℓmin state).
 //
-// Blob layout: an 8-byte magic, a big-endian version and payload length,
-// the SHA-256 of the payload, then the gob-encoded payload. The hash makes
+// Blob layout (frame.go): an 8-byte magic, a big-endian version and
+// payload length, the SHA-256 of the payload, then the payload's
+// little-endian sections in ckptPayload.write's order. The hash makes
 // torn or corrupted writes detectable before any field is trusted; the
 // version gates format evolution. The payload additionally pins the series
 // (length + SHA-256 of its float64 bits) and the result-affecting
@@ -25,11 +27,9 @@ package core
 // it started with.
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -45,24 +45,24 @@ var ErrBadCheckpoint = fmt.Errorf("core: bad checkpoint")
 
 const (
 	// ckptMagic frames batch-run checkpoints; streamMagic (stream.go's
-	// Checkpoint) frames streaming ones. Same layout, disjoint magics, so
+	// Checkpoint) frames streaming ones. Same header, disjoint magics, so
 	// neither kind can be resumed as the other.
 	ckptMagic   = "VALCKPT1"
 	streamMagic = "VALSTRM1"
-	// ckptVersion 2 added the cost-model latch (ckptPayload.Latched); a
-	// version-1 frame predates it and is refused. Stream frames are
-	// unchanged since version 1.
-	ckptVersion   = 2
-	streamVersion = 1
-	// ckptHeaderLen = magic(8) + version(4) + payloadLen(8) + sha256(32).
-	ckptHeaderLen = 8 + 4 + 8 + 32
+	// ckptVersion 2 added the cost-model latch (ckptPayload.Latched); 3
+	// and streamVersion 2 replaced the gob payloads with frame.go's flat
+	// sections. Older frames are refused, and the caller's fallback is a
+	// byte-identical scratch re-run.
+	ckptVersion   = 3
+	streamVersion = 2
 )
 
-// ckptPayload is the gob image of a run at a length-pass boundary. Slices
-// alias live engine state at capture time — encoding happens synchronously
-// before the engine mutates anything, so no defensive copies are taken
-// (the anchors' entries are packed back to back into fresh arrays, which
-// leaves the unused slots out of the frame).
+// ckptPayload is a run at a length-pass boundary, as a frame carries it.
+// A captured payload aliases live engine state — the frame is written
+// synchronously before the engine mutates anything, so no defensive
+// copies are taken — and its anchors section is written straight from
+// the live store's slots (store). The section reads back into Anchors,
+// with each anchor's entries back to back.
 type ckptPayload struct {
 	// Identity pins: the checkpoint resumes only against the same series
 	// (length and content hash) and the same result-affecting config.
@@ -77,21 +77,235 @@ type ckptPayload struct {
 	Plan    PlanStats
 
 	// Pruned-machinery carry (see run.seeded / run.entriesAt / run.latched).
-	// Once latched the machinery is retired, so Anchors (the bulk of a
-	// pruned frame) is omitted.
+	// Once latched the machinery is retired, so the anchors (the bulk of a
+	// pruned frame) are omitted.
 	Seeded    bool
 	Latched   bool
 	EntriesAt int
-	Anchors   *anchors.Snapshot // nil unless seeded
+	store     *anchors.Store    // captured: the live store, nil unless seeded
+	Anchors   *anchors.Snapshot // decoded: nil unless the frame has the section
 
 	// Built-in sink state: per-length results + ℓmin profile (pairsSink),
 	// the VALMAP (valmapSink), and discord candidates (discordSink, only
-	// when the run has one).
+	// when the run has one). A decoded VM carries the current state and
+	// the per-length checkpoints only; ResumeRun re-derives its sealed
+	// ℓmin state from MPMin (resumeValmap).
 	PerLength   []LengthResult
 	MPMin       *profile.MatrixProfile
 	VM          *valmap.VALMAP
 	HasDiscords bool
 	Cands       []Discord
+}
+
+// write lays down the payload's sections: the run's (writeRun), the
+// anchors (writeAnchors), then the sinks' (writeSinks).
+func (p *ckptPayload) write(w *frameWriter) {
+	p.writeRun(w)
+	p.writeAnchors(w)
+	p.writeSinks(w)
+}
+
+// writeRun writes the identity and resume index, the plan counters and
+// the pruned-machinery carry.
+func (p *ckptPayload) writeRun(w *frameWriter) {
+	w.int(p.N)
+	w.raw(p.SeriesHash[:])
+	w.str(p.CfgDigest)
+	w.int(p.NextIdx)
+	writePlan(w, p.Plan)
+	w.flag(p.Seeded)
+	w.flag(p.Latched)
+	w.int(p.EntriesAt)
+}
+
+// writeAnchors writes the anchors section, present while the run is
+// seeded: the slot count, the per-anchor arrays, then every anchor's Len
+// entries straight from the store's slots, offsets first.
+func (p *ckptPayload) writeAnchors(w *frameWriter) {
+	st := p.store
+	w.flag(st != nil)
+	if st == nil {
+		return
+	}
+	w.int(st.Cap)
+	w.i32s(st.Len)
+	w.i32s(st.Base)
+	w.f64s(st.NextQ2)
+	w.flags(st.Degenerate)
+	kept := st.Kept(len(st.Len))
+	w.count(kept)
+	for i, c := range st.Len {
+		w.i32Vals(st.J[i*st.Cap : i*st.Cap+int(c)])
+	}
+	w.count(kept)
+	for i, c := range st.Len {
+		w.f64Vals(st.QT[i*st.Cap : i*st.Cap+int(c)])
+	}
+}
+
+// writeSinks writes the per-length results, the ℓmin profile (when
+// present), the VALMAP, and the discord candidates (when the run has a
+// discord sink).
+func (p *ckptPayload) writeSinks(w *frameWriter) {
+	w.count(len(p.PerLength))
+	for _, lr := range p.PerLength {
+		w.int(lr.M)
+		w.count(len(lr.Pairs))
+		for _, pr := range lr.Pairs {
+			w.int(pr.A)
+			w.int(pr.B)
+			w.int(pr.M)
+			w.f64(pr.Dist)
+		}
+		w.int(lr.Stats.Certified)
+		w.int(lr.Stats.Recomputed)
+		w.flag(lr.Stats.FullRecompute)
+		w.flag(lr.Stats.Incremental)
+	}
+
+	w.flag(p.MPMin != nil)
+	if mp := p.MPMin; mp != nil {
+		w.int(mp.M)
+		w.int(mp.Exclusion)
+		w.f64s(mp.Dist)
+		w.ints(mp.Index)
+	}
+
+	vm := p.VM
+	w.int(vm.LMin)
+	w.int(vm.LMax)
+	w.f64s(vm.MPn)
+	w.ints(vm.IP)
+	w.ints(vm.LP)
+	w.count(len(vm.Checkpoints))
+	for _, cp := range vm.Checkpoints {
+		w.int(cp.L)
+		w.count(len(cp.Updates))
+		for _, u := range cp.Updates {
+			w.int(u.I)
+			w.int(u.J)
+			w.int(u.L)
+			w.f64(u.NormDist)
+		}
+	}
+
+	w.flag(p.HasDiscords)
+	if p.HasDiscords {
+		w.count(len(p.Cands))
+		for _, d := range p.Cands {
+			w.int(d.I)
+			w.int(d.L)
+			w.f64(d.Dist)
+		}
+	}
+}
+
+// readCkptPayload reads the sections write lays down. The anchors'
+// entries land back to back in Anchors.J and Anchors.QT; every shape is
+// left to validateResume.
+func readCkptPayload(r *frameReader) *ckptPayload {
+	p := &ckptPayload{}
+	p.N = r.int()
+	r.raw(p.SeriesHash[:])
+	p.CfgDigest = r.str()
+	p.NextIdx = r.int()
+	p.Plan = readPlan(r)
+	p.Seeded = r.flag()
+	p.Latched = r.flag()
+	p.EntriesAt = r.int()
+
+	if r.flag() {
+		sn := &anchors.Snapshot{Cap: r.int()}
+		sn.Len = r.i32s()
+		sn.Base = r.i32s()
+		sn.NextQ2 = r.f64s()
+		sn.Degenerate = r.flags()
+		sn.J = r.i32s()
+		sn.QT = r.f64s()
+		p.Anchors = sn
+	}
+
+	// The minimum wire size of a length result is M, the pair count, the
+	// two stat counters and the two flags; of a pair three offsets and a
+	// distance.
+	if n := r.count(4 + 4 + 4 + 4 + 1 + 1); n > 0 {
+		p.PerLength = make([]LengthResult, n)
+		for k := range p.PerLength {
+			lr := &p.PerLength[k]
+			lr.M = r.int()
+			if m := r.count(4 + 4 + 4 + 8); m > 0 {
+				lr.Pairs = make([]profile.MotifPair, m)
+				for x := range lr.Pairs {
+					pr := &lr.Pairs[x]
+					pr.A, pr.B, pr.M = r.int(), r.int(), r.int()
+					pr.Dist = r.f64()
+				}
+			}
+			lr.Stats.Certified = r.int()
+			lr.Stats.Recomputed = r.int()
+			lr.Stats.FullRecompute = r.flag()
+			lr.Stats.Incremental = r.flag()
+		}
+	}
+
+	if r.flag() {
+		mp := &profile.MatrixProfile{M: r.int(), Exclusion: r.int()}
+		mp.Dist = r.f64s()
+		mp.Index = r.ints()
+		p.MPMin = mp
+	}
+
+	vm := &valmap.VALMAP{LMin: r.int(), LMax: r.int()}
+	vm.MPn = r.f64s()
+	vm.IP = r.ints()
+	vm.LP = r.ints()
+	if n := r.count(4 + 4); n > 0 {
+		vm.Checkpoints = make([]valmap.Checkpoint, n)
+		for k := range vm.Checkpoints {
+			cp := &vm.Checkpoints[k]
+			cp.L = r.int()
+			if m := r.count(4 + 4 + 4 + 8); m > 0 {
+				cp.Updates = make([]valmap.Update, m)
+				for x := range cp.Updates {
+					u := &cp.Updates[x]
+					u.I, u.J, u.L = r.int(), r.int(), r.int()
+					u.NormDist = r.f64()
+				}
+			}
+		}
+	}
+	p.VM = vm
+
+	p.HasDiscords = r.flag()
+	if p.HasDiscords {
+		if n := r.count(4 + 4 + 8); n > 0 {
+			p.Cands = make([]Discord, n)
+			for k := range p.Cands {
+				d := &p.Cands[k]
+				d.I, d.L = r.int(), r.int()
+				d.Dist = r.f64()
+			}
+		}
+	}
+	return p
+}
+
+func writePlan(w *frameWriter, ps PlanStats) {
+	for _, v := range [...]int{ps.PrunedLengths, ps.IncrementalLengths, ps.RecomputeLengths,
+		ps.SkippedLengths, ps.HeadSeeds, ps.HeadExtensions} {
+		w.int(v)
+	}
+}
+
+func readPlan(r *frameReader) PlanStats {
+	return PlanStats{
+		PrunedLengths:      r.int(),
+		IncrementalLengths: r.int(),
+		RecomputeLengths:   r.int(),
+		SkippedLengths:     r.int(),
+		HeadSeeds:          r.int(),
+		HeadExtensions:     r.int(),
+	}
 }
 
 // cfgDigest renders the result-affecting configuration of a batch run.
@@ -144,58 +358,20 @@ func seriesHash(t []float64) [32]byte {
 	return out
 }
 
-// encodeFrame gob-encodes v and frames it: header with magic, version,
-// payload length and payload hash, then the gob bytes.
-func encodeFrame(magic string, version uint32, v interface{}) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return nil, fmt.Errorf("core: encode checkpoint: %w", err)
-	}
-	payload := body.Bytes()
-	out := make([]byte, ckptHeaderLen+len(payload))
-	copy(out, magic)
-	binary.BigEndian.PutUint32(out[8:], version)
-	binary.BigEndian.PutUint64(out[12:], uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	copy(out[20:], sum[:])
-	copy(out[ckptHeaderLen:], payload)
-	return out, nil
+// encodeCheckpoint frames a batch-run payload in buf's storage
+// (encodeFrame).
+func encodeCheckpoint(buf []byte, p *ckptPayload) ([]byte, error) {
+	return encodeFrame(buf, ckptMagic, ckptVersion, p.write)
 }
 
-// decodeFrame validates the frame (magic, version, length, hash) and
-// decodes the payload into v. Every failure wraps ErrBadCheckpoint.
-func decodeFrame(magic string, version uint32, b []byte, v interface{}) error {
-	if len(b) < ckptHeaderLen {
-		return fmt.Errorf("%w: truncated header (%d bytes)", ErrBadCheckpoint, len(b))
-	}
-	if string(b[:8]) != magic {
-		return fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
-	}
-	if ver := binary.BigEndian.Uint32(b[8:]); ver != version {
-		return fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, ver)
-	}
-	plen := binary.BigEndian.Uint64(b[12:])
-	if plen != uint64(len(b)-ckptHeaderLen) {
-		return fmt.Errorf("%w: payload length %d, have %d bytes", ErrBadCheckpoint, plen, len(b)-ckptHeaderLen)
-	}
-	payload := b[ckptHeaderLen:]
-	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], b[20:20+32]) {
-		return fmt.Errorf("%w: payload checksum mismatch", ErrBadCheckpoint)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	return nil
-}
-
-// encodeCheckpoint / decodeCheckpoint frame the batch-run payload.
-func encodeCheckpoint(p *ckptPayload) ([]byte, error) {
-	return encodeFrame(ckptMagic, ckptVersion, p)
-}
-
+// decodeCheckpoint reads a batch-run frame back into its payload.
 func decodeCheckpoint(b []byte) (*ckptPayload, error) {
-	p := &ckptPayload{}
-	if err := decodeFrame(ckptMagic, ckptVersion, b, p); err != nil {
+	r, err := decodeFrame(ckptMagic, ckptVersion, b)
+	if err != nil {
+		return nil, err
+	}
+	p := readCkptPayload(r)
+	if err := r.done(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -256,7 +432,9 @@ func (r *run) maybeCheckpoint(cs ckptSinks, nextIdx, total int) {
 }
 
 // captureCheckpoint serializes the run's carried state with the next plan
-// index to process.
+// index to process into the run's frame buffer, which the run's later
+// captures reuse. The frame is valid until the next capture, which the
+// OnCheckpoint contract (valid only during the callback) allows.
 func (r *run) captureCheckpoint(cs ckptSinks, nextIdx int) ([]byte, error) {
 	p := &ckptPayload{
 		N:          len(r.t),
@@ -272,13 +450,41 @@ func (r *run) captureCheckpoint(cs ckptSinks, nextIdx int) ([]byte, error) {
 		VM:         cs.vms.vm,
 	}
 	if r.seeded {
-		p.Anchors = r.store.Snapshot()
+		p.store = r.store
 	}
 	if cs.ds != nil {
 		p.HasDiscords = true
 		p.Cands = cs.ds.cands
 	}
-	return encodeCheckpoint(p)
+	if r.frame == nil {
+		// Grown from empty by append, the first frame would be copied
+		// through a chain of ever larger buffers, together about four
+		// times its size. The quarter's headroom is for the later
+		// frames, which carry more results and refilled partial profiles.
+		n := p.bulk()
+		r.frame = make([]byte, 0, n+n/4)
+	}
+	b, err := encodeCheckpoint(r.frame, p)
+	if err != nil {
+		return nil, err
+	}
+	r.frame = b
+	return b, nil
+}
+
+// bulk is the size in bytes of the payload's per-slot sections, all but a
+// few kilobytes of a frame: the anchors (17 bytes of per-anchor arrays
+// and 12 per kept entry, when seeded), the ℓmin profile (12 bytes a slot)
+// and the VALMAP (16 bytes a slot).
+func (p *ckptPayload) bulk() int {
+	n := 16 * len(p.VM.MPn)
+	if mp := p.MPMin; mp != nil {
+		n += 12 * len(mp.Dist)
+	}
+	if st := p.store; st != nil {
+		n += 17*len(st.Len) + 12*st.Kept(len(st.Len))
+	}
+	return n
 }
 
 // seriesSum returns the (lazily computed, per-run cached) series hash.
@@ -301,6 +507,21 @@ func (r *run) restore(p *ckptPayload) int {
 		r.store = anchors.Restore(p.Anchors)
 	}
 	return p.NextIdx
+}
+
+// resumeValmap rebuilds a validated frame's VALMAP. The frame carries the
+// current state and the per-length checkpoints but not the sealed ℓmin
+// state StateAt replays from: that is a pure function of the ℓmin
+// profile, so it is re-derived by the same seedValmap the sink ran at
+// ℓmin, bit for bit.
+func resumeValmap(dec *valmap.VALMAP, mpMin *profile.MatrixProfile) (*valmap.VALMAP, error) {
+	vm, err := valmap.New(dec.LMin, dec.LMax, len(dec.MPn))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+	}
+	seedValmap(vm, mpMin, dec.LMin)
+	vm.MPn, vm.IP, vm.LP, vm.Checkpoints = dec.MPn, dec.IP, dec.LP, dec.Checkpoints
+	return vm, nil
 }
 
 // validateResume checks a decoded checkpoint against the series and config
@@ -336,10 +557,23 @@ func (p *ckptPayload) validateResume(t []float64, cfg Config) error {
 		return fmt.Errorf("%w: ℓmin profile shaped (m=%d, %d, %d), want (m=%d, %d slots)",
 			ErrBadCheckpoint, mp.M, len(mp.Dist), len(mp.Index), cfg.LMin, sMin)
 	}
-	if vm := p.VM; vm != nil && (vm.LMin != cfg.LMin || vm.LMax != cfg.LMax ||
-		len(vm.MPn) != sMin || len(vm.IP) != sMin || len(vm.LP) != sMin) {
+	if vm := p.VM; vm.LMin != cfg.LMin || vm.LMax != cfg.LMax ||
+		len(vm.MPn) != sMin || len(vm.IP) != sMin || len(vm.LP) != sMin {
 		return fmt.Errorf("%w: VALMAP shaped [%d, %d] × (%d, %d, %d), want [%d, %d] × %d",
 			ErrBadCheckpoint, vm.LMin, vm.LMax, len(vm.MPn), len(vm.IP), len(vm.LP), cfg.LMin, cfg.LMax, sMin)
+	}
+	// StateAt replays the checkpoints in order into slots they name.
+	prev := cfg.LMin
+	for _, cp := range p.VM.Checkpoints {
+		if cp.L <= prev || cp.L >= cfg.LMin+p.NextIdx {
+			return fmt.Errorf("%w: VALMAP checkpoint at length %d after %d, resume index %d", ErrBadCheckpoint, cp.L, prev, p.NextIdx)
+		}
+		for _, u := range cp.Updates {
+			if u.I < 0 || u.I >= sMin {
+				return fmt.Errorf("%w: VALMAP update of slot %d, outside [0, %d)", ErrBadCheckpoint, u.I, sMin)
+			}
+		}
+		prev = cp.L
 	}
 	if p.Seeded != (p.Anchors != nil) || (p.Seeded && p.Latched) {
 		return fmt.Errorf("%w: seeded=%v latched=%v with anchors present=%v",
@@ -378,10 +612,11 @@ func (e *Engine) ResumeRun(ctx context.Context, t []float64, cfg Config, ckpt []
 		return nil, err
 	}
 	pairs := &pairsSink{perLength: p.PerLength, mpMin: p.MPMin}
-	vms := &valmapSink{vm: p.VM}
-	if vms.vm == nil {
-		return nil, fmt.Errorf("%w: missing VALMAP section", ErrBadCheckpoint)
+	vm, err := resumeValmap(p.VM, p.MPMin)
+	if err != nil {
+		return nil, err
 	}
+	vms := &valmapSink{vm: vm}
 	sinks := []Sink{pairs, vms}
 	var ds *discordSink
 	if cfg.Discords > 0 {

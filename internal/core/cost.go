@@ -14,7 +14,9 @@ package core
 // rounds, the fallback flag, the geometry and rows.go's direct-row rule),
 // never wall time or the dispatched kernel tier, so the switch length —
 // and with it every output bit — is the same at any worker count and on
-// any machine. The constants are per-unit costs in nanoseconds, measured
+// any machine; every product that meets an add is rounded with an
+// explicit float64(…), so no machine fuses the two into one multiply-add
+// (scripts/check_no_fma.sh). The constants are per-unit costs in nanoseconds, measured
 // on the avx2 tier and shared by every tier; BenchmarkPrunedCost is the
 // pruned side's harness and ARCHITECTURE.md records the fit.
 //
@@ -94,16 +96,16 @@ func prunedCost(n, l, s, excl, kept int, direct bool, c prunedCounts) float64 {
 	fs := float64(s)
 	if c.fellBack {
 		d := float64(s - excl)
-		return d*(d+1)/2*costSeedCell + fs*costSeedAnchor
+		return float64(d*(d+1)/2*costSeedCell) + float64(fs*costSeedAnchor)
 	}
 	fn := float64(n)
 	row := fn * math.Log2(fn) * costMass
 	if direct {
-		row = fs*float64(l)*costRow + fs*costScan
+		row = float64(fs*float64(l)*costRow) + float64(fs*costScan)
 	}
-	return float64(c.recomputed)*row +
-		float64(c.rounds)*fs*costRound +
-		float64(kept)*costAdvance
+	return float64(float64(c.recomputed)*row) +
+		float64(float64(c.rounds)*fs*costRound) +
+		float64(float64(kept)*costAdvance)
 }
 
 // incrementalCost predicts the incremental pass's cost (ns) at a length
@@ -111,7 +113,7 @@ func prunedCost(n, l, s, excl, kept int, direct bool, c prunedCounts) float64 {
 // diagonal cell plus the per-anchor work.
 func incrementalCost(s, excl int) float64 {
 	d := float64(s - excl)
-	return d*(d+1)/2*costDiagCell + float64(s)*costDiagAnchor
+	return float64(d*(d+1)/2*costDiagCell) + float64(float64(s)*costDiagAnchor)
 }
 
 // preferIncremental reports whether length l of an n-point series is
@@ -160,6 +162,6 @@ const (
 // rather than late.
 func replayEviction(s, l, repairs, runs int) bool {
 	fs := float64(s)
-	repair := float64(runs)*fs*float64(l)*costEvictRow + float64(repairs)*fs*costEvictRepair
+	repair := float64(float64(runs)*fs*float64(l)*costEvictRow) + float64(float64(repairs)*fs*costEvictRepair)
 	return repair >= fs*fs/2*costReplayCell
 }

@@ -263,8 +263,10 @@ func TestCheckpointResumeAcrossSwitch(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusesVersion1: a frame written by the planner without
-// the latch is refused, and the caller's scratch re-run is the exact
+// TestCheckpointRefusesVersion1: frames of the older formats are refused
+// on their version word alone — format 1, written by the planner without
+// the latch, and format 2, a gob payload, here the current frame under
+// the old version word — and the caller's scratch re-run is the exact
 // fallback.
 func TestCheckpointRefusesVersion1(t *testing.T) {
 	x, cfg := astroWide(t)
@@ -277,13 +279,24 @@ func TestCheckpointRefusesVersion1(t *testing.T) {
 	}
 	filled := cfg
 	filled.Fill()
-	p.CfgDigest = "v1 " + cfgFields(filled)
-	v1, err := encodeFrame(ckptMagic, 1, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ResumeRun(context.Background(), x, cfg, v1); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("version-1 frame: want ErrBadCheckpoint, got %v", err)
+	v1 := *p
+	v1.CfgDigest = "v1 " + cfgFields(filled)
+	for _, tc := range []struct {
+		version uint32
+		p       *ckptPayload
+	}{{1, &v1}, {2, p}, {ckptVersion, p}} {
+		old, err := encodeDecoded(tc.p, tc.version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.ResumeRun(context.Background(), x, cfg, old)
+		if tc.version == ckptVersion {
+			if err != nil { // the control: the same payload at this format resumes
+				t.Fatalf("version-%d frame: %v", tc.version, err)
+			}
+		} else if !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("version-%d frame: want ErrBadCheckpoint, got %v", tc.version, err)
+		}
 	}
 	res, err := e.Run(context.Background(), x, cfg)
 	if err != nil {
@@ -354,7 +367,7 @@ func assertDigestRefused(t *testing.T, version string) {
 	filled := cfg
 	filled.Fill()
 	p.CfgDigest = version + " " + cfgFields(filled)
-	old, err := encodeFrame(ckptMagic, ckptVersion, p)
+	old, err := encodeDecoded(p, ckptVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

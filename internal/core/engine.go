@@ -15,10 +15,10 @@ import (
 )
 
 // Engine is a reusable VALMOD pipeline. It owns the pooled scratch rows
-// (the dot-product row buffers of the recompute paths and the seed
-// workers; the FFT correlator scratch is pooled inside internal/fft)
-// so repeated runs stop re-allocating. An Engine is safe for concurrent
-// Run calls; per-run state lives in the run struct.
+// (the dot-product row buffers of the recompute paths, the seed workers
+// and the incremental pass's inputs; the FFT correlator scratch is pooled
+// inside internal/fft) so repeated runs stop re-allocating. An Engine is
+// safe for concurrent Run calls; per-run state lives in the run struct.
 type Engine struct {
 	rowPool sync.Pool // stores *[]float64, capacity re-checked on Get
 
@@ -110,9 +110,10 @@ type run struct {
 	seeded    bool
 	entriesAt int
 
-	// The incremental pass's inputs (covAt, sized at ℓmin's anchor count
-	// at its first length; the head row goes to rowQT) and the per-worker
-	// (corr, index) accumulators of the diagonal passes.
+	// The incremental pass's inputs (covAt; rows from the engine's pool,
+	// taken at its first length and returned in release; the head row goes
+	// to rowQT) and the per-worker (corr, index) accumulators of the
+	// diagonal passes.
 	df, dg, nrm, query []float64
 	diagCorr           [][]float64
 	diagIdx            [][]int32
@@ -127,6 +128,9 @@ type run struct {
 	// tHash caches the series content hash across checkpoint captures.
 	tHash  [32]byte
 	hashed bool
+	// frame is the checkpoint frame buffer, allocated at the run's first
+	// checkpoint and reused by the later ones (captureCheckpoint).
+	frame []byte
 
 	// cached sliding moments of the current working length; invStds[j] is
 	// 1/σ_j (0 for degenerate windows) so the hot loops run division-free;
@@ -402,6 +406,11 @@ func (e *Engine) newRun(ctx context.Context, t []float64, cfg Config) *run {
 func (r *run) release() {
 	r.eng.putRow(r.rowQT)
 	r.eng.putRow(r.rowQT2)
+	if r.df != nil {
+		for _, row := range [][]float64{r.df, r.dg, r.nrm, r.query} {
+			r.eng.putRow(row)
+		}
+	}
 	r.rows.src.release()
 }
 

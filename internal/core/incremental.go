@@ -84,7 +84,7 @@ func diagBlocks(s, excl int) []diagBlock {
 }
 
 // covAt prepares the centred diagonal pass at length l (kernels.CovInputs)
-// in run-owned arrays sized at ℓmin's anchor count: the steps df and dg,
+// in pooled rows of at least ℓmin's anchor count: the steps df and dg,
 // the normalizers nrm, and the head row cov(0, k) in rowQT. The head is
 // the dot row of the first window centred on its two-pass mean a₀,
 // minus aₖ times the centred window's sum, so it never subtracts the
@@ -93,10 +93,10 @@ func diagBlocks(s, excl int) []diagBlock {
 func (r *run) covAt(l int) {
 	s := len(r.t) - l + 1
 	if r.df == nil {
-		r.df = make([]float64, r.sMin)
-		r.dg = make([]float64, r.sMin)
-		r.nrm = make([]float64, r.sMin)
-		r.query = make([]float64, r.cfg.LMax)
+		r.df = r.eng.getRow(r.sMin)
+		r.dg = r.eng.getRow(r.sMin)
+		r.nrm = r.eng.getRow(r.sMin)
+		r.query = r.eng.getRow(r.cfg.LMax)
 	}
 	a0, _ := series.MeanStdTwoPass(r.t[:l])
 	q := r.query[:l]

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"sort"
@@ -76,19 +75,19 @@ func TestSeedPartialProfilesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(r.store.Snapshot()); err != nil {
+			snap, err := encodeFrame(nil, ckptMagic, ckptVersion, (&ckptPayload{store: r.store}).writeAnchors)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if w == 1 {
-				snap0, mp0 = buf.Bytes(), mp
+				snap0, mp0 = snap, mp
 				degenerate := checkPartialProfiles(t, in.name, r, in.l, min(r.cfg.P, seedKeep), func(int) bool { return true })
 				if in.name == "constant segments" && degenerate == 0 {
 					t.Fatalf("%s: no σ = 0 anchor at l=%d", in.name, in.l)
 				}
 				continue
 			}
-			if !bytes.Equal(buf.Bytes(), snap0) {
+			if !bytes.Equal(snap, snap0) {
 				t.Fatalf("%s: anchor snapshot at workers=%d differs from workers=1", in.name, w)
 			}
 			for i := range mp.Dist {

@@ -178,18 +178,7 @@ func (*valmapSink) Requires() Requirement { return TopKPairs }
 
 func (s *valmapSink) Consume(ld LengthData) {
 	if ld.L == s.vm.LMin {
-		// VALMAP starts as the length-normalized ℓmin profile (flat LP).
-		// A nil profile means ℓmin admits no non-trivial pair (the range
-		// starts flush against the series end): seal the empty map and let
-		// longer lengths, if any, improve nothing.
-		if mp := ld.Profile; mp != nil {
-			for i := range mp.Dist {
-				if mp.Index[i] >= 0 {
-					s.vm.InitFromProfile(i, series.LengthNormalize(mp.Dist[i], ld.L), mp.Index[i], ld.L)
-				}
-			}
-		}
-		s.vm.Seal()
+		seedValmap(s.vm, ld.Profile, ld.L)
 		return
 	}
 	s.vm.BeginLength(ld.L)
@@ -199,6 +188,23 @@ func (s *valmapSink) Consume(ld LengthData) {
 		s.vm.Apply(p.B, nd, p.A, ld.L)
 	}
 	s.vm.EndLength()
+}
+
+// seedValmap starts vm as the length-normalized profile mp at ℓmin = l
+// (flat LP) and seals it. A nil profile means ℓmin admits no non-trivial
+// pair (the range starts flush against the series end): the empty map is
+// sealed, and longer lengths, if any, improve nothing. A resumed run
+// re-derives the sealed state through it from the checkpointed ℓmin
+// profile (resumeValmap).
+func seedValmap(vm *valmap.VALMAP, mp *profile.MatrixProfile, l int) {
+	if mp != nil {
+		for i := range mp.Dist {
+			if mp.Index[i] >= 0 {
+				vm.InitFromProfile(i, series.LengthNormalize(mp.Dist[i], l), mp.Index[i], l)
+			}
+		}
+	}
+	vm.Seal()
 }
 
 // Discord is one variable-length anomaly: the subsequence at offset I of

@@ -520,12 +520,13 @@ func (s *Streamer) materialize(ls *streamLen, mp *profile.MatrixProfile) LengthD
 	return LengthData{L: ls.l, Result: lr, Profile: mp}
 }
 
-// streamCkptPayload is the gob image of a Streamer between Appends: the
-// retained series, the total appended count, and every length's carried
-// column/winner state. Stats and the derived per-length constants are
-// rebuilt on resume (series.Stats.Append is bit-identical to a rebuild, so
-// recomputing them cannot perturb results). Slices alias live stream state
-// at capture time — encoding happens synchronously inside Checkpoint.
+// streamCkptPayload is a Streamer between Appends, as a frame carries
+// it: the retained series, the total appended count, and every length's
+// carried column/winner state. Stats and the derived per-length constants
+// are rebuilt on resume (series.Stats.Append is bit-identical to a
+// rebuild, so recomputing them cannot perturb results). Slices alias live
+// stream state at capture time — encoding happens synchronously inside
+// Checkpoint.
 type streamCkptPayload struct {
 	CfgDigest string
 	Total     int
@@ -539,6 +540,55 @@ type streamLenCkpt struct {
 	Col, Corr   []float64
 	Idx         []int32
 	Means, Invs []float64
+}
+
+// write lays down the stream payload: the digest, the total appended
+// count (8 bytes: a long-lived stream's count can pass an int32), the
+// retained series, then every length's sections.
+func (p *streamCkptPayload) write(w *frameWriter) {
+	w.str(p.CfgDigest)
+	w.u64(uint64(p.Total))
+	w.f64s(p.T)
+	w.count(len(p.Lens))
+	for i := range p.Lens {
+		lp := &p.Lens[i]
+		w.int(lp.L)
+		w.f64s(lp.Col)
+		w.f64s(lp.Corr)
+		w.i32s(lp.Idx)
+		w.f64s(lp.Means)
+		w.f64s(lp.Invs)
+	}
+}
+
+// decodeStreamCheckpoint reads a stream frame back into its payload.
+func decodeStreamCheckpoint(b []byte) (*streamCkptPayload, error) {
+	r, err := decodeFrame(streamMagic, streamVersion, b)
+	if err != nil {
+		return nil, err
+	}
+	p := &streamCkptPayload{CfgDigest: r.str()}
+	if total := r.u64(); total <= math.MaxInt {
+		p.Total = int(total)
+	} else {
+		r.fail("total %d overflows an int", total)
+	}
+	p.T = r.f64s()
+	// A length section is at least its ℓ and five counts.
+	if n := r.count(4 + 5*4); n > 0 {
+		p.Lens = make([]streamLenCkpt, n)
+		for i := range p.Lens {
+			lp := &p.Lens[i]
+			lp.L = r.int()
+			lp.Col, lp.Corr = r.f64s(), r.f64s()
+			lp.Idx = r.i32s()
+			lp.Means, lp.Invs = r.f64s(), r.f64s()
+		}
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // streamCfgDigest extends the batch config digest with the streaming-only
@@ -567,6 +617,7 @@ func (s *Streamer) Checkpoint() ([]byte, error) {
 		Total:     s.total,
 		T:         s.t,
 	}
+	p.Lens = make([]streamLenCkpt, 0, len(s.lens))
 	for i := range s.lens {
 		ls := &s.lens[i]
 		p.Lens = append(p.Lens, streamLenCkpt{
@@ -574,7 +625,8 @@ func (s *Streamer) Checkpoint() ([]byte, error) {
 			Means: ls.means, Invs: ls.invs,
 		})
 	}
-	return encodeFrame(streamMagic, streamVersion, p)
+	// The blob is the caller's to keep, so it gets storage of its own.
+	return encodeFrame(nil, streamMagic, streamVersion, p.write)
 }
 
 // ResumeStreamer reconstructs a Streamer from a Checkpoint blob taken
@@ -588,8 +640,8 @@ func ResumeStreamer(cfg Config, ckpt []byte) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &streamCkptPayload{}
-	if err := decodeFrame(streamMagic, streamVersion, ckpt, p); err != nil {
+	p, err := decodeStreamCheckpoint(ckpt)
+	if err != nil {
 		return nil, err
 	}
 	if got := streamCfgDigest(s.cfg); p.CfgDigest != got {

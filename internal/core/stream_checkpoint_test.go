@@ -69,7 +69,7 @@ func TestStreamCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-func mustStreamer(t *testing.T, cfg Config) *Streamer {
+func mustStreamer(t testing.TB, cfg Config) *Streamer {
 	t.Helper()
 	s, err := NewStreamer(cfg)
 	if err != nil {
@@ -82,6 +82,8 @@ func mustStreamer(t *testing.T, cfg Config) *Streamer {
 // repaired through FFT rows after evictions, and a v2 frame winners
 // repaired by one direct row per offset; both differ in the last bits from
 // this stream's run repairs, so both digests are refused.
+// A frame at stream format 1, a gob payload, is refused on its version
+// word alone.
 func TestStreamCheckpointRefusesV1Digest(t *testing.T) {
 	x := randWalk(rand.New(rand.NewSource(93)), 500)
 	cfg := Config{LMin: 8, LMax: 24, TopK: 3, WindowCap: 200, Workers: 1}
@@ -93,8 +95,8 @@ func TestStreamCheckpointRefusesV1Digest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &streamCkptPayload{}
-	if err := decodeFrame(streamMagic, streamVersion, ck, p); err != nil {
+	p, err := decodeStreamCheckpoint(ck)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ResumeStreamer(cfg, ck); err != nil {
@@ -102,13 +104,21 @@ func TestStreamCheckpointRefusesV1Digest(t *testing.T) {
 	}
 	for _, version := range []string{"v1", "v2"} {
 		p.CfgDigest = fmt.Sprintf("%s %s wcap=%d", version, cfgFields(s.Cfg()), cfg.WindowCap)
-		old, err := encodeFrame(streamMagic, streamVersion, p)
+		old, err := encodeFrame(nil, streamMagic, streamVersion, p.write)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ResumeStreamer(cfg, old); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("%s-digest frame: want ErrBadCheckpoint, got %v", version, err)
 		}
+	}
+	p.CfgDigest = streamCfgDigest(s.Cfg())
+	v1, err := encodeFrame(nil, streamMagic, 1, p.write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeStreamer(cfg, v1); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("format-1 frame: want ErrBadCheckpoint, got %v", err)
 	}
 }
 

@@ -47,6 +47,11 @@
 // partial profiles by ρ_L, the correlation every one of its scans already
 // computes, and scales only the one key it bounds with back to q̃
 // (internal/core/anchors, Store.Set).
+//
+// The bound decides which anchors certify, so its bits are a contract:
+// every product that meets an add is rounded with an explicit float64(…),
+// which keeps a compiler from fusing the two into one multiply-add on
+// machines that have one (scripts/check_no_fma.sh).
 package lb
 
 import (
@@ -65,7 +70,7 @@ func QTilde(qtL, sumA, muB, sdB float64) float64 {
 	if sdB == 0 {
 		return 0
 	}
-	return (qtL - muB*sumA) / sdB
+	return (qtL - float64(muB*sumA)) / sdB
 }
 
 // AnchorTerms holds the candidate-independent pieces of the bound for one
@@ -91,11 +96,11 @@ func NewAnchorTerms(st *series.Stats, i, l, k int) AnchorTerms {
 		return t
 	}
 	sumAL := st.Sum(i, l)
-	t.SHead = (sumAL - float64(l)*muA) / sdA
+	t.SHead = (sumAL - float64(float64(l)*muA)) / sdA
 	if k > 0 {
 		sTail := st.Sum(i+l, k)
 		ssTail := st.SumSq(i+l, k)
-		et := (ssTail - 2*muA*sTail + float64(k)*muA*muA) / (sdA * sdA)
+		et := (ssTail - float64(2*muA*sTail) + float64(float64(k)*muA*muA)) / (sdA * sdA)
 		if et < 0 {
 			et = 0
 		}
@@ -114,7 +119,7 @@ func (t AnchorTerms) Bound(qTilde float64) float64 {
 	lf := float64(t.L)
 	lk := float64(t.L + t.K)
 	qHat := qTilde / t.SigmaA
-	num := qHat*qHat + t.SHead*t.SHead + lf*t.ETail
+	num := float64(qHat*qHat) + float64(t.SHead*t.SHead) + float64(lf*t.ETail)
 	rhoMax := math.Sqrt(num / (lf * lk))
 	if rhoMax > 1 {
 		rhoMax = 1

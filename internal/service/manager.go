@@ -56,11 +56,12 @@ type Config struct {
 	// CheckpointEvery sets the checkpoint cadence for durable discover
 	// jobs in completed lengths (default 8). A checkpoint serializes the
 	// engine's full carried state — on the pruned pass dominated by the
-	// partial profiles, p entries per subsequence (about 6 MB at
-	// n = 20 000) — and fsyncs it, so per-length checkpointing can be
-	// I/O-bound; raise the cadence to trade recovery granularity for
-	// throughput, lower it (1 = every length) when restarts must lose
-	// almost nothing. Ignored without a Store.
+	// partial profiles, min(p, 4) to p entries per subsequence (about
+	// 1.9 MB for a pairs query over 20 000 points) — and fsyncs it, so
+	// per-length checkpointing can be I/O-bound; raise the cadence to
+	// trade recovery granularity for throughput, lower it (1 = every
+	// length) when restarts must lose almost nothing. Ignored without a
+	// Store.
 	CheckpointEvery int
 }
 

@@ -22,7 +22,7 @@ func testSeries(n int) []float64 {
 }
 
 // waitTerminal polls a job until it reaches a terminal state.
-func waitTerminal(t *testing.T, j *Job) Status {
+func waitTerminal(t testing.TB, j *Job) Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {

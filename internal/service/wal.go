@@ -196,10 +196,12 @@ func (w *WAL) replay() error {
 	for _, id := range order {
 		rec.Jobs = append(rec.Jobs, *jobs[id])
 	}
-	// Attach each live discover job's last durable checkpoint.
+	// Attach each live discover job's last durable checkpoint. A job ID
+	// SaveCheckpoint would refuse names no file of ckpt/, so nothing
+	// outside it is read.
 	for i := range rec.Jobs {
 		j := &rec.Jobs[i]
-		if j.Done || j.Req.Kind == KindStream {
+		if j.Done || j.Req.Kind == KindStream || !ckptID(j.ID) {
 			continue
 		}
 		if blob, err := os.ReadFile(w.ckptPath(j.ID)); err == nil {
@@ -265,6 +267,11 @@ func (w *WAL) ckptPath(id string) string {
 	return filepath.Join(w.dir, "ckpt", id)
 }
 
+// ckptID reports whether id names a file directly inside ckpt/.
+func ckptID(id string) bool {
+	return id != "" && id != "." && id != ".." && filepath.Base(id) == id
+}
+
 // SaveCheckpoint implements JobStore: the blob replaces ckpt/<id> through
 // a tmp file, fsync, and rename, so the file always holds a complete
 // frame — a crash mid-write leaves the previous checkpoint intact.
@@ -273,7 +280,7 @@ func (w *WAL) SaveCheckpoint(id string, ckpt []byte) error {
 	if err := faultinject.Hit("wal.checkpoint"); err != nil {
 		return err
 	}
-	if filepath.Base(id) != id || id == "" {
+	if !ckptID(id) {
 		return fmt.Errorf("service: wal checkpoint: unusable job id %q", id)
 	}
 	path := w.ckptPath(id)

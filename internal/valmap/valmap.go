@@ -6,8 +6,6 @@
 package valmap
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -221,49 +219,6 @@ func ReadJSON(r io.Reader) (*VALMAP, error) {
 		initMPn:     decodeInf(dec.InitMPn), initIP: dec.InitIP, initLP: dec.InitLP,
 	}
 	return v, nil
-}
-
-// gobVALMAP mirrors VALMAP for gob serialization (engine checkpoints).
-// Unlike JSON, gob carries ±Inf bit-exactly, so no sentinel is needed.
-type gobVALMAP struct {
-	LMin, LMax  int
-	MPn         []float64
-	IP, LP      []int
-	Checkpoints []Checkpoint
-	InitMPn     []float64
-	InitIP      []int
-	InitLP      []int
-}
-
-// GobEncode serializes the VALMAP including the sealed snapshot. It must be
-// called between lengths (no checkpoint open); an open checkpoint would be
-// silently dropped, so it is rejected.
-func (v *VALMAP) GobEncode() ([]byte, error) {
-	if v.current != nil {
-		return nil, errors.New("valmap: GobEncode with an open length checkpoint")
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(gobVALMAP{
-		LMin: v.LMin, LMax: v.LMax,
-		MPn: v.MPn, IP: v.IP, LP: v.LP,
-		Checkpoints: v.Checkpoints,
-		InitMPn:     v.initMPn, InitIP: v.initIP, InitLP: v.initLP,
-	})
-	return buf.Bytes(), err
-}
-
-// GobDecode restores a VALMAP written by GobEncode.
-func (v *VALMAP) GobDecode(b []byte) error {
-	var dec gobVALMAP
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&dec); err != nil {
-		return fmt.Errorf("valmap: %w", err)
-	}
-	v.LMin, v.LMax = dec.LMin, dec.LMax
-	v.MPn, v.IP, v.LP = dec.MPn, dec.IP, dec.LP
-	v.Checkpoints = dec.Checkpoints
-	v.initMPn, v.initIP, v.initLP = dec.InitMPn, dec.InitIP, dec.InitLP
-	v.current = nil
-	return nil
 }
 
 // infSentinel stands in for +Inf inside JSON documents.
